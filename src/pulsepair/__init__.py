@@ -39,7 +39,6 @@ from .evolution import (
     correlations_from_density,
     evolve_correlations,
     evolve_state,
-    rk4_oracle,
     unitary_oracle,
 )
 from .config import format_config, parse_config
@@ -108,7 +107,6 @@ __all__ = [
     "parse_config",
     "partial_transpose_b",
     "pulse_angle",
-    "rk4_oracle",
     "run_sweep",
     "run_validation",
     "unitary_oracle",

@@ -1,31 +1,30 @@
-"""Command-line front end.
+"""The pulsepair command-line front end.
 
 Subcommands: sweep (run a config file), preset (run a named figure
 preset), negativity (one-shot diagonal-state evaluation), validate
 (oracle and invariant suite).  Data goes to the output file or stdout;
 diagnostics go to stderr.
 
-Exit codes: 0 success, 1 argument or config parse failure, 2 unknown
-preset, 3 I/O failure, 4 unphysical state, 5 validation failure.
+Exit codes: 0 success, 1 argument or config parse failure or any other
+input error, 2 unknown preset, 3 I/O failure, 4 unphysical state, 5
+validation failure.  ``main`` is the one place that maps a PulsePairError
+to its exit code.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 
 from .config import parse_config
 from .entanglement import negativity_of_state
-from .errors import InvalidConfig, UnknownPreset, UnphysicalState
+from .errors import InvalidConfig, PulsePairError, UnknownPreset, UnphysicalState
 from .evolution import InitialState
 from .pulses import CoefficientMode
-from .scenarios import paper_figure_presets, run_sweep
+from .scenarios import SweepConfig, paper_figure_presets, run_sweep
 from .validation import VALIDATION_NOTES, run_validation
 
 __all__ = [
-    "Command",
-    "RunManifest",
     "build_parser",
     "cmd_negativity",
     "cmd_preset",
@@ -42,25 +41,8 @@ EXIT_IO = 3
 EXIT_UNPHYSICAL = 4
 EXIT_VALIDATION = 5
 
-
-class Command(Enum):
-    SWEEP = "sweep"
-    PRESET = "preset"
-    NEGATIVITY = "negativity"
-    VALIDATE = "validate"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one invocation needs, captured before any work happens."""
-
-    command: Command
-    config_path: str | None = None
-    preset_name: str | None = None
-    out_path: str | None = None
-    mode: CoefficientMode | None = None
-    correlations: tuple[float, float, float] | None = None
-    seed: int = 0
+# Exit code of each PulsePairError that main does not map to EXIT_PARSE.
+_EXIT_CODES = {UnknownPreset: EXIT_UNKNOWN_PRESET, UnphysicalState: EXIT_UNPHYSICAL}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,84 +72,61 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="key=value config file")
     sweep.add_argument("--mode", choices=["literal", "unitary"], default=None)
     sweep.add_argument("--out", required=True, help="CSV output path")
+    sweep.set_defaults(func=cmd_sweep)
 
     preset = sub.add_parser("preset", help="run a named figure preset")
     preset.add_argument("name")
     preset.add_argument("--mode", choices=["literal", "unitary"], default=None)
     preset.add_argument("--out", default=None, help="CSV path (default <name>.csv)")
+    preset.set_defaults(func=cmd_preset)
 
     neg = sub.add_parser("negativity", help="negativity of a diagonal state")
     neg.add_argument("cxx", type=float)
     neg.add_argument("cyy", type=float)
     neg.add_argument("czz", type=float)
+    neg.set_defaults(func=cmd_negativity)
 
     val = sub.add_parser("validate", help="run the oracle and invariant checks")
     val.add_argument("--seed", type=int, default=0)
+    val.set_defaults(func=cmd_validate)
     return parser
 
 
-def _manifest(args: argparse.Namespace) -> RunManifest:
-    command = Command(args.command)
-    mode = CoefficientMode(args.mode) if getattr(args, "mode", None) else None
-    if command is Command.SWEEP:
-        return RunManifest(command, config_path=args.config, out_path=args.out, mode=mode)
-    if command is Command.PRESET:
-        out = args.out if args.out is not None else f"{args.name}.csv"
-        return RunManifest(command, preset_name=args.name, out_path=out, mode=mode)
-    if command is Command.NEGATIVITY:
-        return RunManifest(command, correlations=(args.cxx, args.cyy, args.czz))
-    return RunManifest(command, seed=args.seed)
-
-
-def cmd_sweep(manifest: RunManifest) -> int:
+def _run_and_write(cfg: SweepConfig, mode: str | None, out: str) -> int:
+    if mode is not None:
+        cfg = replace(cfg, mode=CoefficientMode(mode))
+    result = run_sweep(cfg)
     try:
-        with open(manifest.config_path, encoding="ascii") as fh:
-            text = fh.read()
+        result.write_csv(out)
+    except OSError as exc:
+        _diag(f"cannot write output: {exc}")
+        return EXIT_IO
+    return EXIT_OK
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    try:
+        with open(args.config, encoding="ascii") as fh:
+            cfg = parse_config(fh.read())
     except OSError as exc:
         _diag(f"cannot read config: {exc}")
         return EXIT_IO
-    try:
-        cfg = parse_config(text)
-    except InvalidConfig as exc:
-        _diag(f"bad config: {exc}")
-        return EXIT_PARSE
-    if manifest.mode is not None:
-        cfg = replace(cfg, mode=manifest.mode)
-    result = run_sweep(cfg)
-    try:
-        result.write_csv(manifest.out_path)
-    except OSError as exc:
-        _diag(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+    except (InvalidConfig, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"bad config: {exc}") from exc
+    return _run_and_write(cfg, args.mode, args.out)
 
 
-def cmd_preset(manifest: RunManifest) -> int:
+def cmd_preset(args: argparse.Namespace) -> int:
     presets = paper_figure_presets()
-    try:
-        cfg = presets[manifest.preset_name]
-    except KeyError:
+    if args.name not in presets:
         known = ", ".join(sorted(presets))
-        _diag(f"unknown preset {manifest.preset_name!r} (known: {known})")
-        return EXIT_UNKNOWN_PRESET
-    if manifest.mode is not None:
-        cfg = replace(cfg, mode=manifest.mode)
-    result = run_sweep(cfg)
-    try:
-        result.write_csv(manifest.out_path)
-    except OSError as exc:
-        _diag(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+        raise UnknownPreset(f"unknown preset {args.name!r} (known: {known})")
+    out = args.out if args.out is not None else f"{args.name}.csv"
+    return _run_and_write(presets[args.name], args.mode, out)
 
 
-def cmd_negativity(manifest: RunManifest) -> int:
-    cxx, cyy, czz = manifest.correlations
-    try:
-        state = InitialState.generalized_werner(cxx, cyy, czz)
-    except UnphysicalState as exc:
-        _diag(str(exc))
-        return EXIT_UNPHYSICAL
+def cmd_negativity(args: argparse.Namespace) -> int:
+    state = InitialState.generalized_werner(args.cxx, args.cyy, args.czz)
     result = negativity_of_state(state.state())
     for i, mu in enumerate(result.eigenvalues, start=1):
         print(f"mu_{i} = {mu:.12f}")
@@ -175,8 +134,8 @@ def cmd_negativity(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_validate(manifest: RunManifest) -> int:
-    results = run_validation(seed=manifest.seed)
+def cmd_validate(args: argparse.Namespace) -> int:
+    results = run_validation(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -187,7 +146,7 @@ def cmd_validate(manifest: RunManifest) -> int:
         print(f"note: {note}")
     failed = [r for r in results if not r.passed]
     passed = len(results) - len(failed)
-    print(f"validation: {passed}/{len(results)} checks passed (seed={manifest.seed})")
+    print(f"validation: {passed}/{len(results)} checks passed (seed={args.seed})")
     if failed:
         first = failed[0]
         _diag(
@@ -198,14 +157,6 @@ def cmd_validate(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    Command.SWEEP: cmd_sweep,
-    Command.PRESET: cmd_preset,
-    Command.NEGATIVITY: cmd_negativity,
-    Command.VALIDATE: cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -213,18 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # also covers --help, which argparse exits 0 from
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    manifest = _manifest(args)
     try:
-        return _DISPATCH[manifest.command](manifest)
-    except UnknownPreset as exc:
+        return args.func(args)
+    except PulsePairError as exc:
         _diag(str(exc))
-        return EXIT_UNKNOWN_PRESET
-    except UnphysicalState as exc:
-        _diag(str(exc))
-        return EXIT_UNPHYSICAL
-    except InvalidConfig as exc:
-        _diag(str(exc))
-        return EXIT_PARSE
+        return _EXIT_CODES.get(type(exc), EXIT_PARSE)
 
 
 def entry() -> None:

@@ -73,7 +73,7 @@ def negativity(rho, imag_residue: float = 0.0) -> NegativityResult:
     """
     rho = np.asarray(rho, dtype=np.complex128)
     trace = rho.trace()
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise TraceNotOne(f"trace {trace} differs from 1 beyond {TRACE_TOL:.1e}")
     mu = hermitian_eigenvalues(partial_transpose_b(rho))
     raw = float(np.abs(mu).sum() - 1.0)
@@ -102,7 +102,8 @@ def negativity_batch(rhos) -> np.ndarray:
         raise ValueError(f"expected shape (n, 4, 4), got {rhos.shape}")
     traces = np.einsum("nii->n", rhos)
     worst = np.abs(traces - 1.0).max() if len(rhos) else 0.0
-    if worst > TRACE_TOL:
+    # written so that a NaN trace fails the gate too
+    if not worst <= TRACE_TOL:
         raise TraceNotOne(f"trace off by {worst:.3e}, beyond {TRACE_TOL:.1e}")
     pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     mu = hermitian_eigenvalues_batch(pt)

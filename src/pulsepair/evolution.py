@@ -17,10 +17,10 @@ state and the largest imaginary magnitude is recorded as a diagnostic
 
 Two independent oracles are provided for cross-validation of the analytic
 maps: ``unitary_oracle`` builds the exact 2x2 propagator via a matrix
-exponential, and ``rk4_oracle`` integrates the Schrodinger equation
-dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I.  The adjoint
-action of either propagator on the Pauli triple must reproduce the
-UNITARY-mode coefficient matrix.
+exponential, and ``rk4_oracle_batch`` integrates the Schrodinger equation
+dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I, for many
+(pulse, end time) pairs at once.  The adjoint action of either propagator
+on the Pauli triple must reproduce the UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NonDiagonalInput, OutOfWindow, ResonanceRequired, StepTooLarge, UnphysicalState
+from .errors import NonDiagonalInput, OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
 from .pulses import CoefficientMatrix, CoefficientMode, PulseShape, PulseSpec, coefficient_map, pulse_angle
 
@@ -41,7 +41,6 @@ __all__ = [
     "correlations_from_density",
     "adjoint_rotation",
     "unitary_oracle",
-    "rk4_oracle",
     "rk4_oracle_batch",
     "evolve_state",
     "RK4_DEFAULT_STEP",
@@ -124,9 +123,10 @@ def _bell_diagonal_rho_eigenvalues(c: tuple[float, float, float]) -> tuple[float
 class InitialState:
     """A named initial-state family member: label plus diagonal correlations.
 
-    Constructors validate physicality (density-matrix positivity up to
-    1e-10) and raise UnphysicalState otherwise.  The label feeds the CSV
-    column names of the sweep layer.
+    Constructors validate physicality (finite parameters, density-matrix
+    positivity up to 1e-10) and raise UnphysicalState otherwise; the
+    werner range test is false for NaN, so it needs no separate check.
+    The label feeds the CSV column names of the sweep layer.
     """
 
     label: str
@@ -145,6 +145,8 @@ class InitialState:
     @classmethod
     def generalized_werner(cls, c_xx: float, c_yy: float, c_zz: float) -> "InitialState":
         c = (float(c_xx), float(c_yy), float(c_zz))
+        if not all(map(math.isfinite, c)):
+            raise UnphysicalState(f"correlations {c} must be finite")
         if min(_bell_diagonal_rho_eigenvalues(c)) < -1e-10:
             raise UnphysicalState(f"correlations {c} give a negative density eigenvalue")
         return cls("genwerner", c)
@@ -236,81 +238,20 @@ def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
             raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
         h = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X)
         return expm(-1j * t * h)
-    if p.delta != 0.0:
-        raise ResonanceRequired("exponential drive is defined only at delta = 0")
     if t < 0.0:
         raise OutOfWindow(f"t = {t} precedes the pulse start")
     lam = pulse_angle(p, t)
     return expm(-0.5j * lam * SIGMA_X)
 
 
-def _envelope_fn(p: PulseSpec):
-    if p.shape is PulseShape.RECTANGULAR:
-        duration = p.duration
-        return lambda t: 1.0 if t <= duration else 0.0
-    if p.shape is PulseShape.EXPONENTIAL:
-        gp = p.gamma_p
-        return lambda t: math.exp(-gp * t)
-    return lambda t: 0.0
-
-
-def rk4_oracle(p: PulseSpec, t_end: float, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
+def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2.
 
-    Classical fixed-step RK4 from U(0) = I with the step shrunk so the
-    interval divides evenly.  Deliberately shares no code with
+    Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
+    once, with a common step count (the largest any of them needs) and a
+    per-pair evenly dividing h <= step.  Deliberately shares no code with
     unitary_oracle or the coefficient maps; this is the independent route.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
-    if t_end == 0.0:
-        return np.eye(2, dtype=np.complex128)
-    if step > t_end / 10.0:
-        raise StepTooLarge(f"step {step} exceeds t_end/10 = {t_end / 10.0}")
-    n_steps = math.ceil(t_end / step)
-    h = t_end / n_steps
-    env = _envelope_fn(p)
-    dz = 0.5 * p.delta
-    om2 = 0.5 * p.omega0
-    # complex scalars: U = [[a, b], [c, d]]
-    a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-
-    def deriv(w, ua, ub, uc, ud):
-        return (
-            -1j * (dz * ua + w * uc),
-            -1j * (dz * ub + w * ud),
-            -1j * (w * ua - dz * uc),
-            -1j * (w * ub - dz * ud),
-        )
-
-    for i in range(n_steps):
-        t0 = i * h
-        # the final (i+1)*h can overshoot t_end by one ulp, which would
-        # sample a rectangular envelope just past its edge; clamp it
-        w1 = om2 * env(t0)
-        w2 = om2 * env(t0 + 0.5 * h)
-        w3 = om2 * env(min(t0 + h, t_end))
-        k1a, k1b, k1c, k1d = deriv(w1, a, b, c, d)
-        k2a, k2b, k2c, k2d = deriv(w2, a + 0.5 * h * k1a, b + 0.5 * h * k1b, c + 0.5 * h * k1c, d + 0.5 * h * k1d)
-        k3a, k3b, k3c, k3d = deriv(w2, a + 0.5 * h * k2a, b + 0.5 * h * k2b, c + 0.5 * h * k2c, d + 0.5 * h * k2d)
-        k4a, k4b, k4c, k4d = deriv(w3, a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d)
-        a += (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b += (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        c += (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        d += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    return np.array([[a, b], [c, d]], dtype=np.complex128)
-
-
-def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
-    """Vectorized RK4 over many (pulse, t_end) pairs at once.
-
-    Same mathematics as rk4_oracle; every configuration is integrated with
-    a common step count (the largest any of them needs), each with its own
-    evenly dividing h <= step.  Exists because validation integrates a few
-    hundred propagators over long windows and a per-config Python loop is
-    an order of magnitude slower.
+    Raises StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")

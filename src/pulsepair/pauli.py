@@ -104,10 +104,12 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int, active: np.ndarray) -> None:
     """
     apq = a[:, p, q]
     r = np.abs(apq)
-    rot = active & (r > 0.0)
+    # complex / r overflows to NaN for subnormal r, far below any tolerance
+    big = r >= np.finfo(float).tiny
+    rot = active & big
     if not rot.any():
         return
-    safe_r = np.where(r > 0.0, r, 1.0)
+    safe_r = np.where(big, r, 1.0)
     u = np.where(rot, apq / safe_r, 1.0)
     tau = (a[:, q, q].real - a[:, p, p].real) / np.where(rot, 2.0 * safe_r, 1.0)
     root = np.sqrt(1.0 + tau * tau)
@@ -143,7 +145,8 @@ def hermitian_eigenvalues_batch(ms) -> np.ndarray:
     if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a batch of square matrices, got shape {a.shape}")
     defect = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if (defect > HERMITICITY_TOL).any():
+    # written so that a NaN defect fails the gate too
+    if not (defect <= HERMITICITY_TOL).all():
         raise NonHermitianInput(
             f"hermiticity defect {defect.max():.3e} exceeds {HERMITICITY_TOL:.1e}"
         )

@@ -56,13 +56,10 @@ __all__ = [
     "PulseShape",
     "CoefficientMode",
     "PulseSpec",
-    "IntermediateCoefficients",
     "CoefficientMatrix",
     "envelope",
     "pulse_angle",
     "rotation_matrix",
-    "rect_intermediates",
-    "exp_intermediates",
     "rect_coefficients",
     "exp_coefficients",
     "undriven_coefficients",
@@ -132,15 +129,6 @@ class PulseSpec:
 
 
 @dataclass(frozen=True)
-class IntermediateCoefficients:
-    """The complex C coefficients a coefficient map is assembled from."""
-
-    c_plus: complex
-    c_minus: complex
-    c_z: complex
-
-
-@dataclass(frozen=True)
 class CoefficientMatrix:
     """3x3 Heisenberg map with rows (A; B; D), possibly complex in LITERAL mode."""
 
@@ -203,7 +191,7 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
 
 
-def _literal_matrix(ic: IntermediateCoefficients, d_row) -> np.ndarray:
+def _literal_matrix(c_plus: complex, c_minus: complex, c_z: complex, d_row) -> np.ndarray:
     """Assemble the verbatim closed-form map from the C coefficients.
 
     A row: A_x = Re(C+ + C-), A_y = -Im(C+ - C-), A_z = Re(C_z).
@@ -211,10 +199,10 @@ def _literal_matrix(ic: IntermediateCoefficients, d_row) -> np.ndarray:
     B_z = -i A_z.  The last two are imaginary whenever they are nonzero,
     which is the inconsistency LITERAL mode exists to expose.
     """
-    a_x = (ic.c_plus + ic.c_minus).real
-    a_y = -(ic.c_plus - ic.c_minus).imag
-    a_z = ic.c_z.real
-    b_x = (ic.c_plus + ic.c_minus).imag
+    a_x = (c_plus + c_minus).real
+    a_y = -(c_plus - c_minus).imag
+    a_z = c_z.real
+    b_x = (c_plus + c_minus).imag
     m = np.array(
         [
             [a_x, a_y, a_z],
@@ -224,36 +212,6 @@ def _literal_matrix(ic: IntermediateCoefficients, d_row) -> np.ndarray:
         dtype=np.complex128,
     )
     return m
-
-
-def rect_intermediates(p: PulseSpec, t: float) -> IntermediateCoefficients:
-    """C coefficients of a rectangular pulse at time t in [0, T]."""
-    if p.shape is not PulseShape.RECTANGULAR:
-        raise ValueError("rect_intermediates requires a rectangular pulse")
-    if not 0.0 <= t <= p.duration:
-        raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
-    om, dl = p.omega0, p.delta
-    om1 = math.hypot(om, dl)
-    if om1 == 0.0:
-        return IntermediateCoefficients(1.0 + 0.0j, 0.0j, 0.0j)
-    c = math.cos(om1 * t)
-    s = math.sin(om1 * t)
-    ratio2 = (om / om1) ** 2
-    c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
-    c_minus = 0.5 * ratio2 * (1.0 - c)
-    c_z = (dl * om / (om1 * om1)) * (1.0 - c) - 1j * (om / om1) * s
-    return IntermediateCoefficients(c_plus, c_minus, c_z)
-
-
-def exp_intermediates(p: PulseSpec, t: float) -> IntermediateCoefficients:
-    """C coefficients of a resonant exponential pulse at time t >= 0."""
-    if p.shape is not PulseShape.EXPONENTIAL:
-        raise ValueError("exp_intermediates requires an exponential pulse")
-    if t < 0.0:
-        raise OutOfWindow(f"t = {t} precedes the pulse start")
-    lam = pulse_angle(p, t)
-    c = math.cos(lam)
-    return IntermediateCoefficients(0.5 * (1.0 + c), 0.5 * (1.0 - c), -1j * math.sin(lam))
 
 
 def rect_coefficients(
@@ -285,12 +243,16 @@ def rect_coefficients(
         return CoefficientMatrix(mode, rot.astype(np.complex128))
     c = math.cos(om1 * t)
     s = math.sin(om1 * t)
+    ratio2 = (om / om1) ** 2
+    c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
+    c_minus = 0.5 * ratio2 * (1.0 - c)
+    c_z = (dl * om / (om1 * om1)) * (1.0 - c) - 1j * (om / om1) * s
     d_row = (
         (dl * om / (om1 * om1)) * (1.0 - c),
         (om / om1) * s,
         (om * om * c + dl * dl) / (om1 * om1),
     )
-    return CoefficientMatrix(mode, _literal_matrix(rect_intermediates(p, t), d_row))
+    return CoefficientMatrix(mode, _literal_matrix(c_plus, c_minus, c_z, d_row))
 
 
 def exp_coefficients(
@@ -304,15 +266,16 @@ def exp_coefficients(
     """
     if p.shape is not PulseShape.EXPONENTIAL:
         raise ValueError("exp_coefficients requires an exponential pulse")
-    if p.delta != 0.0:
-        raise ResonanceRequired("exponential drive is defined only at delta = 0")
     if t < 0.0:
         raise OutOfWindow(f"t = {t} precedes the pulse start")
     lam = pulse_angle(p, t)
     if mode is CoefficientMode.UNITARY:
         return CoefficientMatrix(mode, rotation_matrix((1.0, 0.0, 0.0), lam).astype(np.complex128))
-    d_row = (0.0, math.sin(lam), math.cos(lam))
-    return CoefficientMatrix(mode, _literal_matrix(exp_intermediates(p, t), d_row))
+    c = math.cos(lam)
+    s = math.sin(lam)
+    return CoefficientMatrix(
+        mode, _literal_matrix(0.5 * (1.0 + c), 0.5 * (1.0 - c), -1j * s, (0.0, s, c))
+    )
 
 
 def undriven_coefficients(mode: CoefficientMode = CoefficientMode.UNITARY) -> CoefficientMatrix:

@@ -18,7 +18,8 @@ and records one negativity per state plus the row-wise maximum
 imaginary residue (zero everywhere except LITERAL mode with a detuned
 rectangular drive).  Evaluation is strictly deterministic: identical
 configurations give bit-identical results, and grid values are defined as
-start + i * step so refining a grid never moves the shared nodes.
+start + i * step (the last clamped to stop) so refining a grid never moves
+the shared nodes.
 """
 
 import math
@@ -42,9 +43,18 @@ __all__ = [
     "paper_figure_presets",
     "detect_sudden_death",
     "DEATH_TOL",
+    "PARAM_LIMIT",
 ]
 
 DEATH_TOL = 1e-9
+#: Largest magnitude of any float a sweep is built from (1/PARAM_LIMIT is the
+#: smallest rect_omega); far outside it the maps over- or underflow to NaN.
+PARAM_LIMIT = 1e6
+
+
+def _check_param(name: str, value: float) -> None:
+    if not abs(value) <= PARAM_LIMIT:  # false for NaN and inf too
+        raise InvalidConfig(f"{name} = {value!r} is not finite or exceeds {PARAM_LIMIT:g} in size")
 
 
 class SweepFamily(Enum):
@@ -67,6 +77,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
+        _check_param("grid_start", self.start)
+        _check_param("grid_stop", self.stop)
         if self.points < 2:
             raise InvalidConfig("grid needs at least 2 points")
         if self.start < 0.0:
@@ -76,7 +88,8 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         step = (self.stop - self.start) / (self.points - 1)
-        return self.start + step * np.arange(self.points)
+        # the last node can round one ulp past stop, out of the combined window
+        return np.minimum(self.start + step * np.arange(self.points), self.stop)
 
 
 @dataclass(frozen=True)
@@ -105,13 +118,17 @@ class SweepConfig:
             raise InvalidConfig("at least one initial state is required")
         if len(self.detuning_prime) != 2 or len(self.rabi_ratio) != 2:
             raise InvalidConfig("detuning_prime and rabi_ratio take one value per qubit")
+        for qubit, dprime, ratio in zip("ab", self.detuning_prime, self.rabi_ratio):
+            _check_param(f"detuning_prime_{qubit}", dprime)
+            _check_param(f"rabi_ratio_{qubit}", ratio)
+        _check_param("rect_omega", self.rect_omega)
         if min(self.rabi_ratio) < 0.0:
             raise InvalidConfig("rabi_ratio entries must be non-negative")
         if self.family is SweepFamily.COMBINED_VS_TIME:
             if self.drive is not DriveMode.BOTH_QUBITS:
                 raise InvalidConfig("the combined family drives both qubits by construction")
-            if self.rect_omega <= 0.0:
-                raise InvalidConfig("rect_omega must be positive")
+            if self.rect_omega < 1.0 / PARAM_LIMIT:
+                raise InvalidConfig(f"rect_omega must be at least {1.0 / PARAM_LIMIT:g}")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Everything runs in process through cli.main so the tests can assert on
 exit codes, stdout and written files without spawning interpreters.
 """
 
+import dataclasses
+import re
+
 import pytest
 
 from pulsepair import cli
-from pulsepair.cli import Command, RunManifest, main
+from pulsepair.cli import main
 from pulsepair.config import format_config
-from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import paper_figure_presets
 from pulsepair.validation import CheckResult
 
@@ -18,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    # main returned instead of raising, so no traceback reached stderr
+    assert err.count("error:") == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestNegativity:
@@ -47,6 +56,12 @@ class TestNegativity:
         assert code == 4
         assert out == ""
         assert "error:" in err
+
+    def test_non_finite_input_exits_4(self, capsys):
+        code, out, err = run(capsys, "negativity", "--", "nan", "-0.5", "-0.5")
+        assert code == 4
+        assert out == ""
+        assert_one_error_line(err)
 
     def test_wrong_arity_is_a_parse_failure(self, capsys):
         code, _, _ = run(capsys, "negativity", "0.1", "0.2")
@@ -106,8 +121,6 @@ class TestPreset:
 class TestSweep:
     def test_config_to_csv(self, capsys, tmp_path):
         cfg = paper_figure_presets()["fig4a"]
-        import dataclasses
-
         cfg = dataclasses.replace(
             cfg, grid=dataclasses.replace(cfg.grid, points=11)
         )
@@ -139,10 +152,44 @@ class TestSweep:
         assert code == 1
         assert "bad config" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("detuning_prime_a", "nan"),
+            ("grid_stop", "inf"),
+            # finite, but the literal combined map overflows into NaN rows
+            ("detuning_prime_a", "1e200"),
+            # finite, but rect_omega**2 underflows to a zero divisor
+            ("rect_omega", "1e-200"),
+        ],
+    )
+    def test_unusable_number_exits_1_without_csv(self, capsys, tmp_path, key, value):
+        cfg = paper_figure_presets()["fig5a"]
+        cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, points=11))
+        text = format_config(cfg).replace("mode = unitary", "mode = literal")
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text, "ascii")
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(path), "--out", str(out))
+        assert code == 1
+        assert_one_error_line(err)
+        assert "bad config" in err
+        assert not out.exists()
+
+    def test_non_ascii_config_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes("family = rect_vs_area  # \u00e9\n".encode("utf-8"))
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(path), "--out", str(out))
+        assert code == 1
+        assert_one_error_line(err)
+        assert "bad config" in err
+        assert not out.exists()
+
     def test_mode_flag_overrides_config(self, capsys, tmp_path):
         cfg = paper_figure_presets()["fig1b"]
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, points=21))
         path = tmp_path / "cfg"
         path.write_text(format_config(cfg), "ascii")
@@ -227,22 +274,6 @@ class TestParsing:
         monkeypatch.setenv("NO_COLOR", "1")
         _, _, err = run(capsys, "preset", "fig9")
         assert "\x1b[" not in err
-
-    def test_manifest_shapes(self):
-        parser = cli.build_parser()
-        m = cli._manifest(parser.parse_args(["preset", "fig2a"]))
-        assert m == RunManifest(
-            Command.PRESET, preset_name="fig2a", out_path="fig2a.csv"
-        )
-        m = cli._manifest(
-            parser.parse_args(["sweep", "--config", "c", "--mode", "literal", "--out", "o"])
-        )
-        assert m.command is Command.SWEEP
-        assert m.mode is CoefficientMode.LITERAL
-        m = cli._manifest(parser.parse_args(["negativity", "0.0", "0.0", "0.0"]))
-        assert m.correlations == (0.0, 0.0, 0.0)
-        m = cli._manifest(parser.parse_args(["validate", "--seed", "3"]))
-        assert m.seed == 3
 
 
 @pytest.mark.slow

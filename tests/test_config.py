@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsepair.config import format_config, parse_config
 from pulsepair.errors import InvalidConfig, UnphysicalState
 from pulsepair.pulses import CoefficientMode
-from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets
+from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets, run_sweep
 
 GOOD = """\
 # resonant rectangular sweep over pulse area
@@ -115,3 +118,77 @@ def test_family_and_drive_enums():
         parse_config(GOOD.replace("rect_vs_area", "sinc_vs_area"))
     with pytest.raises(InvalidConfig):
         parse_config(GOOD.replace("one_qubit", "three_qubits"))
+
+
+# Any number text at all, from NaN and inf through subnormals to 1e308, plus
+# text that is not a number.
+ANY_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "five", "0x10", ""]),
+)
+WILD_STATE = st.one_of(
+    st.builds("werner:{}".format, ANY_NUMBER),
+    st.builds("genwerner:{}:{}:{}".format, ANY_NUMBER, ANY_NUMBER, ANY_NUMBER),
+    st.text(max_size=10),
+)
+PLAIN_STATE = st.one_of(
+    st.just("bell"),
+    st.builds("werner:{!r}".format, st.floats(-1.0, 1.0 / 3.0)),
+    st.builds("genwerner:{!r}:{!r}:{!r}".format, *[st.floats(-1.0, 0.0)] * 3),
+)
+
+
+def _float_key(low, high):
+    return st.floats(low, high).map(repr), ANY_NUMBER
+
+
+# (plausible, wild) values per key: plausible ones let most examples get
+# through parsing and run the sweep; the keys drawn as wild get the second.
+VALUES = {
+    "grid_start": _float_key(0.0, 5.0),
+    "grid_stop": _float_key(5.0, 50.0),
+    "detuning_prime_a": _float_key(-10.0, 10.0),
+    "detuning_prime_b": _float_key(-10.0, 10.0),
+    "rabi_ratio_a": _float_key(0.0, 10.0),
+    "rabi_ratio_b": _float_key(0.0, 10.0),
+    "rect_omega": _float_key(0.0, 10.0),
+    # capped: the property is about values, never about grid size
+    "grid_points": (st.integers(2, 64).map(str), st.integers(-3, 64).map(str)),
+    "initial_states": (
+        st.lists(PLAIN_STATE, min_size=1, max_size=3).map(", ".join),
+        st.lists(st.one_of(PLAIN_STATE, WILD_STATE), max_size=3).map(", ".join),
+    ),
+}
+
+
+@st.composite
+def config_text(draw):
+    """Config text that is mostly well formed, with a few arbitrary parts."""
+    wild = draw(st.sets(st.sampled_from(sorted(VALUES)), max_size=2))
+    family = draw(st.sampled_from(list(SweepFamily)))
+    both = family is SweepFamily.COMBINED_VS_TIME or draw(st.booleans())
+    pairs = {
+        "family": family.value,
+        "drive": "both_qubits" if both else "one_qubit",
+        "mode": draw(st.sampled_from(list(CoefficientMode))).value,
+    }
+    for key, (plausible, arbitrary) in VALUES.items():
+        pairs[key] = draw(arbitrary if key in wild else plausible)
+    lines = [f"{key} = {value}" for key, value in pairs.items()]
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.text(max_size=20)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_text())
+def test_any_config_text_gives_finite_rows_or_a_typed_error(text):
+    try:
+        cfg = parse_config(text)
+        result = run_sweep(cfg)
+    except (InvalidConfig, UnphysicalState):
+        return
+    assert cfg.grid.points <= 64
+    for values in (result.params, result.negativities, result.residues):
+        assert np.isfinite(values).all()

@@ -77,6 +77,8 @@ def test_agreement_with_brute_force_diagonalization():
 def test_trace_gate():
     with pytest.raises(TraceNotOne):
         negativity(0.5 * np.eye(4))
+    with pytest.raises(TraceNotOne):
+        negativity(np.full((4, 4), np.nan))
 
 
 def test_hermiticity_gate():
@@ -108,6 +110,8 @@ def test_batch_validation():
     bad = np.stack([np.eye(4) / 4.0, np.eye(4)])
     with pytest.raises(TraceNotOne):
         negativity_batch(bad)
+    with pytest.raises(TraceNotOne):
+        negativity_batch(np.stack([np.eye(4) / 4.0, np.full((4, 4), np.nan)]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,7 +17,6 @@ from pulsepair.evolution import (
     correlations_from_density,
     evolve_correlations,
     evolve_state,
-    rk4_oracle,
     rk4_oracle_batch,
     unitary_oracle,
 )
@@ -67,6 +66,9 @@ class TestInitialState:
             InitialState.werner(0.5)
         with pytest.raises(UnphysicalState):
             InitialState.werner(-1.0001)
+        for x in (math.nan, math.inf):
+            with pytest.raises(UnphysicalState):
+                InitialState.werner(x)
 
     def test_generalized_werner_positivity_gate(self):
         s = InitialState.generalized_werner(-0.9, -0.8, -0.7)
@@ -74,6 +76,10 @@ class TestInitialState:
         # the -0.6 variant leaves rho with eigenvalue -0.025
         with pytest.raises(UnphysicalState):
             InitialState.generalized_werner(-0.9, -0.8, -0.6)
+        # NaN fails no comparison-based gate, and inf - inf is NaN
+        for c in ((math.nan, -0.5, -0.5), (math.inf, math.inf, 0.0), (-math.inf, 0.0, 0.0)):
+            with pytest.raises(UnphysicalState):
+                InitialState.generalized_werner(*c)
 
     def test_state_round_trip(self):
         s = InitialState.generalized_werner(-0.9, -0.8, -0.7).state()
@@ -199,19 +205,23 @@ class TestUnitaryOracle:
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
 
+def rk4_single(p, t_end, **kw):
+    return rk4_oracle_batch([p], [t_end], **kw)[0]
+
+
 class TestRk4Oracle:
     def test_zero_time_is_identity(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
-        assert np.array_equal(rk4_oracle(p, 0.0), np.eye(2))
+        assert np.array_equal(rk4_single(p, 0.0), np.eye(2))
 
     def test_step_gate(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
         with pytest.raises(StepTooLarge):
-            rk4_oracle(p, 0.005, step=1e-3)
+            rk4_single(p, 0.005, step=1e-3)
         with pytest.raises(ValueError):
-            rk4_oracle(p, 1.0, step=-1.0)
+            rk4_single(p, 1.0, step=-1.0)
         with pytest.raises(ValueError):
-            rk4_oracle(p, -1.0)
+            rk4_single(p, -1.0)
 
     def test_agreement_with_exact_propagator(self):
         cases = [
@@ -221,17 +231,19 @@ class TestRk4Oracle:
             (PulseSpec.exponential(8.0, 0.5), 3.0),
         ]
         for p, t in cases:
-            err = np.abs(rk4_oracle(p, t) - unitary_oracle(p, t)).max()
+            err = np.abs(rk4_single(p, t) - unitary_oracle(p, t)).max()
             assert err < 1e-9
 
     def test_rectangular_edge_is_sampled_inside_the_window(self):
         # duration == t_end: envelope samples at the last step must not
         # fall out of the window through rounding
-        p = PulseSpec.rectangular(2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357)
-        err = np.abs(rk4_oracle(p, p.duration) - unitary_oracle(p, p.duration)).max()
+        p = PulseSpec.rectangular(
+            2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357
+        )
+        err = np.abs(rk4_single(p, p.duration) - unitary_oracle(p, p.duration)).max()
         assert err < 1e-9
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_exact_propagator(self):
         specs = [
             PulseSpec.rectangular(1.0, duration=7.0, delta=0.3),
             PulseSpec.exponential(5.0, 1.0),
@@ -244,7 +256,7 @@ class TestRk4Oracle:
             if p.shape.value == "none":
                 assert np.abs(u - np.eye(2)).max() < 1e-12
             else:
-                assert np.abs(u - rk4_oracle(p, t)).max() < 5e-10
+                assert np.abs(u - unitary_oracle(p, t)).max() < 1e-9
 
     def test_batch_gates(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)

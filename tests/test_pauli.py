@@ -105,6 +105,14 @@ def test_non_hermitian_input_is_rejected():
     batch = np.stack([np.eye(2), m])
     with pytest.raises(NonHermitianInput):
         hermitian_eigenvalues_batch(batch)
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigenvalues_batch(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+
+
+def test_subnormal_off_diagonal_leaves_eigenvalues_finite():
+    # the (0, 1) element keeps the matrix active while (0, 2) is subnormal
+    m = np.array([[1.0, 0.5, 2.2e-309j], [0.5, 2.0, 0.0], [-2.2e-309j, 0.0, 3.0]])
+    assert np.abs(hermitian_eigenvalues(m) - np.linalg.eigvalsh(m)).max() < 1e-12
 
 
 def test_shape_validation():

@@ -11,10 +11,8 @@ from pulsepair.pulses import (
     coefficient_map,
     envelope,
     exp_coefficients,
-    exp_intermediates,
     pulse_angle,
     rect_coefficients,
-    rect_intermediates,
     rotation_matrix,
     undriven_coefficients,
 )
@@ -111,25 +109,49 @@ def test_rotation_matrix_x_quarter_turn():
     assert np.abs(r - expected).max() < 1e-15
 
 
+def literal_rows(c_plus, c_minus, c_z):
+    """A and B rows of the verbatim closed forms, as the pulses docstring states them."""
+    a_z = c_z.real
+    b_x = (c_plus + c_minus).imag
+    return np.array(
+        [[(c_plus + c_minus).real, -(c_plus - c_minus).imag, a_z], [b_x, 1j * b_x, -1j * a_z]]
+    )
+
+
 class TestRectIntermediates:
+    """LITERAL-mode rectangular rows built from the C coefficients."""
+
     def test_start_values(self):
-        # c_plus(0) = 1 exactly: the two prefactors average to one
+        # c_plus(0) = 1 exactly: the two prefactors average to one, so the
+        # A row starts at (1, 0, 0) and the B row at zero
         for delta in (0.0, 0.7, -2.5):
-            ic = rect_intermediates(PulseSpec.rectangular(1.3, 4.0, delta=delta), 0.0)
-            assert ic.c_plus == 1.0 + 0.0j
-            assert ic.c_minus == 0.0j
-            assert ic.c_z == 0.0j
+            m = rect_coefficients(PulseSpec.rectangular(1.3, 4.0, delta=delta), 0.0, LITERAL)
+            assert np.array_equal(m.matrix[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def test_rows_follow_stated_forms(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            om = rng.uniform(0.05, 4.0)
+            dl = rng.uniform(-4.0, 4.0)
+            t = rng.uniform(0.0, 20.0)
+            m = rect_coefficients(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, LITERAL)
+            om1 = math.hypot(om, dl)
+            cos, sin = math.cos(om1 * t), math.sin(om1 * t)
+            c_plus = 0.5 * ((om / om1) ** 2 + (dl**2 + om1**2) / om1**2 * cos) + 1j * dl / om1 * sin
+            c_minus = 0.5 * (om / om1) ** 2 * (1.0 - cos)
+            c_z = dl * om / om1**2 * (1.0 - cos) - 1j * om / om1 * sin
+            assert np.abs(m.matrix[:2] - literal_rows(c_plus, c_minus, c_z)).max() < 1e-12
 
     def test_window_enforced(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
         with pytest.raises(OutOfWindow):
-            rect_intermediates(p, 1.5)
+            rect_coefficients(p, 1.5, LITERAL)
         with pytest.raises(OutOfWindow):
-            rect_intermediates(p, -0.1)
+            rect_coefficients(p, -0.1, LITERAL)
 
     def test_requires_rectangular(self):
         with pytest.raises(ValueError):
-            rect_intermediates(PulseSpec.exponential(1.0, 1.0), 0.5)
+            rect_coefficients(PulseSpec.exponential(1.0, 1.0), 0.5, LITERAL)
 
 
 class TestRectCoefficients:
@@ -246,11 +268,13 @@ class TestExpCoefficients:
 
     def test_intermediates_follow_stated_forms(self):
         p = PulseSpec.exponential(2.0, 1.0)
-        ic = exp_intermediates(p, 0.7)
+        m = exp_coefficients(p, 0.7, LITERAL)
         lam = pulse_angle(p, 0.7)
-        assert ic.c_plus == pytest.approx(0.5 * (1.0 + math.cos(lam)), abs=1e-15)
-        assert ic.c_minus == pytest.approx(0.5 * (1.0 - math.cos(lam)), abs=1e-15)
-        assert ic.c_z == pytest.approx(-1j * math.sin(lam), abs=1e-15)
+        c_plus = 0.5 * (1.0 + math.cos(lam))
+        c_minus = 0.5 * (1.0 - math.cos(lam))
+        rows = literal_rows(complex(c_plus), complex(c_minus), -1j * math.sin(lam))
+        assert np.abs(m.matrix[:2] - rows).max() < 1e-15
+        assert np.abs(m.d_row - [0.0, math.sin(lam), math.cos(lam)]).max() < 1e-15
 
     def test_literal_map_is_real_on_resonance(self):
         m = exp_coefficients(PulseSpec.exponential(5.0, 1.0), 1.3, LITERAL)

@@ -8,6 +8,7 @@ from pulsepair.errors import InvalidConfig
 from pulsepair.evolution import InitialState
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import (
+    PARAM_LIMIT,
     DriveMode,
     GridSpec,
     SweepConfig,
@@ -61,6 +62,21 @@ class TestGridSpec:
             GridSpec(2.0, 1.0, 10)
         with pytest.raises(InvalidConfig):
             GridSpec(1.0, 1.0, 10)
+        for bad in (float("nan"), float("inf"), 2.0 * PARAM_LIMIT):
+            with pytest.raises(InvalidConfig):
+                GridSpec(0.0, bad, 10)
+            with pytest.raises(InvalidConfig):
+                GridSpec(bad, 1.0, 10)
+
+    def test_last_node_never_passes_stop(self):
+        # unclamped, 0.989 + 45 * step rounds to 1.8130000000000002, which
+        # fell outside the combined family's rectangle window
+        grid = GridSpec(0.989, 1.813, 46)
+        assert grid.values()[-1] == 1.813
+        cfg = small_config(
+            family=SweepFamily.COMBINED_VS_TIME, drive=DriveMode.BOTH_QUBITS, grid=grid
+        )
+        assert run_sweep(cfg).params[-1] == 1.813
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=400))
@@ -80,12 +96,21 @@ class TestSweepConfigValidation:
             small_config(family=SweepFamily.COMBINED_VS_TIME, drive=DriveMode.ONE_QUBIT)
 
     def test_combined_requires_positive_rect_omega(self):
+        # at 1e-200, rect_omega**2 underflows to a zero divisor in the literal map
+        for rect_omega in (0.0, 1e-200):
+            with pytest.raises(InvalidConfig):
+                small_config(
+                    family=SweepFamily.COMBINED_VS_TIME,
+                    drive=DriveMode.BOTH_QUBITS,
+                    rect_omega=rect_omega,
+                )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e200])
+    @pytest.mark.parametrize("field", ["detuning_prime", "rabi_ratio", "rect_omega"])
+    def test_non_finite_and_huge_values(self, field, bad):
+        value = bad if field == "rect_omega" else (0.0, bad)
         with pytest.raises(InvalidConfig):
-            small_config(
-                family=SweepFamily.COMBINED_VS_TIME,
-                drive=DriveMode.BOTH_QUBITS,
-                rect_omega=0.0,
-            )
+            small_config(**{field: value})
 
     def test_rabi_ratio_sign(self):
         with pytest.raises(InvalidConfig):
