@@ -20,6 +20,7 @@ from .entanglement import (
     partial_transpose_b,
 )
 from .errors import (
+    ConvergenceFailure,
     InvalidConfig,
     NonDiagonalInput,
     NonHermitianInput,
@@ -69,6 +70,7 @@ __all__ = [
     "CheckResult",
     "CoefficientMatrix",
     "CoefficientMode",
+    "ConvergenceFailure",
     "CorrelationState",
     "DriveMode",
     "GridSpec",

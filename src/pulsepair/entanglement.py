@@ -54,15 +54,29 @@ class NegativityResult:
 
 
 def partial_transpose_b(rho) -> np.ndarray:
-    """Transpose the second qubit's indices: ((i,j),(k,l)) -> ((i,l),(k,j))."""
+    """Transpose the second qubit's indices: ((i,j),(k,l)) -> ((i,l),(k,j)).
+
+    Takes one 4x4 matrix or a stack of shape (n, 4, 4).
+    """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected shape (4, 4) or (n, 4, 4), got {rho.shape}")
+    return rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(rho.shape)
 
 
-def _clamp(raw: float) -> float:
-    return 0.0 if raw < CLAMP_TOL else raw
+def _clamp(raw: np.ndarray) -> np.ndarray:
+    return np.where(raw < CLAMP_TOL, 0.0, raw)
+
+
+def _spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial-transpose eigenvalues and unclamped negativities of an (n, 4, 4) stack."""
+    traces = np.einsum("nii->n", rhos)
+    worst = np.abs(traces - 1.0).max() if len(rhos) else 0.0
+    # written so that a NaN trace fails the gate too
+    if not worst <= TRACE_TOL:
+        raise TraceNotOne(f"trace off by {worst:.3e}, beyond {TRACE_TOL:.1e}")
+    mu = hermitian_eigenvalues_batch(partial_transpose_b(rhos))
+    return mu, np.abs(mu).sum(axis=1) - 1.0
 
 
 def negativity(rho, imag_residue: float = 0.0) -> NegativityResult:
@@ -71,16 +85,11 @@ def negativity(rho, imag_residue: float = 0.0) -> NegativityResult:
     Raises TraceNotOne if the trace is off by more than 1e-9 and
     NonHermitianInput (via the eigensolver) if rho is not Hermitian.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    trace = rho.trace()
-    if not abs(trace - 1.0) <= TRACE_TOL:
-        raise TraceNotOne(f"trace {trace} differs from 1 beyond {TRACE_TOL:.1e}")
-    mu = hermitian_eigenvalues(partial_transpose_b(rho))
-    raw = float(np.abs(mu).sum() - 1.0)
+    mu, raw = _spectra(np.asarray(rho, dtype=np.complex128)[None])
     return NegativityResult(
-        eigenvalues=tuple(float(v) for v in mu),
-        value=_clamp(raw),
-        raw_value=raw,
+        eigenvalues=tuple(float(v) for v in mu[0]),
+        value=float(_clamp(raw[0])),
+        raw_value=float(raw[0]),
         imag_residue=imag_residue,
     )
 
@@ -94,21 +103,13 @@ def negativity_batch(rhos) -> np.ndarray:
     """Clamped negativity values for a stack of density matrices.
 
     Same two checks and the same eigensolver as ``negativity``; the batch
-    form exists so a sweep can diagonalize hundreds of partial transposes
+    form exists so a sweep can diagonalize thousands of partial transposes
     in one call.  Per-matrix results are bit-identical to the scalar path.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError(f"expected shape (n, 4, 4), got {rhos.shape}")
-    traces = np.einsum("nii->n", rhos)
-    worst = np.abs(traces - 1.0).max() if len(rhos) else 0.0
-    # written so that a NaN trace fails the gate too
-    if not worst <= TRACE_TOL:
-        raise TraceNotOne(f"trace off by {worst:.3e}, beyond {TRACE_TOL:.1e}")
-    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    mu = hermitian_eigenvalues_batch(pt)
-    raw = np.abs(mu).sum(axis=1) - 1.0
-    return np.where(raw < CLAMP_TOL, 0.0, raw)
+    return _clamp(_spectra(rhos)[1])
 
 
 def classify_werner(x: float) -> WernerClass:

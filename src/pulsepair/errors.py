@@ -25,6 +25,10 @@ class NonDiagonalInput(PulsePairError):
     """Initial correlation data must be diagonal with zero Bloch vectors."""
 
 
+class ConvergenceFailure(PulsePairError, ArithmeticError):
+    """An iterative solver stopped before meeting its tolerance."""
+
+
 class StepTooLarge(PulsePairError):
     """Integrator step is too coarse for the requested interval."""
 

@@ -37,7 +37,9 @@ __all__ = [
     "CorrelationState",
     "InitialState",
     "evolve_correlations",
+    "evolve_correlations_batch",
     "assemble_density",
+    "assemble_density_batch",
     "correlations_from_density",
     "adjoint_rotation",
     "unitary_oracle",
@@ -155,10 +157,8 @@ class InitialState:
         return CorrelationState.diagonal(*self.correlations)
 
 
-def evolve_correlations(
-    c0: CorrelationState, m1: CoefficientMatrix, m2: CoefficientMatrix
-) -> CorrelationState:
-    """Transform a diagonal initial state by two per-qubit coefficient maps.
+def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+    """Transform diagonal initial states by per-qubit coefficient maps.
 
     C~_kl = A_k^(1) A_l^(2) c_xx + B_k^(1) B_l^(2) c_yy + D_k^(1) D_l^(2) c_zz,
     i.e. C~ = M1^T diag(c) M2.  This substitutes the evolved operators
@@ -166,25 +166,46 @@ def evolve_correlations(
     conjugation by U^dag (not U), which only reverses the sense of the
     local rotations and leaves every entanglement quantity untouched.
     Bloch vectors stay zero: the transform has no single-qubit source
-    terms.  The real part of C~ is returned; the largest imaginary
-    magnitude (nonzero only for LITERAL-mode maps) is recorded as
-    ``imag_residue``.
+    terms.
+
+    ``diagonals`` is an (S, 3) array of (c_xx, c_yy, c_zz); ``m1`` and
+    ``m2`` are (N, 3, 3) arrays, one map per grid point.  Returns the real
+    parts of C~ for every (point, state) pair, shape (N, S, 3, 3), and per
+    point the largest imaginary magnitude discarded over all S states
+    (nonzero only for LITERAL-mode maps).
     """
+    diag = np.zeros((len(diagonals), 3, 3), dtype=np.complex128)
+    diag[:, [0, 1, 2], [0, 1, 2]] = diagonals
+    product = m1.transpose(0, 2, 1)[:, None] @ diag @ m2[:, None]
+    return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
+
+
+def evolve_correlations(
+    c0: CorrelationState, m1: CoefficientMatrix, m2: CoefficientMatrix
+) -> CorrelationState:
+    """Evolve one diagonal state (see evolve_correlations_batch); the residue goes on the result."""
     if not c0.is_diagonal():
         raise NonDiagonalInput("initial state must be diagonal with zero Bloch vectors")
-    diag = np.diag(np.diagonal(c0.tensor)).astype(np.complex128)
-    product = m1.matrix.T @ diag @ m2.matrix
-    residue = float(np.abs(product.imag).max())
-    return CorrelationState(product.real.copy(), np.zeros(3), np.zeros(3), imag_residue=residue)
+    tensors, residues = evolve_correlations_batch(
+        np.diagonal(c0.tensor)[None], m1.matrix[None], m2.matrix[None]
+    )
+    return CorrelationState(tensors[0, 0], np.zeros(3), np.zeros(3), float(residues[0]))
+
+
+def assemble_density_batch(tensors, bloch_a=(0.0,) * 3, bloch_b=(0.0,) * 3) -> np.ndarray:
+    """Density matrices rho = (1/4)(I + Bloch terms + sum_kl C_kl sigma_k x sigma_l).
+
+    Tensors of shape (..., 3, 3) and Bloch vectors of shape (..., 3), zero
+    by default, give densities of shape (..., 4, 4).
+    """
+    rho = _I4 + np.einsum("...k,kij->...ij", bloch_a, _PA)
+    rho = rho + np.einsum("...l,lij->...ij", bloch_b, _PB)
+    return 0.25 * (rho + np.einsum("...kl,klij->...ij", tensors, _PP))
 
 
 def assemble_density(state: CorrelationState) -> np.ndarray:
-    """Density matrix rho = (1/4)(I + Bloch terms + sum_kl C_kl sigma_k x sigma_l)."""
-    rho = _I4.copy()
-    rho += np.einsum("k,kij->ij", state.bloch_a, _PA)
-    rho += np.einsum("l,lij->ij", state.bloch_b, _PB)
-    rho += np.einsum("kl,klij->ij", state.tensor, _PP)
-    return 0.25 * rho
+    """Density matrix of one Fano-form state (see assemble_density_batch)."""
+    return assemble_density_batch(state.tensor, state.bloch_a, state.bloch_b)
 
 
 def correlations_from_density(rho) -> CorrelationState:

@@ -9,12 +9,14 @@ unconditionally stable, needs no pivoting heuristics, and its rotation
 sequence for a given matrix is fully deterministic, which the sweep layer
 relies on for byte-identical output.  LAPACK (``numpy.linalg.eigvalsh``)
 is deliberately not used here so that tests can treat it as an independent
-cross-check rather than the implementation itself.
+cross-check rather than the implementation itself.  A batch that has not
+converged after _MAX_SWEEPS sweeps raises ConvergenceFailure, a
+PulsePairError that the command line reports with exit code 1.
 """
 
 import numpy as np
 
-from .errors import NonHermitianInput
+from .errors import ConvergenceFailure, NonHermitianInput
 
 __all__ = [
     "SIGMA_X",
@@ -156,14 +158,17 @@ def hermitian_eigenvalues_batch(ms) -> np.ndarray:
     tol = _OFFDIAG_TOL * np.maximum(1.0, fro)
     active = _offdiag_norms(a) > tol
     sweeps = 0
-    while active.any():
-        if sweeps >= _MAX_SWEEPS:
-            raise ArithmeticError("jacobi iteration failed to converge")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, p, q, active)
-        sweeps += 1
-        active = _offdiag_norms(a) > tol
+    # tau * tau in _jacobi_rotate overflows for a tiny but normal
+    # off-diagonal; the rotation is still right, because t becomes 0
+    with np.errstate(over="ignore"):
+        while active.any():
+            if sweeps >= _MAX_SWEEPS:
+                raise ConvergenceFailure(f"jacobi iteration failed to converge in {sweeps} sweeps")
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    _jacobi_rotate(a, p, q, active)
+            sweeps += 1
+            active = _offdiag_norms(a) > tol
     eigs = np.diagonal(a, axis1=1, axis2=2).real.copy()
     eigs.sort(axis=1)
     return eigs

@@ -64,6 +64,7 @@ __all__ = [
     "exp_coefficients",
     "undriven_coefficients",
     "coefficient_map",
+    "coefficient_map_batch",
 ]
 
 
@@ -164,23 +165,24 @@ def envelope(p: PulseSpec, t: float) -> float:
     return 0.0
 
 
-def pulse_angle(p: PulseSpec, t: float) -> float:
+def pulse_angle(p: PulseSpec, t):
     """Accumulated rotation angle lambda(t) of a resonant exponential pulse.
 
-    lambda(t) = (Omega0/gamma_p)(1 - exp(-gamma_p t)).  Monotone
-    non-decreasing, saturating at Omega0/gamma_p, which is what makes the
-    exponential drive leave a frozen long-time state behind.
+    lambda(t) = (Omega0/gamma_p)(1 - exp(-gamma_p t)), for a scalar or an
+    array t.  Monotone non-decreasing, saturating at Omega0/gamma_p, which
+    is what makes the exponential drive leave a frozen long-time state behind.
     """
     if p.shape is not PulseShape.EXPONENTIAL:
         raise ValueError("pulse_angle applies to exponential pulses only")
-    return (p.omega0 / p.gamma_p) * (1.0 - math.exp(-p.gamma_p * t))
+    return (p.omega0 / p.gamma_p) * (1.0 - np.exp(-p.gamma_p * np.asarray(t, dtype=float)))
 
 
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Proper rotation about a unit axis by the given angle (Rodrigues form)."""
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """Proper rotation about a unit axis (Rodrigues form): (3, 3), or (N, 3, 3) for N angles."""
     n = np.asarray(axis, dtype=float)
-    c = math.cos(angle)
-    s = math.sin(angle)
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    c = np.cos(angle)
+    s = np.sin(angle)
     cross = np.array(
         [
             [0.0, -n[2], n[1]],
@@ -191,8 +193,8 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
 
 
-def _literal_matrix(c_plus: complex, c_minus: complex, c_z: complex, d_row) -> np.ndarray:
-    """Assemble the verbatim closed-form map from the C coefficients.
+def _literal_matrix(c_plus, c_minus, c_z, d_row) -> np.ndarray:
+    """Assemble the verbatim closed-form maps (N, 3, 3) from arrays of C coefficients.
 
     A row: A_x = Re(C+ + C-), A_y = -Im(C+ - C-), A_z = Re(C_z).
     B row taken at face value: B_x = Im(C+ + C-), B_y = i B_x,
@@ -203,22 +205,20 @@ def _literal_matrix(c_plus: complex, c_minus: complex, c_z: complex, d_row) -> n
     a_y = -(c_plus - c_minus).imag
     a_z = c_z.real
     b_x = (c_plus + c_minus).imag
-    m = np.array(
-        [
-            [a_x, a_y, a_z],
-            [b_x, 1j * b_x, -1j * a_z],
-            d_row,
-        ],
-        dtype=np.complex128,
-    )
-    return m
+    rows = ((a_x, a_y, a_z), (b_x, 1j * b_x, -1j * a_z), d_row)
+    return np.moveaxis(np.array([np.broadcast_arrays(*r) for r in rows], np.complex128), -1, 0)
 
 
-def rect_coefficients(
-    p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
-) -> CoefficientMatrix:
-    """Coefficient map of a rectangular pulse at time t.
+def _identity_maps(n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(3, dtype=np.complex128), (n, 3, 3)).copy()
 
+
+def coefficient_map_batch(
+    p: PulseSpec, times, mode: CoefficientMode = CoefficientMode.UNITARY
+) -> np.ndarray:
+    """Coefficient maps of one pulse at an array of N times, shape (N, 3, 3) complex.
+
+    Rectangular pulse, every t in the window [0, T] (else OutOfWindow).
     The D row is the same in both modes:
 
         D = ( (Delta Omega/Omega_1^2)(1 - cos),  (Omega/Omega_1) sin,
@@ -229,20 +229,36 @@ def rect_coefficients(
     (Omega/Omega_1, 0, Delta/Omega_1) by Omega_1 t, whose third row is
     exactly this D row.  A drive with Omega0 = 0 is a valid no-op at
     Delta = 0 (identity) and a plain z rotation otherwise.
+
+    Resonant exponential pulse, every t >= 0 (else OutOfWindow): D row =
+    (0, sin lambda, cos lambda).  UNITARY mode is the x-axis rotation by
+    lambda(t); LITERAL mode assembles the verbatim closed forms, whose B
+    row vanishes identically on resonance.
+
+    Undriven qubit: the identity.
     """
-    if p.shape is not PulseShape.RECTANGULAR:
-        raise ValueError("rect_coefficients requires a rectangular pulse")
-    if not 0.0 <= t <= p.duration:
-        raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
-    om, dl = p.omega0, p.delta
-    om1 = math.hypot(om, dl)
-    if om1 == 0.0:
-        return CoefficientMatrix(mode, np.eye(3, dtype=np.complex128))
+    t = np.asarray(times, dtype=float)
+    if p.shape is PulseShape.RECTANGULAR:
+        outside = ~((0.0 <= t) & (t <= p.duration))
+        if outside.any():
+            raise OutOfWindow(f"t = {t[outside][0]} outside the pulse window [0, {p.duration}]")
+        om, dl = p.omega0, p.delta
+        om1 = math.hypot(om, dl)
+        if om1 == 0.0:
+            return _identity_maps(len(t))
+        axis, angle = (om / om1, 0.0, dl / om1), om1 * t
+    elif p.shape is PulseShape.EXPONENTIAL:
+        if (t < 0.0).any():
+            raise OutOfWindow(f"t = {t[t < 0.0][0]} precedes the pulse start")
+        axis, angle = (1.0, 0.0, 0.0), pulse_angle(p, t)
+    else:
+        return _identity_maps(len(t))
     if mode is CoefficientMode.UNITARY:
-        rot = rotation_matrix((om / om1, 0.0, dl / om1), om1 * t)
-        return CoefficientMatrix(mode, rot.astype(np.complex128))
-    c = math.cos(om1 * t)
-    s = math.sin(om1 * t)
+        return rotation_matrix(axis, angle).astype(np.complex128)
+    c = np.cos(angle)
+    s = np.sin(angle)
+    if p.shape is PulseShape.EXPONENTIAL:
+        return _literal_matrix(0.5 * (1.0 + c), 0.5 * (1.0 - c), -1j * s, (0.0, s, c))
     ratio2 = (om / om1) ** 2
     c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
     c_minus = 0.5 * ratio2 * (1.0 - c)
@@ -252,43 +268,34 @@ def rect_coefficients(
         (om / om1) * s,
         (om * om * c + dl * dl) / (om1 * om1),
     )
-    return CoefficientMatrix(mode, _literal_matrix(c_plus, c_minus, c_z, d_row))
+    return _literal_matrix(c_plus, c_minus, c_z, d_row)
+
+
+def rect_coefficients(
+    p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
+) -> CoefficientMatrix:
+    """Coefficient map of a rectangular pulse at one time t in its window."""
+    if p.shape is not PulseShape.RECTANGULAR:
+        raise ValueError("rect_coefficients requires a rectangular pulse")
+    return coefficient_map(p, t, mode)
 
 
 def exp_coefficients(
     p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
 ) -> CoefficientMatrix:
-    """Coefficient map of a resonant exponential pulse at time t >= 0.
-
-    D row = (0, sin lambda, cos lambda).  UNITARY mode is the x-axis
-    rotation by lambda(t); LITERAL mode assembles the verbatim closed
-    forms, whose B row vanishes identically on resonance.
-    """
+    """Coefficient map of a resonant exponential pulse at one time t >= 0."""
     if p.shape is not PulseShape.EXPONENTIAL:
         raise ValueError("exp_coefficients requires an exponential pulse")
-    if t < 0.0:
-        raise OutOfWindow(f"t = {t} precedes the pulse start")
-    lam = pulse_angle(p, t)
-    if mode is CoefficientMode.UNITARY:
-        return CoefficientMatrix(mode, rotation_matrix((1.0, 0.0, 0.0), lam).astype(np.complex128))
-    c = math.cos(lam)
-    s = math.sin(lam)
-    return CoefficientMatrix(
-        mode, _literal_matrix(0.5 * (1.0 + c), 0.5 * (1.0 - c), -1j * s, (0.0, s, c))
-    )
+    return coefficient_map(p, t, mode)
 
 
 def undriven_coefficients(mode: CoefficientMode = CoefficientMode.UNITARY) -> CoefficientMatrix:
     """Identity map: an undriven qubit does nothing in its rotating frame."""
-    return CoefficientMatrix(mode, np.eye(3, dtype=np.complex128))
+    return coefficient_map(PulseSpec.none(), 0.0, mode)
 
 
 def coefficient_map(
     p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
 ) -> CoefficientMatrix:
-    """Dispatch to the coefficient map matching the pulse shape."""
-    if p.shape is PulseShape.RECTANGULAR:
-        return rect_coefficients(p, t, mode)
-    if p.shape is PulseShape.EXPONENTIAL:
-        return exp_coefficients(p, t, mode)
-    return undriven_coefficients(mode)
+    """Coefficient map of any pulse shape at one time t (see coefficient_map_batch)."""
+    return CoefficientMatrix(mode, coefficient_map_batch(p, [t], mode)[0])

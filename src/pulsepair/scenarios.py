@@ -20,9 +20,16 @@ rectangular drive).  Evaluation is strictly deterministic: identical
 configurations give bit-identical results, and grid values are defined as
 start + i * step (the last clamped to stop) so refining a grid never moves
 the shared nodes.
+
+run_sweep takes the grid in chunks of at most _CHUNK_CELLS (point, state)
+cells, so memory stays bounded, and runs each chunk through one batched
+path: maps, evolved tensors, densities, negativities.  Each stage acts on
+each matrix alone, so the chunk size never changes a bit of the output.
 """
 
 import math
+import os
+import secrets
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +37,8 @@ import numpy as np
 
 from .entanglement import negativity_batch
 from .errors import InvalidConfig
-from .evolution import InitialState, assemble_density, evolve_correlations
-from .pulses import CoefficientMode, PulseSpec, coefficient_map, undriven_coefficients
+from .evolution import InitialState, assemble_density_batch, evolve_correlations_batch
+from .pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
 __all__ = [
     "SweepFamily",
@@ -50,6 +57,8 @@ DEATH_TOL = 1e-9
 #: Largest magnitude of any float a sweep is built from (1/PARAM_LIMIT is the
 #: smallest rect_omega); far outside it the maps over- or underflow to NaN.
 PARAM_LIMIT = 1e6
+#: Largest number of (grid point, initial state) cells evaluated in one batch.
+_CHUNK_CELLS = 4096
 
 
 def _check_param(name: str, value: float) -> None:
@@ -81,6 +90,8 @@ class GridSpec:
         _check_param("grid_stop", self.stop)
         if self.points < 2:
             raise InvalidConfig("grid needs at least 2 points")
+        if self.points > PARAM_LIMIT:
+            raise InvalidConfig(f"grid_points = {self.points} exceeds {PARAM_LIMIT:g}")
         if self.start < 0.0:
             raise InvalidConfig("grid start must be non-negative")
         if self.stop <= self.start:
@@ -159,8 +170,17 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.csv_text())
+        """Write csv_text() to path atomically: the file is complete or untouched."""
+        # same directory, so os.replace is a rename within one file system
+        tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+        fh = open(tmp, "x", encoding="ascii", newline="\n")
+        try:
+            with fh:
+                fh.write(self.csv_text())
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _fmt(v: float) -> str:
@@ -168,68 +188,53 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
-def _point_maps(cfg: SweepConfig, x: float):
-    """Coefficient maps (m1, m2) for one grid point of the sweep parameter."""
-    mode = cfg.mode
+def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x (Omega = gamma_p = 1)."""
+    undriven = PulseSpec.none()
+    t = x
     if cfg.family is SweepFamily.RECT_VS_AREA:
-        omega = 1.0
-        t = 2.0 * math.pi * x / omega
-        if x == 0.0:
-            m1 = undriven_coefficients(mode)
-        else:
-            pa = PulseSpec.rectangular(omega, duration=t, delta=cfg.detuning_prime[0] * omega)
-            m1 = coefficient_map(pa, t, mode)
-        if cfg.drive is DriveMode.BOTH_QUBITS:
-            if x == 0.0:
-                m2 = undriven_coefficients(mode)
-            else:
-                pb = PulseSpec.rectangular(omega, duration=t, delta=cfg.detuning_prime[1] * omega)
-                m2 = coefficient_map(pb, t, mode)
-        else:
-            m2 = undriven_coefficients(mode)
-        return m1, m2
-    gamma_p = 1.0
-    t = x / gamma_p
-    if cfg.family is SweepFamily.EXP_VS_TIME:
-        pa = PulseSpec.exponential(cfg.rabi_ratio[0] * gamma_p, gamma_p)
-        m1 = coefficient_map(pa, t, mode)
-        if cfg.drive is DriveMode.BOTH_QUBITS:
-            pb = PulseSpec.exponential(cfg.rabi_ratio[1] * gamma_p, gamma_p)
-            m2 = coefficient_map(pb, t, mode)
-        else:
-            m2 = undriven_coefficients(mode)
-        return m1, m2
-    # combined: rectangle on qubit a spanning the whole grid, exponential on b
-    duration = cfg.grid.stop / gamma_p
-    pa = PulseSpec.rectangular(
-        cfg.rect_omega, duration=duration, delta=cfg.detuning_prime[0] * cfg.rect_omega
-    )
-    pb = PulseSpec.exponential(cfg.rabi_ratio[1] * gamma_p, gamma_p)
-    return coefficient_map(pa, t, mode), coefficient_map(pb, t, mode)
+        # each point is its own pulse ending at t = 2 pi n; one window over
+        # the whole grid admits every such t
+        t = 2.0 * math.pi * x
+        window = 2.0 * math.pi * cfg.grid.stop
+        pa, pb = (PulseSpec.rectangular(1.0, window, delta) for delta in cfg.detuning_prime)
+    elif cfg.family is SweepFamily.EXP_VS_TIME:
+        pa, pb = (PulseSpec.exponential(ratio, 1.0) for ratio in cfg.rabi_ratio)
+    else:
+        # rectangle on qubit a spanning the whole grid, exponential on b
+        omega = cfg.rect_omega
+        pa = PulseSpec.rectangular(omega, cfg.grid.stop, cfg.detuning_prime[0] * omega)
+        pb = PulseSpec.exponential(cfg.rabi_ratio[1], 1.0)
+    if cfg.drive is DriveMode.ONE_QUBIT:
+        pb = undriven
+    m1, m2 = (coefficient_map_batch(p, t, cfg.mode) for p in (pa, pb))
+    if cfg.family is SweepFamily.RECT_VS_AREA:
+        # n = 0 is no pulse at all: the identity, which the literal closed
+        # forms at t = 0 are not bit for bit
+        identity = coefficient_map_batch(undriven, t, cfg.mode)
+        m1, m2 = (np.where((x == 0.0)[:, None, None], identity, m) for m in (m1, m2))
+    return m1, m2
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate one sweep configuration over its whole grid.
+    """Evaluate one sweep configuration over its whole grid, chunk by chunk.
 
-    Grid points are independent; they are evaluated in grid order and the
-    partial transposes of all (point, state) density matrices are
-    diagonalized in a single batch.
+    Raises OutOfWindow if a grid value falls outside a rectangular pulse
+    window, and TraceNotOne or NonHermitianInput if a density matrix
+    fails the entanglement layer's gates.
     """
     grid = cfg.grid.values()
-    states = [s.state() for s in cfg.initial_states]
-    n_states = len(states)
-    rhos = np.empty((len(grid) * n_states, 4, 4), dtype=np.complex128)
-    residues = np.zeros(len(grid))
-    for i, x in enumerate(grid):
-        m1, m2 = _point_maps(cfg, float(x))
-        worst = 0.0
-        for j, state in enumerate(states):
-            evolved = evolve_correlations(state, m1, m2)
-            worst = max(worst, evolved.imag_residue)
-            rhos[i * n_states + j] = assemble_density(evolved)
-        residues[i] = worst
-    values = negativity_batch(rhos).reshape(len(grid), n_states)
-    return SweepResult(config=cfg, params=grid, negativities=values, residues=residues)
+    diagonals = np.array([s.correlations for s in cfg.initial_states])
+    step = max(1, _CHUNK_CELLS // len(diagonals))
+    negativities = np.empty((len(grid), len(diagonals)))
+    residues = np.empty(len(grid))
+    for lo in range(0, len(grid), step):
+        chunk = slice(lo, lo + step)
+        maps = _grid_maps(cfg, grid[chunk])
+        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *maps)
+        rhos = assemble_density_batch(tensors).reshape(-1, 4, 4)
+        negativities[chunk] = negativity_batch(rhos).reshape(tensors.shape[:2])
+    return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
 
 
 def _standard_states() -> tuple[InitialState, ...]:

@@ -51,6 +51,23 @@ def pt_eigenvalues_closed_form(c: tuple[float, float, float]) -> np.ndarray:
     )
 
 
+def zero_bloch_negativities(tensors: np.ndarray) -> np.ndarray:
+    """Unclamped negativities of (1/4)(I + sum_kl T_kl s_k x s_l) for a stack of T.
+
+    With zero Bloch vectors, local rotations bring T to diag(t1, t2, t3),
+    the singular values of T with the sign of det T on the last one
+    (Horodecki & Horodecki, PRA 54, 1838, 1996).  The rotated state is
+    Bell-diagonal, and local rotations keep the partial-transpose spectrum.
+    """
+    u, s, vt = np.linalg.svd(tensors)
+    c1, c2 = s[..., 0], s[..., 1]
+    c3 = np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[..., 2]
+    mu = np.stack(
+        [1.0 + c1 + c2 + c3, 1.0 - c1 - c2 + c3, 1.0 + c1 - c2 - c3, 1.0 - c1 + c2 - c3], -1
+    ) / 4.0
+    return np.abs(mu).sum(axis=-1) - 1.0
+
+
 def brute_negativity(c: tuple[float, float, float]) -> float:
     mu = np.linalg.eigvalsh(partial_transpose_second(bell_diagonal_rho(c)))
     return float(np.abs(mu).sum() - 1.0)

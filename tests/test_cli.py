@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from pulsepair import cli
+from pulsepair import cli, pauli
 from pulsepair.cli import main
 from pulsepair.config import format_config
 from pulsepair.scenarios import paper_figure_presets
@@ -118,6 +118,16 @@ class TestPreset:
         assert "cannot write" in err
 
 
+    def test_jacobi_non_convergence_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(pauli, "_MAX_SWEEPS", 0)
+        out = tmp_path / "fig1a.csv"
+        code, _, err = run(capsys, "preset", "fig1a", "--out", str(out))
+        assert code == 1
+        assert_one_error_line(err)
+        assert "failed to converge" in err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_config_to_csv(self, capsys, tmp_path):
         cfg = paper_figure_presets()["fig4a"]
@@ -161,6 +171,8 @@ class TestSweep:
             ("detuning_prime_a", "1e200"),
             # finite, but rect_omega**2 underflows to a zero divisor
             ("rect_omega", "1e-200"),
+            # an integer, but far too many grid points to allocate
+            ("grid_points", "100000000000000000000"),
         ],
     )
     def test_unusable_number_exits_1_without_csv(self, capsys, tmp_path, key, value):

@@ -1,11 +1,18 @@
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsepair.entanglement import negativity_of_state
+import oracles
+from pulsepair import scenarios
+from pulsepair.entanglement import CLAMP_TOL, negativity_of_state
 from pulsepair.errors import InvalidConfig
-from pulsepair.evolution import InitialState
+from pulsepair.evolution import InitialState, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import (
     PARAM_LIMIT,
@@ -67,6 +74,10 @@ class TestGridSpec:
                 GridSpec(0.0, bad, 10)
             with pytest.raises(InvalidConfig):
                 GridSpec(bad, 1.0, 10)
+        GridSpec(0.0, 1.0, int(PARAM_LIMIT))
+        for too_many in (int(PARAM_LIMIT) + 1, 10**20):
+            with pytest.raises(InvalidConfig):
+                GridSpec(0.0, 1.0, too_many)
 
     def test_last_node_never_passes_stop(self):
         # unclamped, 0.989 + 45 * step rounds to 1.8130000000000002, which
@@ -191,6 +202,56 @@ class TestRunSweep:
         assert a.csv_text() == b.csv_text()
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_detuning_sweeps_without_warnings(self):
+        # a tiny but normal off-diagonal makes tau * tau overflow in the
+        # Jacobi rotation, which is harmless there because t becomes 0
+        result = run_sweep(small_config(detuning_prime=(-1.2e-240, 0.0)))
+        for row, initial in zip(result.negativities.T, INITIAL_E):
+            assert np.abs(row - initial).max() < 1e-9
+
+
+REFERENCE_DIGESTS = Path(__file__).parents[1] / "perfbench" / "reference_digests.json"
+
+
+def _preset_modes(names=None):
+    for name, cfg in paper_figure_presets().items():
+        if names is None or name in names:
+            for mode in CoefficientMode:
+                yield f"{name}/{mode.value}", dataclasses.replace(cfg, mode=mode)
+
+
+class TestBatchedSweep:
+    def test_preset_csvs_match_reference_digests(self):
+        expected = json.loads(REFERENCE_DIGESTS.read_text("ascii"))
+        for key, cfg in _preset_modes():
+            text = run_sweep(cfg).csv_text()
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected[key], key
+
+    @pytest.mark.parametrize("chunk_cells", [1, 7])
+    def test_chunk_size_does_not_change_a_byte(self, monkeypatch, chunk_cells):
+        # one preset per family and drive; a coarser grid over the same range
+        configs = [
+            (key, dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, points=41)))
+            for key, cfg in _preset_modes({"fig1b", "fig2b", "fig3a", "fig4b", "fig5b"})
+        ]
+        whole = [run_sweep(cfg).csv_text() for _, cfg in configs]
+        monkeypatch.setattr(scenarios, "_CHUNK_CELLS", chunk_cells)
+        for (key, cfg), text in zip(configs, whole):
+            assert run_sweep(cfg).csv_text() == text, key
+
+    def test_literal_negativities_match_signed_singular_value_form(self):
+        for key, cfg in _preset_modes():
+            if cfg.mode is not CoefficientMode.LITERAL:
+                continue
+            grid = cfg.grid.values()
+            diagonals = [s.correlations for s in cfg.initial_states]
+            tensors, _ = evolve_correlations_batch(diagonals, *scenarios._grid_maps(cfg, grid))
+            raw = oracles.zero_bloch_negativities(tensors)
+            closed = np.where(raw < CLAMP_TOL, 0.0, raw)
+            assert np.abs(run_sweep(cfg).negativities - closed).max() < 1e-10, key
+
+
 class TestCsvFormat:
     def test_header_and_shape(self):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
@@ -212,6 +273,20 @@ class TestCsvFormat:
         out = tmp_path / "sweep.csv"
         result.write_csv(out)
         assert out.read_bytes().decode("ascii") == result.csv_text()
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
+        out = tmp_path / "sweep.csv"
+        out.write_text("earlier\n", "ascii")
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            result.write_csv(tmp_path / "taken")  # fails at the final rename
+        monkeypatch.setattr(SweepResult, "csv_text", lambda self: "caf\u00e9\n")
+        with pytest.raises(UnicodeEncodeError):
+            result.write_csv(out)  # fails while writing
+        assert out.read_text("ascii") == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "taken"]
+        assert not any((tmp_path / "taken").iterdir())
 
 
 class TestPresets:
