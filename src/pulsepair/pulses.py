@@ -238,6 +238,8 @@ def coefficient_map_batch(
     Undriven qubit: the identity.
     """
     t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
     if p.shape is PulseShape.RECTANGULAR:
         outside = ~((0.0 <= t) & (t <= p.duration))
         if outside.any():

@@ -9,6 +9,7 @@ from pulsepair.pulses import (
     PulseShape,
     PulseSpec,
     coefficient_map,
+    coefficient_map_batch,
     envelope,
     exp_coefficients,
     pulse_angle,
@@ -301,6 +302,32 @@ def test_coefficient_map_dispatches_by_shape():
     assert not np.array_equal(rect.matrix, np.eye(3))
     assert not np.array_equal(exp.matrix, np.eye(3))
     assert np.array_equal(none.matrix, np.eye(3))
+
+
+@pytest.mark.parametrize("mode", [LITERAL, UNITARY])
+def test_batch_entries_equal_single_time_maps_bitwise(mode):
+    times = np.linspace(0.0, 2.0, 9)
+    pulses = (
+        PulseSpec.rectangular(1.3, duration=2.0, delta=0.7),
+        PulseSpec.exponential(4.0, 0.5),
+        PulseSpec.none(),
+    )
+    for p in pulses:
+        batch = coefficient_map_batch(p, times, mode)
+        assert batch.shape == (9, 3, 3)
+        for t, m in zip(times, batch):
+            assert np.array_equal(m, coefficient_map(p, t, mode).matrix)
+
+
+def test_batch_guards():
+    rect = PulseSpec.rectangular(1.0, duration=2.0)
+    for times in (1.0, [[1.0]]):
+        with pytest.raises(ValueError):
+            coefficient_map_batch(rect, times)
+    with pytest.raises(OutOfWindow):
+        coefficient_map_batch(rect, [0.5, 2.5])
+    with pytest.raises(OutOfWindow):
+        coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), [1.0, -0.1])
 
 
 def test_unitary_mode_matrices_are_proper_rotations():
