@@ -10,6 +10,8 @@ analytic path, and sweep presets emit CSV curves over pulse area,
 detuning, and decay-rate ratios.
 """
 
+import types
+
 from .entanglement import (
     NegativityResult,
     WernerClass,
@@ -66,51 +68,8 @@ from .validation import CheckResult, run_validation
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "CoefficientMatrix",
-    "CoefficientMode",
-    "ConvergenceFailure",
-    "CorrelationState",
-    "DriveMode",
-    "GridSpec",
-    "InitialState",
-    "InvalidConfig",
-    "NegativityResult",
-    "NonDiagonalInput",
-    "NonHermitianInput",
-    "OutOfWindow",
-    "PulsePairError",
-    "PulseShape",
-    "PulseSpec",
-    "ResonanceRequired",
-    "StepTooLarge",
-    "SweepConfig",
-    "SweepFamily",
-    "SweepResult",
-    "TraceNotOne",
-    "UnknownPreset",
-    "UnphysicalState",
-    "WernerClass",
-    "adjoint_rotation",
-    "assemble_density",
-    "classify_werner",
-    "coefficient_map",
-    "correlations_from_density",
-    "detect_sudden_death",
-    "envelope",
-    "evolve_correlations",
-    "evolve_state",
-    "format_config",
-    "negativity",
-    "negativity_batch",
-    "negativity_of_state",
-    "paper_figure_presets",
-    "parse_config",
-    "partial_transpose_b",
-    "pulse_angle",
-    "run_sweep",
-    "run_validation",
-    "unitary_oracle",
-    "__version__",
-]
+# every name imported above, and no submodule
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, types.ModuleType)
+)
+__all__.append("__version__")

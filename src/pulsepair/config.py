@@ -35,6 +35,13 @@ def _parse_float(key: str, raw: str) -> float:
         raise InvalidConfig(f"{key}: not a number: {raw!r}") from None
 
 
+def _parse_enum(kind, key: str, raw: str):
+    try:
+        return kind(raw.lower())
+    except ValueError:
+        raise InvalidConfig(f"unknown {key} {raw!r}") from None
+
+
 def _parse_state(token: str) -> InitialState:
     parts = token.split(":")
     name = parts[0].strip().lower()
@@ -86,18 +93,9 @@ def parse_config(text: str) -> SweepConfig:
     if missing:
         raise InvalidConfig(f"missing keys: {', '.join(missing)}")
 
-    try:
-        family = SweepFamily(pairs["family"].lower())
-    except ValueError:
-        raise InvalidConfig(f"unknown family {pairs['family']!r}") from None
-    try:
-        drive = DriveMode(pairs["drive"].lower())
-    except ValueError:
-        raise InvalidConfig(f"unknown drive {pairs['drive']!r}") from None
-    try:
-        mode = CoefficientMode(pairs.get("mode", "unitary").lower())
-    except ValueError:
-        raise InvalidConfig(f"unknown mode {pairs['mode']!r}") from None
+    family = _parse_enum(SweepFamily, "family", pairs["family"])
+    drive = _parse_enum(DriveMode, "drive", pairs["drive"])
+    mode = _parse_enum(CoefficientMode, "mode", pairs.get("mode", "unitary"))
 
     try:
         points = int(pairs["grid_points"])

@@ -181,7 +181,4 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     NonHermitianInput is raised.  The eigenvalue sum reproduces the trace
     to working precision (tested property).
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    return hermitian_eigenvalues_batch(m[None])[0]
+    return hermitian_eigenvalues_batch(np.asarray(m)[None])[0]

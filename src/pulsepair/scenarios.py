@@ -30,6 +30,7 @@ each matrix alone, so the chunk size never changes a bit of the output.
 import math
 import os
 import secrets
+import shutil
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,10 +89,8 @@ class GridSpec:
     def __post_init__(self):
         _check_param("grid_start", self.start)
         _check_param("grid_stop", self.stop)
-        if self.points < 2:
-            raise InvalidConfig("grid needs at least 2 points")
-        if self.points > PARAM_LIMIT:
-            raise InvalidConfig(f"grid_points = {self.points} exceeds {PARAM_LIMIT:g}")
+        if not 2 <= self.points <= PARAM_LIMIT:
+            raise InvalidConfig(f"grid_points = {self.points} is outside [2, {PARAM_LIMIT:g}]")
         if self.start < 0.0:
             raise InvalidConfig("grid start must be non-negative")
         if self.stop <= self.start:
@@ -157,26 +156,29 @@ class SweepResult:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def rows(self):
-        for i, p in enumerate(self.params):
-            yield float(p), tuple(float(v) for v in self.negativities[i]), float(self.residues[i])
-
     def csv_text(self) -> str:
         labels = ",".join(f"E_{s.label}" for s in self.config.initial_states)
         lines = [f"param,{labels},imag_residue"]
-        for p, values, residue in self.rows():
+        columns = (self.params.tolist(), self.negativities.tolist(), self.residues.tolist())
+        for p, values, residue in zip(*columns):
             cells = ",".join(_fmt(v) for v in values)
             lines.append(f"{_fmt(p)},{cells},{_fmt(residue)}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        """Write csv_text() to path atomically: the file is complete or untouched."""
-        # same directory, so os.replace is a rename within one file system
-        tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+        """Write csv_text() to a temporary file beside path, then rename it over path.
+
+        A symlink's target is replaced; an existing file keeps its mode.  See
+        the README for what a failing process or a power loss leaves behind.
+        """
+        path = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(path), f".{secrets.token_hex(8)}.tmp")
         fh = open(tmp, "x", encoding="ascii", newline="\n")
         try:
             with fh:
                 fh.write(self.csv_text())
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
             os.replace(tmp, path)
         except BaseException:
             os.remove(tmp)
@@ -190,7 +192,6 @@ def _fmt(v: float) -> str:
 
 def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x (Omega = gamma_p = 1)."""
-    undriven = PulseSpec.none()
     t = x
     if cfg.family is SweepFamily.RECT_VS_AREA:
         # each point is its own pulse ending at t = 2 pi n; one window over
@@ -206,13 +207,12 @@ def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         pa = PulseSpec.rectangular(omega, cfg.grid.stop, cfg.detuning_prime[0] * omega)
         pb = PulseSpec.exponential(cfg.rabi_ratio[1], 1.0)
     if cfg.drive is DriveMode.ONE_QUBIT:
-        pb = undriven
+        pb = PulseSpec.none()
     m1, m2 = (coefficient_map_batch(p, t, cfg.mode) for p in (pa, pb))
     if cfg.family is SweepFamily.RECT_VS_AREA:
         # n = 0 is no pulse at all: the identity, which the literal closed
         # forms at t = 0 are not bit for bit
-        identity = coefficient_map_batch(undriven, t, cfg.mode)
-        m1, m2 = (np.where((x == 0.0)[:, None, None], identity, m) for m in (m1, m2))
+        m1, m2 = (np.where((x == 0.0)[:, None, None], np.eye(3), m) for m in (m1, m2))
     return m1, m2
 
 
@@ -230,8 +230,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     residues = np.empty(len(grid))
     for lo in range(0, len(grid), step):
         chunk = slice(lo, lo + step)
-        maps = _grid_maps(cfg, grid[chunk])
-        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *maps)
+        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *_grid_maps(cfg, grid[chunk]))
         rhos = assemble_density_batch(tensors).reshape(-1, 4, 4)
         negativities[chunk] = negativity_batch(rhos).reshape(tensors.shape[:2])
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)

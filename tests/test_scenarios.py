@@ -288,6 +288,25 @@ class TestCsvFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "taken"]
         assert not any((tmp_path / "taken").iterdir())
 
+    def test_write_replaces_a_symlink_target_and_keeps_its_mode(self, tmp_path):
+        result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
+        target = tmp_path / "target.csv"
+        target.write_text("earlier\n", "ascii")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        result.write_csv(link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text("ascii") == result.csv_text()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_write_accepts_a_name_of_the_longest_usual_length(self, tmp_path):
+        result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
+        out = tmp_path / ("n" * 251 + ".csv")  # 255 bytes, the usual NAME_MAX
+        result.write_csv(out)
+        assert out.read_text("ascii") == result.csv_text()
+
 
 class TestPresets:
     def test_the_twelve_names(self):
