@@ -58,7 +58,7 @@ DEATH_TOL = 1e-9
 #: Largest magnitude of any float a sweep is built from (1/PARAM_LIMIT is the
 #: smallest rect_omega); far outside it the maps over- or underflow to NaN.
 PARAM_LIMIT = 1e6
-#: Largest number of (grid point, initial state) cells evaluated in one batch.
+#: Most (grid point, initial state) cells per batch; a preset's 2403 fit in one.
 _CHUNK_CELLS = 4096
 
 
@@ -230,18 +230,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     residues = np.empty(len(grid))
     for lo in range(0, len(grid), step):
         chunk = slice(lo, lo + step)
-        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *_grid_maps(cfg, grid[chunk]))
+        maps = _grid_maps(cfg, grid[chunk])
+        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *maps)
         rhos = assemble_density_batch(tensors).reshape(-1, 4, 4)
         negativities[chunk] = negativity_batch(rhos).reshape(tensors.shape[:2])
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
-
-
-def _standard_states() -> tuple[InitialState, ...]:
-    return (
-        InitialState.bell_singlet(),
-        InitialState.werner(-0.9),
-        InitialState.generalized_werner(-0.9, -0.8, -0.7),
-    )
 
 
 def paper_figure_presets() -> dict[str, SweepConfig]:
@@ -251,7 +244,11 @@ def paper_figure_presets() -> dict[str, SweepConfig]:
     Werner -0.9, generalized Werner (-0.9, -0.8, -0.7)) and default to
     UNITARY mode.  Parameter slots a preset does not consume are zero.
     """
-    states = _standard_states()
+    states = (
+        InitialState.bell_singlet(),
+        InitialState.werner(-0.9),
+        InitialState.generalized_werner(-0.9, -0.8, -0.7),
+    )
     area_grid = GridSpec(0.0, 20.0, 801)
     time_grid = GridSpec(0.0, 5.0, 801)
 
