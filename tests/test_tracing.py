@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+sys.path.append(str(Path(__file__).parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
 from pulsepair import entanglement, evolution, pulses, scenarios  # noqa: E402
