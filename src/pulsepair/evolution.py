@@ -19,8 +19,11 @@ Two independent oracles are provided for cross-validation of the analytic
 maps: ``unitary_oracle`` builds the exact 2x2 propagator via a matrix
 exponential, and ``rk4_oracle_batch`` integrates the Schrodinger equation
 dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I, for many
-(pulse, end time) pairs at once.  The adjoint action of either propagator
-on the Pauli triple must reproduce the UNITARY-mode coefficient matrix.
+(pulse, end time) pairs at once.  Because the equation is linear, each RK4
+step is a fixed 2x2 step matrix applied to U; the integrator builds those
+matrices for blocks of steps and multiplies them out, with no Python loop
+over single steps.  The adjoint action of either propagator on the Pauli
+triple must reproduce the UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -50,6 +53,8 @@ __all__ = [
 
 DIAG_TOL = 1e-12
 RK4_DEFAULT_STEP = 1e-3
+# step-matrix cells per RK4 block: a block holds max(1, this // pairs) steps
+_RK4_BLOCK_CELLS = 4096
 
 # Pauli product stacks for density assembly/extraction:
 # _PP[k, l] = sigma_k x sigma_l, _PA[k] = sigma_k x I, _PB[l] = I x sigma_l.
@@ -265,23 +270,47 @@ def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
     return expm(-0.5j * lam * SIGMA_X)
 
 
+def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quaternion products p q of component stacks of shape (4, ...)."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = p, q
+    return np.stack(
+        (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+    )
+
+
 def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2.
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once, with a common step count (the largest any of them needs) and a
-    per-pair evenly dividing h <= step.  Deliberately shares no code with
-    unitary_oracle or the coefficient maps; this is the independent route.
-    Raises StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
+    per-pair evenly dividing h <= step; f is sampled at t0, t0 + h/2 and
+    min(t0 + h, t_end).  Deliberately shares no code with unitary_oracle or
+    the coefficient maps; this is the independent route.  Raises ValueError
+    for a non-finite or non-positive step or t_end < 0 or non-finite, and
+    StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
+
+    The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
+    2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
+    A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3) and A = -i H.  In the
+    units X, Y, Z = -i sigma_x, -i sigma_y, -i sigma_z, which multiply as
+    quaternions (XY = Z, X^2 = -I), every P is a real a I + b X + c Y + d Z.
+    Each block of steps is reduced by pairwise products in time order
+    (later times earlier), and the result left-multiplies U.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     t_ends = np.asarray(t_ends, dtype=float)
     n = len(pulses)
     if t_ends.shape != (n,):
         raise ValueError("t_ends must match pulses in length")
-    if (t_ends < 0.0).any():
-        raise ValueError("t_end must be non-negative")
+    if not (np.isfinite(t_ends) & (t_ends >= 0.0)).all():
+        raise ValueError("t_end must be finite and non-negative")
     positive = t_ends[t_ends > 0.0]
     if positive.size and step > positive.min() / 10.0:
         raise StepTooLarge(f"step {step} exceeds t_end/10 = {positive.min() / 10.0}")
@@ -291,45 +320,36 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     n_steps = int(np.ceil(positive.max() / step))
     h = t_ends / n_steps
     omega = np.array([p.omega0 for p in pulses])
-    delta = np.array([p.delta for p in pulses])
+    dz = 0.5 * np.array([p.delta for p in pulses])
     is_rect = np.array([p.shape is PulseShape.RECTANGULAR for p in pulses])
     is_exp = np.array([p.shape is PulseShape.EXPONENTIAL for p in pulses])
-    duration = np.array(
-        [p.duration if p.shape is PulseShape.RECTANGULAR else 0.0 for p in pulses]
-    )
-    gamma = np.array([p.gamma_p if p.shape is PulseShape.EXPONENTIAL else 0.0 for p in pulses])
+    duration = np.array([p.duration if rect else 0.0 for p, rect in zip(pulses, is_rect)])
+    gamma = np.array([p.gamma_p if exp else 0.0 for p, exp in zip(pulses, is_exp)])
 
-    def w_at(t):
-        f = np.where(
-            is_rect,
-            (t <= duration).astype(float),
-            np.where(is_exp, np.exp(-gamma * t), 0.0),
-        )
-        return 0.5 * omega * f
+    def generator(t):  # A(t) = dz Z + w(t) X
+        f = np.where(is_rect, t <= duration, np.where(is_exp, np.exp(-gamma * t), 0.0))
+        zero = np.zeros_like(t)
+        return np.stack((zero, 0.5 * omega * f, zero, np.broadcast_to(dz, t.shape)))
 
-    dz = (0.5 * delta)[:, None]
-    u = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2)).copy()
-    hh = h[:, None, None]
-
-    def deriv(w, m):
-        w = w[:, None]
-        top = -1j * (dz * m[:, 0, :] + w * m[:, 1, :])
-        bot = -1j * (w * m[:, 0, :] - dz * m[:, 1, :])
-        return np.stack((top, bot), axis=1)
-
-    for i in range(n_steps):
-        t0 = i * h
-        # clamp the full-step sample: rounding in t_ends / n_steps can
-        # push the last (i+1)*h one ulp past a rectangular window edge
-        w1 = w_at(t0)
-        w2 = w_at(t0 + 0.5 * h)
-        w3 = w_at(np.minimum(t0 + h, t_ends))
-        k1 = deriv(w1, u)
-        k2 = deriv(w2, u + 0.5 * hh * k1)
-        k3 = deriv(w2, u + 0.5 * hh * k2)
-        k4 = deriv(w3, u + hh * k3)
-        u += (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
+    eye = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
+    block = max(1, _RK4_BLOCK_CELLS // n)
+    u = np.broadcast_to(eye[:, 0], (4, n))
+    for first in range(0, n_steps, block):
+        t0 = np.arange(first, min(first + block, n_steps))[:, None] * h
+        a1 = generator(t0)
+        a2 = generator(t0 + 0.5 * h)
+        a3 = generator(np.minimum(t0 + h, t_ends))
+        k2 = _qmul(a2, eye + 0.5 * h * a1)
+        k3 = _qmul(a2, eye + 0.5 * h * k2)
+        k4 = _qmul(a3, eye + h * k3)
+        q = eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+        while q.shape[1] > 1:
+            pairs = q.shape[1] // 2
+            product = _qmul(q[:, 1 : 2 * pairs : 2], q[:, 0 : 2 * pairs : 2])
+            q = np.concatenate((product, q[:, 2 * pairs :]), axis=1)
+        u = _qmul(q[:, 0], u)
+    a, b, c, d = u
+    return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)
 
 
 def evolve_state(

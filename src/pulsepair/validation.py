@@ -19,7 +19,7 @@ easy to mistake for bugs (the validate command prints them as notes):
   unitary one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,16 +193,14 @@ def _check_negativity_oracle(rng) -> CheckResult:
     worst = 0.0
     for _ in range(1000):
         c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        rho = evolution.assemble_density(evolution.CorrelationState.diagonal(*c))
-        ours = entanglement.negativity(rho).value
+        ours = entanglement.negativity_of_state(evolution.CorrelationState.diagonal(*c)).value
         worst = max(worst, abs(ours - _brute_force_negativity(c)))
     return _result("negativity_brute_force", worst, 1e-10)
 
 
 def _check_pinned_values() -> list[CheckResult]:
     def value(c):
-        rho = evolution.assemble_density(evolution.CorrelationState.diagonal(*c))
-        return entanglement.negativity(rho).value
+        return entanglement.negativity_of_state(evolution.CorrelationState.diagonal(*c)).value
 
     singlet_err = abs(value((-1.0, -1.0, -1.0)) - 1.0)
     threshold_err = abs(value((-1.0 / 3.0,) * 3))
@@ -219,12 +217,8 @@ def _check_pinned_values() -> list[CheckResult]:
 
 def _check_werner_monotone() -> CheckResult:
     xs = np.linspace(-1.0, 1.0 / 3.0, 201)
-    values = [
-        entanglement.negativity(
-            evolution.assemble_density(evolution.CorrelationState.diagonal(x, x, x))
-        ).value
-        for x in xs
-    ]
+    states = (evolution.CorrelationState.diagonal(x, x, x) for x in xs)
+    values = [entanglement.negativity_of_state(s).value for s in states]
     err = 0.0
     for x, prev_v, v in zip(xs[1:], values[:-1], values[1:]):
         err = max(err, v - prev_v)  # non-increasing along the line
@@ -234,8 +228,6 @@ def _check_werner_monotone() -> CheckResult:
 
 
 def _check_presets() -> list[CheckResult]:
-    from dataclasses import replace
-
     const_err = 0.0
     start_err = 0.0
     literal_detuned_residue = 0.0
@@ -260,11 +252,7 @@ def _check_presets() -> list[CheckResult]:
         _result("preset_unitary_constancy", const_err, 1e-9),
         _result("preset_initial_value", start_err, 1e-10),
         # detuned rectangular literal sweeps must show a real residue signal
-        _result(
-            "literal_residue_detuned_floor",
-            max(0.0, 1e-6 - literal_detuned_residue),
-            1e-12,
-        ),
+        _result("literal_residue_detuned_floor", max(0.0, 1e-6 - literal_detuned_residue), 1e-12),
         # resonant literal maps are real, so their residue is exactly zero
         _result("literal_residue_resonant_zero", literal_resonant_residue, 1e-15),
     ]

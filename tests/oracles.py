@@ -111,3 +111,48 @@ def heisenberg_rotation(u: np.ndarray) -> np.ndarray:
         for l in range(3):
             r[k, l] = 0.5 * np.trace(evolved @ PAULI3[l]).real
     return r
+
+
+def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
+    """Classical RK4 for dU/dt = -i H(t) U, one step at a time over a batch.
+
+    The step-by-step form of the package's RK4 oracle, kept as the
+    reference for its blocked product form: a common step count (the
+    largest any pair needs), per-pair h = t_end / n_steps, and the envelope
+    sampled at t0, t0 + h/2 and min(t0 + h, t_end).  Pulses are read
+    through their attributes only; inputs are not validated.
+    """
+    t_ends = np.asarray(t_ends, dtype=float)
+    n_steps = int(np.ceil(t_ends.max() / step))
+    h = t_ends / n_steps
+    shape = [p.shape.value for p in pulses]
+    is_rect = np.array([s == "rectangular" for s in shape])
+    is_exp = np.array([s == "exponential" for s in shape])
+    omega = np.array([p.omega0 for p in pulses])
+    duration = np.array([p.duration if r else 0.0 for p, r in zip(pulses, is_rect)])
+    gamma = np.array([p.gamma_p if e else 0.0 for p, e in zip(pulses, is_exp)])
+    dz = (0.5 * np.array([p.delta for p in pulses]))[:, None]
+
+    def w_at(t):
+        f = np.where(is_rect, (t <= duration).astype(float), np.where(is_exp, np.exp(-gamma * t), 0.0))
+        return 0.5 * omega * f
+
+    def deriv(w, m):
+        w = w[:, None]
+        top = -1j * (dz * m[:, 0, :] + w * m[:, 1, :])
+        bot = -1j * (w * m[:, 0, :] - dz * m[:, 1, :])
+        return np.stack((top, bot), axis=1)
+
+    u = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(pulses), 2, 2)).copy()
+    hh = h[:, None, None]
+    for i in range(n_steps):
+        t0 = i * h
+        w1 = w_at(t0)
+        w2 = w_at(t0 + 0.5 * h)
+        w3 = w_at(np.minimum(t0 + h, t_ends))
+        k1 = deriv(w1, u)
+        k2 = deriv(w2, u + 0.5 * hh * k1)
+        k3 = deriv(w2, u + 0.5 * hh * k2)
+        k4 = deriv(w3, u + hh * k3)
+        u += (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u

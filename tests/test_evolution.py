@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pulsepair import evolution
 from pulsepair.errors import (
     NonDiagonalInput,
     OutOfWindow,
@@ -218,10 +219,12 @@ class TestRk4Oracle:
         p = PulseSpec.rectangular(1.0, duration=1.0)
         with pytest.raises(StepTooLarge):
             rk4_single(p, 0.005, step=1e-3)
-        with pytest.raises(ValueError):
-            rk4_single(p, 1.0, step=-1.0)
-        with pytest.raises(ValueError):
-            rk4_single(p, -1.0)
+        for step in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rk4_single(p, 1.0, step=step)
+        for t_end in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rk4_single(p, t_end)
 
     def test_agreement_with_exact_propagator(self):
         cases = [
@@ -264,8 +267,39 @@ class TestRk4Oracle:
             rk4_oracle_batch([p, p], np.array([5.0, 0.005]))
         with pytest.raises(ValueError):
             rk4_oracle_batch([p], np.array([-1.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rk4_oracle_batch([p, p], np.array([1.0, bad]))
         out = rk4_oracle_batch([p, p], np.array([0.0, 0.0]))
         assert np.array_equal(out[0], np.eye(2))
+
+    # the detuned rectangle's window closes at 4.5 < t_end, so its step
+    # matrices stop commuting there and the product order shows
+    MIXED = (
+        (PulseSpec.rectangular(1.0, duration=4.5, delta=0.3), 6.0),
+        (PulseSpec.rectangular(2.5, duration=4.0, delta=-1.0), 4.0),
+        (PulseSpec.exponential(5.0, 1.0), 5.0),
+        (PulseSpec.none(), 4.0),
+        (PulseSpec.rectangular(0.5, duration=3.0), 0.0),
+    )
+
+    def test_matches_sequential_steps(self):
+        # the same RK4 scheme, not merely an accurate one: at step 1e-2 a
+        # different scheme would be off by far more than rounding
+        specs, t_ends = zip(*self.MIXED)
+        batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
+        assert np.array_equal(batch[4], np.eye(2))
+
+    @pytest.mark.parametrize("steps_per_block", [1, 7])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
+        # 600 steps: not a multiple of 7, and blocks of 7 and of the last 5
+        # steps reduce through odd-length levels
+        specs, t_ends = zip(*self.MIXED)
+        default = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(specs))
+        blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        assert np.abs(blocked - default).max() < 1e-13
 
 
 class TestEvolveState:

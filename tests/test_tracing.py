@@ -65,3 +65,17 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     assert t.counts["scenarios.cells"] == 10
     assert t.counts["pauli.matrices"] == 10
     assert t.counts["scenarios.csv_bytes"] > 0
+
+
+def test_tracer_counts_rk4_steps_taken_and_needed():
+    p = pulses.PulseSpec.rectangular(1.0, duration=1.0)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        evolution.rk4_oracle_batch([p, p], [1.0, 0.5], step=1e-2)
+    finally:
+        t.uninstall()
+    assert [s[tracer.NAME] for s in t.spans] == ["evolution.rk4_oracle_batch"]
+    # a common 100 steps for both pairs; the shorter one needs only 50
+    assert t.counts["evolution.rk4_steps"] == 200
+    assert t.counts["evolution.rk4_needed_steps"] == 150
