@@ -291,7 +291,7 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     per-pair evenly dividing h <= step; f is sampled at t0, t0 + h/2 and
     min(t0 + h, t_end).  Deliberately shares no code with unitary_oracle or
     the coefficient maps; this is the independent route.  Raises ValueError
-    for a non-finite or non-positive step or t_end < 0 or non-finite, and
+    unless step is positive and every t_end non-negative, all finite, and
     StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
@@ -338,6 +338,8 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
         t0 = np.arange(first, min(first + block, n_steps))[:, None] * h
         a1 = generator(t0)
         a2 = generator(t0 + 0.5 * h)
+        # clamp the full-step sample: rounding in t_ends / n_steps can
+        # push the last (i+1)*h one ulp past a rectangular window edge
         a3 = generator(np.minimum(t0 + h, t_ends))
         k2 = _qmul(a2, eye + 0.5 * h * a1)
         k3 = _qmul(a2, eye + 0.5 * h * k2)
