@@ -16,21 +16,21 @@ state and the largest imaginary magnitude is recorded as a diagnostic
 (``imag_residue``), never silently dropped.
 
 Two independent oracles are provided for cross-validation of the analytic
-maps: ``unitary_oracle`` builds the exact 2x2 propagator via a matrix
-exponential, and ``rk4_oracle_batch`` integrates the Schrodinger equation
-dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I, for many
-(pulse, end time) pairs at once.  Because the equation is linear, each RK4
-step is a fixed 2x2 step matrix applied to U; the integrator builds those
-matrices for blocks of steps and multiplies them out, with no Python loop
-over single steps.  The adjoint action of either propagator on the Pauli
-triple must reproduce the UNITARY-mode coefficient matrix.
+maps: ``unitary_oracle`` builds the exact 2x2 propagator as the matrix
+exponential of its constant generator (through numpy's ``eigh``), and
+``rk4_oracle_batch`` integrates the Schrodinger equation dU/dt = -i H(t) U
+with classical Runge-Kutta from U(0) = I, for many (pulse, end time) pairs
+at once.  Because the equation is linear, each RK4 step is a fixed 2x2
+step matrix applied to U; the integrator builds those matrices for blocks
+of steps and multiplies them out, with no Python loop over single steps.
+The adjoint action of either propagator on the Pauli triple must
+reproduce the UNITARY-mode coefficient matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NonDiagonalInput, OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
@@ -55,6 +55,8 @@ DIAG_TOL = 1e-12
 RK4_DEFAULT_STEP = 1e-3
 # step-matrix cells per RK4 block: a block holds max(1, this // pairs) steps
 _RK4_BLOCK_CELLS = 4096
+# far above validation's 50 000 steps; bounds the time a tiny step can ask for
+_RK4_MAX_STEPS = 10**7
 
 # Pauli product stacks for density assembly/extraction:
 # _PP[k, l] = sigma_k x sigma_l, _PA[k] = sigma_k x I, _PB[l] = I x sigma_l.
@@ -249,25 +251,29 @@ def adjoint_rotation(u) -> np.ndarray:
     return rot
 
 
-def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
-    """Exact rotating-frame propagator U(t) via matrix exponential.
+def _propagate(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i t h) of a Hermitian h as V diag(exp(-i t w)) V^dag, from LAPACK (not pauli) eigh."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
-    Rectangular: U = exp(-i t (Delta sigma_z + Omega0 sigma_x)/2) for
-    t in [0, T] (outside the window the generator would be wrong, so that
-    is an error, matching the coefficient-map domain).  Exponential:
-    U = exp(-i lambda(t) sigma_x / 2).  Undriven: identity.
+
+def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
+    """Exact rotating-frame propagator U(t) = exp(-i t h), h Hermitian, via its eigh.
+
+    Rectangular: h = (Delta sigma_z + Omega0 sigma_x)/2 for t in [0, T]
+    (outside the window the generator would be wrong, so that is an error,
+    matching the coefficient-map domain).  Exponential: U = exp(-i
+    lambda(t) sigma_x / 2).  Undriven: identity.
     """
     if p.shape is PulseShape.NONE:
         return np.eye(2, dtype=np.complex128)
     if p.shape is PulseShape.RECTANGULAR:
         if not 0.0 <= t <= p.duration:
             raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
-        h = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X)
-        return expm(-1j * t * h)
+        return _propagate(0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t)
     if t < 0.0:
         raise OutOfWindow(f"t = {t} precedes the pulse start")
-    lam = pulse_angle(p, t)
-    return expm(-0.5j * lam * SIGMA_X)
+    return _propagate(0.5 * SIGMA_X, pulse_angle(p, t))
 
 
 def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -292,7 +298,8 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     min(t0 + h, t_end).  Deliberately shares no code with unitary_oracle or
     the coefficient maps; this is the independent route.  Raises ValueError
     unless step is positive and every t_end non-negative, all finite, and
-    StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
+    the step count at most _RK4_MAX_STEPS, and StepTooLarge if step
+    exceeds a tenth of the shortest t_end > 0.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
@@ -317,7 +324,10 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     if not positive.size:
         return np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2)).copy()
 
-    n_steps = int(np.ceil(positive.max() / step))
+    t_max = float(positive.max())
+    if t_max / step > _RK4_MAX_STEPS:
+        raise ValueError(f"t_end {t_max} takes {t_max / step:.3g} steps of {step}, over {_RK4_MAX_STEPS}")
+    n_steps = math.ceil(t_max / step)
     h = t_ends / n_steps
     omega = np.array([p.omega0 for p in pulses])
     dz = 0.5 * np.array([p.delta for p in pulses])

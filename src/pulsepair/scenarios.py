@@ -29,7 +29,6 @@ each matrix alone, so the chunk size never changes a bit of the output.
 
 import math
 import os
-import secrets
 import shutil
 from dataclasses import dataclass
 from enum import Enum
@@ -172,7 +171,7 @@ class SweepResult:
         the README for what a failing process or a power loss leaves behind.
         """
         path = os.path.realpath(path)
-        tmp = os.path.join(os.path.dirname(path), f".{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "x", encoding="ascii", newline="\n")
         try:
             with fh:

@@ -53,12 +53,12 @@ def _result(name: str, err: float, tol: float) -> CheckResult:
     return CheckResult(name, float(err), tol_eff, float(err) <= tol_eff)
 
 
-def _random_hermitian(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+def _random_hermitian(rng: "np.random.Generator", n: int, count: int) -> np.ndarray:
     raw = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     return 0.5 * (raw + raw.conj().transpose(0, 2, 1))
 
 
-def _random_pulse(rng: np.random.Generator) -> tuple[pulses.PulseSpec, float]:
+def _random_pulse(rng: "np.random.Generator") -> tuple[pulses.PulseSpec, float]:
     if rng.random() < 0.5:
         omega = rng.uniform(0.05, 4.0)
         delta = rng.uniform(-4.0, 4.0) if rng.random() < 0.7 else 0.0

@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pulsepair
 from pulsepair import evolution
 from pulsepair.errors import (
     NonDiagonalInput,
@@ -205,6 +213,53 @@ class TestUnitaryOracle:
         u = unitary_oracle(PulseSpec.rectangular(2.0, duration=10.0, delta=-1.5), 7.0)
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
+    # the ranges of validation._random_pulse; t = 0 and t = duration (the
+    # window edge) are drawn on purpose, and lambda reaches Omega0/gamma_p = 50
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 4.0),
+        st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        st.floats(0.05, 50.0),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_rectangular_property_against_expm(self, omega0, delta, duration, fraction):
+        t = duration * fraction
+        u = unitary_oracle(PulseSpec.rectangular(omega0, duration=duration, delta=delta), t)
+        assert np.abs(u - oracles.rect_propagator(omega0, delta, t)).max() < 1e-13
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(0.2, 2.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    )
+    def test_exponential_property_against_expm(self, omega0, gamma_p, t):
+        u = unitary_oracle(PulseSpec.exponential(omega0, gamma_p), t)
+        assert np.abs(u - oracles.exp_propagator(omega0, gamma_p, t)).max() < 1e-13
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
+
+    def test_no_run_path_imports_scipy(self, tmp_path):
+        # a fresh interpreter, because this one holds scipy through tests/oracles
+        code = textwrap.dedent(
+            f"""
+            import sys
+            import pulsepair
+            from pulsepair import cli
+            from pulsepair.evolution import unitary_oracle
+            from pulsepair.pulses import PulseSpec
+            unitary_oracle(PulseSpec.rectangular(1.0, duration=2.0, delta=0.5), 1.5)
+            unitary_oracle(PulseSpec.exponential(5.0, 1.0), 2.0)
+            assert cli.main(["preset", "fig2b", "--out", {str(tmp_path / "fig2b.csv")!r}]) == 0
+            print(sorted(name for name in sys.modules if name.startswith("scipy")))
+            """
+        )
+        path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+
 
 def rk4_single(p, t_end, **kw):
     return rk4_oracle_batch([p], [t_end], **kw)[0]
@@ -225,6 +280,10 @@ class TestRk4Oracle:
         for t_end in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 rk4_single(p, t_end)
+        # a step count above the cap, finite (5e13) or not (1 / 1e-320)
+        for step, t_end in ((1e-320, 1.0), (1e-12, 50.0)):
+            with pytest.raises(ValueError, match="steps of .*, over 10000000"):
+                rk4_single(p, t_end, step=step)
 
     def test_agreement_with_exact_propagator(self):
         cases = [
