@@ -38,7 +38,7 @@ class UnphysicalState(PulsePairError):
 
 
 class InvalidConfig(PulsePairError):
-    """Sweep configuration violates a structural constraint."""
+    """A sweep configuration or validation setting violates a constraint."""
 
 
 class UnknownPreset(PulsePairError):

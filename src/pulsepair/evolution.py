@@ -16,15 +16,12 @@ state and the largest imaginary magnitude is recorded as a diagnostic
 (``imag_residue``), never silently dropped.
 
 Two independent oracles are provided for cross-validation of the analytic
-maps: ``unitary_oracle`` builds the exact 2x2 propagator as the matrix
-exponential of its constant generator (through numpy's ``eigh``), and
-``rk4_oracle_batch`` integrates the Schrodinger equation dU/dt = -i H(t) U
-with classical Runge-Kutta from U(0) = I, for many (pulse, end time) pairs
-at once.  Because the equation is linear, each RK4 step is a fixed 2x2
-step matrix applied to U; the integrator builds those matrices for blocks
-of steps and multiplies them out, with no Python loop over single steps.
-The adjoint action of either propagator on the Pauli triple must
-reproduce the UNITARY-mode coefficient matrix.
+maps, both for many (pulse, time) pairs at once: ``unitary_oracle_batch``
+builds the exact 2x2 propagators as matrix exponentials through numpy's
+``eigh``, and ``rk4_oracle_batch`` integrates dU/dt = -i H(t) U with
+classical Runge-Kutta from U(0) = I.  The adjoint action of either
+propagator on the Pauli triple must reproduce the UNITARY-mode
+coefficient matrix.
 """
 
 import math
@@ -44,8 +41,10 @@ __all__ = [
     "assemble_density",
     "assemble_density_batch",
     "correlations_from_density",
+    "correlations_from_density_batch",
     "adjoint_rotation",
     "unitary_oracle",
+    "unitary_oracle_batch",
     "rk4_oracle_batch",
     "evolve_state",
     "RK4_DEFAULT_STEP",
@@ -64,6 +63,7 @@ _PP = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])
 _PA = np.array([kron(s, IDENTITY2) for s in PAULIS])
 _PB = np.array([kron(IDENTITY2, s) for s in PAULIS])
 _I4 = np.eye(4, dtype=np.complex128)
+_PAULIS = np.array(PAULIS)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -164,6 +164,13 @@ class InitialState:
         return CorrelationState.diagonal(*self.correlations)
 
 
+def _diagonal_tensors(diagonals, dtype=float) -> np.ndarray:
+    """(S, 3, 3) tensors diag(c) of an (S, 3) array of diagonals."""
+    tensors = np.zeros((len(diagonals), 3, 3), dtype=dtype)
+    tensors[:, [0, 1, 2], [0, 1, 2]] = diagonals
+    return tensors
+
+
 def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray]:
     """Transform diagonal initial states by per-qubit coefficient maps.
 
@@ -181,9 +188,7 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
     point the largest imaginary magnitude discarded over all S states
     (nonzero only for LITERAL-mode maps).
     """
-    diag = np.zeros((len(diagonals), 3, 3), dtype=np.complex128)
-    diag[:, [0, 1, 2], [0, 1, 2]] = diagonals
-    product = m1.transpose(0, 2, 1)[:, None] @ diag @ m2[:, None]
+    product = m1.transpose(0, 2, 1)[:, None] @ _diagonal_tensors(diagonals, np.complex128) @ m2[:, None]
     return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
 
 
@@ -215,65 +220,67 @@ def assemble_density(state: CorrelationState) -> np.ndarray:
     return assemble_density_batch(state.tensor, state.bloch_a, state.bloch_b)
 
 
-def correlations_from_density(rho) -> CorrelationState:
-    """Extract the Fano data back out of a 4x4 density matrix.
+def correlations_from_density_batch(rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extract the Fano data (C, a, b) out of densities of shape (..., 4, 4).
 
-    Convention: C_kl = trace(rho . sigma_k x sigma_l), a_k = trace(rho .
-    sigma_k x I), b_l likewise.  Round-trips exactly with
-    assemble_density.  Imaginary parts of the traces (zero for Hermitian
-    input) are folded into the diagnostic residue.
+    C_kl = trace(rho . sigma_k x sigma_l), a_k = trace(rho . sigma_k x I), b_l
+    likewise: complex, with zero imaginary parts for Hermitian input.
+    Round-trips exactly with assemble_density_batch.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    tensor = np.einsum("ij,klji->kl", rho, _PP)
-    bloch_a = np.einsum("ij,kji->k", rho, _PA)
-    bloch_b = np.einsum("ij,kji->k", rho, _PB)
-    residue = max(
-        float(np.abs(tensor.imag).max()),
-        float(np.abs(bloch_a.imag).max()),
-        float(np.abs(bloch_b.imag).max()),
-    )
-    return CorrelationState(tensor.real.copy(), bloch_a.real.copy(), bloch_b.real.copy(), residue)
+    rhos = np.asarray(rhos, dtype=np.complex128)
+    pairs = (("kl", _PP), ("k", _PA), ("k", _PB))
+    return tuple(np.einsum(f"...ij,{k}ji->...{k}", rhos, basis) for k, basis in pairs)
+
+
+def correlations_from_density(rho) -> CorrelationState:
+    """Fano data of one 4x4 density, imaginary parts folded into the residue (see the batch form)."""
+    parts = correlations_from_density_batch(rho)
+    residue = max(float(np.abs(x.imag).max()) for x in parts)
+    return CorrelationState(*(x.real.copy() for x in parts), residue)
 
 
 def adjoint_rotation(u) -> np.ndarray:
-    """SO(3) action of a 2x2 unitary on the Pauli triple.
+    """SO(3) action of a 2x2 unitary on the Pauli triple: (3, 3), or (n, 3, 3) for n unitaries.
 
     R[k, l] = (1/2) Re trace(U^dag sigma_k U sigma_l), so that
     U^dag sigma_k U = sum_l R[k, l] sigma_l.  This is the bridge between
     the propagator oracles and the 3x3 coefficient maps.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    rot = np.empty((3, 3))
-    for k in range(3):
-        conj = u.conj().T @ PAULIS[k] @ u
-        for l in range(3):
-            rot[k, l] = 0.5 * np.trace(conj @ PAULIS[l]).real
-    return rot
+    u = np.asarray(u, dtype=np.complex128)[..., None, :, :]
+    conj = u.conj().swapaxes(-1, -2) @ _PAULIS @ u
+    return 0.5 * np.einsum("...kij,lji->...kl", conj, _PAULIS).real
 
 
-def _propagate(h: np.ndarray, t) -> np.ndarray:
-    """exp(-i t h) of a Hermitian h as V diag(exp(-i t w)) V^dag, from LAPACK (not pauli) eigh."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+def unitary_oracle_batch(pulses, times) -> np.ndarray:
+    """Exact rotating-frame propagators U(t) = exp(-i t h) of n (pulse, t) pairs, (n, 2, 2).
+
+    h is the pulse's constant 2x2 Hermitian generator, and U = V diag(exp(-i t w)) V^dag
+    from one stacked LAPACK (not pauli) eigh.  Rectangular: h = (Delta sigma_z + Omega0
+    sigma_x)/2 for t in [0, T] (outside the window the generator would be wrong, so that
+    is an error, matching the coefficient-map domain).  Exponential: U = exp(-i lambda(t)
+    sigma_x / 2).  Undriven: identity.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.shape != (len(pulses),):
+        raise ValueError("times must match pulses in length")
+    gens = np.zeros((len(pulses), 2, 2), dtype=np.complex128)
+    angles = np.zeros(len(pulses))
+    for i, (p, t) in enumerate(zip(pulses, times)):
+        if p.shape is PulseShape.RECTANGULAR:
+            if not 0.0 <= t <= p.duration:
+                raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
+            gens[i], angles[i] = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t
+        elif p.shape is PulseShape.EXPONENTIAL:
+            if t < 0.0:
+                raise OutOfWindow(f"t = {t} precedes the pulse start")
+            gens[i], angles[i] = 0.5 * SIGMA_X, pulse_angle(p, t)
+    w, v = np.linalg.eigh(gens)
+    return (v * np.exp(-1j * angles[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
-    """Exact rotating-frame propagator U(t) = exp(-i t h), h Hermitian, via its eigh.
-
-    Rectangular: h = (Delta sigma_z + Omega0 sigma_x)/2 for t in [0, T]
-    (outside the window the generator would be wrong, so that is an error,
-    matching the coefficient-map domain).  Exponential: U = exp(-i
-    lambda(t) sigma_x / 2).  Undriven: identity.
-    """
-    if p.shape is PulseShape.NONE:
-        return np.eye(2, dtype=np.complex128)
-    if p.shape is PulseShape.RECTANGULAR:
-        if not 0.0 <= t <= p.duration:
-            raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
-        return _propagate(0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t)
-    if t < 0.0:
-        raise OutOfWindow(f"t = {t} precedes the pulse start")
-    return _propagate(0.5 * SIGMA_X, pulse_angle(p, t))
+    """Exact propagator of one pulse at one time t (see unitary_oracle_batch)."""
+    return unitary_oracle_batch([p], [t])[0]
 
 
 def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -289,14 +296,20 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
+def _amul(w, dz, q) -> np.ndarray:
+    """_qmul(A, q) for A = w X + dz Z, dropping A's zero terms (the result bits stay the same)."""
+    qa, qb, qc, qd = q
+    return np.stack((-w * qb - dz * qd, w * qa - dz * qc, dz * qb - w * qd, w * qc + dz * qa))
+
+
 def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2.
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
-    once, with a common step count (the largest any of them needs) and a
-    per-pair evenly dividing h <= step; f is sampled at t0, t0 + h/2 and
-    min(t0 + h, t_end).  Deliberately shares no code with unitary_oracle or
-    the coefficient maps; this is the independent route.  Raises ValueError
+    once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
+    t_end_i / n_i, and f is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
+    Deliberately shares no code with unitary_oracle or the coefficient
+    maps; this is the independent route.  Raises ValueError
     unless step is positive and every t_end non-negative, all finite, and
     the step count at most _RK4_MAX_STEPS, and StepTooLarge if step
     exceeds a tenth of the shortest t_end > 0.
@@ -306,8 +319,10 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3) and A = -i H.  In the
     units X, Y, Z = -i sigma_x, -i sigma_y, -i sigma_z, which multiply as
     quaternions (XY = Z, X^2 = -I), every P is a real a I + b X + c Y + d Z.
-    Each block of steps is reduced by pairwise products in time order
-    (later times earlier), and the result left-multiplies U.
+    With the pairs sorted by n_i, each block advances the r pairs still
+    running by max(1, _RK4_BLOCK_CELLS // r) steps, P = I past a pair's
+    n_i; it is reduced by pairwise products in time order (later times
+    earlier), and the result left-multiplies U.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -327,8 +342,11 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     t_max = float(positive.max())
     if t_max / step > _RK4_MAX_STEPS:
         raise ValueError(f"t_end {t_max} takes {t_max / step:.3g} steps of {step}, over {_RK4_MAX_STEPS}")
-    n_steps = math.ceil(t_max / step)
-    h = t_ends / n_steps
+    # pairs sorted by step count, longest first, so the running ones are a prefix
+    counts = np.ceil(t_ends / step).astype(np.int64)
+    order = np.argsort(-counts, kind="stable")
+    counts, t_ends, pulses = counts[order], t_ends[order], [pulses[i] for i in order]
+    h = t_ends / np.maximum(counts, 1)
     omega = np.array([p.omega0 for p in pulses])
     dz = 0.5 * np.array([p.delta for p in pulses])
     is_rect = np.array([p.shape is PulseShape.RECTANGULAR for p in pulses])
@@ -336,31 +354,38 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     duration = np.array([p.duration if rect else 0.0 for p, rect in zip(pulses, is_rect)])
     gamma = np.array([p.gamma_p if exp else 0.0 for p, exp in zip(pulses, is_exp)])
 
-    def generator(t):  # A(t) = dz Z + w(t) X
-        f = np.where(is_rect, t <= duration, np.where(is_exp, np.exp(-gamma * t), 0.0))
-        zero = np.zeros_like(t)
-        return np.stack((zero, 0.5 * omega * f, zero, np.broadcast_to(dz, t.shape)))
+    def drive(t):  # w(t) in A(t) = w(t) X + dz Z, for the first t.shape[1] pairs
+        m = t.shape[1]
+        f = np.where(is_rect[:m], t <= duration[:m], np.where(is_exp[:m], np.exp(-gamma[:m] * t), 0.0))
+        return 0.5 * omega[:m] * f
 
     eye = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
-    block = max(1, _RK4_BLOCK_CELLS // n)
-    u = np.broadcast_to(eye[:, 0], (4, n))
-    for first in range(0, n_steps, block):
-        t0 = np.arange(first, min(first + block, n_steps))[:, None] * h
-        a1 = generator(t0)
-        a2 = generator(t0 + 0.5 * h)
-        # clamp the full-step sample: rounding in t_ends / n_steps can
-        # push the last (i+1)*h one ulp past a rectangular window edge
-        a3 = generator(np.minimum(t0 + h, t_ends))
-        k2 = _qmul(a2, eye + 0.5 * h * a1)
-        k3 = _qmul(a2, eye + 0.5 * h * k2)
-        k4 = _qmul(a3, eye + h * k3)
-        q = eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u = np.broadcast_to(eye[:, 0], (4, n)).copy()
+    first = 0
+    while first < counts[0]:
+        active = int(np.count_nonzero(counts > first))
+        hs, ts, dzs = h[:active], t_ends[:active], dz[:active]
+        steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // active), counts[0]))[:, None]
+        t0 = steps * hs
+        w1 = drive(t0)
+        w2 = drive(t0 + 0.5 * hs)
+        # clamp the full-step sample: rounding in t_end / count can push
+        # the last (i+1)*h one ulp past a rectangular window edge
+        w3 = drive(np.minimum(t0 + hs, ts))
+        k2 = _amul(w2, dzs, (1.0, 0.5 * hs * w1, 0.0, 0.5 * hs * dzs))
+        k3 = _amul(w2, dzs, eye + 0.5 * hs * k2)
+        k4 = _amul(w3, dzs, eye + hs * k3)
+        k = 2.0 * k2  # plus K1 = (0, w1, 0, dz): K1 + 2 K2
+        k[1] += w1
+        k[3] += dzs
+        q = np.where(steps < counts[:active], eye + hs / 6.0 * (k + 2.0 * k3 + k4), eye)
         while q.shape[1] > 1:
             pairs = q.shape[1] // 2
             product = _qmul(q[:, 1 : 2 * pairs : 2], q[:, 0 : 2 * pairs : 2])
             q = np.concatenate((product, q[:, 2 * pairs :]), axis=1)
-        u = _qmul(q[:, 0], u)
-    a, b, c, d = u
+        u[:, :active] = _qmul(q[:, 0], u[:, :active])
+        first = int(steps[-1, 0]) + 1
+    a, b, c, d = u[:, np.argsort(order)]
     return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import entanglement, evolution, pauli, pulses, scenarios
+from .errors import InvalidConfig
 
 __all__ = ["CheckResult", "run_validation", "VALIDATION_NOTES"]
 
@@ -130,21 +131,14 @@ def _check_d_row_anchor(rng) -> list[CheckResult]:
 
 
 def _check_oracle_triangle(rng) -> list[CheckResult]:
-    configs = [_random_pulse(rng) for _ in range(80)]
-    specs = [c[0] for c in configs]
-    t_ends = np.array([c[1] for c in configs])
+    specs, t_ends = zip(*(_random_pulse(rng) for _ in range(80)))
     rk4 = evolution.rk4_oracle_batch(specs, t_ends, step=1e-3)
-    rot_err = 0.0
-    prop_err = 0.0
-    for (p, t), u_rk4 in zip(configs, rk4):
-        u_exact = evolution.unitary_oracle(p, t)
-        analytic = pulses.coefficient_map(p, t).matrix.real
-        r_exact = evolution.adjoint_rotation(u_exact)
-        r_rk4 = evolution.adjoint_rotation(u_rk4)
-        rot_err = max(rot_err, float(np.abs(analytic - r_exact).max()))
-        rot_err = max(rot_err, float(np.abs(analytic - r_rk4).max()))
-        rot_err = max(rot_err, float(np.abs(r_exact - r_rk4).max()))
-        prop_err = max(prop_err, float(np.linalg.norm(u_exact - u_rk4, ord=2)))
+    exact = evolution.unitary_oracle_batch(specs, t_ends)
+    analytic = np.array([pulses.coefficient_map(p, t).matrix.real for p, t in zip(specs, t_ends)])
+    r_exact, r_rk4 = evolution.adjoint_rotation(exact), evolution.adjoint_rotation(rk4)
+    pairs = ((analytic, r_exact), (analytic, r_rk4), (r_exact, r_rk4))
+    rot_err = max(float(np.abs(a - b).max()) for a, b in pairs)
+    prop_err = float(np.linalg.norm(exact - rk4, ord=2, axis=(1, 2)).max())
     return [
         _result("oracle_triangle_rotations", rot_err, 1e-6),
         _result("oracle_triangle_propagators", prop_err, 1e-6),
@@ -159,72 +153,56 @@ def _random_physical_correlations(rng) -> tuple[float, float, float]:
 
 
 def _check_fano_consistency(rng) -> CheckResult:
-    worst = 0.0
+    draws = []
     for _ in range(500):
         p1, t1 = _random_pulse(rng)
         p2, _ = _random_pulse(rng)
         t = min(t1, p1.duration) if p1.shape is pulses.PulseShape.RECTANGULAR else t1
         if p2.shape is pulses.PulseShape.RECTANGULAR and t > p2.duration:
             p2 = pulses.PulseSpec.rectangular(p2.omega0, duration=t, delta=p2.delta)
-        c = _random_physical_correlations(rng)
-        state = evolution.CorrelationState.diagonal(*c)
-        direct = evolution.evolve_state(state, p1, p2, t)
-        u1 = evolution.unitary_oracle(p1, t)
-        u2 = evolution.unitary_oracle(p2, t)
-        u12 = pauli.kron(u1, u2)
-        # the coefficient map substitutes evolved operators into the
-        # initial expansion, which conjugates the state by U^dag
-        rho = u12.conj().T @ evolution.assemble_density(state) @ u12
-        extracted = evolution.correlations_from_density(rho)
-        worst = max(worst, float(np.abs(direct.tensor - extracted.tensor).max()))
-        worst = max(worst, float(np.abs(extracted.bloch_a).max()))
-        worst = max(worst, float(np.abs(extracted.bloch_b).max()))
+        draws.append((p1, p2, t, _random_physical_correlations(rng)))
+    p1s, p2s, ts, cs = zip(*draws)
+    states = [evolution.CorrelationState.diagonal(*c) for c in cs]
+    direct = np.array([evolution.evolve_state(s, p1, p2, t).tensor for s, p1, p2, t in zip(states, p1s, p2s, ts)])
+    u = evolution.unitary_oracle_batch(p1s + p2s, ts + ts)
+    u12 = np.einsum("nij,nkl->nikjl", u[:500], u[500:]).reshape(500, 4, 4)
+    # the coefficient map substitutes evolved operators into the
+    # initial expansion, which conjugates the state by U^dag
+    rho = u12.conj().transpose(0, 2, 1) @ evolution.assemble_density_batch(evolution._diagonal_tensors(cs)) @ u12
+    tensor, bloch_a, bloch_b = evolution.correlations_from_density_batch(rho)
+    worst = max(float(np.abs(x).max()) for x in (direct - tensor.real, bloch_a.real, bloch_b.real))
     return _result("fano_conjugation_consistency", worst, 1e-9)
 
 
-def _brute_force_negativity(c: tuple[float, float, float]) -> float:
-    rho = evolution.assemble_density(evolution.CorrelationState.diagonal(*c))
-    mu = np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))
-    raw = float(np.abs(mu).sum() - 1.0)
-    return 0.0 if raw < entanglement.CLAMP_TOL else raw
-
-
 def _check_negativity_oracle(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
-        c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        ours = entanglement.negativity_of_state(evolution.CorrelationState.diagonal(*c)).value
-        worst = max(worst, abs(ours - _brute_force_negativity(c)))
-    return _result("negativity_brute_force", worst, 1e-10)
+    rho = evolution.assemble_density_batch(evolution._diagonal_tensors(rng.uniform(-1.0, 1.0, size=(1000, 3))))
+    ours = entanglement.negativity_batch(rho)
+    raw = np.abs(np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))).sum(axis=1) - 1.0
+    brute = np.where(raw < entanglement.CLAMP_TOL, 0.0, raw)
+    return _result("negativity_brute_force", float(np.abs(ours - brute).max()), 1e-10)
+
+
+def _negativities(diagonals) -> np.ndarray:
+    return entanglement.negativity_batch(evolution.assemble_density_batch(evolution._diagonal_tensors(diagonals)))
 
 
 def _check_pinned_values() -> list[CheckResult]:
-    def value(c):
-        return entanglement.negativity_of_state(evolution.CorrelationState.diagonal(*c)).value
-
-    singlet_err = abs(value((-1.0, -1.0, -1.0)) - 1.0)
-    threshold_err = abs(value((-1.0 / 3.0,) * 3))
-    partial_err = max(
-        abs(value((-0.9, -0.9, -0.9)) - 0.85),
-        abs(value((-0.9, -0.8, -0.6)) - 0.65),
+    singlet, threshold, partial_a, partial_b = _negativities(
+        [(-1.0, -1.0, -1.0), (-1.0 / 3.0,) * 3, (-0.9, -0.9, -0.9), (-0.9, -0.8, -0.6)]
     )
     return [
-        _result("pinned_singlet_negativity", singlet_err, 1e-12),
-        _result("pinned_werner_threshold", threshold_err, 1e-12),
-        _result("pinned_partial_negativities", partial_err, 1e-10),
+        _result("pinned_singlet_negativity", abs(singlet - 1.0), 1e-12),
+        _result("pinned_werner_threshold", abs(threshold), 1e-12),
+        _result("pinned_partial_negativities", max(abs(partial_a - 0.85), abs(partial_b - 0.65)), 1e-10),
     ]
 
 
 def _check_werner_monotone() -> CheckResult:
     xs = np.linspace(-1.0, 1.0 / 3.0, 201)
-    states = (evolution.CorrelationState.diagonal(x, x, x) for x in xs)
-    values = [entanglement.negativity_of_state(s).value for s in states]
-    err = 0.0
-    for x, prev_v, v in zip(xs[1:], values[:-1], values[1:]):
-        err = max(err, v - prev_v)  # non-increasing along the line
-        if x >= -1.0 / 3.0:
-            err = max(err, abs(v))  # flat zero past the threshold
-    return _result("werner_line_monotone", err, 1e-12)
+    values = _negativities(np.repeat(xs[:, None], 3, axis=1))
+    rises = values[1:] - values[:-1]  # non-increasing along the line
+    past = np.abs(values[1:][xs[1:] >= -1.0 / 3.0])  # flat zero past the threshold
+    return _result("werner_line_monotone", max(0.0, rises.max(), past.max(initial=0.0)), 1e-12)
 
 
 def _check_presets() -> list[CheckResult]:
@@ -234,12 +212,7 @@ def _check_presets() -> list[CheckResult]:
     literal_resonant_residue = 0.0
     for name, cfg in scenarios.paper_figure_presets().items():
         result = scenarios.run_sweep(cfg)
-        initial = np.array(
-            [
-                entanglement.negativity_of_state(s.state()).value
-                for s in cfg.initial_states
-            ]
-        )
+        initial = _negativities([s.correlations for s in cfg.initial_states])
         const_err = max(const_err, float(np.abs(result.negativities - initial).max()))
         start_err = max(start_err, float(np.abs(result.negativities[0] - initial).max()))
         literal = scenarios.run_sweep(replace(cfg, mode=pulses.CoefficientMode.LITERAL))
@@ -260,6 +233,8 @@ def _check_presets() -> list[CheckResult]:
 
 def run_validation(seed: int = 0) -> list[CheckResult]:
     """Run every check; returns results in a stable order."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     results = [_check_pauli_algebra()]
     results.extend(_check_eigensolver(rng))

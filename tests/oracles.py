@@ -117,14 +117,15 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
     """Classical RK4 for dU/dt = -i H(t) U, one step at a time over a batch.
 
     The step-by-step form of the package's RK4 oracle, kept as the
-    reference for its blocked product form: a common step count (the
-    largest any pair needs), per-pair h = t_end / n_steps, and the envelope
-    sampled at t0, t0 + h/2 and min(t0 + h, t_end).  Pulses are read
-    through their attributes only; inputs are not validated.
+    reference for its blocked product form: pair i takes n_i =
+    ceil(t_end_i / step) steps of h_i = t_end_i / n_i and then stops, and
+    the envelope is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
+    Pulses are read through their attributes only; inputs are not
+    validated.
     """
     t_ends = np.asarray(t_ends, dtype=float)
-    n_steps = int(np.ceil(t_ends.max() / step))
-    h = t_ends / n_steps
+    counts = np.ceil(t_ends / step).astype(int)
+    h = t_ends / np.maximum(counts, 1)
     shape = [p.shape.value for p in pulses]
     is_rect = np.array([s == "rectangular" for s in shape])
     is_exp = np.array([s == "exponential" for s in shape])
@@ -145,7 +146,7 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
 
     u = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(pulses), 2, 2)).copy()
     hh = h[:, None, None]
-    for i in range(n_steps):
+    for i in range(counts.max()):
         t0 = i * h
         w1 = w_at(t0)
         w2 = w_at(t0 + 0.5 * h)
@@ -154,5 +155,6 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
         k2 = deriv(w2, u + 0.5 * hh * k1)
         k3 = deriv(w2, u + 0.5 * hh * k2)
         k4 = deriv(w3, u + hh * k3)
-        u += (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        running = (i < counts)[:, None, None]
+        u = np.where(running, u + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u)
     return u

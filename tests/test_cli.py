@@ -269,6 +269,13 @@ class TestValidate:
         assert seen["seed"] == 7
         assert out.splitlines()[-1].endswith("(seed=7)")
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "validate", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err)
+        assert "seed" in err
+
 
 class TestParsing:
     def test_no_subcommand(self, capsys):

@@ -23,11 +23,14 @@ from pulsepair.evolution import (
     InitialState,
     adjoint_rotation,
     assemble_density,
+    assemble_density_batch,
     correlations_from_density,
+    correlations_from_density_batch,
     evolve_correlations,
     evolve_state,
     rk4_oracle_batch,
     unitary_oracle,
+    unitary_oracle_batch,
 )
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map, undriven_coefficients
 
@@ -164,6 +167,20 @@ class TestDensityAssembly:
             assert np.abs(back.bloch_a).max() < 1e-14
             assert np.abs(back.bloch_b).max() < 1e-14
 
+    def test_batch_extraction_matches_the_scalar_form(self):
+        rng = np.random.default_rng(29)
+        tensors = rng.uniform(-1.0, 1.0, size=(6, 3, 3))
+        bloch_a, bloch_b = rng.uniform(-1.0, 1.0, size=(2, 6, 3))
+        rhos = assemble_density_batch(tensors, bloch_a, bloch_b)
+        c, a, b = correlations_from_density_batch(rhos)
+        assert c.shape == (6, 3, 3) and a.shape == b.shape == (6, 3)
+        assert np.abs(c - tensors).max() < 1e-14
+        assert np.abs(a - bloch_a).max() < 1e-14 and np.abs(b - bloch_b).max() < 1e-14
+        for i, rho in enumerate(rhos):
+            one = correlations_from_density(rho)
+            assert np.array_equal(one.tensor, c[i].real)
+            assert np.array_equal(one.bloch_a, a[i].real) and np.array_equal(one.bloch_b, b[i].real)
+
     def test_extraction_handles_bloch_terms(self):
         # |0><0| x I/2 has a pure z Bloch vector on qubit a
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -183,6 +200,15 @@ class TestAdjointRotation:
             raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(raw)
             assert np.abs(adjoint_rotation(q) - oracles.heisenberg_rotation(q)).max() < 1e-13
+
+    def test_stack_gives_each_rotation(self):
+        rng = np.random.default_rng(31)
+        raw = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        qs = np.linalg.qr(raw)[0]
+        rots = adjoint_rotation(qs)
+        assert rots.shape == (5, 3, 3)
+        for q, r in zip(qs, rots):
+            assert np.array_equal(r, adjoint_rotation(q))
 
     def test_result_is_proper_rotation(self):
         u = oracles.rect_propagator(1.3, -0.7, 2.1)
@@ -238,6 +264,61 @@ class TestUnitaryOracle:
         u = unitary_oracle(PulseSpec.exponential(omega0, gamma_p), t)
         assert np.abs(u - oracles.exp_propagator(omega0, gamma_p, t)).max() < 1e-13
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
+
+    BATCH = (
+        (PulseSpec.rectangular(1.1, duration=5.0, delta=0.4), 3.0),
+        (PulseSpec.exponential(5.0, 1.0), 2.0),
+        (PulseSpec.none(), 4.0),
+        (PulseSpec.rectangular(0.7, duration=2.0), 2.0),
+        (PulseSpec.exponential(8.0, 0.5), 0.0),
+    )
+
+    def test_batch_entries_equal_the_scalar_calls(self):
+        specs, times = zip(*self.BATCH)
+        batch = unitary_oracle_batch(specs, times)
+        assert batch.shape == (5, 2, 2)
+        for i, (p, t) in enumerate(self.BATCH):
+            assert np.array_equal(batch[i], unitary_oracle(p, t))
+        assert np.array_equal(batch[2], np.eye(2))
+        assert unitary_oracle_batch([], []).shape == (0, 2, 2)
+
+    def test_batch_rejects_one_out_of_window_element(self):
+        specs, times = zip(*self.BATCH)
+        for i, bad in ((0, 5.5), (3, -1e-9), (1, -0.5)):
+            with pytest.raises(OutOfWindow):
+                unitary_oracle_batch(specs, times[:i] + (bad,) + times[i + 1 :])
+        with pytest.raises(ValueError):
+            unitary_oracle_batch(specs, times[:4])
+
+    # the ranges of validation._random_pulse, as (pulse, time) pairs
+    RECT_DRAWS = st.builds(
+        lambda omega0, delta, duration, fraction: (
+            PulseSpec.rectangular(omega0, duration=duration, delta=delta),
+            duration * fraction,
+        ),
+        st.floats(0.0, 4.0),
+        st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        st.floats(0.05, 50.0),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    EXP_DRAWS = st.builds(
+        lambda omega0, gamma_p, t: (PulseSpec.exponential(omega0, gamma_p), t),
+        st.floats(0.0, 10.0),
+        st.floats(0.2, 2.0),
+        st.floats(0.0, 50.0),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(RECT_DRAWS, EXP_DRAWS), min_size=1, max_size=8))
+    def test_batch_property_against_expm(self, draws):
+        expected = [
+            oracles.rect_propagator(p.omega0, p.delta, t)
+            if p.shape.value == "rectangular"
+            else oracles.exp_propagator(p.omega0, p.gamma_p, t)
+            for p, t in draws
+        ]
+        specs, times = zip(*draws)
+        assert np.abs(unitary_oracle_batch(specs, times) - np.array(expected)).max() < 1e-13
 
     def test_no_run_path_imports_scipy(self, tmp_path):
         # a fresh interpreter, because this one holds scipy through tests/oracles
@@ -320,6 +401,22 @@ class TestRk4Oracle:
             else:
                 assert np.abs(u - unitary_oracle(p, t)).max() < 1e-9
 
+    def test_each_pair_takes_its_own_step_count(self):
+        # pair 1 stops after its 50 steps of 1e-2; under a common count it
+        # took 100 steps of 5e-3 and was 2e-9 away from the lone run
+        p = PulseSpec.rectangular(4.0, duration=4.5, delta=2.0)
+        pair = rk4_oracle_batch([p, p], [1.0, 0.5], step=1e-2)
+        alone = rk4_oracle_batch([p], [0.5], step=1e-2)[0]
+        assert np.abs(pair[1] - alone).max() < 1e-13
+        # sorting these end times by step count is a 3-cycle, so results
+        # put back in the wrong order would show
+        ends = [0.5, 1.0, 0.8]
+        for u, t in zip(rk4_oracle_batch([p, p, p], ends, step=1e-2), ends):
+            assert np.abs(u - rk4_oracle_batch([p], [t], step=1e-2)[0]).max() < 1e-13
+
+    def test_empty_batch(self):
+        assert rk4_oracle_batch([], []).shape == (0, 2, 2)
+
     def test_batch_gates(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
         with pytest.raises(StepTooLarge):
@@ -352,8 +449,10 @@ class TestRk4Oracle:
 
     @pytest.mark.parametrize("steps_per_block", [1, 7])
     def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
-        # 600 steps: not a multiple of 7, and blocks of 7 and of the last 5
-        # steps reduce through odd-length levels
+        # 600, 400, 500 and 400 steps: with 7 steps per running pair, the
+        # blocks hold 8, then 17 steps (the last one ending past pair 2's
+        # 500th), then 35, so pairs stop inside blocks and the levels have
+        # odd lengths
         specs, t_ends = zip(*self.MIXED)
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
         monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(specs))
