@@ -164,9 +164,9 @@ class InitialState:
         return CorrelationState.diagonal(*self.correlations)
 
 
-def _diagonal_tensors(diagonals, dtype=float) -> np.ndarray:
-    """(S, 3, 3) tensors diag(c) of an (S, 3) array of diagonals."""
-    tensors = np.zeros((len(diagonals), 3, 3), dtype=dtype)
+def _diagonal_tensors(diagonals) -> np.ndarray:
+    """(S, 3, 3) real tensors diag(c) of an (S, 3) array of diagonals."""
+    tensors = np.zeros((len(diagonals), 3, 3))
     tensors[:, [0, 1, 2], [0, 1, 2]] = diagonals
     return tensors
 
@@ -188,7 +188,7 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
     point the largest imaginary magnitude discarded over all S states
     (nonzero only for LITERAL-mode maps).
     """
-    product = m1.transpose(0, 2, 1)[:, None] @ _diagonal_tensors(diagonals, np.complex128) @ m2[:, None]
+    product = m1.transpose(0, 2, 1)[:, None] @ _diagonal_tensors(diagonals) @ m2[:, None]
     return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
 
 
