@@ -9,9 +9,12 @@ unconditionally stable, needs no pivoting heuristics, and its rotation
 sequence for a given matrix is fully deterministic, which the sweep layer
 relies on for byte-identical output.  LAPACK (``numpy.linalg.eigvalsh``)
 is deliberately not used here so that tests can treat it as an independent
-cross-check rather than the implementation itself.  A batch that has not
-converged after _MAX_SWEEPS sweeps raises ConvergenceFailure, a
-PulsePairError that the command line reports with exit code 1.
+cross-check rather than the implementation itself.  A batch is held as
+(n, n, N), so each row a rotation touches is one contiguous block, and a
+matrix leaves the batch at the start of the first sweep that finds it
+converged.  A batch that has not converged after _MAX_SWEEPS sweeps raises
+ConvergenceFailure, a PulsePairError that the command line reports with
+exit code 1.
 """
 
 import numpy as np
@@ -92,47 +95,52 @@ def hermiticity_defect(m) -> float:
 
 
 def _offdiag_norms(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    mask = ~np.eye(n, dtype=bool)
-    return np.sqrt((np.abs(a[:, mask]) ** 2).sum(axis=1))
+    """Off-diagonal Frobenius norm of each matrix of an (n, n, N) batch.
 
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int, active: np.ndarray) -> None:
-    """Apply one cyclic Jacobi rotation in the (p, q) plane to a batch.
-
-    Each matrix in the batch gets its own rotation angle; matrices flagged
-    inactive (already converged) receive the identity rotation so that a
-    matrix's rotation history never depends on what else sits in the batch.
+    The squares are added one entry at a time in row-major order, so a
+    matrix's norm does not depend on how many others share the batch.
     """
-    apq = a[:, p, q]
+    total = np.zeros(a.shape[2])
+    for square in np.abs(a[~np.eye(a.shape[0], dtype=bool)]) ** 2:
+        total += square
+    return np.sqrt(total)
+
+
+def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
+    """Apply one cyclic Jacobi rotation in the (p, q) plane to an (n, n, N) batch.
+
+    Each matrix in the batch gets its own rotation angle.  Row p of every
+    matrix is the contiguous (n, N) block ``a[p]``.
+    """
+    apq = a[p, q]
     r = np.abs(apq)
     # complex / r overflows to NaN for subnormal r, far below any tolerance
     big = r >= np.finfo(float).tiny
-    rot = active & big
-    if not rot.any():
+    if not big.any():
         return
     safe_r = np.where(big, r, 1.0)
-    u = np.where(rot, apq / safe_r, 1.0)
-    tau = (a[:, q, q].real - a[:, p, p].real) / np.where(rot, 2.0 * safe_r, 1.0)
+    u = np.where(big, apq / safe_r, 1.0)
+    tau = (a[q, q].real - a[p, p].real) / np.where(big, 2.0 * safe_r, 1.0)
     root = np.sqrt(1.0 + tau * tau)
     # smaller-magnitude root of t^2 + 2 tau t - 1 = 0 keeps rotations mild;
     # the sign form avoids a division by zero when |tau| overflows root
     sign = np.where(tau >= 0.0, 1.0, -1.0)
     t = sign / (np.abs(tau) + root)
-    t = np.where(rot, t, 0.0)
+    t = np.where(big, t, 0.0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    cc = c[:, None]
-    su = (s * u)[:, None]
-    scu = (s * np.conj(u))[:, None]
-    col_p = a[:, :, p] * cc - a[:, :, q] * scu
-    col_q = a[:, :, p] * su + a[:, :, q] * cc
-    a[:, :, p] = col_p
-    a[:, :, q] = col_q
-    row_p = a[:, p, :] * cc - a[:, q, :] * su
-    row_q = a[:, p, :] * scu + a[:, q, :] * cc
-    a[:, p, :] = row_p
-    a[:, q, :] = row_q
+    su = s * u
+    scu = s * np.conj(u)
+    # the complex cast numpy would make inside each product, made once
+    c = c.astype(np.complex128)
+    col_p = a[:, p] * c - a[:, q] * scu
+    col_q = a[:, p] * su + a[:, q] * c
+    a[:, p] = col_p
+    a[:, q] = col_q
+    row_p = a[p] * c - a[q] * su
+    row_q = a[p] * scu + a[q] * c
+    a[p] = row_p
+    a[q] = row_q
 
 
 def hermitian_eigenvalues_batch(ms) -> np.ndarray:
@@ -140,36 +148,47 @@ def hermitian_eigenvalues_batch(ms) -> np.ndarray:
 
     Input shape (N, n, n); output shape (N, n).  Raises NonHermitianInput
     if any matrix in the batch fails the Hermiticity gate.  Convergence is
-    tracked per matrix, so results for a given matrix are bit-identical
-    whether it is solved alone or inside a larger batch.
+    tested per matrix at the start of each sweep; a converged matrix writes
+    its diagonal out and leaves the batch, so each matrix sees exactly the
+    rotations of its own solo solve and its result is bit-identical whether
+    it is solved alone or inside a larger batch.
     """
-    a = np.array(ms, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a batch of square matrices, got shape {a.shape}")
-    defect = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    m = np.asarray(ms, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a batch of square matrices, got shape {m.shape}")
+    count, n = m.shape[:2]
+    # a C-ordered (n, n, N) copy: entry (i, j) of every matrix is one contiguous vector
+    a = np.array(m.transpose(1, 2, 0), order="C")
+    a_dagger = a.conj().transpose(1, 0, 2)
+    defect = np.abs(a - a_dagger).max(axis=(0, 1))
     # written so that a NaN defect fails the gate too
     if not (defect <= HERMITICITY_TOL).all():
         raise NonHermitianInput(
             f"hermiticity defect {defect.max():.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
-    n = a.shape[-1]
-    fro = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-    tol = _OFFDIAG_TOL * np.maximum(1.0, fro)
-    active = _offdiag_norms(a) > tol
+    a = 0.5 * (a + a_dagger)
+    # one contiguous row of n*n squares per matrix, so each sum has a fixed order
+    squares = np.ascontiguousarray((np.abs(a.reshape(n * n, count)) ** 2).T)
+    tol = _OFFDIAG_TOL * np.maximum(1.0, np.sqrt(squares.sum(axis=1)))
+    eigs = np.empty((count, n))
+    rows = np.arange(count)
     sweeps = 0
     # tau * tau in _jacobi_rotate overflows for a tiny but normal
     # off-diagonal; the rotation is still right, because t becomes 0
     with np.errstate(over="ignore"):
-        while active.any():
+        while True:
+            active = _offdiag_norms(a) > tol
+            if not active.all():
+                eigs[rows[~active]] = np.diagonal(a, axis1=0, axis2=1)[~active].real
+                a, rows, tol = a[:, :, active], rows[active], tol[active]
+            if not len(rows):
+                break
             if sweeps >= _MAX_SWEEPS:
                 raise ConvergenceFailure(f"jacobi iteration failed to converge in {sweeps} sweeps")
             for p in range(n - 1):
                 for q in range(p + 1, n):
-                    _jacobi_rotate(a, p, q, active)
+                    _jacobi_rotate(a, p, q)
             sweeps += 1
-            active = _offdiag_norms(a) > tol
-    eigs = np.diagonal(a, axis1=1, axis2=2).real.copy()
     eigs.sort(axis=1)
     return eigs
 

@@ -60,9 +60,6 @@ __all__ = [
     "envelope",
     "pulse_angle",
     "rotation_matrix",
-    "rect_coefficients",
-    "exp_coefficients",
-    "undriven_coefficients",
     "coefficient_map",
     "coefficient_map_batch",
 ]
@@ -271,29 +268,6 @@ def coefficient_map_batch(
         (om * om * c + dl * dl) / (om1 * om1),
     )
     return _literal_matrix(c_plus, c_minus, c_z, d_row)
-
-
-def rect_coefficients(
-    p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
-) -> CoefficientMatrix:
-    """Coefficient map of a rectangular pulse at one time t in its window."""
-    if p.shape is not PulseShape.RECTANGULAR:
-        raise ValueError("rect_coefficients requires a rectangular pulse")
-    return coefficient_map(p, t, mode)
-
-
-def exp_coefficients(
-    p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
-) -> CoefficientMatrix:
-    """Coefficient map of a resonant exponential pulse at one time t >= 0."""
-    if p.shape is not PulseShape.EXPONENTIAL:
-        raise ValueError("exp_coefficients requires an exponential pulse")
-    return coefficient_map(p, t, mode)
-
-
-def undriven_coefficients(mode: CoefficientMode = CoefficientMode.UNITARY) -> CoefficientMatrix:
-    """Identity map: an undriven qubit does nothing in its rotating frame."""
-    return coefficient_map(PulseSpec.none(), 0.0, mode)
 
 
 def coefficient_map(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsepair.config import format_config, parse_config
-from pulsepair.errors import InvalidConfig, UnphysicalState
+from pulsepair.errors import ConvergenceFailure, InvalidConfig, UnphysicalState
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets, run_sweep
 
@@ -192,3 +192,27 @@ def test_any_config_text_gives_finite_rows_or_a_typed_error(text):
     assert cfg.grid.points <= 64
     for values in (result.params, result.negativities, result.residues):
         assert np.isfinite(values).all()
+
+
+# The property test above found this config: a literal-mode sweep of a
+# generalized Werner state with one tiny correlation.  Its partial transposes
+# have two doubly degenerate eigenvalues, so the cyclic Jacobi solver keeps
+# making 45-degree rotations on rounding-level off-diagonals and only halves
+# the off-diagonal norm per sweep; it needs more than _MAX_SWEEPS (40) sweeps.
+DEGENERATE_LITERAL = """\
+family = rect_vs_area
+drive = one_qubit
+mode = literal
+grid_start = 0.0
+grid_stop = 5.0
+grid_points = 51
+detuning_prime_a = 1.0
+rect_omega = 0.0
+initial_states = genwerner:0.0:-1.0:-1e-17
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason="linear Jacobi convergence on degenerate spectra")
+def test_degenerate_literal_sweep_gives_finite_rows():
+    result = run_sweep(parse_config(DEGENERATE_LITERAL))
+    assert np.isfinite(result.negativities).all()

@@ -32,9 +32,13 @@ from pulsepair.evolution import (
     unitary_oracle,
     unitary_oracle_batch,
 )
-from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map, undriven_coefficients
+from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
 
 import oracles
+
+
+def undriven(mode=CoefficientMode.UNITARY):
+    return coefficient_map(PulseSpec.none(), 0.0, mode)
 
 
 class TestCorrelationState:
@@ -101,7 +105,7 @@ class TestInitialState:
 class TestEvolveCorrelations:
     def test_identity_maps_leave_state_alone(self):
         c0 = CorrelationState.diagonal(-0.9, -0.8, -0.7)
-        out = evolve_correlations(c0, undriven_coefficients(), undriven_coefficients())
+        out = evolve_correlations(c0, undriven(), undriven())
         assert np.array_equal(out.tensor, c0.tensor)
         assert out.imag_residue == 0.0
 
@@ -111,7 +115,7 @@ class TestEvolveCorrelations:
         t = 60.0  # angle saturated at omega0/gamma_p = pi
         m1 = coefficient_map(p, t)
         c0 = CorrelationState.diagonal(-1.0, -1.0, -1.0)
-        out = evolve_correlations(c0, m1, undriven_coefficients())
+        out = evolve_correlations(c0, m1, undriven())
         assert np.abs(out.tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
 
     def test_x_quarter_turn_on_both_qubits(self):
@@ -126,13 +130,13 @@ class TestEvolveCorrelations:
         t[1, 0] = 0.05
         bad = CorrelationState(t, np.zeros(3), np.zeros(3))
         with pytest.raises(NonDiagonalInput):
-            evolve_correlations(bad, undriven_coefficients(), undriven_coefficients())
+            evolve_correlations(bad, undriven(), undriven())
 
     def test_literal_map_records_imaginary_residue(self):
         p = PulseSpec.rectangular(1.0, duration=10.0, delta=1.0)
         m = coefficient_map(p, 2.0, CoefficientMode.LITERAL)
         c0 = CorrelationState.diagonal(-1.0, -1.0, -1.0)
-        out = evolve_correlations(c0, m, undriven_coefficients(CoefficientMode.LITERAL))
+        out = evolve_correlations(c0, m, undriven(CoefficientMode.LITERAL))
         assert out.imag_residue > 1e-3
         assert np.isreal(out.tensor).all()
 

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsepair.errors import NonHermitianInput
+from pulsepair import entanglement, pauli
+from pulsepair.errors import ConvergenceFailure, NonHermitianInput
 from pulsepair.pauli import (
     IDENTITY2,
     PAULIS,
@@ -16,6 +20,8 @@ from pulsepair.pauli import (
     hermitian_eigenvalues_batch,
     kron,
 )
+from pulsepair.pulses import CoefficientMode
+from pulsepair.scenarios import paper_figure_presets, run_sweep
 
 import oracles
 
@@ -86,6 +92,81 @@ def test_batch_result_is_bitwise_independent_of_batch_composition():
     batched = hermitian_eigenvalues_batch(mats)
     solo = np.array([hermitian_eigenvalues(m) for m in mats])
     assert np.array_equal(batched, solo)
+
+
+def _random_hermitian(seed, count, n=4):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+
+
+def _solo_sweeps(m, monkeypatch) -> int:
+    """Jacobi sweeps that one matrix takes when it is solved alone."""
+    rotations = []
+    rotate = pauli._jacobi_rotate
+    with monkeypatch.context() as patch:
+        patch.setattr(pauli, "_jacobi_rotate", lambda a, p, q: (rotations.append(p), rotate(a, p, q)))
+        hermitian_eigenvalues(m)
+    n = len(m)
+    return len(rotations) // (n * (n - 1) // 2)
+
+
+def _mixed_batch(monkeypatch):
+    """Diagonal, Werner partial-transpose and random rows, with their solo sweep counts."""
+    diagonal = np.stack([np.diag(d) for d in ([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 1.0, 1.0])])
+    werner = np.stack(
+        [oracles.partial_transpose_second(oracles.bell_diagonal_rho((-p, -p, -p))) for p in (1.0, 0.6, 0.2)]
+    )
+    mats = np.concatenate([diagonal, werner, _random_hermitian(1, 8)])
+    return mats, [_solo_sweeps(m, monkeypatch) for m in mats]
+
+
+def test_mixed_convergence_batch_matches_solo_solves_bit_for_bit(monkeypatch):
+    mats, sweeps = _mixed_batch(monkeypatch)
+    assert sweeps[:5] == [0, 0, 1, 1, 1]
+    assert set(sweeps[5:]) == {4, 5}
+    batched = hermitian_eigenvalues_batch(mats)
+    for m, row in zip(mats, batched):
+        assert row.tobytes() == hermitian_eigenvalues(m).tobytes()
+
+
+def _fig1b_literal_partial_transposes(monkeypatch) -> np.ndarray:
+    stacks = []
+    solve = entanglement.hermitian_eigenvalues_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(entanglement, "hermitian_eigenvalues_batch", lambda ms: (stacks.append(np.array(ms)), solve(ms))[1])
+        run_sweep(dataclasses.replace(paper_figure_presets()["fig1b"], mode=CoefficientMode.LITERAL))
+    (stack,) = stacks
+    return stack
+
+
+PINNED_EIGENVALUE_DIGEST = "51e25f40e61196a8aa98b50ea9b92c0a6b83a86607c6895421f24f8e7f0f2dd4"
+
+
+def test_eigenvalue_bytes_are_pinned(monkeypatch):
+    # Recorded with the solver of commit 0a231fa, which rotated converged
+    # matrices by the identity instead of dropping them from the batch; the
+    # bytes depend on this numpy build's complex abs, as the preset digests do.
+    mats = np.concatenate([_random_hermitian(2000, 2000), _fig1b_literal_partial_transposes(monkeypatch)])
+    assert mats.shape == (4403, 4, 4)
+    digest = hashlib.sha256(hermitian_eigenvalues_batch(mats).tobytes()).hexdigest()
+    assert digest == PINNED_EIGENVALUE_DIGEST
+
+
+def test_convergence_failure_when_only_the_slowest_row_is_left(monkeypatch):
+    mats, sweeps = _mixed_batch(monkeypatch)
+    slowest = max(sweeps)
+    assert sweeps.count(slowest) == 1
+    expected = hermitian_eigenvalues_batch(mats)
+    monkeypatch.setattr(pauli, "_MAX_SWEEPS", slowest - 1)
+    with pytest.raises(ConvergenceFailure):
+        hermitian_eigenvalues_batch(mats)
+    monkeypatch.setattr(pauli, "_MAX_SWEEPS", slowest)
+    assert hermitian_eigenvalues_batch(mats).tobytes() == expected.tobytes()
+
+
+def test_empty_batch_gives_empty_rows():
+    assert hermitian_eigenvalues_batch(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
 def test_rows_come_out_sorted_and_trace_is_preserved():

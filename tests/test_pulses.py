@@ -11,11 +11,8 @@ from pulsepair.pulses import (
     coefficient_map,
     coefficient_map_batch,
     envelope,
-    exp_coefficients,
     pulse_angle,
-    rect_coefficients,
     rotation_matrix,
-    undriven_coefficients,
 )
 
 import oracles
@@ -126,7 +123,7 @@ class TestRectIntermediates:
         # c_plus(0) = 1 exactly: the two prefactors average to one, so the
         # A row starts at (1, 0, 0) and the B row at zero
         for delta in (0.0, 0.7, -2.5):
-            m = rect_coefficients(PulseSpec.rectangular(1.3, 4.0, delta=delta), 0.0, LITERAL)
+            m = coefficient_map(PulseSpec.rectangular(1.3, 4.0, delta=delta), 0.0, LITERAL)
             assert np.array_equal(m.matrix[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_rows_follow_stated_forms(self):
@@ -135,7 +132,7 @@ class TestRectIntermediates:
             om = rng.uniform(0.05, 4.0)
             dl = rng.uniform(-4.0, 4.0)
             t = rng.uniform(0.0, 20.0)
-            m = rect_coefficients(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, LITERAL)
+            m = coefficient_map(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, LITERAL)
             om1 = math.hypot(om, dl)
             cos, sin = math.cos(om1 * t), math.sin(om1 * t)
             c_plus = 0.5 * ((om / om1) ** 2 + (dl**2 + om1**2) / om1**2 * cos) + 1j * dl / om1 * sin
@@ -146,24 +143,20 @@ class TestRectIntermediates:
     def test_window_enforced(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
         with pytest.raises(OutOfWindow):
-            rect_coefficients(p, 1.5, LITERAL)
+            coefficient_map(p, 1.5, LITERAL)
         with pytest.raises(OutOfWindow):
-            rect_coefficients(p, -0.1, LITERAL)
-
-    def test_requires_rectangular(self):
-        with pytest.raises(ValueError):
-            rect_coefficients(PulseSpec.exponential(1.0, 1.0), 0.5, LITERAL)
+            coefficient_map(p, -0.1, LITERAL)
 
 
 class TestRectCoefficients:
     def test_full_cycle_is_identity(self):
         t = 2.0 * math.pi
-        m = rect_coefficients(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
+        m = coefficient_map(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
         assert np.abs(m.matrix - np.eye(3)).max() < 1e-12
 
     def test_resonant_quarter_cycle_d_row(self):
         t = math.pi / 2.0
-        m = rect_coefficients(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
+        m = coefficient_map(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
         assert np.abs(m.d_row - np.array([0.0, 1.0, 0.0])).max() < 1e-12
 
     def test_detuned_half_turn_anchor(self):
@@ -171,7 +164,7 @@ class TestRectCoefficients:
         om = 1.0
         om1 = math.hypot(om, om)
         t = math.pi / om1
-        m = rect_coefficients(PulseSpec.rectangular(om, duration=t, delta=om), t, UNITARY)
+        m = coefficient_map(PulseSpec.rectangular(om, duration=t, delta=om), t, UNITARY)
         expected = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
         assert np.abs(m.matrix.real - expected).max() < 1e-12
         oracle = oracles.heisenberg_rotation(oracles.rect_propagator(om, om, t))
@@ -183,7 +176,7 @@ class TestRectCoefficients:
             om = rng.uniform(0.05, 4.0)
             dl = rng.uniform(-4.0, 4.0)
             t = rng.uniform(0.0, 20.0)
-            m = rect_coefficients(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, UNITARY)
+            m = coefficient_map(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, UNITARY)
             oracle = oracles.heisenberg_rotation(oracles.rect_propagator(om, dl, t))
             assert np.abs(m.matrix.real - oracle).max() < 1e-11
 
@@ -193,7 +186,7 @@ class TestRectCoefficients:
             om = rng.uniform(0.05, 4.0)
             dl = rng.uniform(-4.0, 4.0)
             t = rng.uniform(0.0, 20.0)
-            m = rect_coefficients(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, UNITARY)
+            m = coefficient_map(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, UNITARY)
             om1 = math.hypot(om, dl)
             d = np.array(
                 [
@@ -209,14 +202,14 @@ class TestRectCoefficients:
         period = 2.0 * math.pi / om
         p = PulseSpec.rectangular(om, duration=40.0)
         for t in (0.3, 1.1, 2.9):
-            a = rect_coefficients(p, t, UNITARY).matrix
-            b = rect_coefficients(p, t + period, UNITARY).matrix
+            a = coefficient_map(p, t, UNITARY).matrix
+            b = coefficient_map(p, t + period, UNITARY).matrix
             assert np.abs(a - b).max() < 1e-10
 
     def test_zero_drive_gives_identity(self):
-        m = rect_coefficients(PulseSpec.rectangular(0.0, duration=1.0), 0.7, UNITARY)
+        m = coefficient_map(PulseSpec.rectangular(0.0, duration=1.0), 0.7, UNITARY)
         assert np.array_equal(m.matrix, np.eye(3))
-        m = rect_coefficients(PulseSpec.rectangular(0.0, duration=1.0), 0.7, LITERAL)
+        m = coefficient_map(PulseSpec.rectangular(0.0, duration=1.0), 0.7, LITERAL)
         assert np.array_equal(m.matrix, np.eye(3))
 
     def test_literal_shares_a_and_d_rows_with_unitary(self):
@@ -226,8 +219,8 @@ class TestRectCoefficients:
             dl = rng.uniform(-4.0, 4.0)
             t = rng.uniform(0.0, 20.0)
             p = PulseSpec.rectangular(om, duration=25.0, delta=dl)
-            lit = rect_coefficients(p, t, LITERAL)
-            uni = rect_coefficients(p, t, UNITARY)
+            lit = coefficient_map(p, t, LITERAL)
+            uni = coefficient_map(p, t, UNITARY)
             assert np.abs(lit.a_row - uni.a_row).max() < 1e-12
             assert np.abs(lit.d_row - uni.d_row).max() < 1e-12
             assert np.isfinite(lit.matrix).all()
@@ -235,7 +228,7 @@ class TestRectCoefficients:
     def test_literal_b_row_structure(self):
         # the printed relations tie the whole B row to B_x and A_z
         p = PulseSpec.rectangular(1.0, duration=10.0, delta=0.8)
-        m = rect_coefficients(p, 2.3, LITERAL)
+        m = coefficient_map(p, 2.3, LITERAL)
         assert m.b_row[1] == 1j * m.b_row[0]
         assert m.b_row[2] == -1j * m.a_row[2]
         assert abs(m.b_row[2].imag) > 1e-3  # genuinely complex when detuned
@@ -243,33 +236,33 @@ class TestRectCoefficients:
 
 class TestExpCoefficients:
     def test_time_zero_is_identity(self):
-        m = exp_coefficients(PulseSpec.exponential(5.0, 1.0), 0.0, UNITARY)
+        m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 0.0, UNITARY)
         assert np.abs(m.matrix - np.eye(3)).max() == 0.0
 
     def test_long_time_d_row_saturates(self):
-        m = exp_coefficients(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
+        m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
         expected = np.array([0.0, math.sin(5.0), math.cos(5.0)])
         assert np.abs(m.d_row.real - expected).max() < 1e-12
 
     def test_two_parameter_sets_reaching_the_same_angle(self):
         # ratio 10 at gamma t = ln 2 accumulates the same 5 rad as ratio 5
         # fully decayed
-        late = exp_coefficients(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
-        half = exp_coefficients(PulseSpec.exponential(10.0, 1.0), math.log(2.0), UNITARY)
+        late = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
+        half = coefficient_map(PulseSpec.exponential(10.0, 1.0), math.log(2.0), UNITARY)
         assert np.abs(late.matrix - half.matrix).max() < 1e-12
 
     def test_unitary_is_x_rotation_by_pulse_angle(self):
         p = PulseSpec.exponential(3.0, 0.8)
         for t in (0.1, 0.9, 4.0):
             lam = pulse_angle(p, t)
-            m = exp_coefficients(p, t, UNITARY)
+            m = coefficient_map(p, t, UNITARY)
             assert np.abs(m.matrix.real - rotation_matrix((1, 0, 0), lam)).max() < 1e-14
             oracle = oracles.heisenberg_rotation(oracles.exp_propagator(3.0, 0.8, t))
             assert np.abs(m.matrix.real - oracle).max() < 1e-12
 
     def test_intermediates_follow_stated_forms(self):
         p = PulseSpec.exponential(2.0, 1.0)
-        m = exp_coefficients(p, 0.7, LITERAL)
+        m = coefficient_map(p, 0.7, LITERAL)
         lam = pulse_angle(p, 0.7)
         c_plus = 0.5 * (1.0 + math.cos(lam))
         c_minus = 0.5 * (1.0 - math.cos(lam))
@@ -278,17 +271,17 @@ class TestExpCoefficients:
         assert np.abs(m.d_row - [0.0, math.sin(lam), math.cos(lam)]).max() < 1e-15
 
     def test_literal_map_is_real_on_resonance(self):
-        m = exp_coefficients(PulseSpec.exponential(5.0, 1.0), 1.3, LITERAL)
+        m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1.3, LITERAL)
         assert np.abs(m.matrix.imag).max() == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(OutOfWindow):
-            exp_coefficients(PulseSpec.exponential(1.0, 1.0), -0.2)
+            coefficient_map(PulseSpec.exponential(1.0, 1.0), -0.2)
 
 
 def test_undriven_map_is_identity_in_both_modes():
     for mode in (UNITARY, LITERAL):
-        m = undriven_coefficients(mode)
+        m = coefficient_map(PulseSpec.none(), 0.0, mode)
         assert np.array_equal(m.matrix, np.eye(3))
         assert np.linalg.det(m.matrix.real) == 1.0
 
