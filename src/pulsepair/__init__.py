@@ -18,13 +18,11 @@ from .entanglement import (
     classify_werner,
     negativity,
     negativity_batch,
-    negativity_of_state,
     partial_transpose_b,
 )
 from .errors import (
     ConvergenceFailure,
     InvalidConfig,
-    NonDiagonalInput,
     NonHermitianInput,
     OutOfWindow,
     PulsePairError,
@@ -35,23 +33,17 @@ from .errors import (
     UnphysicalState,
 )
 from .evolution import (
-    CorrelationState,
     InitialState,
     adjoint_rotation,
-    assemble_density,
-    correlations_from_density,
-    evolve_correlations,
     evolve_state,
     unitary_oracle,
 )
 from .config import format_config, parse_config
 from .pulses import (
-    CoefficientMatrix,
     CoefficientMode,
     PulseShape,
     PulseSpec,
     coefficient_map,
-    envelope,
     pulse_angle,
 )
 from .scenarios import (

@@ -16,10 +16,12 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import parse_config
-from .entanglement import negativity_of_state
+from .entanglement import negativity
 from .errors import InvalidConfig, PulsePairError, UnknownPreset, UnphysicalState
-from .evolution import InitialState
+from .evolution import InitialState, assemble_density_batch
 from .pulses import CoefficientMode
 from .scenarios import SweepConfig, paper_figure_presets, run_sweep
 from .validation import VALIDATION_NOTES, run_validation
@@ -127,7 +129,7 @@ def cmd_preset(args: argparse.Namespace) -> int:
 
 def cmd_negativity(args: argparse.Namespace) -> int:
     state = InitialState.generalized_werner(args.cxx, args.cyy, args.czz)
-    result = negativity_of_state(state.state())
+    result = negativity(assemble_density_batch(np.diag(state.correlations)))
     for i, mu in enumerate(result.eigenvalues, start=1):
         print(f"mu_{i} = {mu:.12f}")
     print(f"E = {result.value:.12f}")

@@ -15,14 +15,13 @@ import numpy as np
 
 from .errors import TraceNotOne
 from .pauli import hermitian_eigenvalues, hermitian_eigenvalues_batch
-from .evolution import CorrelationState, assemble_density
+from .evolution import assemble_density_batch
 
 __all__ = [
     "WernerClass",
     "NegativityResult",
     "partial_transpose_b",
     "negativity",
-    "negativity_of_state",
     "negativity_batch",
     "classify_werner",
 ]
@@ -43,14 +42,12 @@ class NegativityResult:
     """Eigenvalues mu_i of the partial transpose plus the measure built from them.
 
     ``value`` is clamped to zero below CLAMP_TOL; ``raw_value`` is the
-    unclamped sum; ``imag_residue`` carries the LITERAL-mode diagnostic of
-    whatever evolution produced the state (0.0 otherwise).
+    unclamped sum.
     """
 
     eigenvalues: tuple[float, float, float, float]
     value: float
     raw_value: float
-    imag_residue: float = 0.0
 
 
 def partial_transpose_b(rho) -> np.ndarray:
@@ -79,7 +76,7 @@ def _spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.abs(mu).sum(axis=1) - 1.0
 
 
-def negativity(rho, imag_residue: float = 0.0) -> NegativityResult:
+def negativity(rho) -> NegativityResult:
     """Negativity of a Hermitian unit-trace 4x4 density matrix.
 
     Raises TraceNotOne if the trace is off by more than 1e-9 and
@@ -90,13 +87,7 @@ def negativity(rho, imag_residue: float = 0.0) -> NegativityResult:
         eigenvalues=tuple(float(v) for v in mu[0]),
         value=float(_clamp(raw[0])),
         raw_value=float(raw[0]),
-        imag_residue=imag_residue,
     )
-
-
-def negativity_of_state(state: CorrelationState) -> NegativityResult:
-    """Assemble the state's density matrix and measure its negativity."""
-    return negativity(assemble_density(state), imag_residue=state.imag_residue)
 
 
 def negativity_batch(rhos) -> np.ndarray:
@@ -120,7 +111,7 @@ def classify_werner(x: float) -> WernerClass:
     positive.  The boundary between entangled and separable sits at
     x = -1/3 in this parametrization.
     """
-    rho = assemble_density(CorrelationState.diagonal(x, x, x))
+    rho = assemble_density_batch(np.diag([x, x, x]))
     if hermitian_eigenvalues(rho)[0] < -_PHYSICAL_TOL:
         return WernerClass.UNPHYSICAL
     if negativity(rho).value > CLAMP_TOL:

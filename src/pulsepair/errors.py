@@ -21,10 +21,6 @@ class ResonanceRequired(PulsePairError):
     """Exponential drives are only defined on resonance (delta = 0)."""
 
 
-class NonDiagonalInput(PulsePairError):
-    """Initial correlation data must be diagonal with zero Bloch vectors."""
-
-
 class ConvergenceFailure(PulsePairError, ArithmeticError):
     """An iterative solver stopped before meeting its tolerance."""
 

@@ -29,18 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDiagonalInput, OutOfWindow, StepTooLarge, UnphysicalState
+from .errors import OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
-from .pulses import CoefficientMatrix, CoefficientMode, PulseShape, PulseSpec, coefficient_map, pulse_angle
+from .pulses import CoefficientMode, PulseShape, PulseSpec, coefficient_map_batch, pulse_angle
 
 __all__ = [
-    "CorrelationState",
     "InitialState",
-    "evolve_correlations",
     "evolve_correlations_batch",
-    "assemble_density",
     "assemble_density_batch",
-    "correlations_from_density",
     "correlations_from_density_batch",
     "adjoint_rotation",
     "unitary_oracle",
@@ -50,7 +46,6 @@ __all__ = [
     "RK4_DEFAULT_STEP",
 ]
 
-DIAG_TOL = 1e-12
 RK4_DEFAULT_STEP = 1e-3
 # step-matrix cells per RK4 block: a block holds max(1, this // pairs) steps
 _RK4_BLOCK_CELLS = 4096
@@ -64,56 +59,6 @@ _PA = np.array([kron(s, IDENTITY2) for s in PAULIS])
 _PB = np.array([kron(IDENTITY2, s) for s in PAULIS])
 _I4 = np.eye(4, dtype=np.complex128)
 _PAULIS = np.array(PAULIS)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class CorrelationState:
-    """Fano form of a two-qubit state: correlation tensor plus Bloch vectors.
-
-    ``imag_residue`` is the diagnostic carried along by LITERAL-mode
-    evolution: the largest imaginary magnitude that was discarded when the
-    tensor was forced real.  It is 0.0 for anything built by UNITARY-mode
-    evolution or by hand.
-    """
-
-    tensor: np.ndarray
-    bloch_a: np.ndarray
-    bloch_b: np.ndarray
-    imag_residue: float = 0.0
-
-    def __post_init__(self):
-        t = np.array(self.tensor, dtype=float)
-        if t.shape != (3, 3):
-            raise ValueError(f"correlation tensor must be 3x3, got {t.shape}")
-        a = np.array(self.bloch_a, dtype=float)
-        b = np.array(self.bloch_b, dtype=float)
-        if a.shape != (3,) or b.shape != (3,):
-            raise ValueError("Bloch vectors must have three components")
-        object.__setattr__(self, "tensor", _readonly(t))
-        object.__setattr__(self, "bloch_a", _readonly(a))
-        object.__setattr__(self, "bloch_b", _readonly(b))
-
-    @classmethod
-    def diagonal(cls, c_xx: float, c_yy: float, c_zz: float) -> "CorrelationState":
-        """Bell-diagonal state with zero Bloch vectors (no physicality check)."""
-        return cls(np.diag([c_xx, c_yy, c_zz]), np.zeros(3), np.zeros(3))
-
-    def diagonal_values(self) -> tuple[float, float, float]:
-        d = np.diagonal(self.tensor)
-        return float(d[0]), float(d[1]), float(d[2])
-
-    def is_diagonal(self, tol: float = DIAG_TOL) -> bool:
-        off = self.tensor - np.diag(np.diagonal(self.tensor))
-        return (
-            np.abs(off).max() <= tol
-            and np.abs(self.bloch_a).max() <= tol
-            and np.abs(self.bloch_b).max() <= tol
-        )
 
 
 def _bell_diagonal_rho_eigenvalues(c: tuple[float, float, float]) -> tuple[float, ...]:
@@ -160,9 +105,6 @@ class InitialState:
             raise UnphysicalState(f"correlations {c} give a negative density eigenvalue")
         return cls("genwerner", c)
 
-    def state(self) -> CorrelationState:
-        return CorrelationState.diagonal(*self.correlations)
-
 
 def _diagonal_tensors(diagonals) -> np.ndarray:
     """(S, 3, 3) real tensors diag(c) of an (S, 3) array of diagonals."""
@@ -192,32 +134,9 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
     return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
 
 
-def evolve_correlations(
-    c0: CorrelationState, m1: CoefficientMatrix, m2: CoefficientMatrix
-) -> CorrelationState:
-    """Evolve one diagonal state (see evolve_correlations_batch); the residue goes on the result."""
-    if not c0.is_diagonal():
-        raise NonDiagonalInput("initial state must be diagonal with zero Bloch vectors")
-    tensors, residues = evolve_correlations_batch(
-        np.diagonal(c0.tensor)[None], m1.matrix[None], m2.matrix[None]
-    )
-    return CorrelationState(tensors[0, 0], np.zeros(3), np.zeros(3), float(residues[0]))
-
-
-def assemble_density_batch(tensors, bloch_a=(0.0,) * 3, bloch_b=(0.0,) * 3) -> np.ndarray:
-    """Density matrices rho = (1/4)(I + Bloch terms + sum_kl C_kl sigma_k x sigma_l).
-
-    Tensors of shape (..., 3, 3) and Bloch vectors of shape (..., 3), zero
-    by default, give densities of shape (..., 4, 4).
-    """
-    rho = _I4 + np.einsum("...k,kij->...ij", bloch_a, _PA)
-    rho = rho + np.einsum("...l,lij->...ij", bloch_b, _PB)
-    return 0.25 * (rho + np.einsum("...kl,klij->...ij", tensors, _PP))
-
-
-def assemble_density(state: CorrelationState) -> np.ndarray:
-    """Density matrix of one Fano-form state (see assemble_density_batch)."""
-    return assemble_density_batch(state.tensor, state.bloch_a, state.bloch_b)
+def assemble_density_batch(tensors) -> np.ndarray:
+    """Zero-Bloch densities rho = (1/4)(I + sum_kl C_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4, 4)."""
+    return 0.25 * (_I4 + np.einsum("...kl,klij->...ij", tensors, _PP))
 
 
 def correlations_from_density_batch(rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,18 +144,11 @@ def correlations_from_density_batch(rhos) -> tuple[np.ndarray, np.ndarray, np.nd
 
     C_kl = trace(rho . sigma_k x sigma_l), a_k = trace(rho . sigma_k x I), b_l
     likewise: complex, with zero imaginary parts for Hermitian input.
-    Round-trips exactly with assemble_density_batch.
+    C round-trips with assemble_density_batch.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     pairs = (("kl", _PP), ("k", _PA), ("k", _PB))
     return tuple(np.einsum(f"...ij,{k}ji->...{k}", rhos, basis) for k, basis in pairs)
-
-
-def correlations_from_density(rho) -> CorrelationState:
-    """Fano data of one 4x4 density, imaginary parts folded into the residue (see the batch form)."""
-    parts = correlations_from_density_batch(rho)
-    residue = max(float(np.abs(x.imag).max()) for x in parts)
-    return CorrelationState(*(x.real.copy() for x in parts), residue)
 
 
 def adjoint_rotation(u) -> np.ndarray:
@@ -390,13 +302,17 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
 
 
 def evolve_state(
-    c0: CorrelationState,
+    c,
     pulse_a: PulseSpec,
     pulse_b: PulseSpec,
     t: float,
     mode: CoefficientMode = CoefficientMode.UNITARY,
-) -> CorrelationState:
-    """Evolve a diagonal initial state under two independent drives to time t."""
-    m1 = coefficient_map(pulse_a, t, mode)
-    m2 = coefficient_map(pulse_b, t, mode)
-    return evolve_correlations(c0, m1, m2)
+) -> tuple[np.ndarray, float]:
+    """Evolve the diagonal correlations c = (c_xx, c_yy, c_zz) under two drives to time t.
+
+    Returns C~ (3, 3) and its discarded imaginary residue (see evolve_correlations_batch).
+    """
+    m1 = coefficient_map_batch(pulse_a, [t], mode)
+    m2 = coefficient_map_batch(pulse_b, [t], mode)
+    tensors, residues = evolve_correlations_batch([c], m1, m2)
+    return tensors[0, 0], float(residues[0])

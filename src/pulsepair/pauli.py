@@ -12,9 +12,11 @@ is deliberately not used here so that tests can treat it as an independent
 cross-check rather than the implementation itself.  A batch is held as
 (n, n, N), so each row a rotation touches is one contiguous block, and a
 matrix leaves the batch at the start of the first sweep that finds it
-converged.  A batch that has not converged after _MAX_SWEEPS sweeps raises
-ConvergenceFailure, a PulsePairError that the command line reports with
-exit code 1.
+converged.  A rotation whose off-diagonal entry is lost in floating point
+next to both of its diagonal entries is skipped, so a degenerate spectrum
+does not stall the iteration on rounding noise.  A batch that has not
+converged after _MAX_SWEEPS sweeps raises ConvergenceFailure, a
+PulsePairError that the command line reports with exit code 1.
 """
 
 import numpy as np
@@ -114,13 +116,18 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     """
     apq = a[p, q]
     r = np.abs(apq)
-    # complex / r overflows to NaN for subnormal r, far below any tolerance
-    big = r >= np.finfo(float).tiny
+    app, aqq = a[p, p].real, a[q, q].real
+    abs_pp, abs_qq, g = np.abs(app), np.abs(aqq), 100.0 * r
+    # complex / r overflows to NaN for subnormal r, far below any tolerance;
+    # an a_pq lost next to both |a_pp| and |a_qq| is skipped (the threshold
+    # rule of cyclic Jacobi codes), else equal diagonals turn rounding noise
+    # into a 45-degree rotation every sweep
+    big = (r >= np.finfo(float).tiny) & ((abs_pp + g != abs_pp) | (abs_qq + g != abs_qq))
     if not big.any():
         return
     safe_r = np.where(big, r, 1.0)
     u = np.where(big, apq / safe_r, 1.0)
-    tau = (a[q, q].real - a[p, p].real) / np.where(big, 2.0 * safe_r, 1.0)
+    tau = (aqq - app) / np.where(big, 2.0 * safe_r, 1.0)
     root = np.sqrt(1.0 + tau * tau)
     # smaller-magnitude root of t^2 + 2 tau t - 1 = 0 keeps rotations mild;
     # the sign form avoids a division by zero when |tau| overflows root

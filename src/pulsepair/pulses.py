@@ -1,4 +1,4 @@
-"""Pulse envelopes and per-qubit Heisenberg coefficient maps.
+"""Pulse specifications and per-qubit Heisenberg coefficient maps.
 
 A driven qubit evolves in its rotating frame under
 
@@ -56,8 +56,6 @@ __all__ = [
     "PulseShape",
     "CoefficientMode",
     "PulseSpec",
-    "CoefficientMatrix",
-    "envelope",
     "pulse_angle",
     "rotation_matrix",
     "coefficient_map",
@@ -124,42 +122,6 @@ class PulseSpec:
     @classmethod
     def none(cls) -> "PulseSpec":
         return cls(PulseShape.NONE)
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """3x3 Heisenberg map with rows (A; B; D), possibly complex in LITERAL mode."""
-
-    mode: CoefficientMode
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (3, 3):
-            raise ValueError(f"coefficient matrix must be 3x3, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def a_row(self) -> np.ndarray:
-        return self.matrix[0]
-
-    @property
-    def b_row(self) -> np.ndarray:
-        return self.matrix[1]
-
-    @property
-    def d_row(self) -> np.ndarray:
-        return self.matrix[2]
-
-
-def envelope(p: PulseSpec, t: float) -> float:
-    """Pulse envelope f(t): rectangle 1 on [0, T], exponential decay, or 0."""
-    if p.shape is PulseShape.RECTANGULAR:
-        return 1.0 if 0.0 <= t <= p.duration else 0.0
-    if p.shape is PulseShape.EXPONENTIAL:
-        return math.exp(-p.gamma_p * t) if t >= 0.0 else 0.0
-    return 0.0
 
 
 def pulse_angle(p: PulseSpec, t):
@@ -272,6 +234,6 @@ def coefficient_map_batch(
 
 def coefficient_map(
     p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
-) -> CoefficientMatrix:
-    """Coefficient map of any pulse shape at one time t (see coefficient_map_batch)."""
-    return CoefficientMatrix(mode, coefficient_map_batch(p, [t], mode)[0])
+) -> np.ndarray:
+    """Coefficient map (3, 3) complex, rows A, B, D, of any pulse at one time t (see the batch form)."""
+    return coefficient_map_batch(p, [t], mode)[0]

@@ -120,7 +120,7 @@ def _check_d_row_anchor(rng) -> list[CheckResult]:
     for _ in range(1000):
         p, t_raw = _random_pulse(rng)
         t = min(t_raw, p.duration) if p.shape is pulses.PulseShape.RECTANGULAR else t_raw
-        m = pulses.coefficient_map(p, t).matrix.real
+        m = pulses.coefficient_map(p, t).real
         worst = max(worst, float(np.abs(m[2] - _published_d_row(p, t)).max()))
         ortho = max(ortho, float(np.abs(m.T @ m - np.eye(3)).max()))
         ortho = max(ortho, abs(float(np.linalg.det(m)) - 1.0))
@@ -134,7 +134,7 @@ def _check_oracle_triangle(rng) -> list[CheckResult]:
     specs, t_ends = zip(*(_random_pulse(rng) for _ in range(80)))
     rk4 = evolution.rk4_oracle_batch(specs, t_ends, step=1e-3)
     exact = evolution.unitary_oracle_batch(specs, t_ends)
-    analytic = np.array([pulses.coefficient_map(p, t).matrix.real for p, t in zip(specs, t_ends)])
+    analytic = np.array([pulses.coefficient_map(p, t).real for p, t in zip(specs, t_ends)])
     r_exact, r_rk4 = evolution.adjoint_rotation(exact), evolution.adjoint_rotation(rk4)
     pairs = ((analytic, r_exact), (analytic, r_rk4), (r_exact, r_rk4))
     rot_err = max(float(np.abs(a - b).max()) for a, b in pairs)
@@ -162,8 +162,7 @@ def _check_fano_consistency(rng) -> CheckResult:
             p2 = pulses.PulseSpec.rectangular(p2.omega0, duration=t, delta=p2.delta)
         draws.append((p1, p2, t, _random_physical_correlations(rng)))
     p1s, p2s, ts, cs = zip(*draws)
-    states = [evolution.CorrelationState.diagonal(*c) for c in cs]
-    direct = np.array([evolution.evolve_state(s, p1, p2, t).tensor for s, p1, p2, t in zip(states, p1s, p2s, ts)])
+    direct = np.array([evolution.evolve_state(c, p1, p2, t)[0] for c, p1, p2, t in zip(cs, p1s, p2s, ts)])
     u = evolution.unitary_oracle_batch(p1s + p2s, ts + ts)
     u12 = np.einsum("nij,nkl->nikjl", u[:500], u[500:]).reshape(500, 4, 4)
     # the coefficient map substitutes evolved operators into the

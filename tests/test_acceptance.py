@@ -21,20 +21,23 @@ import pytest
 
 import oracles
 from pulsepair import cli
-from pulsepair.entanglement import negativity, negativity_batch, negativity_of_state
+from pulsepair.entanglement import negativity, negativity_batch
 from pulsepair.evolution import (
-    CorrelationState,
     InitialState,
     adjoint_rotation,
-    assemble_density,
+    assemble_density_batch,
     rk4_oracle_batch,
     unitary_oracle,
 )
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
 from pulsepair.scenarios import paper_figure_presets, run_sweep
-from pulsepair.validation import VALIDATION_NOTES
+from pulsepair.validation import VALIDATION_NOTES, _random_pulse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def diagonal_negativity(c) -> float:
+    return negativity(assemble_density_batch(np.diag(c))).value
 
 
 def report(capsys, name: str, passed: bool, detail: str) -> None:
@@ -45,7 +48,7 @@ def report(capsys, name: str, passed: bool, detail: str) -> None:
 
 def test_pinned_reference_values(capsys):
     start = time.perf_counter()
-    singlet = negativity_of_state(InitialState.bell_singlet().state()).value
+    singlet = diagonal_negativity(InitialState.bell_singlet().correlations)
     singlet_err = abs(singlet - 1.0)
 
     result = run_sweep(paper_figure_presets()["fig1a"])
@@ -92,13 +95,13 @@ def test_rotation_row_closed_forms(capsys):
                 (omega**2 * math.cos(phase) + delta**2) / om1**2,
             ]
         )
-        got = coefficient_map(rect, t, CoefficientMode.UNITARY).matrix.real[2]
+        got = coefficient_map(rect, t, CoefficientMode.UNITARY).real[2]
         worst = max(worst, float(np.abs(got - d_rect).max()))
 
         pulse = PulseSpec.exponential(omega, gamma)
         lam = (omega / gamma) * (1.0 - math.exp(-gamma * t))
         d_exp = np.array([0.0, math.sin(lam), math.cos(lam)])
-        got = coefficient_map(pulse, t, CoefficientMode.UNITARY).matrix.real[2]
+        got = coefficient_map(pulse, t, CoefficientMode.UNITARY).real[2]
         worst = max(worst, float(np.abs(got - d_exp).max()))
     elapsed = time.perf_counter() - start
 
@@ -116,27 +119,13 @@ def test_rotation_row_closed_forms(capsys):
 def test_three_way_propagator_agreement(capsys):
     rng = np.random.default_rng(314159)
     start = time.perf_counter()
-    specs = []
-    t_ends = []
-    for _ in range(200):
-        if rng.random() < 0.5:
-            omega = rng.uniform(0.05, 4.0)
-            delta = rng.uniform(-4.0, 4.0) if rng.random() < 0.7 else 0.0
-            t = rng.uniform(0.05, 50.0)
-            specs.append(PulseSpec.rectangular(omega, duration=t, delta=delta))
-        else:
-            # keep h * Omega small enough for the fixed-step integrator to
-            # resolve the fastest oscillation well below the 1e-6 gate
-            gamma = rng.uniform(0.2, 2.0)
-            omega = rng.uniform(0.0, 10.0)
-            t = rng.uniform(0.05, 50.0)
-            specs.append(PulseSpec.exponential(omega, gamma))
-        t_ends.append(t)
+    # the pulse draws of validate's oracle triangle, 200 of them
+    specs, t_ends = zip(*(_random_pulse(rng) for _ in range(200)))
 
-    rk4 = rk4_oracle_batch(specs, np.array(t_ends), step=1e-3)
+    rk4 = rk4_oracle_batch(specs, t_ends, step=1e-3)
     worst = 0.0
     for pulse, t, u_rk4 in zip(specs, t_ends, rk4):
-        analytic = coefficient_map(pulse, t, CoefficientMode.UNITARY).matrix.real
+        analytic = coefficient_map(pulse, t, CoefficientMode.UNITARY).real
         r_exact = adjoint_rotation(unitary_oracle(pulse, t))
         r_rk4 = adjoint_rotation(u_rk4)
         worst = max(worst, float(np.abs(analytic - r_exact).max()))
@@ -159,20 +148,18 @@ def test_negativity_against_independent_diagonalization(capsys):
     rng = np.random.default_rng(4242)
     start = time.perf_counter()
     cs = [oracles.random_physical_c(rng) for _ in range(1000)]
-    rhos = np.stack(
-        [assemble_density(CorrelationState.diagonal(*c)) for c in cs]
-    )
+    rhos = assemble_density_batch(np.array([np.diag(c) for c in cs]))
     ours = negativity_batch(rhos)
     brute = np.array([oracles.brute_negativity(c) for c in cs])
     random_err = float(np.abs(ours - brute).max())
 
-    threshold = negativity_of_state(InitialState.werner(-1.0 / 3.0).state()).value
-    werner = negativity_of_state(InitialState.werner(-0.9).state()).value
+    threshold = diagonal_negativity(InitialState.werner(-1.0 / 3.0).correlations)
+    werner = diagonal_negativity(InitialState.werner(-0.9).correlations)
     werner_err = abs(werner - 0.85)
     # (-0.9, -0.8, -0.6) fails the density-matrix positivity gate, but its
     # partial-transpose arithmetic is still defined; go through the ungated
     # correlation-tensor route to reach the pinned value
-    edge = negativity(assemble_density(CorrelationState.diagonal(-0.9, -0.8, -0.6)))
+    edge = negativity(assemble_density_batch(np.diag([-0.9, -0.8, -0.6])))
     edge_err = abs(edge.value - 0.65)
     elapsed = time.perf_counter() - start
 
@@ -248,7 +235,7 @@ def test_literal_residue_flags_every_departure(capsys):
     for name, cfg in paper_figure_presets().items():
         literal = run_sweep(replace(cfg, mode=CoefficientMode.LITERAL))
         initial = np.array(
-            [negativity_of_state(s.state()).value for s in cfg.initial_states]
+            [diagonal_negativity(s.correlations) for s in cfg.initial_states]
         )
         departed = np.abs(literal.negativities - initial).max(axis=1) > 1e-6
         silent = departed & (literal.residues == 0.0)

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from pulsepair import scenarios
 from pulsepair.config import format_config, parse_config
-from pulsepair.errors import ConvergenceFailure, InvalidConfig, UnphysicalState
+from pulsepair.entanglement import CLAMP_TOL
+from pulsepair.errors import InvalidConfig, UnphysicalState
+from pulsepair.evolution import evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets, run_sweep
 
@@ -196,9 +200,10 @@ def test_any_config_text_gives_finite_rows_or_a_typed_error(text):
 
 # The property test above found this config: a literal-mode sweep of a
 # generalized Werner state with one tiny correlation.  Its partial transposes
-# have two doubly degenerate eigenvalues, so the cyclic Jacobi solver keeps
-# making 45-degree rotations on rounding-level off-diagonals and only halves
-# the off-diagonal norm per sweep; it needs more than _MAX_SWEEPS (40) sweeps.
+# have two doubly degenerate eigenvalues, so rounding-level off-diagonals sit
+# between equal diagonal entries.  The threshold rule in pauli._jacobi_rotate
+# must skip them: a 45-degree rotation on each only halves the off-diagonal
+# norm per sweep, which needs more than _MAX_SWEEPS (40) sweeps.
 DEGENERATE_LITERAL = """\
 family = rect_vs_area
 drive = one_qubit
@@ -208,11 +213,16 @@ grid_stop = 5.0
 grid_points = 51
 detuning_prime_a = 1.0
 rect_omega = 0.0
-initial_states = genwerner:0.0:-1.0:-1e-17
+initial_states = genwerner:0.0:-1.0:{c3}
 """
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason="linear Jacobi convergence on degenerate spectra")
-def test_degenerate_literal_sweep_gives_finite_rows():
-    result = run_sweep(parse_config(DEGENERATE_LITERAL))
+@pytest.mark.parametrize("c3", ["-1e-17", "-1e-30", "-1e-200", "-5.172089916602981e-259"])
+def test_degenerate_literal_sweep_gives_finite_rows(c3):
+    cfg = parse_config(DEGENERATE_LITERAL.format(c3=c3))
+    result = run_sweep(cfg)
     assert np.isfinite(result.negativities).all()
+    diagonals = [s.correlations for s in cfg.initial_states]
+    tensors, _ = evolve_correlations_batch(diagonals, *scenarios._grid_maps(cfg, cfg.grid.values()))
+    raw = oracles.zero_bloch_negativities(tensors)
+    assert np.abs(result.negativities - np.where(raw < CLAMP_TOL, 0.0, raw)).max() < 1e-10

@@ -8,17 +8,16 @@ from pulsepair.entanglement import (
     classify_werner,
     negativity,
     negativity_batch,
-    negativity_of_state,
     partial_transpose_b,
 )
 from pulsepair.errors import NonHermitianInput, TraceNotOne
-from pulsepair.evolution import CorrelationState, InitialState, assemble_density
+from pulsepair.evolution import assemble_density_batch
 
 import oracles
 
 
 def _rho(c):
-    return assemble_density(CorrelationState.diagonal(*c))
+    return assemble_density_batch(np.diag(c))
 
 
 def test_partial_transpose_swaps_second_qubit_indices():
@@ -86,13 +85,6 @@ def test_hermiticity_gate():
     rho[0, 1] += 0.01
     with pytest.raises(NonHermitianInput):
         negativity(rho)
-
-
-def test_negativity_of_state_carries_residue():
-    state = CorrelationState(np.diag([-1.0, -1.0, -1.0]), np.zeros(3), np.zeros(3), 0.125)
-    r = negativity_of_state(state)
-    assert r.imag_residue == 0.125
-    assert abs(r.value - 1.0) < 1e-12
 
 
 def test_batch_is_bitwise_identical_to_scalar():

@@ -12,21 +12,13 @@ from hypothesis import strategies as st
 
 import pulsepair
 from pulsepair import evolution
-from pulsepair.errors import (
-    NonDiagonalInput,
-    OutOfWindow,
-    StepTooLarge,
-    UnphysicalState,
-)
+from pulsepair.errors import OutOfWindow, StepTooLarge, UnphysicalState
 from pulsepair.evolution import (
-    CorrelationState,
     InitialState,
     adjoint_rotation,
-    assemble_density,
     assemble_density_batch,
-    correlations_from_density,
     correlations_from_density_batch,
-    evolve_correlations,
+    evolve_correlations_batch,
     evolve_state,
     rk4_oracle_batch,
     unitary_oracle,
@@ -41,32 +33,21 @@ def undriven(mode=CoefficientMode.UNITARY):
     return coefficient_map(PulseSpec.none(), 0.0, mode)
 
 
-class TestCorrelationState:
-    def test_diagonal_constructor(self):
-        s = CorrelationState.diagonal(-1.0, -0.5, 0.25)
-        assert s.diagonal_values() == (-1.0, -0.5, 0.25)
-        assert s.is_diagonal()
-        assert s.imag_residue == 0.0
-        assert np.array_equal(s.bloch_a, np.zeros(3))
+def evolve_one(c, m1, m2):
+    """C~ and residue of one diagonal state under one pair of maps."""
+    tensors, residues = evolve_correlations_batch([c], m1[None], m2[None])
+    return tensors[0, 0], residues[0]
 
-    def test_tensor_is_read_only(self):
-        s = CorrelationState.diagonal(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            s.tensor[0, 0] = 1.0
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            CorrelationState(np.zeros((2, 2)), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            CorrelationState(np.zeros((3, 3)), np.zeros(2), np.zeros(3))
-
-    def test_is_diagonal_detects_structure(self):
-        t = np.diag([0.1, 0.2, 0.3])
-        t[0, 1] = 1e-3
-        assert not CorrelationState(t, np.zeros(3), np.zeros(3)).is_diagonal()
-        assert not CorrelationState(
-            np.diag([0.1, 0.2, 0.3]), np.array([0.01, 0, 0]), np.zeros(3)
-        ).is_diagonal()
+def fano_density(tensor, bloch_a, bloch_b):
+    """(1/4)(I + a.sigma x I + I x b.sigma + sum_kl C_kl sigma_k x sigma_l), from raw krons."""
+    eye2 = np.eye(2)
+    rho = np.eye(4, dtype=np.complex128)
+    for k, sk in enumerate(oracles.PAULI3):
+        rho += bloch_a[k] * np.kron(sk, eye2) + bloch_b[k] * np.kron(eye2, sk)
+        for l, sl in enumerate(oracles.PAULI3):
+            rho += tensor[k, l] * np.kron(sk, sl)
+    return 0.25 * rho
 
 
 class TestInitialState:
@@ -98,59 +79,56 @@ class TestInitialState:
                 InitialState.generalized_werner(*c)
 
     def test_state_round_trip(self):
-        s = InitialState.generalized_werner(-0.9, -0.8, -0.7).state()
-        assert s.diagonal_values() == (-0.9, -0.8, -0.7)
+        s = InitialState.generalized_werner(-0.9, -0.8, -0.7)
+        assert s.correlations == (-0.9, -0.8, -0.7)
 
 
 class TestEvolveCorrelations:
     def test_identity_maps_leave_state_alone(self):
-        c0 = CorrelationState.diagonal(-0.9, -0.8, -0.7)
-        out = evolve_correlations(c0, undriven(), undriven())
-        assert np.array_equal(out.tensor, c0.tensor)
-        assert out.imag_residue == 0.0
+        c0 = (-0.9, -0.8, -0.7)
+        tensor, residue = evolve_one(c0, undriven(), undriven())
+        assert np.array_equal(tensor, np.diag(c0))
+        assert residue == 0.0
 
     def test_x_half_turn_on_one_qubit(self):
         # rotation about x by pi on qubit a: lambda = pi exponential map
         p = PulseSpec.exponential(math.pi, 1.0)
         t = 60.0  # angle saturated at omega0/gamma_p = pi
-        m1 = coefficient_map(p, t)
-        c0 = CorrelationState.diagonal(-1.0, -1.0, -1.0)
-        out = evolve_correlations(c0, m1, undriven())
-        assert np.abs(out.tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
+        tensor, _ = evolve_one((-1.0, -1.0, -1.0), coefficient_map(p, t), undriven())
+        assert np.abs(tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
 
     def test_x_quarter_turn_on_both_qubits(self):
         p = PulseSpec.exponential(math.pi / 2.0, 1.0)
         m = coefficient_map(p, 60.0)
-        c0 = CorrelationState.diagonal(-0.9, -0.8, -0.6)
-        out = evolve_correlations(c0, m, m)
-        assert np.abs(out.tensor - np.diag([-0.9, -0.6, -0.8])).max() < 1e-12
+        tensor, _ = evolve_one((-0.9, -0.8, -0.6), m, m)
+        assert np.abs(tensor - np.diag([-0.9, -0.6, -0.8])).max() < 1e-12
 
     def test_rejects_non_diagonal_input(self):
+        # an initial state is given by its three diagonal correlations; a
+        # full tensor does not fit that slot
         t = np.diag([0.1, 0.2, 0.3])
         t[1, 0] = 0.05
-        bad = CorrelationState(t, np.zeros(3), np.zeros(3))
-        with pytest.raises(NonDiagonalInput):
-            evolve_correlations(bad, undriven(), undriven())
+        with pytest.raises(ValueError):
+            evolve_state(t, PulseSpec.none(), PulseSpec.none(), 0.0)
 
     def test_literal_map_records_imaginary_residue(self):
         p = PulseSpec.rectangular(1.0, duration=10.0, delta=1.0)
         m = coefficient_map(p, 2.0, CoefficientMode.LITERAL)
-        c0 = CorrelationState.diagonal(-1.0, -1.0, -1.0)
-        out = evolve_correlations(c0, m, undriven(CoefficientMode.LITERAL))
-        assert out.imag_residue > 1e-3
-        assert np.isreal(out.tensor).all()
+        tensor, residue = evolve_one((-1.0, -1.0, -1.0), m, undriven(CoefficientMode.LITERAL))
+        assert residue > 1e-3
+        assert np.isreal(tensor).all()
 
 
 class TestDensityAssembly:
     def test_singlet_density_matrix(self):
-        rho = assemble_density(InitialState.bell_singlet().state())
+        rho = assemble_density_batch(np.diag(InitialState.bell_singlet().correlations))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = expected[2, 2] = 0.5
         expected[1, 2] = expected[2, 1] = -0.5
         assert np.abs(rho - expected).max() < 1e-15
 
     def test_werner_diagonal(self):
-        rho = assemble_density(InitialState.werner(-0.9).state())
+        rho = assemble_density_batch(np.diag(InitialState.werner(-0.9).correlations))
         assert np.allclose(np.diagonal(rho).real, [0.025, 0.475, 0.475, 0.025], atol=1e-15)
         assert abs(np.trace(rho) - 1.0) == 0.0
 
@@ -158,40 +136,40 @@ class TestDensityAssembly:
         rng = np.random.default_rng(17)
         for _ in range(50):
             c = oracles.random_physical_c(rng)
-            ours = assemble_density(CorrelationState.diagonal(*c))
+            ours = assemble_density_batch(np.diag(c))
             assert np.abs(ours - oracles.bell_diagonal_rho(c)).max() < 1e-15
 
     def test_extraction_round_trip(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             c = oracles.random_physical_c(rng)
-            state = CorrelationState.diagonal(*c)
-            back = correlations_from_density(assemble_density(state))
-            assert np.abs(back.tensor - state.tensor).max() < 1e-14
-            assert np.abs(back.bloch_a).max() < 1e-14
-            assert np.abs(back.bloch_b).max() < 1e-14
+            tensor, bloch_a, bloch_b = correlations_from_density_batch(assemble_density_batch(np.diag(c)))
+            assert np.abs(tensor - np.diag(c)).max() < 1e-14
+            assert np.abs(bloch_a).max() < 1e-14
+            assert np.abs(bloch_b).max() < 1e-14
 
     def test_batch_extraction_matches_the_scalar_form(self):
         rng = np.random.default_rng(29)
         tensors = rng.uniform(-1.0, 1.0, size=(6, 3, 3))
         bloch_a, bloch_b = rng.uniform(-1.0, 1.0, size=(2, 6, 3))
-        rhos = assemble_density_batch(tensors, bloch_a, bloch_b)
+        rhos = np.array([fano_density(*x) for x in zip(tensors, bloch_a, bloch_b)])
         c, a, b = correlations_from_density_batch(rhos)
         assert c.shape == (6, 3, 3) and a.shape == b.shape == (6, 3)
         assert np.abs(c - tensors).max() < 1e-14
         assert np.abs(a - bloch_a).max() < 1e-14 and np.abs(b - bloch_b).max() < 1e-14
         for i, rho in enumerate(rhos):
-            one = correlations_from_density(rho)
-            assert np.array_equal(one.tensor, c[i].real)
-            assert np.array_equal(one.bloch_a, a[i].real) and np.array_equal(one.bloch_b, b[i].real)
+            one = correlations_from_density_batch(rho)
+            assert [x.shape for x in one] == [(3, 3), (3,), (3,)]
+            assert all(np.array_equal(x, y[i]) for x, y in zip(one, (c, a, b)))
 
     def test_extraction_handles_bloch_terms(self):
         # |0><0| x I/2 has a pure z Bloch vector on qubit a
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        state = correlations_from_density(rho)
-        assert np.allclose(state.bloch_a, [0.0, 0.0, 1.0], atol=1e-15)
-        assert np.allclose(state.bloch_b, [0.0, 0.0, 0.0], atol=1e-15)
-        assert np.allclose(state.tensor, np.diag([0.0, 0.0, 0.0]), atol=1e-15)
+        rho = fano_density(np.zeros((3, 3)), [0.0, 0.0, 1.0], np.zeros(3))
+        assert np.array_equal(rho, np.diag([0.5, 0.5, 0.0, 0.0]))
+        tensor, bloch_a, bloch_b = correlations_from_density_batch(rho)
+        assert np.allclose(bloch_a, [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(bloch_b, [0.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(tensor, np.diag([0.0, 0.0, 0.0]), atol=1e-15)
 
 
 class TestAdjointRotation:
@@ -469,17 +447,18 @@ class TestEvolveState:
         # Omega0 t = pi: x rotation by pi on qubit a only
         t = math.pi
         pa = PulseSpec.rectangular(1.0, duration=t)
-        out = evolve_state(InitialState.bell_singlet().state(), pa, PulseSpec.none(), t)
-        assert np.abs(out.tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
+        tensor, residue = evolve_state(InitialState.bell_singlet().correlations, pa, PulseSpec.none(), t)
+        assert np.abs(tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
+        assert residue == 0.0
 
     def test_literal_mode_propagates_residue(self):
         t = 2.0
         pa = PulseSpec.rectangular(1.0, duration=t, delta=1.0)
-        out = evolve_state(
-            InitialState.bell_singlet().state(),
+        _, residue = evolve_state(
+            InitialState.bell_singlet().correlations,
             pa,
             PulseSpec.none(),
             t,
             mode=CoefficientMode.LITERAL,
         )
-        assert out.imag_residue > 1e-6
+        assert residue > 1e-6

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pulsepair.errors import OutOfWindow, ResonanceRequired
+from pulsepair.evolution import rk4_oracle_batch, unitary_oracle
 from pulsepair.pulses import (
     CoefficientMode,
     PulseShape,
     PulseSpec,
     coefficient_map,
     coefficient_map_batch,
-    envelope,
     pulse_angle,
     rotation_matrix,
 )
@@ -51,24 +51,24 @@ class TestPulseSpec:
 
 
 class TestEnvelope:
+    """The envelope f(t) that runs is the drive inside rk4_oracle_batch."""
+
     def test_rectangle_window(self):
-        p = PulseSpec.rectangular(1.0, duration=2.0)
-        assert envelope(p, 1.0) == 1.0
-        assert envelope(p, 0.0) == 1.0
-        assert envelope(p, 2.0) == 1.0
-        assert envelope(p, 2.0001) == 0.0
-        assert envelope(p, -0.5) == 0.0
+        # the drive is off past T = 2, so the last 3 time units are free
+        # precession about z; left on, the result would differ by about 1.18
+        p = PulseSpec.rectangular(1.3, duration=2.0, delta=0.7)
+        free = np.diag(np.exp(-0.5j * 0.7 * 3.0 * np.array([1.0, -1.0])))
+        u = rk4_oracle_batch([p], [5.0])[0]
+        # the step across the edge samples f on both sides: first order there
+        assert np.abs(u - free @ unitary_oracle(p, 2.0)).max() < 1e-3
 
     def test_exponential_decay(self):
-        assert envelope(PulseSpec.exponential(1.0, 1.0), 0.0) == 1.0
-        assert envelope(PulseSpec.exponential(1.0, 2.0), 1.0) == pytest.approx(
-            0.1353352832366127, abs=1e-15
-        )
-        assert envelope(PulseSpec.exponential(1.0, 2.0), -0.1) == 0.0
+        p = PulseSpec.exponential(3.0, 0.8)
+        u = rk4_oracle_batch([p], [4.0])[0]
+        assert np.abs(u - unitary_oracle(p, 4.0)).max() < 1e-9
 
     def test_none_is_identically_zero(self):
-        for t in (-1.0, 0.0, 3.7):
-            assert envelope(PulseSpec.none(), t) == 0.0
+        assert np.array_equal(rk4_oracle_batch([PulseSpec.none()], [3.7])[0], np.eye(2))
 
 
 class TestPulseAngle:
@@ -124,7 +124,7 @@ class TestRectIntermediates:
         # A row starts at (1, 0, 0) and the B row at zero
         for delta in (0.0, 0.7, -2.5):
             m = coefficient_map(PulseSpec.rectangular(1.3, 4.0, delta=delta), 0.0, LITERAL)
-            assert np.array_equal(m.matrix[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            assert np.array_equal(m[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_rows_follow_stated_forms(self):
         rng = np.random.default_rng(24)
@@ -138,7 +138,7 @@ class TestRectIntermediates:
             c_plus = 0.5 * ((om / om1) ** 2 + (dl**2 + om1**2) / om1**2 * cos) + 1j * dl / om1 * sin
             c_minus = 0.5 * (om / om1) ** 2 * (1.0 - cos)
             c_z = dl * om / om1**2 * (1.0 - cos) - 1j * om / om1 * sin
-            assert np.abs(m.matrix[:2] - literal_rows(c_plus, c_minus, c_z)).max() < 1e-12
+            assert np.abs(m[:2] - literal_rows(c_plus, c_minus, c_z)).max() < 1e-12
 
     def test_window_enforced(self):
         p = PulseSpec.rectangular(1.0, duration=1.0)
@@ -152,12 +152,12 @@ class TestRectCoefficients:
     def test_full_cycle_is_identity(self):
         t = 2.0 * math.pi
         m = coefficient_map(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
-        assert np.abs(m.matrix - np.eye(3)).max() < 1e-12
+        assert np.abs(m - np.eye(3)).max() < 1e-12
 
     def test_resonant_quarter_cycle_d_row(self):
         t = math.pi / 2.0
         m = coefficient_map(PulseSpec.rectangular(1.0, duration=t), t, UNITARY)
-        assert np.abs(m.d_row - np.array([0.0, 1.0, 0.0])).max() < 1e-12
+        assert np.abs(m[2] - np.array([0.0, 1.0, 0.0])).max() < 1e-12
 
     def test_detuned_half_turn_anchor(self):
         # delta = omega0, Omega1 t = pi: rotation by pi about (1,0,1)/sqrt(2)
@@ -166,9 +166,9 @@ class TestRectCoefficients:
         t = math.pi / om1
         m = coefficient_map(PulseSpec.rectangular(om, duration=t, delta=om), t, UNITARY)
         expected = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
-        assert np.abs(m.matrix.real - expected).max() < 1e-12
+        assert np.abs(m.real - expected).max() < 1e-12
         oracle = oracles.heisenberg_rotation(oracles.rect_propagator(om, om, t))
-        assert np.abs(m.matrix.real - oracle).max() < 1e-12
+        assert np.abs(m.real - oracle).max() < 1e-12
 
     def test_unitary_map_matches_propagator_oracle(self):
         rng = np.random.default_rng(21)
@@ -178,7 +178,7 @@ class TestRectCoefficients:
             t = rng.uniform(0.0, 20.0)
             m = coefficient_map(PulseSpec.rectangular(om, duration=25.0, delta=dl), t, UNITARY)
             oracle = oracles.heisenberg_rotation(oracles.rect_propagator(om, dl, t))
-            assert np.abs(m.matrix.real - oracle).max() < 1e-11
+            assert np.abs(m.real - oracle).max() < 1e-11
 
     def test_unitary_d_row_equals_published_formulas(self):
         rng = np.random.default_rng(22)
@@ -195,22 +195,22 @@ class TestRectCoefficients:
                     (om / om1) ** 2 * (math.cos(om1 * t) + (dl / om) ** 2),
                 ]
             )
-            assert np.abs(m.d_row.real - d).max() < 1e-12
+            assert np.abs(m[2].real - d).max() < 1e-12
 
     def test_resonant_period_property(self):
         om = 1.7
         period = 2.0 * math.pi / om
         p = PulseSpec.rectangular(om, duration=40.0)
         for t in (0.3, 1.1, 2.9):
-            a = coefficient_map(p, t, UNITARY).matrix
-            b = coefficient_map(p, t + period, UNITARY).matrix
+            a = coefficient_map(p, t, UNITARY)
+            b = coefficient_map(p, t + period, UNITARY)
             assert np.abs(a - b).max() < 1e-10
 
     def test_zero_drive_gives_identity(self):
         m = coefficient_map(PulseSpec.rectangular(0.0, duration=1.0), 0.7, UNITARY)
-        assert np.array_equal(m.matrix, np.eye(3))
+        assert np.array_equal(m, np.eye(3))
         m = coefficient_map(PulseSpec.rectangular(0.0, duration=1.0), 0.7, LITERAL)
-        assert np.array_equal(m.matrix, np.eye(3))
+        assert np.array_equal(m, np.eye(3))
 
     def test_literal_shares_a_and_d_rows_with_unitary(self):
         rng = np.random.default_rng(23)
@@ -221,44 +221,44 @@ class TestRectCoefficients:
             p = PulseSpec.rectangular(om, duration=25.0, delta=dl)
             lit = coefficient_map(p, t, LITERAL)
             uni = coefficient_map(p, t, UNITARY)
-            assert np.abs(lit.a_row - uni.a_row).max() < 1e-12
-            assert np.abs(lit.d_row - uni.d_row).max() < 1e-12
-            assert np.isfinite(lit.matrix).all()
+            assert np.abs(lit[0] - uni[0]).max() < 1e-12
+            assert np.abs(lit[2] - uni[2]).max() < 1e-12
+            assert np.isfinite(lit).all()
 
     def test_literal_b_row_structure(self):
         # the printed relations tie the whole B row to B_x and A_z
         p = PulseSpec.rectangular(1.0, duration=10.0, delta=0.8)
         m = coefficient_map(p, 2.3, LITERAL)
-        assert m.b_row[1] == 1j * m.b_row[0]
-        assert m.b_row[2] == -1j * m.a_row[2]
-        assert abs(m.b_row[2].imag) > 1e-3  # genuinely complex when detuned
+        assert m[1, 1] == 1j * m[1, 0]
+        assert m[1, 2] == -1j * m[0, 2]
+        assert abs(m[1, 2].imag) > 1e-3  # genuinely complex when detuned
 
 
 class TestExpCoefficients:
     def test_time_zero_is_identity(self):
         m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 0.0, UNITARY)
-        assert np.abs(m.matrix - np.eye(3)).max() == 0.0
+        assert np.abs(m - np.eye(3)).max() == 0.0
 
     def test_long_time_d_row_saturates(self):
         m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
         expected = np.array([0.0, math.sin(5.0), math.cos(5.0)])
-        assert np.abs(m.d_row.real - expected).max() < 1e-12
+        assert np.abs(m[2].real - expected).max() < 1e-12
 
     def test_two_parameter_sets_reaching_the_same_angle(self):
         # ratio 10 at gamma t = ln 2 accumulates the same 5 rad as ratio 5
         # fully decayed
         late = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1000.0, UNITARY)
         half = coefficient_map(PulseSpec.exponential(10.0, 1.0), math.log(2.0), UNITARY)
-        assert np.abs(late.matrix - half.matrix).max() < 1e-12
+        assert np.abs(late - half).max() < 1e-12
 
     def test_unitary_is_x_rotation_by_pulse_angle(self):
         p = PulseSpec.exponential(3.0, 0.8)
         for t in (0.1, 0.9, 4.0):
             lam = pulse_angle(p, t)
             m = coefficient_map(p, t, UNITARY)
-            assert np.abs(m.matrix.real - rotation_matrix((1, 0, 0), lam)).max() < 1e-14
+            assert np.abs(m.real - rotation_matrix((1, 0, 0), lam)).max() < 1e-14
             oracle = oracles.heisenberg_rotation(oracles.exp_propagator(3.0, 0.8, t))
-            assert np.abs(m.matrix.real - oracle).max() < 1e-12
+            assert np.abs(m.real - oracle).max() < 1e-12
 
     def test_intermediates_follow_stated_forms(self):
         p = PulseSpec.exponential(2.0, 1.0)
@@ -267,12 +267,12 @@ class TestExpCoefficients:
         c_plus = 0.5 * (1.0 + math.cos(lam))
         c_minus = 0.5 * (1.0 - math.cos(lam))
         rows = literal_rows(complex(c_plus), complex(c_minus), -1j * math.sin(lam))
-        assert np.abs(m.matrix[:2] - rows).max() < 1e-15
-        assert np.abs(m.d_row - [0.0, math.sin(lam), math.cos(lam)]).max() < 1e-15
+        assert np.abs(m[:2] - rows).max() < 1e-15
+        assert np.abs(m[2] - [0.0, math.sin(lam), math.cos(lam)]).max() < 1e-15
 
     def test_literal_map_is_real_on_resonance(self):
         m = coefficient_map(PulseSpec.exponential(5.0, 1.0), 1.3, LITERAL)
-        assert np.abs(m.matrix.imag).max() == 0.0
+        assert np.abs(m.imag).max() == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(OutOfWindow):
@@ -282,8 +282,8 @@ class TestExpCoefficients:
 def test_undriven_map_is_identity_in_both_modes():
     for mode in (UNITARY, LITERAL):
         m = coefficient_map(PulseSpec.none(), 0.0, mode)
-        assert np.array_equal(m.matrix, np.eye(3))
-        assert np.linalg.det(m.matrix.real) == 1.0
+        assert np.array_equal(m, np.eye(3))
+        assert np.linalg.det(m.real) == 1.0
 
 
 def test_coefficient_map_dispatches_by_shape():
@@ -291,10 +291,10 @@ def test_coefficient_map_dispatches_by_shape():
     rect = coefficient_map(PulseSpec.rectangular(1.0, duration=2.0), t)
     exp = coefficient_map(PulseSpec.exponential(1.0, 1.0), t)
     none = coefficient_map(PulseSpec.none(), t)
-    assert rect.mode is UNITARY
-    assert not np.array_equal(rect.matrix, np.eye(3))
-    assert not np.array_equal(exp.matrix, np.eye(3))
-    assert np.array_equal(none.matrix, np.eye(3))
+    assert rect.shape == (3, 3) and rect.dtype == np.complex128
+    assert not np.array_equal(rect, np.eye(3))
+    assert not np.array_equal(exp, np.eye(3))
+    assert np.array_equal(none, np.eye(3))
 
 
 @pytest.mark.parametrize("mode", [LITERAL, UNITARY])
@@ -309,7 +309,7 @@ def test_batch_entries_equal_single_time_maps_bitwise(mode):
         batch = coefficient_map_batch(p, times, mode)
         assert batch.shape == (9, 3, 3)
         for t, m in zip(times, batch):
-            assert np.array_equal(m, coefficient_map(p, t, mode).matrix)
+            assert np.array_equal(m, coefficient_map(p, t, mode))
 
 
 def test_batch_guards():
@@ -334,7 +334,7 @@ def test_unitary_mode_matrices_are_proper_rotations():
         else:
             p = PulseSpec.exponential(rng.uniform(0.0, 8.0), rng.uniform(0.2, 2.0))
             t = rng.uniform(0.0, 30.0)
-        m = coefficient_map(p, t, UNITARY).matrix
+        m = coefficient_map(p, t, UNITARY)
         assert np.abs(m.imag).max() < 1e-12
         r = m.real
         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-10

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from pulsepair import scenarios
-from pulsepair.entanglement import CLAMP_TOL, negativity_of_state
+from pulsepair.entanglement import CLAMP_TOL, negativity
 from pulsepair.errors import InvalidConfig
-from pulsepair.evolution import InitialState, evolve_correlations_batch
+from pulsepair.evolution import InitialState, assemble_density_batch, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import (
     PARAM_LIMIT,
@@ -144,7 +144,7 @@ class TestRunSweep:
         cfg = small_config(family=SweepFamily.EXP_VS_TIME, grid=GridSpec(0.0, 2.0, 5))
         result = run_sweep(cfg)
         for j, s in enumerate(STATES):
-            expected = negativity_of_state(s.state()).value
+            expected = negativity(assemble_density_batch(np.diag(s.correlations))).value
             assert abs(result.negativities[0, j] - expected) < 1e-10
             assert abs(expected - INITIAL_E[j]) < 1e-10
 

@@ -2,11 +2,13 @@
 
 ``perfbench/tracer.py`` wraps the functions in each layer's ``__all__`` and
 rebinds them wherever a ``pulsepair`` module bound them with
-``from .x import``.  These tests check that the sweep calls every layer
-through such bindings, so the tracer sees one span per layer per chunk.
+``from .x import``.  These tests check that every ``__all__`` entry exists,
+and that the sweep calls every layer through such bindings, so the tracer
+sees one span per layer per chunk.
 """
 
 import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -30,6 +32,16 @@ def _small_sweep():
     # 5 points x 2 states of the detuned two-qubit rectangle preset
     cfg = paper_figure_presets()["fig2b"]
     return dataclasses.replace(cfg, initial_states=cfg.initial_states[:2], grid=GridSpec(0.0, 2.0, 5))
+
+
+@pytest.mark.parametrize(
+    "layer", ["pauli", "pulses", "evolution", "entanglement", "scenarios", "validation", "config", "cli"]
+)
+def test_every_public_name_resolves(layer):
+    # install() calls getattr on each __all__ entry, so a stale name left
+    # behind by a deletion would break every traced run
+    module = importlib.import_module(f"pulsepair.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_sweep_binds_each_layer_function_from_its_module():
