@@ -13,9 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TraceNotOne
-from .pauli import hermitian_eigenvalues, hermitian_eigenvalues_batch
-from .evolution import assemble_density_batch
+from .errors import TraceNotOne, UnphysicalState
+from .pauli import hermitian_eigenvalues_batch
+from .evolution import InitialState, assemble_density_batch
 
 __all__ = [
     "WernerClass",
@@ -28,7 +28,6 @@ __all__ = [
 
 TRACE_TOL = 1e-9
 CLAMP_TOL = 1e-12
-_PHYSICAL_TOL = 1e-10
 
 
 class WernerClass(Enum):
@@ -104,16 +103,18 @@ def negativity_batch(rhos) -> np.ndarray:
 
 
 def classify_werner(x: float) -> WernerClass:
-    """Classify the Werner-line state with c = (x, x, x) by computed spectrum.
+    """Classify the Werner-line state with c = (x, x, x).
 
-    Unphysical if the density matrix has an eigenvalue below -1e-10
-    (x outside [-1, 1/3]); otherwise entangled iff the negativity is
-    positive.  The boundary between entangled and separable sits at
-    x = -1/3 in this parametrization.
+    Unphysical if InitialState.generalized_werner rejects it (a density
+    eigenvalue below -1e-10, x outside [-1, 1/3], or x not finite);
+    otherwise entangled iff the negativity is positive.  The boundary
+    between entangled and separable sits at x = -1/3 in this
+    parametrization.
     """
-    rho = assemble_density_batch(np.diag([x, x, x]))
-    if hermitian_eigenvalues(rho)[0] < -_PHYSICAL_TOL:
+    try:
+        state = InitialState.generalized_werner(x, x, x)
+    except UnphysicalState:
         return WernerClass.UNPHYSICAL
-    if negativity(rho).value > CLAMP_TOL:
+    if negativity(assemble_density_batch(np.diag(state.correlations))).value > CLAMP_TOL:
         return WernerClass.ENTANGLED
     return WernerClass.SEPARABLE

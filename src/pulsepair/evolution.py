@@ -183,7 +183,7 @@ def unitary_oracle_batch(pulses, times) -> np.ndarray:
                 raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
             gens[i], angles[i] = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t
         elif p.shape is PulseShape.EXPONENTIAL:
-            if t < 0.0:
+            if not t >= 0.0:  # false for NaN too
                 raise OutOfWindow(f"t = {t} precedes the pulse start")
             gens[i], angles[i] = 0.5 * SIGMA_X, pulse_angle(p, t)
     w, v = np.linalg.eigh(gens)

@@ -31,7 +31,6 @@ __all__ = [
     "PAULIS",
     "kron",
     "commutator_check",
-    "hermiticity_defect",
     "hermitian_eigenvalues",
     "hermitian_eigenvalues_batch",
 ]
@@ -88,12 +87,6 @@ def commutator_check(sx=None, sy=None, sz=None, tol: float = 1e-12) -> bool:
     for s in (sx, sy, sz):
         defect = max(defect, np.abs(s @ s - eye).max())
     return defect <= tol
-
-
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
-    m = np.asarray(m, dtype=np.complex128)
-    return float(np.abs(m - m.conj().T).max())
 
 
 def _offdiag_norms(a: np.ndarray) -> np.ndarray:

@@ -81,7 +81,8 @@ class PulseSpec:
     omega0 is the Rabi frequency, delta the detuning (drive frequency
     offset from the qubit transition).  Rectangular pulses carry a
     duration T > 0; exponential pulses carry a width gamma_p > 0 and are
-    only defined on resonance, so delta must be zero for them.
+    only defined on resonance, so delta must be zero for them.  Every
+    parameter given must be finite (ValueError otherwise).
     """
 
     shape: PulseShape
@@ -91,6 +92,10 @@ class PulseSpec:
     gamma_p: float | None = None
 
     def __post_init__(self):
+        for name in ("omega0", "delta", "duration", "gamma_p"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} must be finite")
         if self.omega0 < 0.0:
             raise ValueError("omega0 must be non-negative")
         if self.shape is PulseShape.RECTANGULAR:
@@ -209,8 +214,9 @@ def coefficient_map_batch(
             return _identity_maps(len(t))
         axis, angle = (om / om1, 0.0, dl / om1), om1 * t
     elif p.shape is PulseShape.EXPONENTIAL:
-        if (t < 0.0).any():
-            raise OutOfWindow(f"t = {t[t < 0.0][0]} precedes the pulse start")
+        before = ~(t >= 0.0)  # NaN fails the window too
+        if before.any():
+            raise OutOfWindow(f"t = {t[before][0]} precedes the pulse start")
         axis, angle = (1.0, 0.0, 0.0), pulse_angle(p, t)
     else:
         return _identity_maps(len(t))

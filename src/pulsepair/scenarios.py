@@ -248,53 +248,34 @@ def paper_figure_presets() -> dict[str, SweepConfig]:
         InitialState.werner(-0.9),
         InitialState.generalized_werner(-0.9, -0.8, -0.7),
     )
-    area_grid = GridSpec(0.0, 20.0, 801)
-    time_grid = GridSpec(0.0, 5.0, 801)
-
-    def rect(drive: DriveMode, dprime: float) -> SweepConfig:
-        per_qubit = (dprime, dprime if drive is DriveMode.BOTH_QUBITS else 0.0)
-        return SweepConfig(
-            family=SweepFamily.RECT_VS_AREA,
+    area, one, both = SweepFamily.RECT_VS_AREA, DriveMode.ONE_QUBIT, DriveMode.BOTH_QUBITS
+    exp, combined = SweepFamily.EXP_VS_TIME, SweepFamily.COMBINED_VS_TIME
+    # name: family, drive, detuning_prime, rabi_ratio, rect_omega
+    table = {
+        "fig1a": (area, one, (0.0, 0.0), (0.0, 0.0), 1.0),
+        "fig1b": (area, one, (1.0, 0.0), (0.0, 0.0), 1.0),
+        "fig2a": (area, both, (0.0, 0.0), (0.0, 0.0), 1.0),
+        "fig2b": (area, both, (5.0, 5.0), (0.0, 0.0), 1.0),
+        "fig3a": (exp, one, (0.0, 0.0), (5.0, 0.0), 1.0),
+        "fig3b": (exp, one, (0.0, 0.0), (10.0, 0.0), 1.0),
+        "fig4a": (exp, both, (0.0, 0.0), (5.0, 5.0), 1.0),
+        "fig4b": (exp, both, (0.0, 0.0), (10.0, 10.0), 1.0),
+        "fig5a": (combined, both, (0.0, 0.0), (0.0, 5.0), 1.0),
+        "fig5b": (combined, both, (0.0, 0.0), (0.0, 5.0), 2.0),
+        "fig5c": (combined, both, (0.0, 0.0), (0.0, 10.0), 1.0),
+        "fig5d": (combined, both, (0.0, 0.0), (0.0, 10.0), 2.0),
+    }
+    return {
+        name: SweepConfig(
+            family=family,
             initial_states=states,
             drive=drive,
-            grid=area_grid,
-            detuning_prime=per_qubit,
-            rabi_ratio=(0.0, 0.0),
-        )
-
-    def exponential(drive: DriveMode, ratio: float) -> SweepConfig:
-        per_qubit = (ratio, ratio if drive is DriveMode.BOTH_QUBITS else 0.0)
-        return SweepConfig(
-            family=SweepFamily.EXP_VS_TIME,
-            initial_states=states,
-            drive=drive,
-            grid=time_grid,
-            rabi_ratio=per_qubit,
-        )
-
-    def combined(rect_omega: float, ratio: float) -> SweepConfig:
-        return SweepConfig(
-            family=SweepFamily.COMBINED_VS_TIME,
-            initial_states=states,
-            drive=DriveMode.BOTH_QUBITS,
-            grid=time_grid,
-            rabi_ratio=(0.0, ratio),
+            grid=GridSpec(0.0, 20.0 if family is area else 5.0, 801),
+            detuning_prime=dprime,
+            rabi_ratio=ratio,
             rect_omega=rect_omega,
         )
-
-    return {
-        "fig1a": rect(DriveMode.ONE_QUBIT, 0.0),
-        "fig1b": rect(DriveMode.ONE_QUBIT, 1.0),
-        "fig2a": rect(DriveMode.BOTH_QUBITS, 0.0),
-        "fig2b": rect(DriveMode.BOTH_QUBITS, 5.0),
-        "fig3a": exponential(DriveMode.ONE_QUBIT, 5.0),
-        "fig3b": exponential(DriveMode.ONE_QUBIT, 10.0),
-        "fig4a": exponential(DriveMode.BOTH_QUBITS, 5.0),
-        "fig4b": exponential(DriveMode.BOTH_QUBITS, 10.0),
-        "fig5a": combined(1.0, 5.0),
-        "fig5b": combined(2.0, 5.0),
-        "fig5c": combined(1.0, 10.0),
-        "fig5d": combined(2.0, 10.0),
+        for name, (family, drive, dprime, ratio, rect_omega) in table.items()
     }
 
 
@@ -305,17 +286,8 @@ def detect_sudden_death(result: SweepResult, state_index: int = 0) -> list[tuple
     contiguous run of grid points with E <= DEATH_TOL.  Single-point dips
     give degenerate intervals (p, p).
     """
-    series = result.negativities[:, state_index]
+    dead = np.concatenate(([False], result.negativities[:, state_index] <= DEATH_TOL, [False]))
+    # each run of dead points starts at one edge and ends one before the next
+    edges = np.flatnonzero(dead[1:] != dead[:-1]).reshape(-1, 2)
     params = result.params
-    intervals: list[tuple[float, float]] = []
-    run_start = None
-    for i, value in enumerate(series):
-        if value <= DEATH_TOL:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            intervals.append((float(params[run_start]), float(params[i - 1])))
-            run_start = None
-    if run_start is not None:
-        intervals.append((float(params[run_start]), float(params[-1])))
-    return intervals
+    return [(float(params[lo]), float(params[hi - 1])) for lo, hi in edges]

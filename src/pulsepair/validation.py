@@ -118,8 +118,7 @@ def _check_d_row_anchor(rng) -> list[CheckResult]:
     worst = 0.0
     ortho = 0.0
     for _ in range(1000):
-        p, t_raw = _random_pulse(rng)
-        t = min(t_raw, p.duration) if p.shape is pulses.PulseShape.RECTANGULAR else t_raw
+        p, t = _random_pulse(rng)
         m = pulses.coefficient_map(p, t).real
         worst = max(worst, float(np.abs(m[2] - _published_d_row(p, t)).max()))
         ortho = max(ortho, float(np.abs(m.T @ m - np.eye(3)).max()))
@@ -155,9 +154,8 @@ def _random_physical_correlations(rng) -> tuple[float, float, float]:
 def _check_fano_consistency(rng) -> CheckResult:
     draws = []
     for _ in range(500):
-        p1, t1 = _random_pulse(rng)
+        p1, t = _random_pulse(rng)
         p2, _ = _random_pulse(rng)
-        t = min(t1, p1.duration) if p1.shape is pulses.PulseShape.RECTANGULAR else t1
         if p2.shape is pulses.PulseShape.RECTANGULAR and t > p2.duration:
             p2 = pulses.PulseSpec.rectangular(p2.omega0, duration=t, delta=p2.delta)
         draws.append((p1, p2, t, _random_physical_correlations(rng)))

@@ -87,13 +87,6 @@ def rho_eigenvalues_closed_form(c: tuple[float, float, float]) -> np.ndarray:
     )
 
 
-def random_physical_c(rng: np.random.Generator) -> tuple[float, float, float]:
-    while True:
-        c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        if rho_eigenvalues_closed_form(c)[0] >= 0.0:
-            return c
-
-
 def rect_propagator(omega0: float, delta: float, t: float) -> np.ndarray:
     return expm(-1j * t * 0.5 * (delta * SZ + omega0 * SX))
 

@@ -31,7 +31,7 @@ from pulsepair.evolution import (
 )
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
 from pulsepair.scenarios import paper_figure_presets, run_sweep
-from pulsepair.validation import VALIDATION_NOTES, _random_pulse
+from pulsepair.validation import VALIDATION_NOTES, _random_physical_correlations, _random_pulse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -147,7 +147,7 @@ def test_three_way_propagator_agreement(capsys):
 def test_negativity_against_independent_diagonalization(capsys):
     rng = np.random.default_rng(4242)
     start = time.perf_counter()
-    cs = [oracles.random_physical_c(rng) for _ in range(1000)]
+    cs = [_random_physical_correlations(rng) for _ in range(1000)]
     rhos = assemble_density_batch(np.array([np.diag(c) for c in cs]))
     ours = negativity_batch(rhos)
     brute = np.array([oracles.brute_negativity(c) for c in cs])

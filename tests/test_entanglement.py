@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -134,3 +136,11 @@ class TestClassifyWerner:
     def test_unphysical_region(self):
         assert classify_werner(0.5) is WernerClass.UNPHYSICAL
         assert classify_werner(-1.1) is WernerClass.UNPHYSICAL
+        assert classify_werner(math.nan) is WernerClass.UNPHYSICAL
+
+    def test_physicality_tolerance_at_both_ends(self):
+        # a density eigenvalue down to -1e-10 still counts as physical
+        assert classify_werner(-1.0 - 1e-11) is WernerClass.ENTANGLED
+        assert classify_werner(-1.0 - 1e-9) is WernerClass.UNPHYSICAL
+        assert classify_werner(1.0 / 3.0 + 1e-11) is WernerClass.SEPARABLE
+        assert classify_werner(1.0 / 3.0 + 1e-9) is WernerClass.UNPHYSICAL

@@ -25,6 +25,7 @@ from pulsepair.evolution import (
     unitary_oracle_batch,
 )
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
+from pulsepair.validation import _random_physical_correlations
 
 import oracles
 
@@ -135,14 +136,14 @@ class TestDensityAssembly:
     def test_matches_raw_kron_assembly(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            c = oracles.random_physical_c(rng)
+            c = _random_physical_correlations(rng)
             ours = assemble_density_batch(np.diag(c))
             assert np.abs(ours - oracles.bell_diagonal_rho(c)).max() < 1e-15
 
     def test_extraction_round_trip(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
-            c = oracles.random_physical_c(rng)
+            c = _random_physical_correlations(rng)
             tensor, bloch_a, bloch_b = correlations_from_density_batch(assemble_density_batch(np.diag(c)))
             assert np.abs(tensor - np.diag(c)).max() < 1e-14
             assert np.abs(bloch_a).max() < 1e-14
@@ -266,7 +267,7 @@ class TestUnitaryOracle:
 
     def test_batch_rejects_one_out_of_window_element(self):
         specs, times = zip(*self.BATCH)
-        for i, bad in ((0, 5.5), (3, -1e-9), (1, -0.5)):
+        for i, bad in ((0, 5.5), (3, -1e-9), (1, -0.5), (0, math.nan), (1, math.nan), (4, math.nan)):
             with pytest.raises(OutOfWindow):
                 unitary_oracle_batch(specs, times[:i] + (bad,) + times[i + 1 :])
         with pytest.raises(ValueError):

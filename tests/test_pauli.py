@@ -15,7 +15,6 @@ from pulsepair.pauli import (
     SIGMA_Y,
     SIGMA_Z,
     commutator_check,
-    hermiticity_defect,
     hermitian_eigenvalues,
     hermitian_eigenvalues_batch,
     kron,
@@ -57,10 +56,12 @@ def test_kron_matches_numpy_and_fixes_dtype():
     assert np.array_equal(out, np.kron(a, b))
 
 
-def test_hermiticity_defect():
-    assert hermiticity_defect(SIGMA_Y) == 0.0
-    m = np.array([[0.0, 1.0], [1.0 + 1e-3, 0.0]])
-    assert hermiticity_defect(m) == pytest.approx(1e-3)
+def test_hermiticity_gate_threshold():
+    # the gate rejects a defect above HERMITICITY_TOL = 1e-10 and passes one below
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0 + 1e-3, 0.0]]))
+    eigs = hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]]))
+    assert np.allclose(eigs, [-1.0, 1.0], atol=1e-10)
 
 
 def test_eigenvalues_of_pinned_correlation_projector():

@@ -49,6 +49,22 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec(shape=PulseShape.NONE, omega0=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: PulseSpec.rectangular(v, duration=1.0),
+            lambda v: PulseSpec.rectangular(1.0, duration=1.0, delta=v),
+            lambda v: PulseSpec.rectangular(1.0, duration=v),
+            lambda v: PulseSpec.exponential(v, 1.0),
+            lambda v: PulseSpec.exponential(1.0, v),
+        ],
+        ids=["omega0", "delta", "duration", "exp_omega0", "gamma_p"],
+    )
+    def test_non_finite_parameters_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
+
 
 class TestEnvelope:
     """The envelope f(t) that runs is the drive inside rk4_oracle_batch."""
@@ -319,8 +335,9 @@ def test_batch_guards():
             coefficient_map_batch(rect, times)
     with pytest.raises(OutOfWindow):
         coefficient_map_batch(rect, [0.5, 2.5])
-    with pytest.raises(OutOfWindow):
-        coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), [1.0, -0.1])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(OutOfWindow, match=f"t = {bad} precedes"):
+            coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), [1.0, bad])
 
 
 def test_unitary_mode_matrices_are_proper_rotations():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pulsepair import scenarios
+from pulsepair.config import format_config
 from pulsepair.entanglement import CLAMP_TOL, negativity
 from pulsepair.errors import InvalidConfig
 from pulsepair.evolution import InitialState, assemble_density_batch, evolve_correlations_batch
@@ -351,6 +352,12 @@ class TestPresets:
         assert presets["fig5c"].rect_omega == 1.0
         assert presets["fig5d"].rabi_ratio[1] == 10.0
 
+    def test_table_text_is_pinned(self):
+        # every slot, used or not, and the order of the presets
+        text = "".join(format_config(c) for c in paper_figure_presets().values())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "30fd1fec9343051ba37ddaf05358ae14819bf5311374e3226bb1fafbbb5742f8"
+
     def test_shared_structure(self):
         for cfg in paper_figure_presets().values():
             assert cfg.grid.points == 801
@@ -389,4 +396,12 @@ class TestSuddenDeath:
     def test_multiple_intervals_and_state_index(self):
         params = [0.0, 1.0, 2.0, 3.0, 4.0]
         result = self._result(params, [0.0, 0.5, 0.0, 0.0, 0.9])
+        assert detect_sudden_death(result) == [(0.0, 0.0), (2.0, 3.0)]
+
+    def test_all_dead(self):
+        result = self._result([0.0, 1.0, 2.0], [0.0, -0.0, 1e-9])
+        assert detect_sudden_death(result) == [(0.0, 2.0)]
+
+    def test_nan_point_splits_a_run(self):
+        result = self._result([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 0.0, 0.0])
         assert detect_sudden_death(result) == [(0.0, 0.0), (2.0, 3.0)]
