@@ -21,6 +21,7 @@ from .entanglement import (
     partial_transpose_b,
 )
 from .errors import (
+    AngleOverflow,
     ConvergenceFailure,
     InvalidConfig,
     NonHermitianInput,

@@ -6,6 +6,8 @@ trace, E equals twice the total weight of negative mu_i, vanishes iff the
 partial transpose is positive, and reaches 1 on maximally entangled
 two-qubit states.  Tiny negative round-off is clamped to zero; the raw
 value is kept on the result for inspection.
+zero_bloch_negativity_batch takes the mu_i of a state with zero Bloch
+vectors in closed form, from its 3x3 correlation tensor alone.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ __all__ = [
     "partial_transpose_b",
     "negativity",
     "negativity_batch",
+    "zero_bloch_negativity_batch",
     "classify_werner",
 ]
 
@@ -100,6 +103,29 @@ def negativity_batch(rhos) -> np.ndarray:
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError(f"expected shape (n, 4, 4), got {rhos.shape}")
     return _clamp(_spectra(rhos)[1])
+
+
+def zero_bloch_negativity_batch(tensors) -> np.ndarray:
+    """Raw negativities of the states (1/4)(I + sum_kl T_kl sigma_k x sigma_l), (..., 3, 3) -> (...).
+
+    Local rotations, which keep the partial-transpose spectrum, bring a real T
+    to diag(t1, t2, t3): its singular values with the sign of det T on the
+    smallest (Horodecki & Horodecki, PRA 54, 1838, 1996).  The spectrum is then
+    (1 + t1 + t2 + t3)/4, (1 - t1 - t2 + t3)/4, (1 + t1 - t2 - t3)/4 and
+    (1 - t1 + t2 - t3)/4, physical state or not.  The values are unclamped, as
+    NegativityResult.raw_value.  A non-finite T raises TraceNotOne, as its
+    density's trace would.
+    """
+    t = np.asarray(tensors, dtype=float)
+    if t.shape[-2:] != (3, 3):
+        raise ValueError(f"expected shape (..., 3, 3), got {t.shape}")
+    if not np.isfinite(t).all():
+        raise TraceNotOne("correlation tensor is not finite, so neither is the density trace")
+    s = np.linalg.svd(t, compute_uv=False)
+    t1, t2 = s[..., 0], s[..., 1]
+    t3 = np.where(np.linalg.det(t) < 0.0, -s[..., 2], s[..., 2])
+    mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
+    return np.abs(0.25 * mu).sum(axis=0) - 1.0
 
 
 def classify_werner(x: float) -> WernerClass:

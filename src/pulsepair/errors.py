@@ -25,6 +25,10 @@ class ConvergenceFailure(PulsePairError, ArithmeticError):
     """An iterative solver stopped before meeting its tolerance."""
 
 
+class AngleOverflow(PulsePairError, ArithmeticError):
+    """A pulse's rotation angle is too large for a float."""
+
+
 class StepTooLarge(PulsePairError):
     """Integrator step is too coarse for the requested interval."""
 

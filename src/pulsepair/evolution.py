@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfWindow, StepTooLarge, UnphysicalState
+from .errors import AngleOverflow, OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
 from .pulses import CoefficientMode, PulseShape, PulseSpec, coefficient_map_batch, pulse_angle
 
@@ -170,7 +170,7 @@ def unitary_oracle_batch(pulses, times) -> np.ndarray:
     from one stacked LAPACK (not pauli) eigh.  Rectangular: h = (Delta sigma_z + Omega0
     sigma_x)/2 for t in [0, T] (outside the window the generator would be wrong, so that
     is an error, matching the coefficient-map domain).  Exponential: U = exp(-i lambda(t)
-    sigma_x / 2).  Undriven: identity.
+    sigma_x / 2).  Undriven: identity.  A phase that overflows a float raises AngleOverflow.
     """
     times = np.asarray(times, dtype=float)
     if times.shape != (len(pulses),):
@@ -181,10 +181,14 @@ def unitary_oracle_batch(pulses, times) -> np.ndarray:
         if p.shape is PulseShape.RECTANGULAR:
             if not 0.0 <= t <= p.duration:
                 raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
+            if not math.isfinite(math.hypot(p.omega0, p.delta) * float(t)):  # no numpy warning
+                raise AngleOverflow(f"Omega_1 t at t = {t} overflows a float")
             gens[i], angles[i] = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t
         elif p.shape is PulseShape.EXPONENTIAL:
             if not t >= 0.0:  # false for NaN too
                 raise OutOfWindow(f"t = {t} precedes the pulse start")
+            if not math.isfinite(p.omega0 / p.gamma_p):
+                raise AngleOverflow(f"Omega0 / gamma_p = {p.omega0} / {p.gamma_p} overflows a float")
             gens[i], angles[i] = 0.5 * SIGMA_X, pulse_angle(p, t)
     w, v = np.linalg.eigh(gens)
     return (v * np.exp(-1j * angles[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)

@@ -50,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OutOfWindow, ResonanceRequired
+from .errors import AngleOverflow, OutOfWindow, ResonanceRequired
 
 __all__ = [
     "PulseShape",
@@ -199,7 +199,8 @@ def coefficient_map_batch(
     lambda(t); LITERAL mode assembles the verbatim closed forms, whose B
     row vanishes identically on resonance.
 
-    Undriven qubit: the identity.
+    Undriven qubit: the identity.  A rotation angle that overflows a float
+    (Omega_1 t, or Omega0/gamma_p) raises AngleOverflow.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -212,11 +213,16 @@ def coefficient_map_batch(
         om1 = math.hypot(om, dl)
         if om1 == 0.0:
             return _identity_maps(len(t))
+        # a Python float overflows to inf without numpy's RuntimeWarning
+        if not math.isfinite(om1 * float(t.max(initial=0.0))):
+            raise AngleOverflow(f"Omega_1 t = {om1} * {t.max()} overflows a float")
         axis, angle = (om / om1, 0.0, dl / om1), om1 * t
     elif p.shape is PulseShape.EXPONENTIAL:
         before = ~(t >= 0.0)  # NaN fails the window too
         if before.any():
             raise OutOfWindow(f"t = {t[before][0]} precedes the pulse start")
+        if not math.isfinite(p.omega0 / p.gamma_p):
+            raise AngleOverflow(f"Omega0 / gamma_p = {p.omega0} / {p.gamma_p} overflows a float")
         axis, angle = (1.0, 0.0, 0.0), pulse_angle(p, t)
     else:
         return _identity_maps(len(t))

@@ -171,12 +171,35 @@ def _check_fano_consistency(rng) -> CheckResult:
     return _result("fano_conjugation_consistency", worst, 1e-9)
 
 
+def _lapack_negativities(rho) -> np.ndarray:
+    return entanglement._clamp(np.abs(np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))).sum(axis=1) - 1.0)
+
+
 def _check_negativity_oracle(rng) -> CheckResult:
     rho = evolution.assemble_density_batch(evolution._diagonal_tensors(rng.uniform(-1.0, 1.0, size=(1000, 3))))
     ours = entanglement.negativity_batch(rho)
-    raw = np.abs(np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))).sum(axis=1) - 1.0
-    brute = np.where(raw < entanglement.CLAMP_TOL, 0.0, raw)
-    return _result("negativity_brute_force", float(np.abs(ours - brute).max()), 1e-10)
+    return _result("negativity_brute_force", float(np.abs(ours - _lapack_negativities(rho)).max()), 1e-10)
+
+
+def _check_negativity_closed_form(rng) -> CheckResult:
+    """Closed form, Jacobi and LAPACK on 1000 tensors M1^T diag(c) M2 with physical c.
+
+    Four groups of 250 maps: proper rotations, the same with a reflection on
+    one side (det C~ flips sign), literal-style maps with entries in [-1, 1],
+    and those with c_zz = 0 (rank-deficient).
+    """
+    c = np.array([_random_physical_correlations(rng) for _ in range(1000)])
+    c[750:, 2] = 0.0
+    q = np.linalg.qr(rng.normal(size=(2, 500, 3, 3)))[0]
+    q *= np.sign(np.linalg.det(q))[..., None, None]
+    q[0, 250:] *= -1.0
+    maps = np.concatenate((q, rng.uniform(-1.0, 1.0, size=(2, 500, 3, 3))), axis=1)
+    tensors = maps[0].transpose(0, 2, 1) @ evolution._diagonal_tensors(c) @ maps[1]
+    rho = evolution.assemble_density_batch(tensors)
+    closed = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
+    jacobi, lapack = entanglement.negativity_batch(rho), _lapack_negativities(rho)
+    err = max(float(np.abs(a - b).max()) for a, b in ((closed, jacobi), (closed, lapack), (jacobi, lapack)))
+    return _result("negativity_closed_form_triangle", err, 1e-10)
 
 
 def _negativities(diagonals) -> np.ndarray:
@@ -242,4 +265,5 @@ def run_validation(seed: int = 0) -> list[CheckResult]:
     results.extend(_check_pinned_values())
     results.append(_check_werner_monotone())
     results.extend(_check_presets())
+    results.append(_check_negativity_closed_form(rng))
     return results

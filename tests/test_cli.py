@@ -71,6 +71,15 @@ class TestNegativity:
         code, _, _ = run(capsys, "negativity", "a", "b", "c")
         assert code == 1
 
+    def test_jacobi_non_convergence_exits_1(self, capsys, monkeypatch):
+        # the one-shot command diagonalises its density; sweeps rarely do
+        monkeypatch.setattr(pauli, "_MAX_SWEEPS", 0)
+        code, out, err = run(capsys, "negativity", "--", "-0.9", "-0.8", "-0.7")
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err)
+        assert "failed to converge" in err
+
 
 class TestPreset:
     def test_writes_801_rows(self, capsys, tmp_path, monkeypatch):
@@ -116,16 +125,6 @@ class TestPreset:
         )
         assert code == 3
         assert "cannot write" in err
-
-
-    def test_jacobi_non_convergence_exits_1(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(pauli, "_MAX_SWEEPS", 0)
-        out = tmp_path / "fig1a.csv"
-        code, _, err = run(capsys, "preset", "fig1a", "--out", str(out))
-        assert code == 1
-        assert_one_error_line(err)
-        assert "failed to converge" in err
-        assert not out.exists()
 
 
 class TestSweep:

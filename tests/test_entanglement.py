@@ -11,6 +11,7 @@ from pulsepair.entanglement import (
     negativity,
     negativity_batch,
     partial_transpose_b,
+    zero_bloch_negativity_batch,
 )
 from pulsepair.errors import NonHermitianInput, TraceNotOne
 from pulsepair.evolution import assemble_density_batch
@@ -106,6 +107,18 @@ def test_batch_validation():
         negativity_batch(bad)
     with pytest.raises(TraceNotOne):
         negativity_batch(np.stack([np.eye(4) / 4.0, np.full((4, 4), np.nan)]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_form_rejects_a_non_finite_tensor(bad):
+    # the density route's error for a NaN trace, not LinAlgError from the
+    # SVD; the RuntimeWarning-as-error filter fails the test on any warning
+    tensors = np.stack([np.diag([-0.9, -0.8, -0.7]), np.eye(3)])
+    tensors[1, 2, 0] = bad
+    with pytest.raises(TraceNotOne):
+        zero_bloch_negativity_batch(tensors)
+    with pytest.raises(ValueError):
+        zero_bloch_negativity_batch(np.zeros((2, 4, 4)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pulsepair
 from pulsepair import evolution
-from pulsepair.errors import OutOfWindow, StepTooLarge, UnphysicalState
+from pulsepair.errors import AngleOverflow, OutOfWindow, StepTooLarge, UnphysicalState
 from pulsepair.evolution import (
     InitialState,
     adjoint_rotation,
@@ -272,6 +272,16 @@ class TestUnitaryOracle:
                 unitary_oracle_batch(specs, times[:i] + (bad,) + times[i + 1 :])
         with pytest.raises(ValueError):
             unitary_oracle_batch(specs, times[:4])
+
+    def test_batch_rejects_an_overflowing_phase(self):
+        # Omega_1 t = 1e310 and Omega0 / gamma_p = 1e600 do not fit in a float;
+        # the RuntimeWarning-as-error filter fails the test on any numpy warning
+        specs, times = zip(*self.BATCH)
+        overflowing = ((PulseSpec.rectangular(1e300, duration=1e10), 1e10), (PulseSpec.exponential(1e300, 1e-300), 0.0))
+        for spec, t in overflowing:
+            with pytest.raises(AngleOverflow, match="overflows a float"):
+                unitary_oracle_batch(specs + (spec,), times + (t,))
+        assert np.isfinite(unitary_oracle(PulseSpec.rectangular(1e150, duration=1e150), 1e150)).all()
 
     # the ranges of validation._random_pulse, as (pulse, time) pairs
     RECT_DRAWS = st.builds(

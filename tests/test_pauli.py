@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsepair import entanglement, pauli
+from pulsepair import entanglement, pauli, scenarios
 from pulsepair.errors import ConvergenceFailure, NonHermitianInput
 from pulsepair.pauli import (
     IDENTITY2,
@@ -19,8 +19,9 @@ from pulsepair.pauli import (
     hermitian_eigenvalues_batch,
     kron,
 )
+from pulsepair.evolution import assemble_density_batch, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
-from pulsepair.scenarios import paper_figure_presets, run_sweep
+from pulsepair.scenarios import paper_figure_presets
 
 import oracles
 
@@ -131,24 +132,22 @@ def test_mixed_convergence_batch_matches_solo_solves_bit_for_bit(monkeypatch):
         assert row.tobytes() == hermitian_eigenvalues(m).tobytes()
 
 
-def _fig1b_literal_partial_transposes(monkeypatch) -> np.ndarray:
-    stacks = []
-    solve = entanglement.hermitian_eigenvalues_batch
-    with monkeypatch.context() as patch:
-        patch.setattr(entanglement, "hermitian_eigenvalues_batch", lambda ms: (stacks.append(np.array(ms)), solve(ms))[1])
-        run_sweep(dataclasses.replace(paper_figure_presets()["fig1b"], mode=CoefficientMode.LITERAL))
-    (stack,) = stacks
-    return stack
+def _fig1b_literal_partial_transposes() -> np.ndarray:
+    # the preset's 801 x 3 densities, partially transposed
+    cfg = dataclasses.replace(paper_figure_presets()["fig1b"], mode=CoefficientMode.LITERAL)
+    diagonals = [s.correlations for s in cfg.initial_states]
+    tensors, _ = evolve_correlations_batch(diagonals, *scenarios._grid_maps(cfg, cfg.grid.values()))
+    return entanglement.partial_transpose_b(assemble_density_batch(tensors).reshape(-1, 4, 4))
 
 
 PINNED_EIGENVALUE_DIGEST = "51e25f40e61196a8aa98b50ea9b92c0a6b83a86607c6895421f24f8e7f0f2dd4"
 
 
-def test_eigenvalue_bytes_are_pinned(monkeypatch):
+def test_eigenvalue_bytes_are_pinned():
     # Recorded with the solver of commit 0a231fa, which rotated converged
     # matrices by the identity instead of dropping them from the batch; the
     # bytes depend on this numpy build's complex abs, as the preset digests do.
-    mats = np.concatenate([_random_hermitian(2000, 2000), _fig1b_literal_partial_transposes(monkeypatch)])
+    mats = np.concatenate([_random_hermitian(2000, 2000), _fig1b_literal_partial_transposes()])
     assert mats.shape == (4403, 4, 4)
     digest = hashlib.sha256(hermitian_eigenvalues_batch(mats).tobytes()).hexdigest()
     assert digest == PINNED_EIGENVALUE_DIGEST

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsepair.errors import OutOfWindow, ResonanceRequired
+from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired
 from pulsepair.evolution import rk4_oracle_batch, unitary_oracle
 from pulsepair.pulses import (
     CoefficientMode,
@@ -338,6 +338,17 @@ def test_batch_guards():
     for bad in (-0.1, math.nan):
         with pytest.raises(OutOfWindow, match=f"t = {bad} precedes"):
             coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), [1.0, bad])
+
+
+@pytest.mark.parametrize("mode", [UNITARY, LITERAL])
+def test_overflowing_angle_is_a_typed_error(mode):
+    # Omega_1 t = 1e310 and Omega0 / gamma_p = 1e600 do not fit in a float;
+    # the RuntimeWarning-as-error filter fails the test on any numpy warning
+    with pytest.raises(AngleOverflow, match="overflows a float"):
+        coefficient_map_batch(PulseSpec.rectangular(1e300, duration=1e10), [1.0, 1e10], mode)
+    with pytest.raises(AngleOverflow, match="overflows a float"):
+        coefficient_map_batch(PulseSpec.exponential(1e300, 1e-300), [0.0, 1.0], mode)
+    assert np.isfinite(coefficient_map_batch(PulseSpec.rectangular(1e150, duration=1e150), [1e150], mode)).all()
 
 
 def test_unitary_mode_matrices_are_proper_rotations():

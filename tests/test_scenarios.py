@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from pulsepair import scenarios
 from pulsepair.config import format_config
-from pulsepair.entanglement import CLAMP_TOL, negativity
+from pulsepair.entanglement import CLAMP_TOL, negativity, negativity_batch, zero_bloch_negativity_batch
 from pulsepair.errors import InvalidConfig
 from pulsepair.evolution import InitialState, assemble_density_batch, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
@@ -251,6 +251,67 @@ class TestBatchedSweep:
             raw = oracles.zero_bloch_negativities(tensors)
             closed = np.where(raw < CLAMP_TOL, 0.0, raw)
             assert np.abs(run_sweep(cfg).negativities - closed).max() < 1e-10, key
+
+
+class TestClosedFormGuard:
+    # fig1b/literal, state werner, at params 6.95 and 18.475: the partial
+    # transposes' negativities to 17 digits, from a 50-digit evaluation
+    # (mpmath eigh); the 12th digit of either lies within 3e-17 of a tie
+    FIG1B_LITERAL_CELLS = {278: 0.61159140352649977, 739: 0.54943957387949996}
+
+    def _fig1b_literal(self):
+        return dataclasses.replace(paper_figure_presets()["fig1b"], mode=CoefficientMode.LITERAL)
+
+    def test_closed_form_gives_the_fig1b_literal_cells_to_1e16(self):
+        cfg = self._fig1b_literal()
+        rows = list(self.FIG1B_LITERAL_CELLS)
+        maps = scenarios._grid_maps(cfg, cfg.grid.values()[rows])
+        tensors, _ = evolve_correlations_batch([InitialState.werner(-0.9).correlations], *maps)
+        raw = zero_bloch_negativity_batch(tensors[:, 0])
+        assert np.abs(raw - list(self.FIG1B_LITERAL_CELLS.values())).max() <= 1e-16
+
+    def test_csv_keeps_the_jacobi_digits_of_those_cells(self):
+        # the closed form would print 0.611591403526 and 0.549439573879
+        lines = run_sweep(self._fig1b_literal()).csv_text().splitlines()
+        assert lines[1 + 278].split(",")[:3] == ["6.95", "0.735101559474", "0.611591403527"]
+        assert lines[1 + 739].split(",")[:3] == ["18.475", "0.666043970977", "0.54943957388"]
+
+    def test_doubt_equals_formatting_every_cell(self):
+        # values at and beside 12-digit ties and powers of ten in every decade
+        # the CSV can print, about CLAMP_TOL, and log-uniform down past zero
+        rng = np.random.default_rng(5)
+        margin = scenarios._JACOBI_MARGIN
+        decades = 10.0 ** np.arange(-12, 3)[:, None]
+        ties = (rng.integers(10**11, 10**12, (15, 2000)) + 0.5) * decades * 1e-11
+        edges = decades * (1.0 + rng.uniform(-1e-11, 1e-11, (15, 2000)))
+        near = np.concatenate([ties.ravel(), edges.ravel(), np.full(2000, CLAMP_TOL)])
+        raw = np.concatenate([
+            near + rng.uniform(-3.0, 3.0, near.size) * margin,
+            10.0 ** rng.uniform(-16.0, 2.0, 20_000) * rng.choice([-1.0, 1.0], 20_000),
+        ])
+        lo, hi = (np.where(v < CLAMP_TOL, 0.0, v).tolist() for v in (raw - margin, raw + margin))
+        every = np.flatnonzero([scenarios._fmt(x) != scenarios._fmt(y) for x, y in zip(lo, hi)])
+        assert len(every) > 10_000
+        assert np.array_equal(scenarios._in_doubt(raw), every)
+
+    def test_guarded_values_print_as_the_jacobi_route_on_random_tensors(self):
+        rng = np.random.default_rng(11)
+        tensors = rng.uniform(-1.0, 1.0, size=(20_000, 3, 3))
+        # rank 2 and rank 1, and diagonals about the Werner threshold x = -1/3,
+        # where the negativity crosses CLAMP_TOL
+        tensors[5000:10_000, 2] = tensors[5000:10_000, 0] - 0.5 * tensors[5000:10_000, 1]
+        tensors[10_000:12_000, 1:] = 0.3 * tensors[10_000:12_000, :1]
+        x = -1.0 / 3.0 - rng.uniform(-1.0, 1.0, size=2000) * 1e-12
+        tensors[12_000:14_000] = x[:, None, None] * np.eye(3)
+        det = np.linalg.det(tensors)
+        assert (det < 0.0).sum() > 4000 and (np.abs(det) < 1e-12).sum() >= 7000
+        guarded = scenarios._negativities(tensors)
+        jacobi = negativity_batch(assemble_density_batch(tensors))
+        assert [scenarios._fmt(v) for v in guarded] == [scenarios._fmt(v) for v in jacobi]
+        raw = zero_bloch_negativity_batch(tensors)
+        # the guard had work to do: unguarded, some cells would print otherwise
+        unguarded = np.where(raw < CLAMP_TOL, 0.0, raw)
+        assert [scenarios._fmt(v) for v in unguarded] != [scenarios._fmt(v) for v in jacobi]
 
 
 class TestCsvFormat:

@@ -23,6 +23,7 @@ from pulsepair.scenarios import GridSpec, paper_figure_presets  # noqa: E402
 BATCHED = (
     (pulses, "coefficient_map_batch"),
     (evolution, "evolve_correlations_batch"),
+    (entanglement, "zero_bloch_negativity_batch"),
     (evolution, "assemble_density_batch"),
     (entanglement, "negativity_batch"),
 )
@@ -69,14 +70,33 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     assert all(s[tracer.PARENT] == root for s in maps)
     for layer_function in (
         "evolution.evolve_correlations_batch",
+        "entanglement.zero_bloch_negativity_batch",
+        # the guard's Jacobi route runs on every chunk, here on no cell
         "evolution.assemble_density_batch",
         "entanglement.negativity_batch",
         "pauli.hermitian_eigenvalues_batch",
     ):
         assert names.count(layer_function) == chunks, layer_function
     assert t.counts["scenarios.cells"] == 10
-    assert t.counts["pauli.matrices"] == 10
+    assert t.counts["pauli.matrices"] == 0
     assert t.counts["scenarios.csv_bytes"] > 0
+
+
+def test_tracer_counts_only_the_cells_sent_to_jacobi():
+    # fig1b/literal's werner cells at 6.95 and 18.475 have their 12th digit in doubt
+    cfg = dataclasses.replace(
+        paper_figure_presets()["fig1b"],
+        mode=pulses.CoefficientMode.LITERAL,
+        grid=GridSpec(6.95, 18.475, 2),
+    )
+    t = tracer.Tracer()
+    t.install()
+    try:
+        scenarios.run_sweep(cfg)
+    finally:
+        t.uninstall()
+    assert t.counts["scenarios.cells"] == 6
+    assert t.counts["pauli.matrices"] == 2
 
 
 def test_tracer_counts_rk4_steps_taken_and_needed():

@@ -23,6 +23,7 @@ EXPECTED_NAMES = [
     "preset_initial_value",
     "literal_residue_detuned_floor",
     "literal_residue_resonant_zero",
+    "negativity_closed_form_triangle",
 ]
 
 
