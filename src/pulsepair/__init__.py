@@ -36,15 +36,12 @@ from .errors import (
 from .evolution import (
     InitialState,
     adjoint_rotation,
-    evolve_state,
-    unitary_oracle,
 )
 from .config import format_config, parse_config
 from .pulses import (
     CoefficientMode,
     PulseShape,
     PulseSpec,
-    coefficient_map,
     pulse_angle,
 )
 from .scenarios import (

@@ -123,7 +123,9 @@ def zero_bloch_negativity_batch(tensors) -> np.ndarray:
         raise TraceNotOne("correlation tensor is not finite, so neither is the density trace")
     s = np.linalg.svd(t, compute_uv=False)
     t1, t2 = s[..., 0], s[..., 1]
-    t3 = np.where(np.linalg.det(t) < 0.0, -s[..., 2], s[..., 2])
+    # det T as the triple product: LAPACK's LU warns on some subnormal entries
+    det = np.einsum("...i,...i->...", t[..., 0, :], np.cross(t[..., 1, :], t[..., 2, :]))
+    t3 = np.where(det < 0.0, -s[..., 2], s[..., 2])
     mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
     return np.abs(0.25 * mu).sum(axis=0) - 1.0
 

@@ -15,10 +15,11 @@ In LITERAL mode M can carry complex entries; the real part is kept as the
 state and the largest imaginary magnitude is recorded as a diagnostic
 (``imag_residue``), never silently dropped.
 
-Two independent oracles are provided for cross-validation of the analytic
-maps, both for many (pulse, time) pairs at once: ``unitary_oracle_batch``
-builds the exact 2x2 propagators as matrix exponentials through numpy's
-``eigh``, and ``rk4_oracle_batch`` integrates dU/dt = -i H(t) U with
+Two oracles are provided for cross-validation of the analytic maps, both
+for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
+exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
+sharing only the pulse gathering with the maps, and ``rk4_oracle_batch``,
+which shares nothing with either, integrates dU/dt = -i H(t) U with
 classical Runge-Kutta from U(0) = I.  The adjoint action of either
 propagator on the Pauli triple must reproduce the UNITARY-mode
 coefficient matrix.
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleOverflow, OutOfWindow, StepTooLarge, UnphysicalState
+from .errors import StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
-from .pulses import CoefficientMode, PulseShape, PulseSpec, coefficient_map_batch, pulse_angle
+from .pulses import PulseShape, _rotations
 
 __all__ = [
     "InitialState",
@@ -39,10 +40,8 @@ __all__ = [
     "assemble_density_batch",
     "correlations_from_density_batch",
     "adjoint_rotation",
-    "unitary_oracle",
     "unitary_oracle_batch",
     "rk4_oracle_batch",
-    "evolve_state",
     "RK4_DEFAULT_STEP",
 ]
 
@@ -107,9 +106,12 @@ class InitialState:
 
 
 def _diagonal_tensors(diagonals) -> np.ndarray:
-    """(S, 3, 3) real tensors diag(c) of an (S, 3) array of diagonals."""
-    tensors = np.zeros((len(diagonals), 3, 3))
-    tensors[:, [0, 1, 2], [0, 1, 2]] = diagonals
+    """Real tensors diag(c): (S, 3, 3) of (S, 3) diagonals, (N, 1, 3, 3) of (N, 1, 3)."""
+    d = np.asarray(diagonals, dtype=float)
+    if d.shape[-1:] != (3,) or not (d.ndim == 2 or d.ndim == 3 and d.shape[1] == 1):
+        raise ValueError(f"expected diagonals of shape (S, 3) or (N, 1, 3), got {d.shape}")
+    tensors = np.zeros(d.shape + (3,))
+    tensors[..., [0, 1, 2], [0, 1, 2]] = d
     return tensors
 
 
@@ -124,11 +126,11 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
     Bloch vectors stay zero: the transform has no single-qubit source
     terms.
 
-    ``diagonals`` is an (S, 3) array of (c_xx, c_yy, c_zz); ``m1`` and
-    ``m2`` are (N, 3, 3) arrays, one map per grid point.  Returns the real
-    parts of C~ for every (point, state) pair, shape (N, S, 3, 3), and per
-    point the largest imaginary magnitude discarded over all S states
-    (nonzero only for LITERAL-mode maps).
+    ``diagonals`` is an (S, 3) array of (c_xx, c_yy, c_zz), or (N, 1, 3)
+    for one state per point; ``m1`` and ``m2`` are (N, 3, 3) arrays, one map
+    per grid point.  Returns the real parts of C~ for every (point, state)
+    pair, shape (N, S, 3, 3), and per point the largest imaginary magnitude
+    discarded over all S states (nonzero only for LITERAL-mode maps).
     """
     product = m1.transpose(0, 2, 1)[:, None] @ _diagonal_tensors(diagonals) @ m2[:, None]
     return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
@@ -164,39 +166,20 @@ def adjoint_rotation(u) -> np.ndarray:
 
 
 def unitary_oracle_batch(pulses, times) -> np.ndarray:
-    """Exact rotating-frame propagators U(t) = exp(-i t h) of n (pulse, t) pairs, (n, 2, 2).
+    """Exact rotating-frame propagators U = exp(-i tau h) of N (pulse, time) pairs, (N, 2, 2).
 
-    h is the pulse's constant 2x2 Hermitian generator, and U = V diag(exp(-i t w)) V^dag
-    from one stacked LAPACK (not pauli) eigh.  Rectangular: h = (Delta sigma_z + Omega0
-    sigma_x)/2 for t in [0, T] (outside the window the generator would be wrong, so that
-    is an error, matching the coefficient-map domain).  Exponential: U = exp(-i lambda(t)
-    sigma_x / 2).  Undriven: identity.  A phase that overflows a float raises AngleOverflow.
+    ``pulses`` is one PulseSpec for every time or a sequence of N.  h is the
+    constant 2x2 Hermitian generator (Delta sigma_z + Omega0 sigma_x)/2 and
+    tau = t for a rectangle; an exponential pulse is the resonant unit-rate
+    rectangle h = sigma_x/2 turned through tau = lambda(t); an undriven qubit
+    has h = 0.  The pairs, and their OutOfWindow and AngleOverflow errors,
+    come from the coefficient maps' pulses._rotations; the propagator itself
+    is U = V diag(exp(-i tau w)) V^dag from one stacked LAPACK (not pauli) eigh.
     """
-    times = np.asarray(times, dtype=float)
-    if times.shape != (len(pulses),):
-        raise ValueError("times must match pulses in length")
-    gens = np.zeros((len(pulses), 2, 2), dtype=np.complex128)
-    angles = np.zeros(len(pulses))
-    for i, (p, t) in enumerate(zip(pulses, times)):
-        if p.shape is PulseShape.RECTANGULAR:
-            if not 0.0 <= t <= p.duration:
-                raise OutOfWindow(f"t = {t} outside the pulse window [0, {p.duration}]")
-            if not math.isfinite(math.hypot(p.omega0, p.delta) * float(t)):  # no numpy warning
-                raise AngleOverflow(f"Omega_1 t at t = {t} overflows a float")
-            gens[i], angles[i] = 0.5 * (p.delta * SIGMA_Z + p.omega0 * SIGMA_X), t
-        elif p.shape is PulseShape.EXPONENTIAL:
-            if not t >= 0.0:  # false for NaN too
-                raise OutOfWindow(f"t = {t} precedes the pulse start")
-            if not math.isfinite(p.omega0 / p.gamma_p):
-                raise AngleOverflow(f"Omega0 / gamma_p = {p.omega0} / {p.gamma_p} overflows a float")
-            gens[i], angles[i] = 0.5 * SIGMA_X, pulse_angle(p, t)
+    om, dl, _, tau = _rotations(pulses, times)
+    gens = 0.5 * (dl[:, None, None] * SIGMA_Z + om[:, None, None] * SIGMA_X)
     w, v = np.linalg.eigh(gens)
-    return (v * np.exp(-1j * angles[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def unitary_oracle(p: PulseSpec, t: float) -> np.ndarray:
-    """Exact propagator of one pulse at one time t (see unitary_oracle_batch)."""
-    return unitary_oracle_batch([p], [t])[0]
+    return (v * np.exp(-1j * tau[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -224,11 +207,11 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
     t_end_i / n_i, and f is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
-    Deliberately shares no code with unitary_oracle or the coefficient
-    maps; this is the independent route.  Raises ValueError
-    unless step is positive and every t_end non-negative, all finite, and
-    the step count at most _RK4_MAX_STEPS, and StepTooLarge if step
-    exceeds a tenth of the shortest t_end > 0.
+    Deliberately shares no code, not even the pulse gathering, with
+    unitary_oracle_batch or the coefficient maps; this is the independent
+    route.  Raises ValueError unless step is positive and every t_end
+    non-negative, all finite, and the step count at most _RK4_MAX_STEPS,
+    and StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
@@ -303,20 +286,3 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
         first = int(steps[-1, 0]) + 1
     a, b, c, d = u[:, np.argsort(order)]
     return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)
-
-
-def evolve_state(
-    c,
-    pulse_a: PulseSpec,
-    pulse_b: PulseSpec,
-    t: float,
-    mode: CoefficientMode = CoefficientMode.UNITARY,
-) -> tuple[np.ndarray, float]:
-    """Evolve the diagonal correlations c = (c_xx, c_yy, c_zz) under two drives to time t.
-
-    Returns C~ (3, 3) and its discarded imaginary residue (see evolve_correlations_batch).
-    """
-    m1 = coefficient_map_batch(pulse_a, [t], mode)
-    m2 = coefficient_map_batch(pulse_b, [t], mode)
-    tensors, residues = evolve_correlations_batch([c], m1, m2)
-    return tensors[0, 0], float(residues[0])

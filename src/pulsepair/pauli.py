@@ -31,7 +31,6 @@ __all__ = [
     "PAULIS",
     "kron",
     "commutator_check",
-    "hermitian_eigenvalues",
     "hermitian_eigenvalues_batch",
 ]
 
@@ -191,13 +190,3 @@ def hermitian_eigenvalues_batch(ms) -> np.ndarray:
             sweeps += 1
     eigs.sort(axis=1)
     return eigs
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of one Hermitian matrix, sorted ascending.
-
-    The matrix must be Hermitian within HERMITICITY_TOL, otherwise
-    NonHermitianInput is raised.  The eigenvalue sum reproduces the trace
-    to working precision (tested property).
-    """
-    return hermitian_eigenvalues_batch(np.asarray(m)[None])[0]

@@ -21,11 +21,11 @@ intermediate complex coefficients
     C_minus = (1/2) (Omega/Omega_1)^2 (1 - cos(Omega_1 t))
     C_z     = (Delta Omega/Omega_1^2)(1 - cos(Omega_1 t)) - i (Omega/Omega_1) sin(Omega_1 t)
 
-with Omega_1 = sqrt(Omega0^2 + Delta^2), and for the resonant exponential
-pulse through the accumulated rotation angle
+with Omega_1 = sqrt(Omega0^2 + Delta^2).  The resonant exponential pulse
+takes the same forms at Omega = Omega_1 = 1, Delta = 0, with Omega_1 t
+replaced by the accumulated rotation angle
 
-    lambda(t) = (Omega0/gamma_p) (1 - exp(-gamma_p t)),
-    C_plus/minus = (1 +/- cos lambda)/2,   C_z = -i sin lambda.
+    lambda(t) = (Omega0/gamma_p) (1 - exp(-gamma_p t)).
 
 Two assembly modes are provided, because the raw closed-form relations for
 the B row,
@@ -58,7 +58,6 @@ __all__ = [
     "PulseSpec",
     "pulse_angle",
     "rotation_matrix",
-    "coefficient_map",
     "coefficient_map_batch",
 ]
 
@@ -133,28 +132,74 @@ def pulse_angle(p: PulseSpec, t):
     """Accumulated rotation angle lambda(t) of a resonant exponential pulse.
 
     lambda(t) = (Omega0/gamma_p)(1 - exp(-gamma_p t)), for a scalar or an
-    array t.  Monotone non-decreasing, saturating at Omega0/gamma_p, which
-    is what makes the exponential drive leave a frozen long-time state behind.
+    array t >= 0 (see _rotations for the errors).  Monotone non-decreasing,
+    saturating at Omega0/gamma_p, which is what makes the exponential drive
+    leave a frozen long-time state behind.
     """
     if p.shape is not PulseShape.EXPONENTIAL:
         raise ValueError("pulse_angle applies to exponential pulses only")
-    return (p.omega0 / p.gamma_p) * (1.0 - np.exp(-p.gamma_p * np.asarray(t, dtype=float)))
+    t = np.asarray(t, dtype=float)
+    return _rotations(p, t.reshape(-1))[3].reshape(t.shape)[()]
+
+
+def _rotations(pulses, times, literal: bool = False):
+    """Check N (pulse, time) pairs and give each as a rotation: (omega, delta, Omega_1, tau).
+
+    Pair i turns by Omega_1 tau about (omega, 0, delta)/Omega_1: a rectangle
+    with its own omega0 and delta and tau = t, an exponential pulse as the
+    resonant unit-rate rectangle (omega = Omega_1 = 1, delta = 0) with
+    tau = lambda(t), an undriven qubit with omega = delta = Omega_1 = 0.
+    ``pulses`` is one PulseSpec for every time, giving the first three arrays
+    shape (1,) to broadcast, or a sequence of N, giving them shape (N,).
+
+    The first pair with t outside its window (from 0 to a rectangle's T; NaN
+    fails) raises OutOfWindow, and the first whose angle Omega_1 tau (with
+    ``literal``, also Delta^2 + Omega_1^2) overflows a float AngleOverflow,
+    without a numpy warning.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
+    one = isinstance(pulses, PulseSpec)
+    specs = [pulses] if one else list(pulses)
+    if not one and len(specs) != len(t):
+        raise ValueError("times must match pulses in length")
+    rows = []  # omega, delta, Omega_1, window end, lambda's scale Omega0/gamma_p and rate gamma_p
+    for p in specs:
+        if p.shape is PulseShape.RECTANGULAR:
+            rows.append((p.omega0, p.delta, math.hypot(p.omega0, p.delta), p.duration, 0.0, 0.0))
+        elif p.shape is PulseShape.EXPONENTIAL:
+            rows.append((1.0, 0.0, 1.0, math.inf, p.omega0 / p.gamma_p, p.gamma_p))
+        else:
+            rows.append((0.0, 0.0, 0.0, math.inf, 0.0, 0.0))
+    om, dl, om1, end, scale, rate = np.array(rows, dtype=float).reshape(-1, 6).T
+    outside = ~((0.0 <= t) & (t <= end))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfWindow(f"pair {i}: t = {t[i]} outside the pulse window [0, {end[0 if one else i]}]")
+    # an overflowing Omega0/gamma_p gives inf or NaN here, caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = np.where(rate > 0.0, scale * (1.0 - np.exp(-rate * t)), t) if rate.any() else t
+        huge = ~np.isfinite(om1 * tau)
+        if literal:
+            huge |= ~np.isfinite(dl * dl + om1 * om1)
+    if huge.any():
+        i = int(np.argmax(huge))
+        raise AngleOverflow(f"pair {i}: the rotation of {specs[0 if one else i]} at t = {t[i]} overflows a float")
+    return om, dl, om1, tau
 
 
 def rotation_matrix(axis, angle) -> np.ndarray:
-    """Proper rotation about a unit axis (Rodrigues form): (3, 3), or (N, 3, 3) for N angles."""
+    """Proper rotations (Rodrigues form) about unit axes: (3, 3) for one axis and one
+    angle, (N, 3, 3) for N angles about one axis (3,) or (1, 3), or about N axes (N, 3)."""
     n = np.asarray(axis, dtype=float)
     angle = np.asarray(angle, dtype=float)[..., None, None]
     c = np.cos(angle)
     s = np.sin(angle)
-    cross = np.array(
-        [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
-    )
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
+    cross = np.zeros(n.shape + (3,))  # cross @ v = n x v
+    cross[..., [2, 0, 1], [1, 2, 0]] = n
+    cross[..., [1, 2, 0], [2, 0, 1]] = -n
+    return c * np.eye(3) + s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
 
 
 def _literal_matrix(c_plus, c_minus, c_z, d_row) -> np.ndarray:
@@ -178,74 +223,45 @@ def _identity_maps(n: int) -> np.ndarray:
 
 
 def coefficient_map_batch(
-    p: PulseSpec, times, mode: CoefficientMode = CoefficientMode.UNITARY
+    pulses, times, mode: CoefficientMode = CoefficientMode.UNITARY
 ) -> np.ndarray:
-    """Coefficient maps of one pulse at an array of N times, shape (N, 3, 3) complex.
+    """Coefficient maps (N, 3, 3) complex, rows A, B, D, of N (pulse, time) pairs.
 
-    Rectangular pulse, every t in the window [0, T] (else OutOfWindow).
-    The D row is the same in both modes:
+    ``pulses`` is one PulseSpec for all N times or a sequence of N, one per
+    time; _rotations checks them.  Every driven pair takes the rectangle's
+    forms, with Omega_1 tau for Omega_1 t.  The D row is the same in both modes:
 
         D = ( (Delta Omega/Omega_1^2)(1 - cos),  (Omega/Omega_1) sin,
               (Omega^2 cos + Delta^2)/Omega_1^2 ),
 
     the last entry written in the equivalent form that stays finite as
-    Omega -> 0.  UNITARY mode returns the rotation about
-    (Omega/Omega_1, 0, Delta/Omega_1) by Omega_1 t, whose third row is
-    exactly this D row.  A drive with Omega0 = 0 is a valid no-op at
-    Delta = 0 (identity) and a plain z rotation otherwise.
-
-    Resonant exponential pulse, every t >= 0 (else OutOfWindow): D row =
-    (0, sin lambda, cos lambda).  UNITARY mode is the x-axis rotation by
-    lambda(t); LITERAL mode assembles the verbatim closed forms, whose B
-    row vanishes identically on resonance.
-
-    Undriven qubit: the identity.  A rotation angle that overflows a float
-    (Omega_1 t, or Omega0/gamma_p) raises AngleOverflow.
+    Omega -> 0; for an exponential pulse it is (0, sin lambda, cos lambda).
+    UNITARY mode returns the rotation about (Omega/Omega_1, 0, Delta/Omega_1)
+    by Omega_1 tau, whose third row is exactly this D row.  LITERAL mode
+    assembles the verbatim closed forms, whose B row vanishes on resonance.
+    A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0) is the identity.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    if p.shape is PulseShape.RECTANGULAR:
-        outside = ~((0.0 <= t) & (t <= p.duration))
-        if outside.any():
-            raise OutOfWindow(f"t = {t[outside][0]} outside the pulse window [0, {p.duration}]")
-        om, dl = p.omega0, p.delta
-        om1 = math.hypot(om, dl)
-        if om1 == 0.0:
-            return _identity_maps(len(t))
-        # a Python float overflows to inf without numpy's RuntimeWarning
-        if not math.isfinite(om1 * float(t.max(initial=0.0))):
-            raise AngleOverflow(f"Omega_1 t = {om1} * {t.max()} overflows a float")
-        axis, angle = (om / om1, 0.0, dl / om1), om1 * t
-    elif p.shape is PulseShape.EXPONENTIAL:
-        before = ~(t >= 0.0)  # NaN fails the window too
-        if before.any():
-            raise OutOfWindow(f"t = {t[before][0]} precedes the pulse start")
-        if not math.isfinite(p.omega0 / p.gamma_p):
-            raise AngleOverflow(f"Omega0 / gamma_p = {p.omega0} / {p.gamma_p} overflows a float")
-        axis, angle = (1.0, 0.0, 0.0), pulse_angle(p, t)
-    else:
-        return _identity_maps(len(t))
+    om, dl, om1, tau = _rotations(pulses, times, mode is CoefficientMode.LITERAL)
+    idle = om1 == 0.0
+    if idle.all():
+        return _identity_maps(len(tau))
+    om1 = np.where(idle, 1.0, om1)  # no 0/0: idle pairs are set to the identity below
+    angle = om1 * tau
     if mode is CoefficientMode.UNITARY:
-        return rotation_matrix(axis, angle).astype(np.complex128)
-    c = np.cos(angle)
-    s = np.sin(angle)
-    if p.shape is PulseShape.EXPONENTIAL:
-        return _literal_matrix(0.5 * (1.0 + c), 0.5 * (1.0 - c), -1j * s, (0.0, s, c))
-    ratio2 = (om / om1) ** 2
-    c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
-    c_minus = 0.5 * ratio2 * (1.0 - c)
-    c_z = (dl * om / (om1 * om1)) * (1.0 - c) - 1j * (om / om1) * s
-    d_row = (
-        (dl * om / (om1 * om1)) * (1.0 - c),
-        (om / om1) * s,
-        (om * om * c + dl * dl) / (om1 * om1),
-    )
-    return _literal_matrix(c_plus, c_minus, c_z, d_row)
-
-
-def coefficient_map(
-    p: PulseSpec, t: float, mode: CoefficientMode = CoefficientMode.UNITARY
-) -> np.ndarray:
-    """Coefficient map (3, 3) complex, rows A, B, D, of any pulse at one time t (see the batch form)."""
-    return coefficient_map_batch(p, [t], mode)[0]
+        maps = rotation_matrix(np.array([om, 0.0 * om, dl]).T / om1[:, None], angle).astype(np.complex128)
+    else:
+        c = np.cos(angle)
+        s = np.sin(angle)
+        ratio2 = (om / om1) ** 2
+        c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
+        c_minus = 0.5 * ratio2 * (1.0 - c)
+        c_z = (dl * om / (om1 * om1)) * (1.0 - c) - 1j * (om / om1) * s
+        d_row = (
+            (dl * om / (om1 * om1)) * (1.0 - c),
+            (om / om1) * s,
+            (om * om * c + dl * dl) / (om1 * om1),
+        )
+        maps = _literal_matrix(c_plus, c_minus, c_z, d_row)
+    if idle.any():
+        maps[idle] = np.eye(3)
+    return maps

@@ -98,31 +98,28 @@ def _check_eigensolver(rng) -> list[CheckResult]:
     ]
 
 
-def _published_d_row(p: pulses.PulseSpec, t: float) -> np.ndarray:
-    if p.shape is pulses.PulseShape.RECTANGULAR:
-        om, dl = p.omega0, p.delta
-        om1 = np.hypot(om, dl)
-        ph = om1 * t
-        return np.array(
-            [
-                dl * om / om1**2 * (1.0 - np.cos(ph)),
-                om / om1 * np.sin(ph),
-                (om / om1) ** 2 * (np.cos(ph) + (dl / om) ** 2),
-            ]
-        )
-    lam = pulses.pulse_angle(p, t)
-    return np.array([0.0, np.sin(lam), np.cos(lam)])
+def _published_d_row(specs, ts) -> np.ndarray:
+    """The paper's D rows of N (pulse, t) pairs, (N, 3), gathered here and not by pulses._rotations."""
+    rect = np.array([p.shape is pulses.PulseShape.RECTANGULAR for p in specs])
+    om, dl = (np.array([getattr(p, key) for p in specs])[rect] for key in ("omega0", "delta"))
+    om1 = np.hypot(om, dl)
+    ph = om1 * np.asarray(ts)[rect]
+    lam = np.array([pulses.pulse_angle(p, t) for p, t, r in zip(specs, ts, rect) if not r])
+    d = np.empty((len(specs), 3))
+    d[rect] = np.stack(
+        (dl * om / om1**2 * (1.0 - np.cos(ph)), om / om1 * np.sin(ph), (om / om1) ** 2 * (np.cos(ph) + (dl / om) ** 2)),
+        axis=-1,
+    )
+    d[~rect] = np.stack((np.zeros_like(lam), np.sin(lam), np.cos(lam)), axis=-1)
+    return d
 
 
 def _check_d_row_anchor(rng) -> list[CheckResult]:
-    worst = 0.0
-    ortho = 0.0
-    for _ in range(1000):
-        p, t = _random_pulse(rng)
-        m = pulses.coefficient_map(p, t).real
-        worst = max(worst, float(np.abs(m[2] - _published_d_row(p, t)).max()))
-        ortho = max(ortho, float(np.abs(m.T @ m - np.eye(3)).max()))
-        ortho = max(ortho, abs(float(np.linalg.det(m)) - 1.0))
+    specs, ts = zip(*(_random_pulse(rng) for _ in range(1000)))
+    m = pulses.coefficient_map_batch(specs, ts).real
+    worst = float(np.abs(m[:, 2] - _published_d_row(specs, ts)).max())
+    ortho = float(np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max())
+    ortho = max(ortho, float(np.abs(np.linalg.det(m) - 1.0).max()))
     return [
         _result("rotation_d_row_anchor", worst, 1e-12),
         _result("rotation_orthogonality", ortho, 1e-10),
@@ -133,7 +130,7 @@ def _check_oracle_triangle(rng) -> list[CheckResult]:
     specs, t_ends = zip(*(_random_pulse(rng) for _ in range(80)))
     rk4 = evolution.rk4_oracle_batch(specs, t_ends, step=1e-3)
     exact = evolution.unitary_oracle_batch(specs, t_ends)
-    analytic = np.array([pulses.coefficient_map(p, t).real for p, t in zip(specs, t_ends)])
+    analytic = pulses.coefficient_map_batch(specs, t_ends).real
     r_exact, r_rk4 = evolution.adjoint_rotation(exact), evolution.adjoint_rotation(rk4)
     pairs = ((analytic, r_exact), (analytic, r_rk4), (r_exact, r_rk4))
     rot_err = max(float(np.abs(a - b).max()) for a, b in pairs)
@@ -160,7 +157,8 @@ def _check_fano_consistency(rng) -> CheckResult:
             p2 = pulses.PulseSpec.rectangular(p2.omega0, duration=t, delta=p2.delta)
         draws.append((p1, p2, t, _random_physical_correlations(rng)))
     p1s, p2s, ts, cs = zip(*draws)
-    direct = np.array([evolution.evolve_state(c, p1, p2, t)[0] for c, p1, p2, t in zip(cs, p1s, p2s, ts)])
+    m1, m2 = (pulses.coefficient_map_batch(p, ts) for p in (p1s, p2s))
+    direct = evolution.evolve_correlations_batch(np.array(cs)[:, None], m1, m2)[0][:, 0]
     u = evolution.unitary_oracle_batch(p1s + p2s, ts + ts)
     u12 = np.einsum("nij,nkl->nikjl", u[:500], u[500:]).reshape(500, 4, 4)
     # the coefficient map substitutes evolved operators into the

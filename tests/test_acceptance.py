@@ -27,9 +27,9 @@ from pulsepair.evolution import (
     adjoint_rotation,
     assemble_density_batch,
     rk4_oracle_batch,
-    unitary_oracle,
+    unitary_oracle_batch,
 )
-from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
+from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 from pulsepair.scenarios import paper_figure_presets, run_sweep
 from pulsepair.validation import VALIDATION_NOTES, _random_physical_correlations, _random_pulse
 
@@ -78,7 +78,7 @@ def test_rotation_row_closed_forms(capsys):
     # both pulse shapes, against 1000 random parameter triples
     rng = np.random.default_rng(20260816)
     start = time.perf_counter()
-    worst = 0.0
+    specs, times, expected = [], [], []
     for _ in range(1000):
         omega = rng.uniform(0.05, 6.0)
         delta = rng.uniform(-6.0, 6.0) if rng.random() < 0.75 else 0.0
@@ -95,14 +95,14 @@ def test_rotation_row_closed_forms(capsys):
                 (omega**2 * math.cos(phase) + delta**2) / om1**2,
             ]
         )
-        got = coefficient_map(rect, t, CoefficientMode.UNITARY).real[2]
-        worst = max(worst, float(np.abs(got - d_rect).max()))
-
         pulse = PulseSpec.exponential(omega, gamma)
         lam = (omega / gamma) * (1.0 - math.exp(-gamma * t))
         d_exp = np.array([0.0, math.sin(lam), math.cos(lam)])
-        got = coefficient_map(pulse, t, CoefficientMode.UNITARY).real[2]
-        worst = max(worst, float(np.abs(got - d_exp).max()))
+        specs += [rect, pulse]
+        times += [t, t]
+        expected += [d_rect, d_exp]
+    got = coefficient_map_batch(specs, times, CoefficientMode.UNITARY).real[:, 2]
+    worst = float(np.abs(got - np.array(expected)).max())
     elapsed = time.perf_counter() - start
 
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -122,15 +122,11 @@ def test_three_way_propagator_agreement(capsys):
     # the pulse draws of validate's oracle triangle, 200 of them
     specs, t_ends = zip(*(_random_pulse(rng) for _ in range(200)))
 
-    rk4 = rk4_oracle_batch(specs, t_ends, step=1e-3)
-    worst = 0.0
-    for pulse, t, u_rk4 in zip(specs, t_ends, rk4):
-        analytic = coefficient_map(pulse, t, CoefficientMode.UNITARY).real
-        r_exact = adjoint_rotation(unitary_oracle(pulse, t))
-        r_rk4 = adjoint_rotation(u_rk4)
-        worst = max(worst, float(np.abs(analytic - r_exact).max()))
-        worst = max(worst, float(np.abs(analytic - r_rk4).max()))
-        worst = max(worst, float(np.abs(r_exact - r_rk4).max()))
+    r_rk4 = adjoint_rotation(rk4_oracle_batch(specs, t_ends, step=1e-3))
+    analytic = coefficient_map_batch(specs, t_ends, CoefficientMode.UNITARY).real
+    r_exact = adjoint_rotation(unitary_oracle_batch(specs, t_ends))
+    pairs = ((analytic, r_exact), (analytic, r_rk4), (r_exact, r_rk4))
+    worst = max(float(np.abs(a - b).max()) for a, b in pairs)
     elapsed = time.perf_counter() - start
 
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -19,19 +19,21 @@ from pulsepair.evolution import (
     assemble_density_batch,
     correlations_from_density_batch,
     evolve_correlations_batch,
-    evolve_state,
     rk4_oracle_batch,
-    unitary_oracle,
     unitary_oracle_batch,
 )
-from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map
+from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 from pulsepair.validation import _random_physical_correlations
 
 import oracles
 
 
 def undriven(mode=CoefficientMode.UNITARY):
-    return coefficient_map(PulseSpec.none(), 0.0, mode)
+    return coefficient_map_batch(PulseSpec.none(), [0.0], mode)[0]
+
+
+def exact_single(p, t):
+    return unitary_oracle_batch(p, [t])[0]
 
 
 def evolve_one(c, m1, m2):
@@ -95,12 +97,12 @@ class TestEvolveCorrelations:
         # rotation about x by pi on qubit a: lambda = pi exponential map
         p = PulseSpec.exponential(math.pi, 1.0)
         t = 60.0  # angle saturated at omega0/gamma_p = pi
-        tensor, _ = evolve_one((-1.0, -1.0, -1.0), coefficient_map(p, t), undriven())
+        tensor, _ = evolve_one((-1.0, -1.0, -1.0), coefficient_map_batch(p, [t])[0], undriven())
         assert np.abs(tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
 
     def test_x_quarter_turn_on_both_qubits(self):
         p = PulseSpec.exponential(math.pi / 2.0, 1.0)
-        m = coefficient_map(p, 60.0)
+        m = coefficient_map_batch(p, [60.0])[0]
         tensor, _ = evolve_one((-0.9, -0.8, -0.6), m, m)
         assert np.abs(tensor - np.diag([-0.9, -0.6, -0.8])).max() < 1e-12
 
@@ -110,11 +112,22 @@ class TestEvolveCorrelations:
         t = np.diag([0.1, 0.2, 0.3])
         t[1, 0] = 0.05
         with pytest.raises(ValueError):
-            evolve_state(t, PulseSpec.none(), PulseSpec.none(), 0.0)
+            evolve_correlations_batch([t], undriven()[None], undriven()[None])
+
+    def test_one_state_per_point(self):
+        # diagonals of shape (N, 1, 3) pair state n with maps n, as the (S, 3) form does for all n
+        p = PulseSpec.rectangular(1.0, duration=10.0, delta=1.0)
+        m = coefficient_map_batch(p, [0.5, 2.0, 3.0], CoefficientMode.LITERAL)
+        c = [(-0.9, -0.8, -0.7), (-1.0, -1.0, -1.0), (0.1, 0.2, 0.3)]
+        tensors, residues = evolve_correlations_batch(np.array(c)[:, None], m, m)
+        every, _ = evolve_correlations_batch(c, m, m)
+        assert tensors.shape == (3, 1, 3, 3)
+        assert np.array_equal(tensors[:, 0], every[[0, 1, 2], [0, 1, 2]])
+        assert residues.shape == (3,) and residues.min() > 0.0
 
     def test_literal_map_records_imaginary_residue(self):
         p = PulseSpec.rectangular(1.0, duration=10.0, delta=1.0)
-        m = coefficient_map(p, 2.0, CoefficientMode.LITERAL)
+        m = coefficient_map_batch(p, [2.0], CoefficientMode.LITERAL)[0]
         tensor, residue = evolve_one((-1.0, -1.0, -1.0), m, undriven(CoefficientMode.LITERAL))
         assert residue > 1e-3
         assert np.isreal(tensor).all()
@@ -203,23 +216,23 @@ class TestAdjointRotation:
 class TestUnitaryOracle:
     def test_rectangular_matches_expm(self):
         p = PulseSpec.rectangular(1.1, duration=5.0, delta=0.4)
-        u = unitary_oracle(p, 3.0)
+        u = exact_single(p, 3.0)
         assert np.abs(u - oracles.rect_propagator(1.1, 0.4, 3.0)).max() < 1e-14
 
     def test_exponential_matches_expm(self):
         p = PulseSpec.exponential(5.0, 1.0)
-        u = unitary_oracle(p, 2.0)
+        u = exact_single(p, 2.0)
         assert np.abs(u - oracles.exp_propagator(5.0, 1.0, 2.0)).max() < 1e-14
 
     def test_window_and_shape_guards(self):
         with pytest.raises(OutOfWindow):
-            unitary_oracle(PulseSpec.rectangular(1.0, duration=1.0), 2.0)
+            exact_single(PulseSpec.rectangular(1.0, duration=1.0), 2.0)
         with pytest.raises(OutOfWindow):
-            unitary_oracle(PulseSpec.exponential(1.0, 1.0), -0.5)
-        assert np.array_equal(unitary_oracle(PulseSpec.none(), 3.0), np.eye(2))
+            exact_single(PulseSpec.exponential(1.0, 1.0), -0.5)
+        assert np.array_equal(exact_single(PulseSpec.none(), 3.0), np.eye(2))
 
     def test_unitarity(self):
-        u = unitary_oracle(PulseSpec.rectangular(2.0, duration=10.0, delta=-1.5), 7.0)
+        u = exact_single(PulseSpec.rectangular(2.0, duration=10.0, delta=-1.5), 7.0)
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
     # the ranges of validation._random_pulse; t = 0 and t = duration (the
@@ -233,7 +246,7 @@ class TestUnitaryOracle:
     )
     def test_rectangular_property_against_expm(self, omega0, delta, duration, fraction):
         t = duration * fraction
-        u = unitary_oracle(PulseSpec.rectangular(omega0, duration=duration, delta=delta), t)
+        u = exact_single(PulseSpec.rectangular(omega0, duration=duration, delta=delta), t)
         assert np.abs(u - oracles.rect_propagator(omega0, delta, t)).max() < 1e-13
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
@@ -244,7 +257,7 @@ class TestUnitaryOracle:
         st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
     )
     def test_exponential_property_against_expm(self, omega0, gamma_p, t):
-        u = unitary_oracle(PulseSpec.exponential(omega0, gamma_p), t)
+        u = exact_single(PulseSpec.exponential(omega0, gamma_p), t)
         assert np.abs(u - oracles.exp_propagator(omega0, gamma_p, t)).max() < 1e-13
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
@@ -261,7 +274,8 @@ class TestUnitaryOracle:
         batch = unitary_oracle_batch(specs, times)
         assert batch.shape == (5, 2, 2)
         for i, (p, t) in enumerate(self.BATCH):
-            assert np.array_equal(batch[i], unitary_oracle(p, t))
+            assert np.array_equal(batch[i], unitary_oracle_batch([p], [t])[0])
+            assert np.array_equal(batch[i], unitary_oracle_batch(p, [t])[0])
         assert np.array_equal(batch[2], np.eye(2))
         assert unitary_oracle_batch([], []).shape == (0, 2, 2)
 
@@ -281,7 +295,7 @@ class TestUnitaryOracle:
         for spec, t in overflowing:
             with pytest.raises(AngleOverflow, match="overflows a float"):
                 unitary_oracle_batch(specs + (spec,), times + (t,))
-        assert np.isfinite(unitary_oracle(PulseSpec.rectangular(1e150, duration=1e150), 1e150)).all()
+        assert np.isfinite(exact_single(PulseSpec.rectangular(1e150, duration=1e150), 1e150)).all()
 
     # the ranges of validation._random_pulse, as (pulse, time) pairs
     RECT_DRAWS = st.builds(
@@ -320,10 +334,10 @@ class TestUnitaryOracle:
             import sys
             import pulsepair
             from pulsepair import cli
-            from pulsepair.evolution import unitary_oracle
+            from pulsepair.evolution import unitary_oracle_batch
             from pulsepair.pulses import PulseSpec
-            unitary_oracle(PulseSpec.rectangular(1.0, duration=2.0, delta=0.5), 1.5)
-            unitary_oracle(PulseSpec.exponential(5.0, 1.0), 2.0)
+            specs = [PulseSpec.rectangular(1.0, duration=2.0, delta=0.5), PulseSpec.exponential(5.0, 1.0)]
+            unitary_oracle_batch(specs, [1.5, 2.0])
             assert cli.main(["preset", "fig2b", "--out", {str(tmp_path / "fig2b.csv")!r}]) == 0
             print(sorted(name for name in sys.modules if name.startswith("scipy")))
             """
@@ -367,7 +381,7 @@ class TestRk4Oracle:
             (PulseSpec.exponential(8.0, 0.5), 3.0),
         ]
         for p, t in cases:
-            err = np.abs(rk4_single(p, t) - unitary_oracle(p, t)).max()
+            err = np.abs(rk4_single(p, t) - exact_single(p, t)).max()
             assert err < 1e-9
 
     def test_rectangular_edge_is_sampled_inside_the_window(self):
@@ -376,7 +390,7 @@ class TestRk4Oracle:
         p = PulseSpec.rectangular(
             2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357
         )
-        err = np.abs(rk4_single(p, p.duration) - unitary_oracle(p, p.duration)).max()
+        err = np.abs(rk4_single(p, p.duration) - exact_single(p, p.duration)).max()
         assert err < 1e-9
 
     def test_batch_matches_exact_propagator(self):
@@ -392,7 +406,7 @@ class TestRk4Oracle:
             if p.shape.value == "none":
                 assert np.abs(u - np.eye(2)).max() < 1e-12
             else:
-                assert np.abs(u - unitary_oracle(p, t)).max() < 1e-9
+                assert np.abs(u - exact_single(p, t)).max() < 1e-9
 
     def test_each_pair_takes_its_own_step_count(self):
         # pair 1 stops after its 50 steps of 1e-2; under a common count it
@@ -453,23 +467,23 @@ class TestRk4Oracle:
         assert np.abs(blocked - default).max() < 1e-13
 
 
+def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):
+    """C~ and residue of the singlet under drives pa and pb at time t, through the batch forms."""
+    m1, m2 = (coefficient_map_batch(p, [t], mode) for p in (pa, pb))
+    tensors, residues = evolve_correlations_batch([InitialState.bell_singlet().correlations], m1, m2)
+    return tensors[0, 0], residues[0]
+
+
 class TestEvolveState:
     def test_resonant_pi_pulse_flips_two_correlations(self):
         # Omega0 t = pi: x rotation by pi on qubit a only
         t = math.pi
-        pa = PulseSpec.rectangular(1.0, duration=t)
-        tensor, residue = evolve_state(InitialState.bell_singlet().correlations, pa, PulseSpec.none(), t)
+        tensor, residue = evolve_pair(PulseSpec.rectangular(1.0, duration=t), PulseSpec.none(), t)
         assert np.abs(tensor - np.diag([-1.0, 1.0, 1.0])).max() < 1e-12
         assert residue == 0.0
 
     def test_literal_mode_propagates_residue(self):
         t = 2.0
         pa = PulseSpec.rectangular(1.0, duration=t, delta=1.0)
-        _, residue = evolve_state(
-            InitialState.bell_singlet().correlations,
-            pa,
-            PulseSpec.none(),
-            t,
-            mode=CoefficientMode.LITERAL,
-        )
+        _, residue = evolve_pair(pa, PulseSpec.none(), t, CoefficientMode.LITERAL)
         assert residue > 1e-6
