@@ -13,33 +13,31 @@ triple, giving a 3x3 coefficient matrix whose rows we call A, B and D:
     sigma_y(t) = B_x sigma_x(0) + B_y sigma_y(0) + B_z sigma_z(0)
     sigma_z(t) = D_x sigma_x(0) + D_y sigma_y(0) + D_z sigma_z(0)
 
-For a rectangular pulse the closed forms are expressed through the
-intermediate complex coefficients
+For a rectangular pulse the paper prints the rows in closed form.  With
+Omega_1 = sqrt(Omega0^2 + Delta^2), c = cos(Omega_1 t) and s = sin(Omega_1 t):
 
-    C_plus  = (1/2) [ (Omega/Omega_1)^2 + ((Delta^2 + Omega_1^2)/Omega_1^2) cos(Omega_1 t) ]
-              + i (Delta/Omega_1) sin(Omega_1 t)
-    C_minus = (1/2) (Omega/Omega_1)^2 (1 - cos(Omega_1 t))
-    C_z     = (Delta Omega/Omega_1^2)(1 - cos(Omega_1 t)) - i (Omega/Omega_1) sin(Omega_1 t)
+    A = ( (1/2)[(Omega/Omega_1)^2 + ((Delta^2 + Omega_1^2)/Omega_1^2) c]
+              + (1/2)(Omega/Omega_1)^2 (1 - c),
+          -(Delta/Omega_1) s,  (Delta Omega/Omega_1^2)(1 - c) ),
+    B = ( B_x,  i B_x,  -i A_z ),  B_x = (Delta/Omega_1) s,
+    D = ( (Delta Omega/Omega_1^2)(1 - c),  (Omega/Omega_1) s,
+          (Omega^2 c + Delta^2)/Omega_1^2 ),
 
-with Omega_1 = sqrt(Omega0^2 + Delta^2).  The resonant exponential pulse
-takes the same forms at Omega = Omega_1 = 1, Delta = 0, with Omega_1 t
-replaced by the accumulated rotation angle
+A_x keeping the form of the real part of the paper's C_plus + C_minus.  The
+resonant exponential pulse takes the same forms at Omega = Omega_1 = 1,
+Delta = 0, with Omega_1 t replaced by the accumulated rotation angle
 
     lambda(t) = (Omega0/gamma_p) (1 - exp(-gamma_p t)).
 
-Two assembly modes are provided, because the raw closed-form relations for
-the B row,
-
-    B_x = -(i/2)(C_plus + C_minus - c.c.),  B_y = i B_x,  B_z = -i A_z,
-
-are internally inconsistent: they give imaginary coefficients for a
-Hermitian observable.  LITERAL mode evaluates these relations verbatim and
-lets downstream code measure the damage (see the imaginary-residue
-diagnostics in the evolution module).  UNITARY mode, the default, keeps
-the A and D rows and replaces the map by the unique proper rotation with
-the same D row: the axis-angle rotation about (Omega0/Omega_1, 0,
-Delta/Omega_1) by angle Omega_1 t for the rectangle, and about the x axis
-by lambda(t) for the exponential.  The unitary map is exactly what
+The A and D rows are one set of rows for both assembly modes; the mode
+decides only the B row, because the printed one is internally
+inconsistent: it gives imaginary coefficients for a Hermitian observable.
+LITERAL mode takes it verbatim and lets downstream code measure the damage
+(see the imaginary-residue diagnostics in the evolution module).  UNITARY
+mode, the default, takes B = D x A, the middle row of the unique proper
+rotation with rows A and D: the axis-angle rotation about (Omega0/Omega_1,
+0, Delta/Omega_1) by angle Omega_1 t for the rectangle, and about the x
+axis by lambda(t) for the exponential.  The unitary map is what
 conjugation by the 2x2 propagator exp(-i t H) produces, which the test
 suite verifies against independent oracles.
 """
@@ -57,7 +55,6 @@ __all__ = [
     "CoefficientMode",
     "PulseSpec",
     "pulse_angle",
-    "rotation_matrix",
     "coefficient_map_batch",
 ]
 
@@ -142,7 +139,7 @@ def pulse_angle(p: PulseSpec, t):
     return _rotations(p, t.reshape(-1))[3].reshape(t.shape)[()]
 
 
-def _rotations(pulses, times, literal: bool = False):
+def _rotations(pulses, times):
     """Check N (pulse, time) pairs and give each as a rotation: (omega, delta, Omega_1, tau).
 
     Pair i turns by Omega_1 tau about (omega, 0, delta)/Omega_1: a rectangle
@@ -153,9 +150,8 @@ def _rotations(pulses, times, literal: bool = False):
     shape (1,) to broadcast, or a sequence of N, giving them shape (N,).
 
     The first pair with t outside its window (from 0 to a rectangle's T; NaN
-    fails) raises OutOfWindow, and the first whose angle Omega_1 tau (with
-    ``literal``, also Delta^2 + Omega_1^2) overflows a float AngleOverflow,
-    without a numpy warning.
+    fails) raises OutOfWindow, and the first whose angle Omega_1 tau overflows
+    a float AngleOverflow, without a numpy warning.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -181,41 +177,10 @@ def _rotations(pulses, times, literal: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         tau = np.where(rate > 0.0, scale * (1.0 - np.exp(-rate * t)), t) if rate.any() else t
         huge = ~np.isfinite(om1 * tau)
-        if literal:
-            huge |= ~np.isfinite(dl * dl + om1 * om1)
     if huge.any():
         i = int(np.argmax(huge))
         raise AngleOverflow(f"pair {i}: the rotation of {specs[0 if one else i]} at t = {t[i]} overflows a float")
     return om, dl, om1, tau
-
-
-def rotation_matrix(axis, angle) -> np.ndarray:
-    """Proper rotations (Rodrigues form) about unit axes: (3, 3) for one axis and one
-    angle, (N, 3, 3) for N angles about one axis (3,) or (1, 3), or about N axes (N, 3)."""
-    n = np.asarray(axis, dtype=float)
-    angle = np.asarray(angle, dtype=float)[..., None, None]
-    c = np.cos(angle)
-    s = np.sin(angle)
-    cross = np.zeros(n.shape + (3,))  # cross @ v = n x v
-    cross[..., [2, 0, 1], [1, 2, 0]] = n
-    cross[..., [1, 2, 0], [2, 0, 1]] = -n
-    return c * np.eye(3) + s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
-
-
-def _literal_matrix(c_plus, c_minus, c_z, d_row) -> np.ndarray:
-    """Assemble the verbatim closed-form maps (N, 3, 3) from arrays of C coefficients.
-
-    A row: A_x = Re(C+ + C-), A_y = -Im(C+ - C-), A_z = Re(C_z).
-    B row taken at face value: B_x = Im(C+ + C-), B_y = i B_x,
-    B_z = -i A_z.  The last two are imaginary whenever they are nonzero,
-    which is the inconsistency LITERAL mode exists to expose.
-    """
-    a_x = (c_plus + c_minus).real
-    a_y = -(c_plus - c_minus).imag
-    a_z = c_z.real
-    b_x = (c_plus + c_minus).imag
-    rows = ((a_x, a_y, a_z), (b_x, 1j * b_x, -1j * a_z), d_row)
-    return np.moveaxis(np.array([np.broadcast_arrays(*r) for r in rows], np.complex128), -1, 0)
 
 
 def _identity_maps(n: int) -> np.ndarray:
@@ -229,39 +194,42 @@ def coefficient_map_batch(
 
     ``pulses`` is one PulseSpec for all N times or a sequence of N, one per
     time; _rotations checks them.  Every driven pair takes the rectangle's
-    forms, with Omega_1 tau for Omega_1 t.  The D row is the same in both modes:
-
-        D = ( (Delta Omega/Omega_1^2)(1 - cos),  (Omega/Omega_1) sin,
-              (Omega^2 cos + Delta^2)/Omega_1^2 ),
-
-    the last entry written in the equivalent form that stays finite as
-    Omega -> 0; for an exponential pulse it is (0, sin lambda, cos lambda).
-    UNITARY mode returns the rotation about (Omega/Omega_1, 0, Delta/Omega_1)
-    by Omega_1 tau, whose third row is exactly this D row.  LITERAL mode
-    assembles the verbatim closed forms, whose B row vanishes on resonance.
-    A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0) is the identity.
+    rows of the module docstring, with Omega_1 tau for Omega_1 t.  Both modes
+    share the A and D rows bit for bit; UNITARY mode adds B = D x A, LITERAL
+    mode the printed B row, which vanishes on resonance.  The rows take only
+    ratios of Omega, Delta and Omega_1, so no finite angle overflows or
+    underflows them.  A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0)
+    is the identity.
     """
-    om, dl, om1, tau = _rotations(pulses, times, mode is CoefficientMode.LITERAL)
+    om, dl, om1, tau = _rotations(pulses, times)
     idle = om1 == 0.0
     if idle.all():
         return _identity_maps(len(tau))
     om1 = np.where(idle, 1.0, om1)  # no 0/0: idle pairs are set to the identity below
     angle = om1 * tau
+    c = np.cos(angle)
+    s = np.sin(angle)
+    # dividing omega, delta and Omega_1 by a power of two near Omega_1 is exact
+    e = np.frexp(om1)[1]
+    om, dl, om1 = (np.ldexp(v, -e) for v in (om, dl, om1))
+    ratio2 = (om / om1) ** 2
+    maps = np.zeros((len(tau), 3, 3), np.complex128)
+    r = maps.real  # a view: writing it fills the real parts
+    a_x = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 0.5 * ratio2 * (1.0 - c)
+    a_y = -(dl / om1) * s
+    a_z = d_x = (dl * om / (om1 * om1)) * (1.0 - c)
+    d_y = (om / om1) * s
+    d_z = (om * om * c + dl * dl) / (om1 * om1)
+    r[:, 0, 0], r[:, 0, 1], r[:, 0, 2] = a_x, a_y, a_z
+    r[:, 2, 0], r[:, 2, 1], r[:, 2, 2] = d_x, d_y, d_z
     if mode is CoefficientMode.UNITARY:
-        maps = rotation_matrix(np.array([om, 0.0 * om, dl]).T / om1[:, None], angle).astype(np.complex128)
+        # B = D x A, the middle row of the proper rotation with rows A and D
+        r[:, 1, 0] = d_y * a_z - d_z * a_y
+        r[:, 1, 1] = d_z * a_x - d_x * a_z
+        r[:, 1, 2] = d_x * a_y - d_y * a_x
     else:
-        c = np.cos(angle)
-        s = np.sin(angle)
-        ratio2 = (om / om1) ** 2
-        c_plus = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 1j * (dl / om1) * s
-        c_minus = 0.5 * ratio2 * (1.0 - c)
-        c_z = (dl * om / (om1 * om1)) * (1.0 - c) - 1j * (om / om1) * s
-        d_row = (
-            (dl * om / (om1 * om1)) * (1.0 - c),
-            (om / om1) * s,
-            (om * om * c + dl * dl) / (om1 * om1),
-        )
-        maps = _literal_matrix(c_plus, c_minus, c_z, d_row)
+        r[:, 1, 0] = maps.imag[:, 1, 1] = -a_y
+        maps.imag[:, 1, 2] = -a_z
     if idle.any():
         maps[idle] = np.eye(3)
     return maps

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired
-from pulsepair.evolution import rk4_oracle_batch, unitary_oracle_batch
+from pulsepair.evolution import adjoint_rotation, rk4_oracle_batch, unitary_oracle_batch
 from pulsepair.pulses import (
     CoefficientMode,
     PulseShape,
     PulseSpec,
     coefficient_map_batch,
     pulse_angle,
-    rotation_matrix,
 )
 
 import oracles
@@ -115,20 +114,28 @@ class TestPulseAngle:
             pulse_angle(PulseSpec.exponential(1.0, 1.0), np.array([0.5, -0.5]))
 
 
-def test_rotation_matrix_is_proper_orthogonal():
+def x_rotation(angle):
+    """The proper rotation about the x axis by one angle, from math.cos and math.sin."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def test_unitary_maps_are_proper_orthogonal():
     rng = np.random.default_rng(5)
+    specs, times = (list(v) for v in rect_draws(rng, 50))
     for _ in range(50):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        r = rotation_matrix(axis, rng.uniform(-8.0, 8.0))
-        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+        specs.append(PulseSpec.exponential(rng.uniform(0.0, 8.0), rng.uniform(0.2, 2.0)))
+        times.append(rng.uniform(0.0, 30.0))
+    r = coefficient_map_batch(specs, times, UNITARY).real
+    assert np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max() < 1e-12
+    assert np.abs(np.linalg.det(r) - 1.0).max() < 1e-12
 
 
-def test_rotation_matrix_x_quarter_turn():
-    r = rotation_matrix((1.0, 0.0, 0.0), math.pi / 2.0)
+def test_resonant_quarter_turn_map():
+    t = math.pi / 2.0
+    m = coefficient_map_batch(PulseSpec.rectangular(1.0, duration=t), [t], UNITARY)[0]
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    assert np.abs(r - expected).max() < 1e-15
+    assert np.abs(m - expected).max() < 1e-15
 
 
 def literal_rows(c_plus, c_minus, c_z):
@@ -238,8 +245,8 @@ class TestRectCoefficients:
     def test_literal_shares_a_and_d_rows_with_unitary(self):
         specs, times = rect_draws(np.random.default_rng(23), 60)
         lit, uni = (coefficient_map_batch(specs, times, mode) for mode in (LITERAL, UNITARY))
-        assert np.abs(lit[:, 0] - uni[:, 0]).max() < 1e-12
-        assert np.abs(lit[:, 2] - uni[:, 2]).max() < 1e-12
+        assert np.array_equal(lit[:, 0], uni[:, 0])
+        assert np.array_equal(lit[:, 2], uni[:, 2])
         assert np.isfinite(lit).all()
 
     def test_literal_b_row_structure(self):
@@ -272,7 +279,8 @@ class TestExpCoefficients:
         p = PulseSpec.exponential(3.0, 0.8)
         times = (0.1, 0.9, 4.0)
         maps = coefficient_map_batch(p, times, UNITARY)
-        assert np.abs(maps.real - rotation_matrix((1, 0, 0), pulse_angle(p, times))).max() < 1e-14
+        for lam, m in zip(pulse_angle(p, times), maps):
+            assert np.abs(m.real - x_rotation(lam)).max() < 1e-14
         for t, m in zip(times, maps):
             oracle = oracles.heisenberg_rotation(oracles.exp_propagator(3.0, 0.8, t))
             assert np.abs(m.real - oracle).max() < 1e-12
@@ -352,14 +360,46 @@ def test_overflowing_angle_is_a_typed_error(mode):
     assert np.isfinite(coefficient_map_batch(PulseSpec.rectangular(1e150, duration=1e150), [1e150], mode)).all()
 
 
-def test_literal_square_of_omega_1_overflow_is_a_typed_error():
-    # Omega_1 t = 1e190 fits, but the literal forms' Omega_1^2 = 1e400 does not
+def test_huge_omega_1_gives_finite_maps_in_both_modes():
+    # Omega_1 t = 1e190 fits, and so does Omega_1^2 = 1e400 once the rows are scaled
     p = PulseSpec.rectangular(1e200, duration=1e-10)
-    with pytest.raises(AngleOverflow, match="pair 0: .* overflows a float"):
-        coefficient_map_batch(p, [1e-10], LITERAL)
-    unitary = coefficient_map_batch(p, [1e-10], UNITARY)[0]
-    assert np.array_equal(unitary.real, rotation_matrix((1.0, 0.0, 0.0), 1e190))
+    literal, unitary = (coefficient_map_batch(p, [1e-10], mode)[0] for mode in (LITERAL, UNITARY))
+    assert np.isfinite(literal).all() and np.isfinite(unitary).all()
+    assert np.array_equal(literal[[0, 2]], unitary[[0, 2]])
+    assert np.abs(unitary - x_rotation(1e190)).max() < 1e-15
     assert np.isfinite(unitary_oracle_batch(p, [1e-10])).all()
+
+
+@pytest.mark.parametrize(
+    "p, t",
+    [
+        (PulseSpec.rectangular(1e-200, duration=1.0), 0.5),
+        (PulseSpec.rectangular(3e-170, duration=1.0, delta=4e-170), 0.5),
+    ],
+    ids=["resonant", "detuned"],
+)
+def test_tiny_omega_1_gives_the_oracle_rows_in_both_modes(p, t):
+    # Omega_1^2 underflows a float; the RuntimeWarning-as-error filter fails the test on any numpy warning
+    exact = adjoint_rotation(unitary_oracle_batch(p, [t]))[0]
+    for mode in (LITERAL, UNITARY):
+        m = coefficient_map_batch(p, [t], mode)[0]
+        assert np.isfinite(m).all()
+        assert np.abs(m[[0, 2]] - exact[[0, 2]]).max() < 1e-15
+
+
+@pytest.mark.parametrize("k", [-600, -520, -1, 1, 500, 600])
+@pytest.mark.parametrize("mode", [LITERAL, UNITARY])
+def test_maps_keep_their_bits_under_power_of_two_scaling(mode, k):
+    # (2^k Omega, 2^k Delta, 2^-k T) read at 2^-k t turns through the same angle
+    # about the same axis, and scaling by a power of two is exact
+    specs, times = rect_draws(np.random.default_rng(41), 300)
+    scaled = [
+        PulseSpec.rectangular(math.ldexp(p.omega0, k), math.ldexp(p.duration, -k), math.ldexp(p.delta, k))
+        for p in specs
+    ]
+    base = coefficient_map_batch(specs, times, mode)
+    moved = coefficient_map_batch(scaled, [math.ldexp(t, -k) for t in times], mode)
+    assert moved.tobytes() == base.tobytes()
 
 
 MIXED = (
