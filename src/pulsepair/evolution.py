@@ -20,9 +20,13 @@ for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
 exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
 sharing only the pulse gathering with the maps, and ``rk4_oracle_batch``,
 which shares nothing with either, integrates dU/dt = -i H(t) U with
-classical Runge-Kutta from U(0) = I.  The adjoint action of either
-propagator on the Pauli triple must reproduce the UNITARY-mode
-coefficient matrix.
+classical Runge-Kutta from U(0) = I.  Each RK4 pair takes the same steps
+in one of three product orders, chosen from its pulse: a constant drive
+(undriven, or a rectangle still on at t_end) is one step matrix raised to
+the step count, a resonant drive multiplies its steps as complex numbers,
+and a detuned rectangle that switches off before t_end steps through
+quaternion blocks.  The adjoint action of either propagator on the Pauli
+triple must reproduce the UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -201,6 +205,20 @@ def _amul(w, dz, q) -> np.ndarray:
     return np.stack((-w * qb - dz * qd, w * qa - dz * qc, dz * qb - w * qd, w * qc + dz * qa))
 
 
+_QEYE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]  # the quaternion 1, for (4, steps, pairs) stacks
+
+
+def _rk4_step(w1, w2, w3, dz, h) -> np.ndarray:
+    """One RK4 step P of A(t) = w(t) X + dz Z from w at t0, t0 + h/2 and t0 + h, as (4, ...) components."""
+    k2 = _amul(w2, dz, (1.0, 0.5 * h * w1, 0.0, 0.5 * h * dz))
+    k3 = _amul(w2, dz, _QEYE + 0.5 * h * k2)
+    k4 = _amul(w3, dz, _QEYE + h * k3)
+    k = 2.0 * k2  # plus K1 = (0, w1, 0, dz): K1 + 2 K2
+    k[1] += w1
+    k[3] += dz
+    return _QEYE + h / 6.0 * (k + 2.0 * k3 + k4)
+
+
 def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2.
 
@@ -218,10 +236,20 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3) and A = -i H.  In the
     units X, Y, Z = -i sigma_x, -i sigma_y, -i sigma_z, which multiply as
     quaternions (XY = Z, X^2 = -I), every P is a real a I + b X + c Y + d Z.
-    With the pairs sorted by n_i, each block advances the r pairs still
-    running by max(1, _RK4_BLOCK_CELLS // r) steps, P = I past a pair's
-    n_i; it is reduced by pairwise products in time order (later times
-    earlier), and the result left-multiplies U.
+    The pulse decides the order of the products, never the steps or samples:
+    - constant drive (Omega0 = 0, undriven included, or a rectangle with
+      t_end <= T, so every sample is in the window): every step is the same
+      P, and U = P^n_i by binary powering;
+    - resonant (Delta = 0 otherwise: every exponential pulse, and rectangles
+      whose window closes before t_end): P = a I + b X, and a + i b is a
+      complex number, so each block's steps are complex and one np.prod
+      multiplies them out;
+    - the rest (detuned rectangles whose window closes before t_end):
+      quaternion blocks, reduced by pairwise products in time order (later
+      times earlier).
+    A stepped route sorts its pairs by n_i and advances the r pairs still
+    running by max(1, _RK4_BLOCK_CELLS // r) steps per block, P = I past a
+    pair's n_i; the block's product left-multiplies U.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -241,48 +269,56 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     t_max = float(positive.max())
     if t_max / step > _RK4_MAX_STEPS:
         raise ValueError(f"t_end {t_max} takes {t_max / step:.3g} steps of {step}, over {_RK4_MAX_STEPS}")
-    # pairs sorted by step count, longest first, so the running ones are a prefix
     counts = np.ceil(t_ends / step).astype(np.int64)
-    order = np.argsort(-counts, kind="stable")
-    counts, t_ends, pulses = counts[order], t_ends[order], [pulses[i] for i in order]
     h = t_ends / np.maximum(counts, 1)
     omega = np.array([p.omega0 for p in pulses])
     dz = 0.5 * np.array([p.delta for p in pulses])
     is_rect = np.array([p.shape is PulseShape.RECTANGULAR for p in pulses])
-    is_exp = np.array([p.shape is PulseShape.EXPONENTIAL for p in pulses])
-    duration = np.array([p.duration if rect else 0.0 for p, rect in zip(pulses, is_rect)])
-    gamma = np.array([p.gamma_p if exp else 0.0 for p, exp in zip(pulses, is_exp)])
+    duration = np.array([p.duration or 0.0 for p in pulses])
+    gamma = np.array([p.gamma_p or 0.0 for p in pulses])
+    constant = (omega == 0.0) | is_rect & (t_ends <= duration)
+    resonant = ~constant & (dz == 0.0)
 
-    def drive(t):  # w(t) in A(t) = w(t) X + dz Z, for the first t.shape[1] pairs
-        m = t.shape[1]
-        f = np.where(is_rect[:m], t <= duration[:m], np.where(is_exp[:m], np.exp(-gamma[:m] * t), 0.0))
-        return 0.5 * omega[:m] * f
+    u = np.zeros((4, n))
+    u[0] = 1.0
+    i, k = np.flatnonzero(constant), counts[constant]
+    w = 0.5 * omega[None, i]  # the drive at every sample: f = 1 in the window, Omega0 = 0 otherwise
+    power = _rk4_step(w, w, w, dz[i], h[i])[:, 0]
+    while k.any():
+        u[:, i] = np.where(k & 1, _qmul(power, u[:, i]), u[:, i])
+        power, k = _qmul(power, power), k >> 1
 
-    eye = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
-    u = np.broadcast_to(eye[:, 0], (4, n)).copy()
-    first = 0
-    while first < counts[0]:
-        active = int(np.count_nonzero(counts > first))
-        hs, ts, dzs = h[:active], t_ends[:active], dz[:active]
-        steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // active), counts[0]))[:, None]
-        t0 = steps * hs
-        w1 = drive(t0)
-        w2 = drive(t0 + 0.5 * hs)
-        # clamp the full-step sample: rounding in t_end / count can push
-        # the last (i+1)*h one ulp past a rectangular window edge
-        w3 = drive(np.minimum(t0 + hs, ts))
-        k2 = _amul(w2, dzs, (1.0, 0.5 * hs * w1, 0.0, 0.5 * hs * dzs))
-        k3 = _amul(w2, dzs, eye + 0.5 * hs * k2)
-        k4 = _amul(w3, dzs, eye + hs * k3)
-        k = 2.0 * k2  # plus K1 = (0, w1, 0, dz): K1 + 2 K2
-        k[1] += w1
-        k[3] += dzs
-        q = np.where(steps < counts[:active], eye + hs / 6.0 * (k + 2.0 * k3 + k4), eye)
+    def blocks(route):  # per block of steps: the pairs running, their h, step mask and w at the three samples
+        idx = np.flatnonzero(route)
+        idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
+        first, last = 0, counts[idx].max(initial=0)
+        while first < last:
+            a = idx[: np.count_nonzero(counts[idx] > first)]
+            hs = h[a]
+            steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
+            t0 = steps * hs
+            # clamp the full-step sample to t_end, as the stepped reference
+            # does: rounding in t_end / count can push the last (i+1)*h past it
+            samples = (t0, t0 + 0.5 * hs, np.minimum(t0 + hs, t_ends[a]))
+            # w(t) in A(t) = w(t) X + dz Z; Omega0 = 0 makes any finite f zero
+            w = [0.5 * omega[a] * np.where(is_rect[a], t <= duration[a], np.exp(-gamma[a] * t)) for t in samples]
+            yield a, hs, steps < counts[a], *w
+            first = int(steps[-1, 0]) + 1
+
+    z = np.ones(n, np.complex128)  # resonant pairs: U = Re z I + Im z X
+    for a, hs, running, w1, w2, w3 in blocks(resonant):
+        iw1, iw2 = 1j * w1, 1j * w2
+        k2 = iw2 * (1.0 + 0.5 * hs * iw1)
+        k3 = iw2 * (1.0 + 0.5 * hs * k2)
+        k4 = 1j * w3 * (1.0 + hs * k3)
+        z[a] *= np.prod(np.where(running, 1.0 + hs / 6.0 * (2.0 * k2 + iw1 + 2.0 * k3 + k4), 1.0), axis=0)
+    u[0, resonant], u[1, resonant] = z.real[resonant], z.imag[resonant]
+    for a, hs, running, w1, w2, w3 in blocks(~constant & ~resonant):
+        q = np.where(running, _rk4_step(w1, w2, w3, dz[a], hs), _QEYE)
         while q.shape[1] > 1:
             pairs = q.shape[1] // 2
             product = _qmul(q[:, 1 : 2 * pairs : 2], q[:, 0 : 2 * pairs : 2])
             q = np.concatenate((product, q[:, 2 * pairs :]), axis=1)
-        u[:, :active] = _qmul(q[:, 0], u[:, :active])
-        first = int(steps[-1, 0]) + 1
-    a, b, c, d = u[:, np.argsort(order)]
+        u[:, a] = _qmul(q[:, 0], u[:, a])
+    a, b, c, d = u
     return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)

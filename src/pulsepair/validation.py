@@ -99,12 +99,12 @@ def _check_eigensolver(rng) -> list[CheckResult]:
 
 
 def _published_d_row(specs, ts) -> np.ndarray:
-    """The paper's D rows of N (pulse, t) pairs, (N, 3), gathered here and not by pulses._rotations."""
+    """The paper's D rows of N (pulse, t) pairs, (N, 3), evaluated here; only lambda(t) comes from pulses._rotations."""
     rect = np.array([p.shape is pulses.PulseShape.RECTANGULAR for p in specs])
     om, dl = (np.array([getattr(p, key) for p in specs])[rect] for key in ("omega0", "delta"))
     om1 = np.hypot(om, dl)
     ph = om1 * np.asarray(ts)[rect]
-    lam = np.array([pulses.pulse_angle(p, t) for p, t, r in zip(specs, ts, rect) if not r])
+    lam = pulses._rotations([p for p, r in zip(specs, rect) if not r], np.asarray(ts)[~rect])[3]
     d = np.empty((len(specs), 3))
     d[rect] = np.stack(
         (dl * om / om1**2 * (1.0 - np.cos(ph)), om / om1 * np.sin(ph), (om / om1) ** 2 * (np.cos(ph) + (dl / om) ** 2)),

@@ -437,13 +437,16 @@ class TestRk4Oracle:
         assert np.array_equal(out[0], np.eye(2))
 
     # the detuned rectangle's window closes at 4.5 < t_end, so its step
-    # matrices stop commuting there and the product order shows
+    # matrices stop commuting there and the product order shows; pairs 0
+    # and 5 take quaternion blocks, 2 and 6 complex ones, the rest are powered
     MIXED = (
         (PulseSpec.rectangular(1.0, duration=4.5, delta=0.3), 6.0),
         (PulseSpec.rectangular(2.5, duration=4.0, delta=-1.0), 4.0),
         (PulseSpec.exponential(5.0, 1.0), 5.0),
         (PulseSpec.none(), 4.0),
         (PulseSpec.rectangular(0.5, duration=3.0), 0.0),
+        (PulseSpec.rectangular(1.5, duration=2.0, delta=0.8), 4.37),
+        (PulseSpec.rectangular(1.5, duration=2.5), 3.34),
     )
 
     def test_matches_sequential_steps(self):
@@ -456,15 +459,49 @@ class TestRk4Oracle:
 
     @pytest.mark.parametrize("steps_per_block", [1, 7])
     def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
-        # 600, 400, 500 and 400 steps: with 7 steps per running pair, the
-        # blocks hold 8, then 17 steps (the last one ending past pair 2's
-        # 500th), then 35, so pairs stop inside blocks and the levels have
-        # odd lengths
+        # each stepped route has two pairs: 600 and 437 quaternion steps,
+        # 500 and 334 complex ones.  With 7 steps per pair, a block of either
+        # holds 24 steps while both run (437 and 334 end inside one), then
+        # 49; with 1, it holds 3 steps (437 and 334 are not multiples of 3).
+        # 49-step blocks give the pairwise tree levels of odd length
         specs, t_ends = zip(*self.MIXED)
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
         monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(specs))
         blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
         assert np.abs(blocked - default).max() < 1e-13
+
+    # step 0.2 takes the edge pulse's last full-step sample, (n - 1) h + h,
+    # one ulp past t_end; ENDS take 10 (the fewest the step gate allows),
+    # 15, 16, 17, 63, 64 and 65 steps of 0.2
+    EDGE = PulseSpec.rectangular(2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357)
+    ENDS = (2.0, 2.9, 3.1, 3.3, 12.5, 12.7, 12.9)
+    ROUTES = {
+        # constant drive: one step matrix raised to the step count
+        "powered": (
+            (EDGE, EDGE.duration),
+            (EDGE, np.nextafter(EDGE.duration, 0.0)),
+            (PulseSpec.rectangular(0.0, duration=5.0, delta=1.5), 4.0),  # P = a I + d Z
+            (PulseSpec.none(), 3.0),
+            *((PulseSpec.rectangular(1.3, duration=20.0, delta=-0.7), t) for t in ENDS),
+        ),
+        # resonant: steps multiplied as complex numbers
+        "complex": (
+            (PulseSpec.rectangular(1.3, duration=1.5), 9.0),
+            *((PulseSpec.exponential(2.0, 0.4), t) for t in ENDS),
+        ),
+        # detuned, the window closing before t_end: quaternion blocks
+        "quaternion": (
+            (EDGE, np.nextafter(EDGE.duration, np.inf)),
+            *((PulseSpec.rectangular(1.3, duration=1.5, delta=-0.7), t) for t in ENDS),
+        ),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_each_route_matches_sequential_steps(self, route):
+        assert list(np.ceil(np.array(self.ENDS) / 0.2)) == [10, 15, 16, 17, 63, 64, 65]
+        specs, t_ends = zip(*self.ROUTES[route])
+        batch = rk4_oracle_batch(specs, t_ends, step=0.2)
+        assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 0.2)).max() < 1e-12
 
 
 def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):
