@@ -21,12 +21,12 @@ exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
 sharing only the pulse gathering with the maps, and ``rk4_oracle_batch``,
 which shares nothing with either, integrates dU/dt = -i H(t) U with
 classical Runge-Kutta from U(0) = I.  Each RK4 pair takes the same steps
-in one of three product orders, chosen from its pulse: a constant drive
-(undriven, or a rectangle still on at t_end) is one step matrix raised to
-the step count, a resonant drive multiplies its steps as complex numbers,
-and a detuned rectangle that switches off before t_end steps through
-quaternion blocks.  The adjoint action of either propagator on the Pauli
-triple must reproduce the UNITARY-mode coefficient matrix.
+in one of two product orders, chosen from its pulse: a rectangle's or an
+undriven qubit's piecewise constant drive raises its step matrices to
+their counts on either side of the window edge, and an exponential pulse
+multiplies its steps as complex numbers.  The adjoint action of either
+propagator on the Pauli triple must reproduce the UNITARY-mode
+coefficient matrix.
 """
 
 import math
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
-from .pulses import PulseShape, _rotations
+from .pulses import _rotations
 
 __all__ = [
     "InitialState",
@@ -205,11 +205,11 @@ def _amul(w, dz, q) -> np.ndarray:
     return np.stack((-w * qb - dz * qd, w * qa - dz * qc, dz * qb - w * qd, w * qc + dz * qa))
 
 
-_QEYE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]  # the quaternion 1, for (4, steps, pairs) stacks
+_QEYE = np.array([1.0, 0.0, 0.0, 0.0])[:, None]  # the quaternion 1, for (4, pairs) stacks
 
 
 def _rk4_step(w1, w2, w3, dz, h) -> np.ndarray:
-    """One RK4 step P of A(t) = w(t) X + dz Z from w at t0, t0 + h/2 and t0 + h, as (4, ...) components."""
+    """One RK4 step P of A(t) = w(t) X + dz Z from w at t0, t0 + h/2 and t0 + h, as (4, pairs) components."""
     k2 = _amul(w2, dz, (1.0, 0.5 * h * w1, 0.0, 0.5 * h * dz))
     k3 = _amul(w2, dz, _QEYE + 0.5 * h * k2)
     k4 = _amul(w3, dz, _QEYE + h * k3)
@@ -224,7 +224,7 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
-    t_end_i / n_i, and f is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
+    t_end_i / n_i, and f is sampled at t0, t0 + h/2 and t0 + h.
     Deliberately shares no code, not even the pulse gathering, with
     unitary_oracle_batch or the coefficient maps; this is the independent
     route.  Raises ValueError unless step is positive and every t_end
@@ -237,19 +237,20 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     units X, Y, Z = -i sigma_x, -i sigma_y, -i sigma_z, which multiply as
     quaternions (XY = Z, X^2 = -I), every P is a real a I + b X + c Y + d Z.
     The pulse decides the order of the products, never the steps or samples:
-    - constant drive (Omega0 = 0, undriven included, or a rectangle with
-      t_end <= T, so every sample is in the window): every step is the same
-      P, and U = P^n_i by binary powering;
-    - resonant (Delta = 0 otherwise: every exponential pulse, and rectangles
-      whose window closes before t_end): P = a I + b X, and a + i b is a
-      complex number, so each block's steps are complex and one np.prod
-      multiplies them out;
-    - the rest (detuned rectangles whose window closes before t_end):
-      quaternion blocks, reduced by pairwise products in time order (later
-      times earlier).
-    A stepped route sorts its pairs by n_i and advances the r pairs still
-    running by max(1, _RK4_BLOCK_CELLS // r) steps per block, P = I past a
-    pair's n_i; the block's product left-multiplies U.
+    - a rectangle or an undriven qubit steps by P_in inside its window [0, T]
+      and by P_out (w = 0) past it.  With k0 = floor(T / h), the steps up to
+      k0 - 3 are P_in and those from k0 + 3 are P_out, each raised to its
+      count by binary powering; the at most two steps that straddle T lie
+      in k0 - 2 .. k0 + 2 and are taken one by one from their own samples.
+      A pair with t_end <= T is P_in^n_i.
+    - an exponential pulse (Omega0 != 0) is resonant: P = a I + b X, and
+      a + i b is a complex number.  Pairs sort longest first, the r still
+      running advance by max(1, _RK4_BLOCK_CELLS // r) steps per block, P = 1
+      past a pair's n_i, and one np.prod multiplies each block out.
+    The stepped reference clamps the last sample to t_end; no clamp is
+    needed here.  A pair with an edge has t_end > T, so the clamp moves no
+    sample across T, and for an exponential pulse it moves one sample by an
+    ulp.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -273,52 +274,47 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     h = t_ends / np.maximum(counts, 1)
     omega = np.array([p.omega0 for p in pulses])
     dz = 0.5 * np.array([p.delta for p in pulses])
-    is_rect = np.array([p.shape is PulseShape.RECTANGULAR for p in pulses])
-    duration = np.array([p.duration or 0.0 for p in pulses])
+    window = np.array([p.duration or np.inf for p in pulses])  # T, infinite unless a rectangle
     gamma = np.array([p.gamma_p or 0.0 for p in pulses])
-    constant = (omega == 0.0) | is_rect & (t_ends <= duration)
-    resonant = ~constant & (dz == 0.0)
+    exponential = (gamma > 0.0) & (omega != 0.0)
 
     u = np.zeros((4, n))
     u[0] = 1.0
-    i, k = np.flatnonzero(constant), counts[constant]
-    w = 0.5 * omega[None, i]  # the drive at every sample: f = 1 in the window, Omega0 = 0 otherwise
-    power = _rk4_step(w, w, w, dz[i], h[i])[:, 0]
-    while k.any():
-        u[:, i] = np.where(k & 1, _qmul(power, u[:, i]), u[:, i])
-        power, k = _qmul(power, power), k >> 1
+    i = np.flatnonzero(~exponential)
+    hi, wi, dzi, ni, ti = h[i], 0.5 * omega[i], dz[i], counts[i], window[i]
+    with np.errstate(divide="ignore"):  # h = 0 where t_end = 0
+        k0 = np.where(t_ends[i] <= ti, ni + 2, np.floor(ti / hi)).astype(np.int64)
 
-    def blocks(route):  # per block of steps: the pairs running, their h, step mask and w at the three samples
-        idx = np.flatnonzero(route)
-        idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
-        first, last = 0, counts[idx].max(initial=0)
-        while first < last:
-            a = idx[: np.count_nonzero(counts[idx] > first)]
-            hs = h[a]
-            steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
-            t0 = steps * hs
-            # clamp the full-step sample to t_end, as the stepped reference
-            # does: rounding in t_end / count can push the last (i+1)*h past it
-            samples = (t0, t0 + 0.5 * hs, np.minimum(t0 + hs, t_ends[a]))
-            # w(t) in A(t) = w(t) X + dz Z; Omega0 = 0 makes any finite f zero
-            w = [0.5 * omega[a] * np.where(is_rect[a], t <= duration[a], np.exp(-gamma[a] * t)) for t in samples]
-            yield a, hs, steps < counts[a], *w
-            first = int(steps[-1, 0]) + 1
+    def power(q, w, k):  # left-multiply q by P^k, P the step of constant drive w, by binary powering
+        p = _rk4_step(w, w, w, dzi, hi)
+        while k.any():
+            q = np.where(k & 1, _qmul(p, q), q)
+            p, k = _qmul(p, p), k >> 1
+        return q
 
-    z = np.ones(n, np.complex128)  # resonant pairs: U = Re z I + Im z X
-    for a, hs, running, w1, w2, w3 in blocks(resonant):
+    q = power(u[:, i], wi, np.maximum(k0 - 2, 0))
+    for k in k0 + np.arange(-2, 3)[:, None]:
+        t0 = k * hi
+        w1, w2, w3 = (wi * (t <= ti) for t in (t0, t0 + 0.5 * hi, t0 + hi))
+        q = np.where((0 <= k) & (k < ni), _qmul(_rk4_step(w1, w2, w3, dzi, hi), q), q)
+    u[:, i] = power(q, 0.0 * wi, np.maximum(ni - k0 - 3, 0))
+
+    z = np.ones(n, np.complex128)  # exponential pulses: U = Re z I + Im z X
+    idx = np.flatnonzero(exponential)
+    idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
+    first, last = 0, counts[idx].max(initial=0)
+    while first < last:
+        a = idx[: np.count_nonzero(counts[idx] > first)]
+        hs = h[a]
+        steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
+        t0 = steps * hs
+        w1, w2, w3 = (0.5 * omega[a] * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))
         iw1, iw2 = 1j * w1, 1j * w2
         k2 = iw2 * (1.0 + 0.5 * hs * iw1)
         k3 = iw2 * (1.0 + 0.5 * hs * k2)
         k4 = 1j * w3 * (1.0 + hs * k3)
-        z[a] *= np.prod(np.where(running, 1.0 + hs / 6.0 * (2.0 * k2 + iw1 + 2.0 * k3 + k4), 1.0), axis=0)
-    u[0, resonant], u[1, resonant] = z.real[resonant], z.imag[resonant]
-    for a, hs, running, w1, w2, w3 in blocks(~constant & ~resonant):
-        q = np.where(running, _rk4_step(w1, w2, w3, dz[a], hs), _QEYE)
-        while q.shape[1] > 1:
-            pairs = q.shape[1] // 2
-            product = _qmul(q[:, 1 : 2 * pairs : 2], q[:, 0 : 2 * pairs : 2])
-            q = np.concatenate((product, q[:, 2 * pairs :]), axis=1)
-        u[:, a] = _qmul(q[:, 0], u[:, a])
+        z[a] *= np.prod(np.where(steps < counts[a], 1.0 + hs / 6.0 * (2.0 * k2 + iw1 + 2.0 * k3 + k4), 1.0), axis=0)
+        first = int(steps[-1, 0]) + 1
+    u[0, exponential], u[1, exponential] = z.real[exponential], z.imag[exponential]
     a, b, c, d = u
     return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)

@@ -22,7 +22,7 @@ from pulsepair.evolution import (
     rk4_oracle_batch,
     unitary_oracle_batch,
 )
-from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
+from pulsepair.pulses import CoefficientMode, PulseShape, PulseSpec, coefficient_map_batch
 from pulsepair.validation import _random_physical_correlations
 
 import oracles
@@ -437,16 +437,15 @@ class TestRk4Oracle:
         assert np.array_equal(out[0], np.eye(2))
 
     # the detuned rectangle's window closes at 4.5 < t_end, so its step
-    # matrices stop commuting there and the product order shows; pairs 0
-    # and 5 take quaternion blocks, 2 and 6 complex ones, the rest are powered
+    # matrices stop commuting there and the product order shows; pairs 2 and
+    # 5 are exponential (complex blocks), the rest are powered
     MIXED = (
         (PulseSpec.rectangular(1.0, duration=4.5, delta=0.3), 6.0),
         (PulseSpec.rectangular(2.5, duration=4.0, delta=-1.0), 4.0),
         (PulseSpec.exponential(5.0, 1.0), 5.0),
         (PulseSpec.none(), 4.0),
         (PulseSpec.rectangular(0.5, duration=3.0), 0.0),
-        (PulseSpec.rectangular(1.5, duration=2.0, delta=0.8), 4.37),
-        (PulseSpec.rectangular(1.5, duration=2.5), 3.34),
+        (PulseSpec.exponential(3.0, 0.7), 3.34),
     )
 
     def test_matches_sequential_steps(self):
@@ -459,11 +458,10 @@ class TestRk4Oracle:
 
     @pytest.mark.parametrize("steps_per_block", [1, 7])
     def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
-        # each stepped route has two pairs: 600 and 437 quaternion steps,
-        # 500 and 334 complex ones.  With 7 steps per pair, a block of either
-        # holds 24 steps while both run (437 and 334 end inside one), then
-        # 49; with 1, it holds 3 steps (437 and 334 are not multiples of 3).
-        # 49-step blocks give the pairwise tree levels of odd length
+        # the two exponential pairs take 500 and 334 complex steps.  With 7
+        # steps per pair, a block holds 21 steps while both run (334 ends
+        # inside one), then 42; with 1, it holds 3 steps (334 is not a
+        # multiple of 3), then 6
         specs, t_ends = zip(*self.MIXED)
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
         monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(specs))
@@ -475,33 +473,54 @@ class TestRk4Oracle:
     # 15, 16, 17, 63, 64 and 65 steps of 0.2
     EDGE = PulseSpec.rectangular(2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357)
     ENDS = (2.0, 2.9, 3.1, 3.3, 12.5, 12.7, 12.9)
+    # t_end 5.0 takes 25 steps of h = 0.2.  These windows close on the node
+    # 15 h, inside the first half of step 15, on its midpoint, inside its
+    # second half, within two steps of step 0 (0.1, 0.3), and within two
+    # steps of the last step (4.7, 4.9)
+    WINDOWS = (15 * 0.2, 15 * 0.2 + 0.05, 15 * 0.2 + 0.1, 15 * 0.2 + 0.15, 0.1, 0.3, 4.7, 4.9)
     ROUTES = {
-        # constant drive: one step matrix raised to the step count
+        # every sample inside the window: one step matrix raised to the step count
         "powered": (
             (EDGE, EDGE.duration),
             (EDGE, np.nextafter(EDGE.duration, 0.0)),
             (PulseSpec.rectangular(0.0, duration=5.0, delta=1.5), 4.0),  # P = a I + d Z
             (PulseSpec.none(), 3.0),
+            (PulseSpec.exponential(0.0, 0.4), 3.0),  # no drive to sample
             *((PulseSpec.rectangular(1.3, duration=20.0, delta=-0.7), t) for t in ENDS),
         ),
-        # resonant: steps multiplied as complex numbers
-        "complex": (
-            (PulseSpec.rectangular(1.3, duration=1.5), 9.0),
-            *((PulseSpec.exponential(2.0, 0.4), t) for t in ENDS),
-        ),
-        # detuned, the window closing before t_end: quaternion blocks
-        "quaternion": (
+        # the window closing before t_end: powered on either side of the edge steps
+        "edge": (
             (EDGE, np.nextafter(EDGE.duration, np.inf)),
             *((PulseSpec.rectangular(1.3, duration=1.5, delta=-0.7), t) for t in ENDS),
+            *((PulseSpec.rectangular(1.3, duration=T, delta=-0.7), 5.0) for T in WINDOWS),
+            (PulseSpec.rectangular(1.3, duration=1.5), 9.0),  # resonant
+            (PulseSpec.rectangular(0.0, duration=1.5, delta=1.5), 9.0),  # zero drive
         ),
+        # exponential pulses: steps multiplied as complex numbers
+        "complex": tuple((PulseSpec.exponential(2.0, 0.4), t) for t in ENDS),
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_each_route_matches_sequential_steps(self, route):
         assert list(np.ceil(np.array(self.ENDS) / 0.2)) == [10, 15, 16, 17, 63, 64, 65]
+        assert 5.0 / 25 == 0.2 and np.ceil(5.0 / 0.2) == 25
         specs, t_ends = zip(*self.ROUTES[route])
         batch = rk4_oracle_batch(specs, t_ends, step=0.2)
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 0.2)).max() < 1e-12
+
+    @pytest.mark.parametrize("route", ["mixed", "powered", "edge"])
+    def test_each_powered_pair_is_the_same_alone_and_in_the_batch(self, route):
+        # every pair but the driven exponential ones is powered; one with
+        # t_end = 0 alone takes the early identity return, whose zeros carry
+        # other signs, so it is left out
+        pairs, step = (self.MIXED, 1e-2) if route == "mixed" else (self.ROUTES[route], 0.2)
+        specs, t_ends = zip(*pairs)
+        batch = rk4_oracle_batch(specs, t_ends, step=step)
+        exponential = [p.shape is PulseShape.EXPONENTIAL and p.omega0 != 0.0 for p in specs]
+        powered = [j for j, t in enumerate(t_ends) if not exponential[j] and t > 0.0]
+        assert len(powered) >= 3
+        for j in powered:
+            assert batch[j].tobytes() == rk4_oracle_batch([specs[j]], [t_ends[j]], step=step)[0].tobytes()
 
 
 def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):
