@@ -33,10 +33,7 @@ from .errors import (
     UnknownPreset,
     UnphysicalState,
 )
-from .evolution import (
-    InitialState,
-    adjoint_rotation,
-)
+from .evolution import InitialState, adjoint_rotation
 from .config import format_config, parse_config
 from .pulses import (
     CoefficientMode,

@@ -9,10 +9,12 @@ Bloch vectors are zero and stay zero because the dynamics is a product of
 single-qubit maps.  Each qubit's coefficient map (rows A, B, D from the
 pulses module) transforms the correlation tensor as
 
-    C~ = M1^T diag(c_xx, c_yy, c_zz) M2.
+    C~ = M1^T diag(c_xx, c_yy, c_zz) M2,
 
-In LITERAL mode M can carry complex entries; the real part is kept as the
-state and the largest imaginary magnitude is recorded as a diagnostic
+summed elementwise as c_xx outer(A1, A2) + c_yy outer(B1, B2) + c_zz
+outer(D1, D2).  UNITARY-mode maps are real, so C~ is float64 and carries no
+imaginary part.  LITERAL-mode maps are complex; the real part is kept as
+the state and the largest imaginary magnitude is recorded as a diagnostic
 (``imag_residue``), never silently dropped.
 
 Two oracles are provided for cross-validation of the analytic maps, both
@@ -110,10 +112,8 @@ class InitialState:
 
 
 def _diagonal_tensors(diagonals) -> np.ndarray:
-    """Real tensors diag(c): (S, 3, 3) of (S, 3) diagonals, (N, 1, 3, 3) of (N, 1, 3)."""
+    """Real tensors diag(c), (..., 3, 3), of diagonals (..., 3)."""
     d = np.asarray(diagonals, dtype=float)
-    if d.shape[-1:] != (3,) or not (d.ndim == 2 or d.ndim == 3 and d.shape[1] == 1):
-        raise ValueError(f"expected diagonals of shape (S, 3) or (N, 1, 3), got {d.shape}")
     tensors = np.zeros(d.shape + (3,))
     tensors[..., [0, 1, 2], [0, 1, 2]] = d
     return tensors
@@ -132,12 +132,21 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
 
     ``diagonals`` is an (S, 3) array of (c_xx, c_yy, c_zz), or (N, 1, 3)
     for one state per point; ``m1`` and ``m2`` are (N, 3, 3) arrays, one map
-    per grid point.  Returns the real parts of C~ for every (point, state)
-    pair, shape (N, S, 3, 3), and per point the largest imaginary magnitude
-    discarded over all S states (nonzero only for LITERAL-mode maps).
+    per grid point.  C~ is the elementwise sum c_xx outer(A1, A2) + c_yy
+    outer(B1, B2) + c_zz outer(D1, D2), in float64 when both maps are real.
+    Returns the real parts of C~ for every (point, state) pair, shape
+    (N, S, 3, 3), and per point the largest imaginary magnitude discarded
+    over all S states: exactly 0.0 for real (UNITARY-mode) maps.
     """
-    product = m1.transpose(0, 2, 1)[:, None] @ _diagonal_tensors(diagonals) @ m2[:, None]
-    return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
+    d = np.asarray(diagonals, dtype=float)
+    if d.shape[-1:] != (3,) or not (d.ndim == 2 or d.ndim == 3 and d.shape[1] == 1):
+        raise ValueError(f"expected diagonals of shape (S, 3) or (N, 1, 3), got {d.shape}")
+    c = d[..., None, None]  # c[..., j, :, :] is (S, 1, 1) or (N, 1, 1, 1)
+    rows = (m1[:, :, :, None] * m2[:, :, None, :])[:, None]  # rows[n, 0, j] = outer(m1[n, j], m2[n, j])
+    product = c[..., 0, :, :] * rows[:, :, 0] + c[..., 1, :, :] * rows[:, :, 1] + c[..., 2, :, :] * rows[:, :, 2]
+    if np.iscomplexobj(product):
+        return product.real.copy(), np.abs(product.imag).max(axis=(1, 2, 3))
+    return product, np.zeros(len(product))
 
 
 def assemble_density_batch(tensors) -> np.ndarray:

@@ -183,28 +183,25 @@ def _rotations(pulses, times):
     return om, dl, om1, tau
 
 
-def _identity_maps(n: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(3, dtype=np.complex128), (n, 3, 3)).copy()
-
-
 def coefficient_map_batch(
     pulses, times, mode: CoefficientMode = CoefficientMode.UNITARY
 ) -> np.ndarray:
-    """Coefficient maps (N, 3, 3) complex, rows A, B, D, of N (pulse, time) pairs.
+    """Coefficient maps (N, 3, 3), rows A, B, D, of N (pulse, time) pairs.
 
     ``pulses`` is one PulseSpec for all N times or a sequence of N, one per
     time; _rotations checks them.  Every driven pair takes the rectangle's
     rows of the module docstring, with Omega_1 tau for Omega_1 t.  Both modes
-    share the A and D rows bit for bit; UNITARY mode adds B = D x A, LITERAL
-    mode the printed B row, which vanishes on resonance.  The rows take only
-    ratios of Omega, Delta and Omega_1, so no finite angle overflows or
-    underflows them.  A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0)
-    is the identity.
+    share the A and D rows bit for bit; UNITARY mode adds B = D x A and gives
+    real float64 maps, LITERAL mode the printed B row, which vanishes on
+    resonance, in complex128 maps.  The rows take only ratios of Omega, Delta
+    and Omega_1, so no finite angle overflows or underflows them.  A pair with
+    Omega_1 = 0 (undriven, or Omega0 = Delta = 0) is the identity.
     """
     om, dl, om1, tau = _rotations(pulses, times)
+    dtype = float if mode is CoefficientMode.UNITARY else np.complex128
     idle = om1 == 0.0
     if idle.all():
-        return _identity_maps(len(tau))
+        return np.tile(np.eye(3, dtype=dtype), (len(tau), 1, 1))
     om1 = np.where(idle, 1.0, om1)  # no 0/0: idle pairs are set to the identity below
     angle = om1 * tau
     c = np.cos(angle)
@@ -213,8 +210,8 @@ def coefficient_map_batch(
     e = np.frexp(om1)[1]
     om, dl, om1 = (np.ldexp(v, -e) for v in (om, dl, om1))
     ratio2 = (om / om1) ** 2
-    maps = np.zeros((len(tau), 3, 3), np.complex128)
-    r = maps.real  # a view: writing it fills the real parts
+    maps = np.zeros((len(tau), 3, 3), dtype)
+    r = maps.real  # a view (the maps themselves when real): writing it fills the real parts
     a_x = 0.5 * (ratio2 + (dl * dl + om1 * om1) / (om1 * om1) * c) + 0.5 * ratio2 * (1.0 - c)
     a_y = -(dl / om1) * s
     a_z = d_x = (dl * om / (om1 * om1)) * (1.0 - c)

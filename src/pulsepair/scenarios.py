@@ -158,12 +158,9 @@ class SweepResult:
 
     def csv_text(self) -> str:
         labels = ",".join(f"E_{s.label}" for s in self.config.initial_states)
-        lines = [f"param,{labels},imag_residue"]
-        columns = (self.params.tolist(), self.negativities.tolist(), self.residues.tolist())
-        for p, values, residue in zip(*columns):
-            cells = ",".join(_fmt(v) for v in values)
-            lines.append(f"{_fmt(p)},{cells},{_fmt(residue)}")
-        return "\n".join(lines) + "\n"
+        table = np.column_stack((self.params, self.negativities, self.residues))
+        row = ",".join([_CELL] * table.shape[1])
+        return "\n".join([f"param,{labels},imag_residue"] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
     def write_csv(self, path) -> None:
         """Write csv_text() to a temporary file beside path, then rename it over path.
@@ -185,9 +182,12 @@ class SweepResult:
             raise
 
 
+#: One CSV cell, 12 significant digits: csv_text and the guard's _fmt both print with it.
+_CELL = "%.12g"
+
+
 def _fmt(v: float) -> str:
-    # 12 significant digits, plain decimal point
-    return format(v, ".12g")
+    return _CELL % v
 
 
 #: Widest closed-form vs Jacobi negativity gap _negativities allows for; the

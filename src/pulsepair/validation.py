@@ -116,7 +116,7 @@ def _published_d_row(specs, ts) -> np.ndarray:
 
 def _check_d_row_anchor(rng) -> list[CheckResult]:
     specs, ts = zip(*(_random_pulse(rng) for _ in range(1000)))
-    m = pulses.coefficient_map_batch(specs, ts).real
+    m = pulses.coefficient_map_batch(specs, ts)
     worst = float(np.abs(m[:, 2] - _published_d_row(specs, ts)).max())
     ortho = float(np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max())
     ortho = max(ortho, float(np.abs(np.linalg.det(m) - 1.0).max()))
@@ -130,7 +130,7 @@ def _check_oracle_triangle(rng) -> list[CheckResult]:
     specs, t_ends = zip(*(_random_pulse(rng) for _ in range(80)))
     rk4 = evolution.rk4_oracle_batch(specs, t_ends, step=1e-3)
     exact = evolution.unitary_oracle_batch(specs, t_ends)
-    analytic = pulses.coefficient_map_batch(specs, t_ends).real
+    analytic = pulses.coefficient_map_batch(specs, t_ends)
     r_exact, r_rk4 = evolution.adjoint_rotation(exact), evolution.adjoint_rotation(rk4)
     pairs = ((analytic, r_exact), (analytic, r_rk4), (r_exact, r_rk4))
     rot_err = max(float(np.abs(a - b).max()) for a, b in pairs)
@@ -224,10 +224,7 @@ def _check_werner_monotone() -> CheckResult:
 
 
 def _check_presets() -> list[CheckResult]:
-    const_err = 0.0
-    start_err = 0.0
-    literal_detuned_residue = 0.0
-    literal_resonant_residue = 0.0
+    const_err = start_err = literal_detuned_residue = literal_resonant_residue = 0.0
     for name, cfg in scenarios.paper_figure_presets().items():
         result = scenarios.run_sweep(cfg)
         initial = _negativities([s.correlations for s in cfg.initial_states])

@@ -132,6 +132,22 @@ class TestEvolveCorrelations:
         assert residue > 1e-3
         assert np.isreal(tensor).all()
 
+    @pytest.mark.parametrize("complex_maps", [False, True])
+    @pytest.mark.parametrize("one_state_per_point", [False, True])
+    def test_elementwise_sum_matches_the_stacked_product(self, complex_maps, one_state_per_point):
+        rng = np.random.default_rng(3)
+        m1, m2 = rng.uniform(-1.0, 1.0, size=(2, 200, 3, 3))
+        if complex_maps:
+            m1, m2 = m1 + 1j * rng.uniform(-1.0, 1.0, size=m1.shape), m2 + 1j * rng.uniform(-1.0, 1.0, size=m2.shape)
+        c = rng.uniform(-1.0, 1.0, size=(200, 1, 3) if one_state_per_point else (5, 3))
+        stacked = m1.transpose(0, 2, 1)[:, None] @ evolution._diagonal_tensors(c) @ m2[:, None]
+        tensors, residues = evolve_correlations_batch(c, m1, m2)
+        assert tensors.shape == stacked.shape and tensors.dtype == np.float64
+        assert np.abs(tensors - stacked.real).max() <= 1e-15
+        assert np.abs(residues - np.abs(stacked.imag).max(axis=(1, 2, 3))).max() <= 1e-15
+        # real maps give exactly zero residues: nothing imaginary is discarded
+        assert residues.min() > 0.0 if complex_maps else np.array_equal(residues, np.zeros(len(m1)))
+
 
 class TestDensityAssembly:
     def test_singlet_density_matrix(self):

@@ -313,11 +313,14 @@ def test_undriven_map_is_identity_in_both_modes():
 
 def test_coefficient_map_dispatches_by_shape():
     specs = [PulseSpec.rectangular(1.0, duration=2.0), PulseSpec.exponential(1.0, 1.0), PulseSpec.none()]
-    rect, exp, none = coefficient_map_batch(specs, [1.0] * 3)
-    assert rect.shape == (3, 3) and rect.dtype == np.complex128
-    assert not np.array_equal(rect, np.eye(3))
-    assert not np.array_equal(exp, np.eye(3))
-    assert np.array_equal(none, np.eye(3))
+    # unitary maps are real rotations; only the printed literal B row needs complex entries
+    for mode, dtype in ((UNITARY, np.float64), (LITERAL, np.complex128)):
+        rect, exp, none = coefficient_map_batch(specs, [1.0] * 3, mode)
+        assert rect.shape == (3, 3) and rect.dtype == dtype
+        assert not np.array_equal(rect, np.eye(3))
+        assert not np.array_equal(exp, np.eye(3))
+        assert np.array_equal(none, np.eye(3))
+        assert coefficient_map_batch(PulseSpec.none(), [0.0, 1.0], mode).dtype == dtype
 
 
 @pytest.mark.parametrize("mode", [LITERAL, UNITARY])

@@ -226,8 +226,10 @@ class TestBatchedSweep:
     def test_preset_csvs_match_reference_digests(self):
         expected = json.loads(REFERENCE_DIGESTS.read_text("ascii"))
         for key, cfg in _preset_modes():
-            text = run_sweep(cfg).csv_text()
-            assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected[key], key
+            result = run_sweep(cfg)
+            assert hashlib.sha256(result.csv_text().encode("ascii")).hexdigest() == expected[key], key
+            if cfg.mode is CoefficientMode.UNITARY:  # real maps: exactly zero residues
+                assert np.array_equal(result.residues, np.zeros(cfg.grid.points)), key
 
     @pytest.mark.parametrize("chunk_cells", [1, 7])
     def test_chunk_size_does_not_change_a_byte(self, monkeypatch, chunk_cells):
@@ -329,6 +331,26 @@ class TestCsvFormat:
         row = result.csv_text().split("\n")[2]
         first = row.split(",")[0]
         assert first == format(1.0 / 3.0, ".12g")
+
+    def test_every_cell_prints_as_the_guard_formats_it(self):
+        # the guard's _fmt decides which cells go to Jacobi by how they print,
+        # so the CSV must print each value exactly as _fmt does
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e16, 1e22, 999999999999.5, 1.0 / 3.0, -1.0 / 3.0, 1e-12, 0.611591403527]
+        rng = np.random.default_rng(8)
+        drawn = 10.0 ** rng.uniform(-320.0, 300.0, 3000) * rng.choice([-1.0, 1.0], 3000)
+        values = np.concatenate([np.repeat(special, 5), drawn])  # each special value fills one row
+        table = values.reshape(-1, 5)
+        result = SweepResult(small_config(), table[:, 0], table[:, 1:4], table[:, 4])
+        lines = result.csv_text().splitlines()
+        assert lines[0] == "param,E_bell,E_werner,E_genwerner,imag_residue"
+        cells = [cell for line in lines[1:] for cell in line.split(",")]
+        assert cells == [scenarios._fmt(v) for v in values.tolist()]
+        # and _fmt keeps the bytes of format(v, ".12g"), which the CSV has always printed
+        assert cells == [format(v, ".12g") for v in values.tolist()]
+        assert cells[:75:5] == ["0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "-4.94065645841e-324",
+                              "2.22507385851e-308", "1e+16", "1e+22", "1e+12", "0.333333333333",
+                              "-0.333333333333", "1e-12", "0.611591403527"]
 
     def test_write_round_trip(self, tmp_path):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
