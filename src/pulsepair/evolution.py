@@ -238,7 +238,8 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     unitary_oracle_batch or the coefficient maps; this is the independent
     route.  Raises ValueError unless step is positive and every t_end
     non-negative, all finite, and the step count at most _RK4_MAX_STEPS,
-    and StepTooLarge if step exceeds a tenth of the shortest t_end > 0.
+    and StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
+    h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not accuracy.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
@@ -283,6 +284,9 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     h = t_ends / np.maximum(counts, 1)
     omega = np.array([p.omega0 for p in pulses])
     dz = 0.5 * np.array([p.delta for p in pulses])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan (no step) at h = 0
+        if (h * np.hypot(0.5 * omega, dz) > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
+            raise StepTooLarge(f"step {step} is past RK4's stability bound h hypot(Omega0, Delta) <= 4 sqrt(2)")
     window = np.array([p.duration or np.inf for p in pulses])  # T, infinite unless a rectangle
     gamma = np.array([p.gamma_p or 0.0 for p in pulses])
     exponential = (gamma > 0.0) & (omega != 0.0)

@@ -22,10 +22,12 @@ start + i * step (the last clamped to stop) so refining a grid never moves
 the shared nodes.
 
 run_sweep takes the grid in chunks of at most _CHUNK_CELLS (point, state)
-cells, so memory stays bounded, and runs each chunk through one batched
-path: maps, evolved tensors, closed-form negativities (with the Jacobi
-solve of a density where the 12th digit is in doubt).  Each stage acts on
-each matrix alone, so the chunk size never changes a bit of the output.
+cells, so memory stays bounded.  A LITERAL chunk takes the long route: maps,
+evolved tensors, closed-form negativities (Jacobi on a density where the
+12th digit is in doubt).  A UNITARY chunk builds its maps only for their
+errors: its maps are proper rotations, which keep the negativity exactly, so
+each cell has its state's initial value (Vidal & Werner, PRA 65, 032314,
+2002).  No stage mixes matrices, so the chunk size never changes a bit.
 """
 
 import math
@@ -37,8 +39,8 @@ from enum import Enum
 import numpy as np
 
 from .entanglement import CLAMP_TOL, _clamp, negativity_batch, zero_bloch_negativity_batch
-from .errors import InvalidConfig
-from .evolution import InitialState, assemble_density_batch, evolve_correlations_batch
+from .errors import InvalidConfig, TraceNotOne
+from .evolution import InitialState, _diagonal_tensors, assemble_density_batch, evolve_correlations_batch
 from .pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
 __all__ = [
@@ -248,24 +250,32 @@ def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return m1, m2
 
 
+def _long_route(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negativities (N, S) and residues (N,) at grid values x: maps, evolved tensors, closed form."""
+    tensors, residues = evolve_correlations_batch([s.correlations for s in cfg.initial_states], *_grid_maps(cfg, x))
+    return _negativities(tensors.reshape(-1, 3, 3)).reshape(tensors.shape[:2]), residues
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate one sweep configuration over its whole grid, chunk by chunk.
 
-    Raises OutOfWindow if a grid value falls outside a rectangular pulse
-    window, TraceNotOne if a correlation tensor is not finite, and
-    ConvergenceFailure if a density sent to the Jacobi solver does not
-    converge.
+    LITERAL chunks take _long_route; UNITARY chunks build their maps only for
+    their errors, as rotations keep each state's initial negativity exactly.
+    Raises OutOfWindow outside a rectangular pulse window, TraceNotOne if a map
+    or tensor is not finite, and ConvergenceFailure if a Jacobi solve fails.
     """
     grid = cfg.grid.values()
-    diagonals = np.array([s.correlations for s in cfg.initial_states])
-    step = max(1, _CHUNK_CELLS // len(diagonals))
-    negativities = np.empty((len(grid), len(diagonals)))
-    residues = np.empty(len(grid))
+    step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
+    negativities = np.empty((len(grid), len(cfg.initial_states)))
+    residues = np.zeros(len(grid))
+    if cfg.mode is CoefficientMode.UNITARY:  # computed once: every cell has its state's initial value
+        negativities[:] = _negativities(_diagonal_tensors([s.correlations for s in cfg.initial_states]))
     for lo in range(0, len(grid), step):
         chunk = slice(lo, lo + step)
-        maps = _grid_maps(cfg, grid[chunk])
-        tensors, residues[chunk] = evolve_correlations_batch(diagonals, *maps)
-        negativities[chunk] = _negativities(tensors.reshape(-1, 3, 3)).reshape(tensors.shape[:2])
+        if cfg.mode is CoefficientMode.LITERAL:
+            negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])
+        elif not np.isfinite(_grid_maps(cfg, grid[chunk])).all():
+            raise TraceNotOne("coefficient map is not finite, so neither is the correlation tensor")
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import oracles
 from pulsepair import scenarios
 from pulsepair.config import format_config, parse_config
 from pulsepair.entanglement import CLAMP_TOL
-from pulsepair.errors import InvalidConfig, UnphysicalState
+from pulsepair.errors import InvalidConfig, PulsePairError, TraceNotOne, UnphysicalState
 from pulsepair.evolution import evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets, run_sweep
@@ -167,7 +169,7 @@ VALUES = {
 
 
 @st.composite
-def config_text(draw):
+def config_text(draw, modes=tuple(CoefficientMode)):
     """Config text that is mostly well formed, with a few arbitrary parts."""
     wild = draw(st.sets(st.sampled_from(sorted(VALUES)), max_size=2))
     family = draw(st.sampled_from(list(SweepFamily)))
@@ -175,7 +177,7 @@ def config_text(draw):
     pairs = {
         "family": family.value,
         "drive": "both_qubits" if both else "one_qubit",
-        "mode": draw(st.sampled_from(list(CoefficientMode))).value,
+        "mode": draw(st.sampled_from(modes)).value,
     }
     for key, (plausible, arbitrary) in VALUES.items():
         pairs[key] = draw(arbitrary if key in wild else plausible)
@@ -196,6 +198,51 @@ def test_any_config_text_gives_finite_rows_or_a_typed_error(text):
     assert cfg.grid.points <= 64
     for values in (result.params, result.negativities, result.residues):
         assert np.isfinite(values).all()
+
+
+def _error_type(route, *args):
+    try:
+        route(*args)
+    except PulsePairError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_text(modes=(CoefficientMode.UNITARY,)))
+def test_unitary_sweep_agrees_with_the_long_route(text):
+    # the unitary route gives every cell its state's initial negativity; the
+    # long route evolves each cell and takes its closed form
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, UnphysicalState):
+        return
+    assert cfg.mode is CoefficientMode.UNITARY
+    try:
+        negativities, residues = scenarios._long_route(cfg, cfg.grid.values())
+    except PulsePairError as exc:
+        assert _error_type(run_sweep, cfg) is type(exc)
+        return
+    result = run_sweep(cfg)
+    assert np.abs(result.negativities - negativities).max() <= 1e-12
+    assert np.array_equal(residues, np.zeros(cfg.grid.points))
+    assert np.array_equal(result.residues, np.zeros(cfg.grid.points))
+
+
+@pytest.mark.parametrize("mode", list(CoefficientMode))
+def test_a_non_finite_map_raises_trace_not_one_on_either_route(monkeypatch, mode):
+    grid_maps = scenarios._grid_maps
+
+    def broken(cfg, x):
+        m1, m2 = grid_maps(cfg, x)
+        m1 = m1.copy()
+        m1[-1, 0, 0] = np.nan
+        return m1, m2
+
+    cfg = dataclasses.replace(paper_figure_presets()["fig3a"], mode=mode)
+    monkeypatch.setattr(scenarios, "_grid_maps", broken)
+    assert _error_type(scenarios._long_route, cfg, cfg.grid.values()) is TraceNotOne
+    assert _error_type(run_sweep, cfg) is TraceNotOne
 
 
 # The property test above found this config: a literal-mode sweep of a

@@ -389,6 +389,28 @@ class TestRk4Oracle:
             with pytest.raises(ValueError, match="steps of .*, over 10000000"):
                 rk4_single(p, t_end, step=step)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [PulseSpec.rectangular(1e6, 1.0), PulseSpec.exponential(1e6, 1.0)])
+    def test_step_past_the_stability_bound_raises_before_any_product(self, p):
+        # h Omega0 = 1e3, far past 4 sqrt(2): the step matrices overflowed
+        # ("overflow encountered in multiply", or in reduce) before the gate
+        with pytest.raises(StepTooLarge, match="stability bound"):
+            rk4_single(p, 1.0, step=1e-3)
+
+    def test_stability_bound_takes_drive_and_detuning_together(self):
+        # ten steps of h = 0.1: h hypot(Omega0, Delta) against 4 sqrt(2) = 5.657
+        for omega, delta in ((56.0, 0.0), (0.0, 56.0), (39.0, 39.0)):
+            u = rk4_single(PulseSpec.rectangular(omega, 1.0, delta), 1.0, step=0.1)
+            assert np.isfinite(u).all()
+        for omega, delta in ((57.0, 0.0), (0.0, -57.0), (41.0, 41.0)):
+            with pytest.raises(StepTooLarge, match="stability bound"):
+                rk4_single(PulseSpec.rectangular(omega, 1.0, delta), 1.0, step=0.1)
+        # a pair past the bound fails the whole batch; one with t_end = 0 takes no step
+        p = PulseSpec.exponential(100.0, 1.0)
+        with pytest.raises(StepTooLarge):
+            rk4_oracle_batch([PulseSpec.none(), p], [1.0, 1.0], step=0.1)
+        assert np.array_equal(rk4_oracle_batch([PulseSpec.none(), p], [1.0, 0.0], step=0.1)[1], np.eye(2))
+
     def test_agreement_with_exact_propagator(self):
         cases = [
             (PulseSpec.rectangular(1.0, duration=7.0, delta=0.3), 6.0),

@@ -29,10 +29,30 @@ BATCHED = (
 )
 
 
-def _small_sweep():
+def _small_sweep(mode):
     # 5 points x 2 states of the detuned two-qubit rectangle preset
     cfg = paper_figure_presets()["fig2b"]
-    return dataclasses.replace(cfg, initial_states=cfg.initial_states[:2], grid=GridSpec(0.0, 2.0, 5))
+    return dataclasses.replace(cfg, initial_states=cfg.initial_states[:2], grid=GridSpec(0.0, 2.0, 5), mode=mode)
+
+
+def _traced_small_sweep(monkeypatch, chunk_cells, mode):
+    monkeypatch.setattr(scenarios, "_CHUNK_CELLS", chunk_cells)
+    originals = {name: getattr(module, name) for module, name in BATCHED}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(getattr(scenarios, name) is not fn for name, fn in originals.items())
+        scenarios.run_sweep(_small_sweep(mode)).csv_text()
+    finally:
+        t.uninstall()
+    assert all(getattr(scenarios, name) is fn for name, fn in originals.items())
+    names = [s[tracer.NAME] for s in t.spans]
+    root = names.index("scenarios.run_sweep")
+    maps = [s for s in t.spans if s[tracer.NAME] == "pulses.coefficient_map_batch"]
+    assert all(s[tracer.PARENT] == root for s in maps)
+    assert t.counts["scenarios.cells"] == 10
+    assert t.counts["scenarios.csv_bytes"] > 0
+    return t, names, len(maps)
 
 
 @pytest.mark.parametrize(
@@ -53,21 +73,9 @@ def test_sweep_binds_each_layer_function_from_its_module():
 
 @pytest.mark.parametrize("chunk_cells, chunks", [(4096, 1), (4, 3)])
 def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, chunks):
-    monkeypatch.setattr(scenarios, "_CHUNK_CELLS", chunk_cells)
-    originals = {name: getattr(module, name) for module, name in BATCHED}
-    t = tracer.Tracer()
-    t.install()
-    try:
-        assert all(getattr(scenarios, name) is not fn for name, fn in originals.items())
-        scenarios.run_sweep(_small_sweep()).csv_text()
-    finally:
-        t.uninstall()
-    assert all(getattr(scenarios, name) is fn for name, fn in originals.items())
-    names = [s[tracer.NAME] for s in t.spans]
-    root = names.index("scenarios.run_sweep")
-    maps = [s for s in t.spans if s[tracer.NAME] == "pulses.coefficient_map_batch"]
-    assert len(maps) == 2 * chunks  # one per qubit per chunk, x = 0 included
-    assert all(s[tracer.PARENT] == root for s in maps)
+    # LITERAL chunks take the long route: maps, evolution, closed form
+    t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.LITERAL)
+    assert maps == 2 * chunks  # one per qubit per chunk, x = 0 included
     for layer_function in (
         "evolution.evolve_correlations_batch",
         "entanglement.zero_bloch_negativity_batch",
@@ -77,9 +85,18 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
         "pauli.hermitian_eigenvalues_batch",
     ):
         assert names.count(layer_function) == chunks, layer_function
-    assert t.counts["scenarios.cells"] == 10
     assert t.counts["pauli.matrices"] == 0
-    assert t.counts["scenarios.csv_bytes"] > 0
+
+
+@pytest.mark.parametrize("chunk_cells, chunks", [(4096, 1), (4, 3)])
+def test_unitary_chunks_build_maps_and_skip_the_evolution(monkeypatch, chunk_cells, chunks):
+    # a UNITARY chunk builds its maps for their errors only; the negativities
+    # of the initial states come from one closed-form call per sweep
+    t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.UNITARY)
+    assert maps == 2 * chunks
+    assert names.count("evolution.evolve_correlations_batch") == 0
+    assert names.count("entanglement.zero_bloch_negativity_batch") == 1
+    assert t.counts["pauli.matrices"] == 0
 
 
 def test_tracer_counts_only_the_cells_sent_to_jacobi():

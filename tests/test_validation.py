@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pulsepair import validation
+from pulsepair import scenarios, validation
 from pulsepair.validation import VALIDATION_NOTES, CheckResult, run_validation
 
 EXPECTED_NAMES = [
@@ -80,3 +80,29 @@ def test_notes_document_the_literal_mode_caveats():
     assert "constant" in joined
     assert "qualitative" in joined
     assert "residue" in joined
+
+
+def test_preset_checks_evolve_the_unitary_maps(monkeypatch):
+    # a UNITARY sweep reads its maps only for their errors, so a map that is
+    # no rotation can only show through the long route the preset checks take
+    grid_maps = scenarios._grid_maps
+
+    def scaled(cfg, x):
+        m1, m2 = grid_maps(cfg, x)
+        return 1.01 * m1, m2
+
+    cfg = scenarios.paper_figure_presets()["fig2b"]
+    before = scenarios.run_sweep(cfg).negativities
+    monkeypatch.setattr(scenarios, "_grid_maps", scaled)
+    assert (scenarios.run_sweep(cfg).negativities == before).all()
+    checks = {r.name: r for r in validation._check_presets()}
+    assert not checks["preset_unitary_constancy"].passed
+    assert checks["preset_unitary_constancy"].max_error > 1e-3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 42])
+def test_every_check_passes_on_the_pinned_seeds(seed):
+    results = run_validation(seed=seed)
+    assert [r.name for r in results] == EXPECTED_NAMES
+    assert [r.name for r in results if not r.passed] == []
