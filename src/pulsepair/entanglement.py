@@ -7,7 +7,12 @@ partial transpose is positive, and reaches 1 on maximally entangled
 two-qubit states.  Tiny negative round-off is clamped to zero; the raw
 value is kept on the result for inspection.
 zero_bloch_negativity_batch takes the mu_i of a state with zero Bloch
-vectors in closed form, from its 3x3 correlation tensor alone.
+vectors in closed form, from the singular values of its 3x3 correlation
+tensor alone.  A drive on resonance (an exponential pulse, or a rectangle
+with Delta = 0) turns its qubit about x, so both coefficient maps fix the x
+axis and the tensor splits into T_xx and a 2x2 yz block; such tensors take
+those singular values in closed form, and any other tensor, such as one of a
+detuned drive, goes to LAPACK's SVD.
 """
 
 from dataclasses import dataclass
@@ -115,13 +120,26 @@ def zero_bloch_negativity_batch(tensors) -> np.ndarray:
     (1 - t1 + t2 - t3)/4, physical state or not.  The values are unclamped, as
     NegativityResult.raw_value.  A non-finite T raises TraceNotOne, as its
     density's trace would.
+
+    The singular values take one of two routes, chosen per cell from T alone.
+    An x-decoupled T, whose T_xy, T_xz, T_yx and T_zx are all zero (-0.0
+    included), is block diagonal, so its singular values are exactly |T_xx| and
+    those of its yz block [[a, b], [c, d]]: (hypot(a + d, c - b) +- hypot(a - d,
+    c + b))/2, the second in magnitude, sorted descending as LAPACK's are.  Every
+    other T goes to one stacked LAPACK np.linalg.svd, whose values replace the
+    block formula's.
     """
     t = np.asarray(tensors, dtype=float)
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"expected shape (..., 3, 3), got {t.shape}")
     if not np.isfinite(t).all():
         raise TraceNotOne("correlation tensor is not finite, so neither is the density trace")
-    s = np.linalg.svd(t, compute_uv=False)
+    yy, yz, zy, zz = t[..., 1, 1], t[..., 1, 2], t[..., 2, 1], t[..., 2, 2]
+    p, q = np.hypot(yy + zz, zy - yz), np.hypot(yy - zz, zy + yz)  # p**2 - q**2 = 4 det of the yz block
+    a, b, c = np.abs(t[..., 0, 0]), 0.5 * (p + q), 0.5 * np.abs(p - q)  # b >= c
+    s = np.stack((np.maximum(a, b), np.maximum(np.minimum(a, b), c), np.minimum(a, c)), axis=-1)
+    coupled = t[..., [0, 0, 1, 2], [1, 2, 0, 0]].any(axis=-1)  # T_xy, T_xz, T_yx, T_zx; -0.0 is False
+    s[coupled] = np.linalg.svd(t[coupled], compute_uv=False)
     t1, t2 = s[..., 0], s[..., 1]
     # det T as the triple product: LAPACK's LU warns on some subnormal entries
     det = np.einsum("...i,...i->...", t[..., 0, :], np.cross(t[..., 1, :], t[..., 2, :]))

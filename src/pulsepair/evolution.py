@@ -293,10 +293,9 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
 
     u = np.zeros((4, n))
     u[0] = 1.0
-    i = np.flatnonzero(~exponential)
+    i = np.flatnonzero(~exponential & (counts > 0))  # a pair with t_end = 0 takes no step: U = I
     hi, wi, dzi, ni, ti = h[i], 0.5 * omega[i], dz[i], counts[i], window[i]
-    with np.errstate(divide="ignore"):  # h = 0 where t_end = 0
-        k0 = np.where(t_ends[i] <= ti, ni + 2, np.floor(ti / hi)).astype(np.int64)
+    k0 = np.where(t_ends[i] <= ti, ni + 2, np.floor(ti / hi)).astype(np.int64)
 
     def power(q, w, k):  # left-multiply q by P^k, P the step of constant drive w, by binary powering
         p = _rk4_step(w, w, w, dzi, hi)

@@ -180,11 +180,12 @@ def _check_negativity_oracle(rng) -> CheckResult:
 
 
 def _check_negativity_closed_form(rng) -> CheckResult:
-    """Closed form, Jacobi and LAPACK on 1000 tensors M1^T diag(c) M2 with physical c.
+    """Closed form, Jacobi and LAPACK on 1000 tensors M1^T diag(c) M2 with physical c, and on their x-decoupled parts.
 
     Four groups of 250 maps: proper rotations, the same with a reflection on
     one side (det C~ flips sign), literal-style maps with entries in [-1, 1],
-    and those with c_zz = 0 (rank-deficient).
+    and those with c_zz = 0 (rank-deficient).  Each tensor comes again with
+    T_xy, T_xz, T_yx and T_zx zeroed, so the closed form takes both its routes.
     """
     c = np.array([_random_physical_correlations(rng) for _ in range(1000)])
     c[750:, 2] = 0.0
@@ -193,6 +194,7 @@ def _check_negativity_closed_form(rng) -> CheckResult:
     q[0, 250:] *= -1.0
     maps = np.concatenate((q, rng.uniform(-1.0, 1.0, size=(2, 500, 3, 3))), axis=1)
     tensors = maps[0].transpose(0, 2, 1) @ evolution._diagonal_tensors(c) @ maps[1]
+    tensors = np.concatenate((tensors, tensors * [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
     rho = evolution.assemble_density_batch(tensors)
     closed = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
     jacobi, lapack = entanglement.negativity_batch(rho), _lapack_negativities(rho)

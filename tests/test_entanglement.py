@@ -121,6 +121,61 @@ def test_closed_form_rejects_a_non_finite_tensor(bad):
         zero_bloch_negativity_batch(np.zeros((2, 4, 4)))
 
 
+def _lapack_route(t):
+    """The closed form with every singular value from np.linalg.svd."""
+    s = np.linalg.svd(t, compute_uv=False)
+    det = np.einsum("...i,...i->...", t[..., 0, :], np.cross(t[..., 1, :], t[..., 2, :]))
+    t1, t2, t3 = s[..., 0], s[..., 1], np.where(det < 0.0, -s[..., 2], s[..., 2])
+    mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
+    return np.abs(0.25 * mu).sum(axis=0) - 1.0
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# exact and signed zeros, subnormals, and magnitudes 1e-100 .. 1e100
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, s: s * m, st.floats(5e-324, 2.2e-308), _SIGN),
+    st.builds(lambda e, s: s * 10.0**e, st.floats(-100.0, 100.0), _SIGN),
+)
+_YZ_BLOCK = st.one_of(
+    st.lists(_ENTRY, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+    # rank 1: a row and a multiple of it
+    st.builds(lambda a, b, k: np.array([[a, b], [k * a, k * b]]), _ENTRY, _ENTRY, st.sampled_from([1.0, -1.0, 0.5, -3.0])),
+    # equal singular values: a scaled rotation or reflection
+    st.builds(lambda a, b, s: np.array([[a, -s * b], [b, s * a]]), _ENTRY, _ENTRY, _SIGN),
+)
+
+
+@st.composite
+def _x_decoupled(draw):
+    t = np.zeros((3, 3))
+    t[0, 1:], t[1:, 0] = draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))
+    t[0, 0], t[1:, 1:] = draw(_ENTRY), draw(_YZ_BLOCK)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(), (1,), (5,), (0,), (2, 3), (3, 1)]), st.data())
+def test_split_route_matches_lapack_on_x_decoupled_tensors(shape, data):
+    # the RuntimeWarning-as-error filter fails the test on any warning
+    n = math.prod(shape)
+    t = np.array(data.draw(st.lists(_x_decoupled(), min_size=n, max_size=n)) or np.zeros((0, 3, 3)))
+    t = t.reshape(shape + (3, 3))
+    ours = zero_bloch_negativity_batch(t)
+    assert ours.shape == shape
+    assert np.abs(ours - _lapack_route(t)).max(initial=0.0) <= 4e-15 * max(1.0, np.abs(t).max(initial=0.0))
+
+
+def test_only_tensors_with_an_x_coupling_go_to_lapack(monkeypatch):
+    svd, sent = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda t, **kw: sent.append(len(t)) or svd(t, **kw))
+    t = np.tile(np.diag([-0.9, -0.8, -0.7]), (4, 2, 1, 1))
+    t[0, 0, 0, 1], t[1, 1, 2, 0], t[2, 0, 1, 0] = 1e-300, -0.1, -0.0
+    t[3, :, 0, 0] = 0.0
+    zero_bloch_negativity_batch(t)
+    assert sent == [2]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(-1.0, 1.0),

@@ -411,6 +411,16 @@ class TestRk4Oracle:
             rk4_oracle_batch([PulseSpec.none(), p], [1.0, 1.0], step=0.1)
         assert np.array_equal(rk4_oracle_batch([PulseSpec.none(), p], [1.0, 0.0], step=0.1)[1], np.eye(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega, delta", [(1e308, 0.0), (0.0, 1e308), (1e308, -1e308)])
+    def test_a_pair_that_takes_no_step_builds_no_step_from_its_drive(self, omega, delta):
+        # its step matrix from a drive near the float range overflowed ("overflow
+        # encountered in add") though the pair takes no step and passes the bound
+        p, q = PulseSpec.rectangular(omega, 1.0, delta), PulseSpec.rectangular(1.0, 1.0)
+        u = rk4_oracle_batch([p, q], [0.0, 1.0], 1e-3)
+        assert np.array_equal(u[0], np.eye(2))
+        assert np.array_equal(u[1], rk4_single(q, 1.0))
+
     def test_agreement_with_exact_propagator(self):
         cases = [
             (PulseSpec.rectangular(1.0, duration=7.0, delta=0.3), 6.0),

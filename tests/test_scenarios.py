@@ -272,6 +272,24 @@ class TestClosedFormGuard:
         raw = zero_bloch_negativity_batch(tensors[:, 0])
         assert np.abs(raw - list(self.FIG1B_LITERAL_CELLS.values())).max() <= 1e-16
 
+    def test_only_detuned_preset_cells_go_to_lapack(self, monkeypatch):
+        # the closed form sends a tensor to np.linalg.svd unless T_xy, T_xz,
+        # T_yx and T_zx are zero, which resonant drives keep exactly
+        svd, sent = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda t, **kw: sent.append(len(t)) or svd(t, **kw))
+        cfg = self._fig1b_literal()
+        maps = scenarios._grid_maps(cfg, cfg.grid.values()[list(self.FIG1B_LITERAL_CELLS)])
+        zero_bloch_negativity_batch(evolve_correlations_batch([InitialState.werner(-0.9).correlations], *maps)[0])
+        assert sent == [2]  # so the 1e-16 pin above holds LAPACK's values
+        cells = lapack = 0
+        for name, preset in paper_figure_presets().items():
+            for mode in CoefficientMode:
+                sent.clear()
+                cells += scenarios._long_route(dataclasses.replace(preset, mode=mode), preset.grid.values())[0].size
+                lapack += sum(sent)
+                assert name in ("fig1b", "fig2b") or sum(sent) == 0, (name, mode)
+        assert (cells, cells - lapack) == (57_672, 48_089)
+
     def test_csv_keeps_the_jacobi_digits_of_those_cells(self):
         # the closed form would print 0.611591403526 and 0.549439573879
         lines = run_sweep(self._fig1b_literal()).csv_text().splitlines()
