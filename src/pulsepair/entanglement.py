@@ -141,8 +141,11 @@ def zero_bloch_negativity_batch(tensors) -> np.ndarray:
     coupled = t[..., [0, 0, 1, 2], [1, 2, 0, 0]].any(axis=-1)  # T_xy, T_xz, T_yx, T_zx; -0.0 is False
     s[coupled] = np.linalg.svd(t[coupled], compute_uv=False)
     t1, t2 = s[..., 0], s[..., 1]
-    # det T as the triple product: LAPACK's LU warns on some subnormal entries
-    det = np.einsum("...i,...i->...", t[..., 0, :], np.cross(t[..., 1, :], t[..., 2, :]))
+    # det T as the triple product (LAPACK's LU warns on some subnormal entries), each row first
+    # scaled by a power of two to a largest magnitude in [0.5, 1): the sign stays, nothing overflows
+    rows = np.moveaxis(t, (-2, -1), (0, 1)).copy()  # (3, 3, ...), so that max(axis=1) is fast
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    det = r11 * (r22 * r33 - r23 * r32) + r12 * (r23 * r31 - r21 * r33) + r13 * (r21 * r32 - r22 * r31)
     t3 = np.where(det < 0.0, -s[..., 2], s[..., 2])
     mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
     return np.abs(0.25 * mu).sum(axis=0) - 1.0

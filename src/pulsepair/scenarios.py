@@ -161,8 +161,11 @@ class SweepResult:
     def csv_text(self) -> str:
         labels = ",".join(f"E_{s.label}" for s in self.config.initial_states)
         table = np.column_stack((self.params, self.negativities, self.residues))
-        row = ",".join([_CELL] * table.shape[1])
-        return "\n".join([f"param,{labels},imag_residue"] + [row % tuple(r) for r in table.tolist()]) + "\n"
+        bits = table.view(np.int64)  # compared as bits, so -0.0 and NaN payloads stay apart
+        folded = (bits == bits[:1]).all(axis=0) & (len(table) > 0)  # columns of one bit pattern
+        row = ",".join(_CELL % table[0, j] if f else _CELL for j, f in enumerate(folded))
+        text = ("\n" + row) * len(table) % tuple(table[:, ~folded].ravel().tolist())
+        return f"param,{labels},imag_residue{text}\n"
 
     def write_csv(self, path) -> None:
         """Write csv_text() to a temporary file beside path, then rename it over path.

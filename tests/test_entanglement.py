@@ -176,6 +176,17 @@ def test_only_tensors_with_an_x_coupling_go_to_lapack(monkeypatch):
     assert sent == [2]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_triple_product_of_huge_rows_does_not_overflow(sign):
+    # det T = sign * 1e600 unscaled; each row is scaled by a power of two first.  The spectrum is
+    # (1 + 3s)/4 and three times (1 - s)/4, or with t3 = -s (1 + s)/4 three times and (1 - 3s)/4:
+    # 1.5s either way at s = 1e200.  The RuntimeWarning-as-error filter fails the test on any warning.
+    t = np.diag([1e200, 1e200, sign * 1e200])
+    c, s = math.cos(0.5), math.sin(0.5)
+    rotated = t @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # x-coupled: LAPACK's singular values
+    assert zero_bloch_negativity_batch(np.stack([t, rotated])) == pytest.approx([1.5e200, 1.5e200], rel=1e-14)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(-1.0, 1.0),

@@ -148,6 +148,54 @@ class TestEvolveCorrelations:
         # real maps give exactly zero residues: nothing imaginary is discarded
         assert residues.min() > 0.0 if complex_maps else np.array_equal(residues, np.zeros(len(m1)))
 
+    @staticmethod
+    def _complex_route(c, m1, m2):
+        """C~ and residues summed in complex128 throughout, as for maps with imaginary parts."""
+        c = np.asarray(c, dtype=float)[..., None, None]
+        m1, m2 = np.asarray(m1, dtype=complex), np.asarray(m2, dtype=complex)
+        rows = (m1[:, :, :, None] * m2[:, :, None, :])[:, None]
+        product = c[..., 0, :, :] * rows[:, :, 0] + c[..., 1, :, :] * rows[:, :, 1] + c[..., 2, :, :] * rows[:, :, 2]
+        return product.real, np.abs(product.imag).max(axis=(1, 2, 3))
+
+    def test_resonant_literal_maps_take_the_float64_route(self):
+        # on resonance the printed B row vanishes: complex maps whose imaginary parts are all zero
+        times = np.linspace(0.0, 5.0, 41)
+        m1 = coefficient_map_batch(PulseSpec.exponential(5.0, 1.0), times, CoefficientMode.LITERAL)
+        m2 = coefficient_map_batch(PulseSpec.rectangular(1.0, 6.0), times, CoefficientMode.LITERAL)
+        assert m1.dtype == m2.dtype == np.complex128 and not (m1.imag.any() or m2.imag.any())
+        c = [(-1.0, -1.0, -1.0), (-0.9, -0.8, -0.7)]
+        tensors, residues = evolve_correlations_batch(c, m1, m2)
+        real, _ = self._complex_route(c, m1, m2)
+        assert tensors.dtype == np.float64 and np.array_equal(tensors, real)
+        assert np.array_equal(residues, np.zeros(len(times)))
+        # evolved as their real parts, bit for bit
+        assert np.array_equal(tensors.view(np.int64), evolve_correlations_batch(c, m1.real, m2.real)[0].view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.floats(-1e150, 1e150), min_size=18, max_size=18), st.data())
+    def test_imaginary_free_maps_give_the_complex_route_real_parts(self, n, entries, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m1, m2 = (np.resize(entries, (n, 3, 3)) * rng.uniform(-1.0, 1.0, (n, 3, 3)) for _ in range(2))
+        zeros = rng.choice([0.0, -0.0], (2, n, 3, 3))  # either sign of zero in the imaginary parts
+        m1, m2 = m1 + zeros[0] * 1j, m2 + zeros[1] * 1j
+        c = rng.uniform(-1.0, 1.0, (3, 3))
+        tensors, residues = evolve_correlations_batch(c, m1, m2)
+        real, _ = self._complex_route(c, m1, m2)
+        assert tensors.dtype == np.float64 and np.array_equal(tensors, real)
+        assert np.array_equal(residues, np.zeros(n))
+
+    @pytest.mark.parametrize("pulses", [("detuned", "none"), ("none", "detuned"), ("detuned", "detuned")])
+    def test_a_map_with_an_imaginary_part_keeps_the_complex_route(self, pulses):
+        # fig1b-style: a detuned rectangle on one qubit; the undriven map's imaginary part is zero
+        times = np.linspace(0.0, 5.0, 41)
+        specs = {"detuned": PulseSpec.rectangular(1.0, 6.0, 1.0), "none": PulseSpec.none()}
+        m1, m2 = (coefficient_map_batch(specs[p], times, CoefficientMode.LITERAL) for p in pulses)
+        c = [(-1.0, -1.0, -1.0), (-0.9, -0.8, -0.7)]
+        tensors, residues = evolve_correlations_batch(c, m1, m2)
+        real, imag = self._complex_route(c, m1, m2)
+        assert np.array_equal(tensors.view(np.int64), real.view(np.int64))  # bit for bit, zero signs included
+        assert np.array_equal(residues, imag) and residues[1:].min() > 0.0
+
 
 class TestDensityAssembly:
     def test_singlet_density_matrix(self):

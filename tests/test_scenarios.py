@@ -334,6 +334,18 @@ class TestClosedFormGuard:
         assert [scenarios._fmt(v) for v in unguarded] != [scenarios._fmt(v) for v in jacobi]
 
 
+# CSV cells: signed zeros, NaNs of other payloads and signs, infinities, subnormals, any finite float
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.5]),
+    st.sampled_from([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0000]).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+    ),
+    st.floats(allow_nan=False),
+)
+# how one column's cells are drawn: one value throughout, 0.0 and -0.0 mixed, or any cells
+_COLUMN = st.one_of(_CELLS.map(st.just), st.just(st.sampled_from([0.0, -0.0])), st.just(_CELLS))
+
+
 class TestCsvFormat:
     def test_header_and_shape(self):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
@@ -369,6 +381,23 @@ class TestCsvFormat:
         assert cells[:75:5] == ["0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "-4.94065645841e-324",
                               "2.22507385851e-308", "1e+16", "1e+22", "1e+12", "0.333333333333",
                               "-0.333333333333", "1e-12", "0.611591403527"]
+
+    @staticmethod
+    def _row_by_row_csv(result):
+        """The CSV text formatted one row at a time, every cell with its own %.12g."""
+        labels = ",".join(f"E_{s.label}" for s in result.config.initial_states)
+        table = np.column_stack((result.params, result.negativities, result.residues))
+        row = ",".join(["%.12g"] * table.shape[1])
+        return "\n".join([f"param,{labels},imag_residue"] + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 4), st.data())
+    def test_folded_columns_print_as_the_row_by_row_format(self, rows, states, data):
+        cells = [data.draw(st.lists(data.draw(_COLUMN), min_size=rows, max_size=rows)) for _ in range(states + 2)]
+        table = np.array(cells, dtype=float).T.reshape(rows, states + 2)
+        four = STATES + (InitialState.werner(-0.5),)
+        result = SweepResult(small_config(initial_states=four[:states]), table[:, 0], table[:, 1:-1], table[:, -1])
+        assert result.csv_text() == self._row_by_row_csv(result)
 
     def test_write_round_trip(self, tmp_path):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
