@@ -12,14 +12,7 @@ detuning, and decay-rate ratios.
 
 import types
 
-from .entanglement import (
-    NegativityResult,
-    WernerClass,
-    classify_werner,
-    negativity,
-    negativity_batch,
-    partial_transpose_b,
-)
+from .entanglement import WernerClass, classify_werner, partial_transpose_b
 from .errors import (
     AngleOverflow,
     ConvergenceFailure,

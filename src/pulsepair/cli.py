@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import parse_config
-from .entanglement import negativity
+from .entanglement import _clamp, zero_bloch_negativity_batch, zero_bloch_spectrum_batch
 from .errors import InvalidConfig, PulsePairError, UnknownPreset, UnphysicalState
-from .evolution import InitialState, assemble_density_batch
+from .evolution import InitialState
 from .pulses import CoefficientMode
 from .scenarios import SweepConfig, paper_figure_presets, run_sweep
 from .validation import VALIDATION_NOTES, run_validation
@@ -129,10 +129,10 @@ def cmd_preset(args: argparse.Namespace) -> int:
 
 def cmd_negativity(args: argparse.Namespace) -> int:
     state = InitialState.generalized_werner(args.cxx, args.cyy, args.czz)
-    result = negativity(assemble_density_batch(np.diag(state.correlations)))
-    for i, mu in enumerate(result.eigenvalues, start=1):
+    tensor = np.diag(state.correlations)
+    for i, mu in enumerate(np.sort(zero_bloch_spectrum_batch(tensor)), start=1):
         print(f"mu_{i} = {mu:.12f}")
-    print(f"E = {result.value:.12f}")
+    print(f"E = {_clamp(zero_bloch_negativity_batch(tensor)):.12f}")
     return EXIT_OK
 
 

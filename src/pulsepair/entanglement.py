@@ -4,18 +4,19 @@ Negativity here is E = sum_i |mu_i| - 1 over the four eigenvalues mu_i of
 the partial transpose of rho.  Since the partial transpose preserves the
 trace, E equals twice the total weight of negative mu_i, vanishes iff the
 partial transpose is positive, and reaches 1 on maximally entangled
-two-qubit states.  Tiny negative round-off is clamped to zero; the raw
-value is kept on the result for inspection.
-zero_bloch_negativity_batch takes the mu_i of a state with zero Bloch
+two-qubit states.  Tiny negative round-off is clamped to zero.
+zero_bloch_spectrum_batch takes the mu_i of a state with zero Bloch
 vectors in closed form, from the singular values of its 3x3 correlation
 tensor alone.  A drive on resonance (an exponential pulse, or a rectangle
 with Delta = 0) turns its qubit about x, so both coefficient maps fix the x
 axis and the tensor splits into T_xx and a 2x2 yz block; such tensors take
 those singular values in closed form, and any other tensor, such as one of a
-detuned drive, goes to LAPACK's SVD.
+detuned drive, goes to LAPACK's SVD.  _jacobi_negativities takes the same
+negativities through the density and the Jacobi solver; it is the sweep
+rounding guard's tie-breaker (scenarios._negativities) and one leg of
+validate's negativity triangle.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,15 +27,12 @@ from .evolution import InitialState, assemble_density_batch
 
 __all__ = [
     "WernerClass",
-    "NegativityResult",
     "partial_transpose_b",
-    "negativity",
-    "negativity_batch",
+    "zero_bloch_spectrum_batch",
     "zero_bloch_negativity_batch",
     "classify_werner",
 ]
 
-TRACE_TOL = 1e-9
 CLAMP_TOL = 1e-12
 
 
@@ -42,19 +40,6 @@ class WernerClass(Enum):
     ENTANGLED = "entangled"
     SEPARABLE = "separable"
     UNPHYSICAL = "unphysical"
-
-
-@dataclass(frozen=True)
-class NegativityResult:
-    """Eigenvalues mu_i of the partial transpose plus the measure built from them.
-
-    ``value`` is clamped to zero below CLAMP_TOL; ``raw_value`` is the
-    unclamped sum.
-    """
-
-    eigenvalues: tuple[float, float, float, float]
-    value: float
-    raw_value: float
 
 
 def partial_transpose_b(rho) -> np.ndarray:
@@ -72,54 +57,21 @@ def _clamp(raw: np.ndarray) -> np.ndarray:
     return np.where(raw < CLAMP_TOL, 0.0, raw)
 
 
-def _spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-transpose eigenvalues and unclamped negativities of an (n, 4, 4) stack."""
-    traces = np.einsum("nii->n", rhos)
-    worst = np.abs(traces - 1.0).max() if len(rhos) else 0.0
-    # written so that a NaN trace fails the gate too
-    if not worst <= TRACE_TOL:
-        raise TraceNotOne(f"trace off by {worst:.3e}, beyond {TRACE_TOL:.1e}")
-    mu = hermitian_eigenvalues_batch(partial_transpose_b(rhos))
-    return mu, np.abs(mu).sum(axis=1) - 1.0
+def _jacobi_negativities(tensors) -> np.ndarray:
+    """Clamped negativities of (N, 3, 3) tensors through their densities and the Jacobi solver."""
+    mu = hermitian_eigenvalues_batch(partial_transpose_b(assemble_density_batch(tensors)))
+    return _clamp(np.abs(mu).sum(axis=1) - 1.0)
 
 
-def negativity(rho) -> NegativityResult:
-    """Negativity of a Hermitian unit-trace 4x4 density matrix.
-
-    Raises TraceNotOne if the trace is off by more than 1e-9 and
-    NonHermitianInput (via the eigensolver) if rho is not Hermitian.
-    """
-    mu, raw = _spectra(np.asarray(rho, dtype=np.complex128)[None])
-    return NegativityResult(
-        eigenvalues=tuple(float(v) for v in mu[0]),
-        value=float(_clamp(raw[0])),
-        raw_value=float(raw[0]),
-    )
-
-
-def negativity_batch(rhos) -> np.ndarray:
-    """Clamped negativity values for a stack of density matrices.
-
-    Same two checks and the same eigensolver as ``negativity``; the batch
-    form exists so a sweep can diagonalize thousands of partial transposes
-    in one call.  Per-matrix results are bit-identical to the scalar path.
-    """
-    rhos = np.asarray(rhos, dtype=np.complex128)
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise ValueError(f"expected shape (n, 4, 4), got {rhos.shape}")
-    return _clamp(_spectra(rhos)[1])
-
-
-def zero_bloch_negativity_batch(tensors) -> np.ndarray:
-    """Raw negativities of the states (1/4)(I + sum_kl T_kl sigma_k x sigma_l), (..., 3, 3) -> (...).
+def zero_bloch_spectrum_batch(tensors) -> np.ndarray:
+    """Partial-transpose spectra of the states (1/4)(I + sum_kl T_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4).
 
     Local rotations, which keep the partial-transpose spectrum, bring a real T
     to diag(t1, t2, t3): its singular values with the sign of det T on the
     smallest (Horodecki & Horodecki, PRA 54, 1838, 1996).  The spectrum is then
     (1 + t1 + t2 + t3)/4, (1 - t1 - t2 + t3)/4, (1 + t1 - t2 - t3)/4 and
-    (1 - t1 + t2 - t3)/4, physical state or not.  The values are unclamped, as
-    NegativityResult.raw_value.  A non-finite T raises TraceNotOne, as its
-    density's trace would.
+    (1 - t1 + t2 - t3)/4, in that order, physical state or not.  A non-finite T
+    raises TraceNotOne, as its density's trace would.
 
     The singular values take one of two routes, chosen per cell from T alone.
     An x-decoupled T, whose T_xy, T_xz, T_yx and T_zx are all zero (-0.0
@@ -148,7 +100,12 @@ def zero_bloch_negativity_batch(tensors) -> np.ndarray:
     det = r11 * (r22 * r33 - r23 * r32) + r12 * (r23 * r31 - r21 * r33) + r13 * (r21 * r32 - r22 * r31)
     t3 = np.where(det < 0.0, -s[..., 2], s[..., 2])
     mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
-    return np.abs(0.25 * mu).sum(axis=0) - 1.0
+    return np.moveaxis(0.25 * mu, 0, -1)  # a last-axis np.stack gives the same bits at twice the time
+
+
+def zero_bloch_negativity_batch(tensors) -> np.ndarray:
+    """Unclamped negativities of the zero_bloch_spectrum_batch spectra, (..., 3, 3) -> (...)."""
+    return np.abs(zero_bloch_spectrum_batch(tensors)).sum(axis=-1) - 1.0
 
 
 def classify_werner(x: float) -> WernerClass:
@@ -164,6 +121,6 @@ def classify_werner(x: float) -> WernerClass:
         state = InitialState.generalized_werner(x, x, x)
     except UnphysicalState:
         return WernerClass.UNPHYSICAL
-    if negativity(assemble_density_batch(np.diag(state.correlations))).value > CLAMP_TOL:
+    if _clamp(zero_bloch_negativity_batch(np.diag(state.correlations))) > CLAMP_TOL:
         return WernerClass.ENTANGLED
     return WernerClass.SEPARABLE

@@ -38,9 +38,9 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import CLAMP_TOL, _clamp, negativity_batch, zero_bloch_negativity_batch
+from .entanglement import CLAMP_TOL, _clamp, _jacobi_negativities, zero_bloch_negativity_batch
 from .errors import InvalidConfig, TraceNotOne
-from .evolution import InitialState, _diagonal_tensors, assemble_density_batch, evolve_correlations_batch
+from .evolution import InitialState, _diagonal_tensors, evolve_correlations_batch
 from .pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
 __all__ = [
@@ -223,7 +223,7 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     raw = zero_bloch_negativity_batch(tensors)
     doubt = _in_doubt(raw)
     values = _clamp(raw)
-    values[doubt] = negativity_batch(assemble_density_batch(tensors[doubt]))
+    values[doubt] = _jacobi_negativities(tensors[doubt])
     return values
 
 

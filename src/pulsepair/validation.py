@@ -169,14 +169,16 @@ def _check_fano_consistency(rng) -> CheckResult:
     return _result("fano_conjugation_consistency", worst, 1e-9)
 
 
-def _lapack_negativities(rho) -> np.ndarray:
+def _lapack_negativities(tensors) -> np.ndarray:
+    """Clamped negativities of (N, 3, 3) tensors through their densities and LAPACK's eigvalsh."""
+    rho = evolution.assemble_density_batch(tensors)
     return entanglement._clamp(np.abs(np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))).sum(axis=1) - 1.0)
 
 
 def _check_negativity_oracle(rng) -> CheckResult:
-    rho = evolution.assemble_density_batch(evolution._diagonal_tensors(rng.uniform(-1.0, 1.0, size=(1000, 3))))
-    ours = entanglement.negativity_batch(rho)
-    return _result("negativity_brute_force", float(np.abs(ours - _lapack_negativities(rho)).max()), 1e-10)
+    c = rng.uniform(-1.0, 1.0, size=(1000, 3))
+    err = float(np.abs(_negativities(c) - _lapack_negativities(evolution._diagonal_tensors(c))).max())
+    return _result("negativity_brute_force", err, 1e-10)
 
 
 def _check_negativity_closed_form(rng) -> CheckResult:
@@ -195,15 +197,15 @@ def _check_negativity_closed_form(rng) -> CheckResult:
     maps = np.concatenate((q, rng.uniform(-1.0, 1.0, size=(2, 500, 3, 3))), axis=1)
     tensors = maps[0].transpose(0, 2, 1) @ evolution._diagonal_tensors(c) @ maps[1]
     tensors = np.concatenate((tensors, tensors * [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
-    rho = evolution.assemble_density_batch(tensors)
     closed = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
-    jacobi, lapack = entanglement.negativity_batch(rho), _lapack_negativities(rho)
+    jacobi, lapack = entanglement._jacobi_negativities(tensors), _lapack_negativities(tensors)
     err = max(float(np.abs(a - b).max()) for a, b in ((closed, jacobi), (closed, lapack), (jacobi, lapack)))
     return _result("negativity_closed_form_triangle", err, 1e-10)
 
 
 def _negativities(diagonals) -> np.ndarray:
-    return entanglement.negativity_batch(evolution.assemble_density_batch(evolution._diagonal_tensors(diagonals)))
+    """Clamped closed-form negativities of the Bell-diagonal states with these diagonals."""
+    return entanglement._clamp(entanglement.zero_bloch_negativity_batch(evolution._diagonal_tensors(diagonals)))
 
 
 def _check_pinned_values() -> list[CheckResult]:

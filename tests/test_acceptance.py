@@ -21,11 +21,10 @@ import pytest
 
 import oracles
 from pulsepair import cli
-from pulsepair.entanglement import negativity, negativity_batch
+from pulsepair.entanglement import _clamp, zero_bloch_negativity_batch
 from pulsepair.evolution import (
     InitialState,
     adjoint_rotation,
-    assemble_density_batch,
     rk4_oracle_batch,
     unitary_oracle_batch,
 )
@@ -36,8 +35,9 @@ from pulsepair.validation import VALIDATION_NOTES, _random_physical_correlations
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def diagonal_negativity(c) -> float:
-    return negativity(assemble_density_batch(np.diag(c))).value
+def closed_form_negativities(cs) -> np.ndarray:
+    """The package's clamped negativities of the Bell-diagonal states cs."""
+    return _clamp(zero_bloch_negativity_batch(np.array([np.diag(c) for c in cs])))
 
 
 def report(capsys, name: str, passed: bool, detail: str) -> None:
@@ -48,7 +48,7 @@ def report(capsys, name: str, passed: bool, detail: str) -> None:
 
 def test_pinned_reference_values(capsys):
     start = time.perf_counter()
-    singlet = diagonal_negativity(InitialState.bell_singlet().correlations)
+    singlet = oracles.brute_negativity(InitialState.bell_singlet().correlations)
     singlet_err = abs(singlet - 1.0)
 
     result = run_sweep(paper_figure_presets()["fig1a"])
@@ -144,19 +144,19 @@ def test_negativity_against_independent_diagonalization(capsys):
     rng = np.random.default_rng(4242)
     start = time.perf_counter()
     cs = [_random_physical_correlations(rng) for _ in range(1000)]
-    rhos = assemble_density_batch(np.array([np.diag(c) for c in cs]))
-    ours = negativity_batch(rhos)
+    ours = closed_form_negativities(cs)
     brute = np.array([oracles.brute_negativity(c) for c in cs])
     random_err = float(np.abs(ours - brute).max())
 
-    threshold = diagonal_negativity(InitialState.werner(-1.0 / 3.0).correlations)
-    werner = diagonal_negativity(InitialState.werner(-0.9).correlations)
+    threshold, werner, edge = closed_form_negativities(
+        [InitialState.werner(x).correlations for x in (-1.0 / 3.0, -0.9)]
+        # (-0.9, -0.8, -0.6) fails the density-matrix positivity gate, but its
+        # partial-transpose arithmetic is still defined; the ungated
+        # correlation-tensor route reaches the pinned value
+        + [(-0.9, -0.8, -0.6)]
+    )
     werner_err = abs(werner - 0.85)
-    # (-0.9, -0.8, -0.6) fails the density-matrix positivity gate, but its
-    # partial-transpose arithmetic is still defined; go through the ungated
-    # correlation-tensor route to reach the pinned value
-    edge = negativity(assemble_density_batch(np.diag([-0.9, -0.8, -0.6])))
-    edge_err = abs(edge.value - 0.65)
+    edge_err = abs(edge - 0.65)
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -231,7 +231,7 @@ def test_literal_residue_flags_every_departure(capsys):
     for name, cfg in paper_figure_presets().items():
         literal = run_sweep(replace(cfg, mode=CoefficientMode.LITERAL))
         initial = np.array(
-            [diagonal_negativity(s.correlations) for s in cfg.initial_states]
+            [oracles.brute_negativity(s.correlations) for s in cfg.initial_states]
         )
         departed = np.abs(literal.negativities - initial).max(axis=1) > 1e-6
         silent = departed & (literal.residues == 0.0)

@@ -7,11 +7,13 @@ exit codes, stdout and written files without spawning interpreters.
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from pulsepair import cli, pauli
 from pulsepair.cli import main
 from pulsepair.config import format_config
+from pulsepair.entanglement import _clamp, zero_bloch_negativity_batch
 from pulsepair.scenarios import paper_figure_presets
 from pulsepair.validation import CheckResult
 
@@ -71,14 +73,22 @@ class TestNegativity:
         code, _, _ = run(capsys, "negativity", "a", "b", "c")
         assert code == 1
 
-    def test_jacobi_non_convergence_exits_1(self, capsys, monkeypatch):
-        # the one-shot command diagonalises its density; sweeps rarely do
+    def test_never_reaches_the_jacobi_solver(self, capsys, monkeypatch):
+        # the one-shot command takes the closed form, so a solver that cannot
+        # converge does not matter to it
         monkeypatch.setattr(pauli, "_MAX_SWEEPS", 0)
-        code, out, err = run(capsys, "negativity", "--", "-0.9", "-0.8", "-0.7")
-        assert code == 1
-        assert out == ""
-        assert_one_error_line(err)
-        assert "failed to converge" in err
+        code, out, _ = run(capsys, "negativity", "--", "-0.9", "-0.8", "-0.7")
+        assert code == 0
+        assert out.splitlines()[-1] == "E = 0.700000000000"
+
+    def test_closed_form_value_is_correctly_rounded(self, capsys):
+        # exact rational arithmetic on these floats gives E = 0.3582571949905004...;
+        # the Jacobi solve of the density printed 0.358257194990
+        c = (-0.4852517337247251, 0.3780353789266515, 0.8532272773296243)
+        code, out, _ = run(capsys, "negativity", "--", *map(repr, c))
+        assert code == 0
+        assert out.splitlines()[-1] == "E = 0.358257194991"
+        assert out.splitlines()[-1] == f"E = {_clamp(zero_bloch_negativity_batch(np.diag(c))):.12f}"
 
 
 class TestPreset:
@@ -118,6 +128,17 @@ class TestPreset:
         assert run(capsys, "preset", "fig1b", "--out", "a.csv")[0] == 0
         assert run(capsys, "preset", "fig1b", "--out", "b.csv")[0] == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_jacobi_non_convergence_exits_1(self, capsys, tmp_path, monkeypatch):
+        # fig1b/literal sends its two cells with the 12th digit in doubt to Jacobi
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pauli, "_MAX_SWEEPS", 0)
+        code, out, err = run(capsys, "preset", "fig1b", "--mode", "literal")
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err)
+        assert "failed to converge" in err
+        assert not (tmp_path / "fig1b.csv").exists()
 
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
         code, _, err = run(

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pulsepair import pauli
 from pulsepair.entanglement import (
     WernerClass,
+    _clamp,
     classify_werner,
-    negativity,
-    negativity_batch,
     partial_transpose_b,
     zero_bloch_negativity_batch,
+    zero_bloch_spectrum_batch,
 )
 from pulsepair.errors import NonHermitianInput, TraceNotOne
 from pulsepair.evolution import assemble_density_batch
@@ -21,6 +22,11 @@ import oracles
 
 def _rho(c):
     return assemble_density_batch(np.diag(c))
+
+
+def _value(c):
+    """Clamped closed-form negativity of the Bell-diagonal state with diagonal c."""
+    return float(_clamp(zero_bloch_negativity_batch(np.diag(c))))
 
 
 def test_partial_transpose_swaps_second_qubit_indices():
@@ -37,76 +43,57 @@ def test_partial_transpose_shape_check():
 
 
 def test_singlet_negativity_is_one():
-    r = negativity(_rho((-1.0, -1.0, -1.0)))
-    assert abs(r.value - 1.0) < 1e-12
-    assert np.abs(np.array(r.eigenvalues) - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
+    c = (-1.0, -1.0, -1.0)
+    assert abs(_value(c) - 1.0) < 1e-12
+    assert np.abs(np.sort(zero_bloch_spectrum_batch(np.diag(c))) - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
 
 def test_werner_threshold_is_exactly_separable():
-    r = negativity(_rho((-1.0 / 3.0,) * 3))
-    assert r.value == 0.0
-    assert abs(r.raw_value) < 1e-12
+    c = (-1.0 / 3.0,) * 3
+    assert _value(c) == 0.0
+    assert abs(zero_bloch_negativity_batch(np.diag(c))) < 1e-12
 
 
 def test_pinned_werner_and_generalized_values():
-    assert abs(negativity(_rho((-0.9,) * 3)).value - 0.85) < 1e-10
-    assert abs(negativity(_rho((-0.5,) * 3)).value - 0.25) < 1e-10
-    assert abs(negativity(_rho((-0.9, -0.8, -0.7))).value - 0.70) < 1e-10
+    assert abs(_value((-0.9,) * 3) - 0.85) < 1e-10
+    assert abs(_value((-0.5,) * 3) - 0.25) < 1e-10
+    assert abs(_value((-0.9, -0.8, -0.7)) - 0.70) < 1e-10
     # not a physical state (rho has eigenvalue -0.025) but the partial
     # transpose arithmetic is still well defined and pinned
-    assert abs(negativity(_rho((-0.9, -0.8, -0.6))).value - 0.65) < 1e-10
+    assert abs(_value((-0.9, -0.8, -0.6)) - 0.65) < 1e-10
 
 
 def test_eigenvalues_sorted_and_match_closed_form():
     rng = np.random.default_rng(29)
     for _ in range(300):
         c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        r = negativity(_rho(c))
-        eigs = np.array(r.eigenvalues)
-        assert (np.diff(eigs) >= 0.0).all()
+        eigs = np.sort(zero_bloch_spectrum_batch(np.diag(c)))
         assert np.abs(eigs - oracles.pt_eigenvalues_closed_form(c)).max() < 1e-12
+
+
+def test_spectrum_matches_lapack_on_random_tensors():
+    rng = np.random.default_rng(41)
+    t = rng.uniform(-1.0, 1.0, size=(500, 3, 3))
+    t[250:, 0, 1:] = t[250:, 1:, 0] = 0.0  # x-decoupled: the block route
+    spectrum = zero_bloch_spectrum_batch(t.reshape(2, 250, 3, 3))
+    assert spectrum.shape == (2, 250, 4)
+    lapack = np.linalg.eigvalsh(partial_transpose_b(assemble_density_batch(t)))
+    assert np.abs(np.sort(spectrum.reshape(500, 4), axis=1) - lapack).max() < 1e-14
 
 
 def test_agreement_with_brute_force_diagonalization():
     rng = np.random.default_rng(31)
     for _ in range(300):
         c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        ours = negativity(_rho(c))
         brute = oracles.brute_negativity(c)
-        assert abs(ours.raw_value - brute) < 1e-10
-
-
-def test_trace_gate():
-    with pytest.raises(TraceNotOne):
-        negativity(0.5 * np.eye(4))
-    with pytest.raises(TraceNotOne):
-        negativity(np.full((4, 4), np.nan))
+        assert abs(zero_bloch_negativity_batch(np.diag(c)) - brute) < 1e-10
 
 
 def test_hermiticity_gate():
     rho = _rho((-0.5, -0.5, -0.5)).copy()
     rho[0, 1] += 0.01
     with pytest.raises(NonHermitianInput):
-        negativity(rho)
-
-
-def test_batch_is_bitwise_identical_to_scalar():
-    rng = np.random.default_rng(37)
-    cs = [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(120)]
-    rhos = np.stack([_rho(c) for c in cs])
-    batch = negativity_batch(rhos)
-    solo = np.array([negativity(r).value for r in rhos])
-    assert np.array_equal(batch, solo)
-
-
-def test_batch_validation():
-    with pytest.raises(ValueError):
-        negativity_batch(np.zeros((2, 3, 3)))
-    bad = np.stack([np.eye(4) / 4.0, np.eye(4)])
-    with pytest.raises(TraceNotOne):
-        negativity_batch(bad)
-    with pytest.raises(TraceNotOne):
-        negativity_batch(np.stack([np.eye(4) / 4.0, np.full((4, 4), np.nan)]))
+        pauli.hermitian_eigenvalues_batch(rho[None])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -196,9 +183,10 @@ def test_triple_product_of_huge_rows_does_not_overflow(sign):
 def test_negativity_bounds_on_physical_states(c1, c2, c3):
     c = (c1, c2, c3)
     assume(oracles.rho_eigenvalues_closed_form(c)[0] >= 0.0)
-    r = negativity(_rho(c))
-    assert 0.0 <= r.value <= 1.0 + 1e-9
-    assert r.value == 0.0 or r.value == r.raw_value
+    raw = float(zero_bloch_negativity_batch(np.diag(c)))
+    value = _value(c)
+    assert 0.0 <= value <= 1.0 + 1e-9
+    assert value == 0.0 or value == raw
 
 
 class TestClassifyWerner:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import oracles
 from pulsepair import scenarios
 from pulsepair.config import format_config
-from pulsepair.entanglement import CLAMP_TOL, negativity, negativity_batch, zero_bloch_negativity_batch
+from pulsepair.entanglement import CLAMP_TOL, _jacobi_negativities, zero_bloch_negativity_batch
 from pulsepair.errors import InvalidConfig
-from pulsepair.evolution import InitialState, assemble_density_batch, evolve_correlations_batch
+from pulsepair.evolution import InitialState, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import (
     PARAM_LIMIT,
@@ -145,7 +145,7 @@ class TestRunSweep:
         cfg = small_config(family=SweepFamily.EXP_VS_TIME, grid=GridSpec(0.0, 2.0, 5))
         result = run_sweep(cfg)
         for j, s in enumerate(STATES):
-            expected = negativity(assemble_density_batch(np.diag(s.correlations))).value
+            expected = oracles.brute_negativity(s.correlations)
             assert abs(result.negativities[0, j] - expected) < 1e-10
             assert abs(expected - INITIAL_E[j]) < 1e-10
 
@@ -326,7 +326,7 @@ class TestClosedFormGuard:
         det = np.linalg.det(tensors)
         assert (det < 0.0).sum() > 4000 and (np.abs(det) < 1e-12).sum() >= 7000
         guarded = scenarios._negativities(tensors)
-        jacobi = negativity_batch(assemble_density_batch(tensors))
+        jacobi = _jacobi_negativities(tensors)
         assert [scenarios._fmt(v) for v in guarded] == [scenarios._fmt(v) for v in jacobi]
         raw = zero_bloch_negativity_batch(tensors)
         # the guard had work to do: unguarded, some cells would print otherwise

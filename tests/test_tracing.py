@@ -24,8 +24,6 @@ BATCHED = (
     (pulses, "coefficient_map_batch"),
     (evolution, "evolve_correlations_batch"),
     (entanglement, "zero_bloch_negativity_batch"),
-    (evolution, "assemble_density_batch"),
-    (entanglement, "negativity_batch"),
 )
 
 
@@ -79,9 +77,9 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     for layer_function in (
         "evolution.evolve_correlations_batch",
         "entanglement.zero_bloch_negativity_batch",
-        # the guard's Jacobi route runs on every chunk, here on no cell
+        # the guard's Jacobi route runs on every chunk, here on no cell; its
+        # calls are bound in entanglement
         "evolution.assemble_density_batch",
-        "entanglement.negativity_batch",
         "pauli.hermitian_eigenvalues_batch",
     ):
         assert names.count(layer_function) == chunks, layer_function
