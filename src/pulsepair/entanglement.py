@@ -63,6 +63,7 @@ def _jacobi_negativities(tensors) -> np.ndarray:
     return _clamp(np.abs(mu).sum(axis=1) - 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a spectrum past the float range raises at the end
 def zero_bloch_spectrum_batch(tensors) -> np.ndarray:
     """Partial-transpose spectra of the states (1/4)(I + sum_kl T_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4).
 
@@ -71,7 +72,8 @@ def zero_bloch_spectrum_batch(tensors) -> np.ndarray:
     smallest (Horodecki & Horodecki, PRA 54, 1838, 1996).  The spectrum is then
     (1 + t1 + t2 + t3)/4, (1 - t1 - t2 + t3)/4, (1 + t1 - t2 - t3)/4 and
     (1 - t1 + t2 - t3)/4, in that order, physical state or not.  A non-finite T
-    raises TraceNotOne, as its density's trace would.
+    raises TraceNotOne, as its density's trace would, and so does a T whose
+    spectrum overflows the float range, such as diag(1.7e308, 1.7e308, 1).
 
     The singular values take one of two routes, chosen per cell from T alone.
     An x-decoupled T, whose T_xy, T_xz, T_yx and T_zx are all zero (-0.0
@@ -100,6 +102,8 @@ def zero_bloch_spectrum_batch(tensors) -> np.ndarray:
     det = r11 * (r22 * r33 - r23 * r32) + r12 * (r23 * r31 - r21 * r33) + r13 * (r21 * r32 - r22 * r31)
     t3 = np.where(det < 0.0, -s[..., 2], s[..., 2])
     mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
+    if not np.isfinite(mu).all():
+        raise TraceNotOne("correlation tensor is so large that its partial-transpose spectrum overflows")
     return np.moveaxis(0.25 * mu, 0, -1)  # a last-axis np.stack gives the same bits at twice the time
 
 

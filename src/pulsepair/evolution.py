@@ -256,10 +256,11 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
       count by binary powering; the at most two steps that straddle T lie
       in k0 - 2 .. k0 + 2 and are taken one by one from their own samples.
       A pair with t_end <= T is P_in^n_i.
-    - an exponential pulse (Omega0 != 0) is resonant: P = a I + b X, and
-      a + i b is a complex number.  Pairs sort longest first, the r still
-      running advance by max(1, _RK4_BLOCK_CELLS // r) steps per block, P = 1
-      past a pair's n_i, and one np.prod multiplies each block out.
+    - an exponential pulse (Omega0 != 0) is resonant: P = a I + b X is the
+      complex number a + i b, with u_i = h w_i, a = 1 - (u1 u2 + u2^2 + u2 u3)/6
+      + u1 u2^2 u3/24 and b = (u1 + 4 u2 + u3)/6 - u2^2 (u1 + u3)/12 in real
+      arithmetic.  Pairs sort longest first, the r still running advance by
+      max(1, _RK4_BLOCK_CELLS // r) steps per block, P = 1 past a pair's n_i.
     The stepped reference clamps the last sample to t_end; no clamp is
     needed here.  A pair with an edge has t_end > T, so the clamp moves no
     sample across T, and for an exponential pulse it moves one sample by an
@@ -323,12 +324,13 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
         hs = h[a]
         steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
         t0 = steps * hs
-        w1, w2, w3 = (0.5 * omega[a] * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))
-        iw1, iw2 = 1j * w1, 1j * w2
-        k2 = iw2 * (1.0 + 0.5 * hs * iw1)
-        k3 = iw2 * (1.0 + 0.5 * hs * k2)
-        k4 = 1j * w3 * (1.0 + hs * k3)
-        z[a] *= np.prod(np.where(steps < counts[a], 1.0 + hs / 6.0 * (2.0 * k2 + iw1 + 2.0 * k3 + k4), 1.0), axis=0)
+        uh = np.where(steps < counts[a], 0.5 * omega[a] * hs, 0.0)  # u = h w, and P = 1 past n_i
+        u1, u2, u3 = (uh * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))
+        u22, u13 = u2 * u2, u1 + u3
+        p = np.empty(uh.shape, np.complex128)
+        p.real = 1.0 - (u2 * u13 + u22) / 6.0 + u1 * u22 * u3 / 24.0
+        p.imag = (u13 + 4.0 * u2) / 6.0 - u22 * u13 / 12.0
+        z[a] *= np.prod(p, axis=0)
         first = int(steps[-1, 0]) + 1
     u[0, exponential], u[1, exponential] = z.real[exponential], z.imag[exponential]
     a, b, c, d = u

@@ -218,12 +218,13 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     """Clamped negativities of (N, 3, 3) tensors, each printing as its Jacobi value does.
 
     A cell whose closed form has its 12th digit in doubt (_in_doubt) is solved
-    through its density instead.
+    through its density instead; a chunk with no such cell never reaches Jacobi.
     """
     raw = zero_bloch_negativity_batch(tensors)
     doubt = _in_doubt(raw)
     values = _clamp(raw)
-    values[doubt] = _jacobi_negativities(tensors[doubt])
+    if doubt.size:
+        values[doubt] = _jacobi_negativities(tensors[doubt])
     return values
 
 

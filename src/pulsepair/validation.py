@@ -2,8 +2,11 @@
 
 Each check produces (name, max_error, tolerance); run_validation returns
 them all so the CLI can print a machine-readable summary and exit nonzero
-on the first failure.  Randomized checks draw from a seeded generator, so
-a given seed is fully reproducible; the tolerances hold for any seed.
+on the first failure.  Randomized checks draw all their pulses and states
+at once from a seeded generator (_random_pulses, _random_physical_correlations),
+so a given seed is fully reproducible; the tolerances hold for any seed.
+The preset checks evolve the grid maps and read only what they gate: the
+closed form of the UNITARY tensors and the residues of the LITERAL ones.
 
 Two facts about the physics are worth stating up front because they are
 easy to mistake for bugs (the validate command prints them as notes):
@@ -59,19 +62,19 @@ def _random_hermitian(rng: "np.random.Generator", n: int, count: int) -> np.ndar
     return 0.5 * (raw + raw.conj().transpose(0, 2, 1))
 
 
-def _random_pulse(rng: "np.random.Generator") -> tuple[pulses.PulseSpec, float]:
-    if rng.random() < 0.5:
-        omega = rng.uniform(0.05, 4.0)
-        delta = rng.uniform(-4.0, 4.0) if rng.random() < 0.7 else 0.0
-        t = rng.uniform(0.05, 50.0)
-        return pulses.PulseSpec.rectangular(omega, duration=t, delta=delta), t
-    # cap the Rabi frequency so the fixed-step reference integrator
-    # resolves the fastest oscillation (h * Omega <= 0.01 keeps the
-    # fourth-order error far below the 1e-6 agreement gate)
-    gamma = rng.uniform(0.2, 2.0)
-    omega = rng.uniform(0.0, 10.0)
-    t = rng.uniform(0.05, 50.0)
-    return pulses.PulseSpec.exponential(omega, gamma), t
+def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[list[pulses.PulseSpec], np.ndarray]:
+    """n (pulse, time) draws: half rectangles ending at their window, T = t, 70 % of them detuned; half exponential."""
+    rect = rng.random(n) < 0.5
+    # cap the exponential Rabi frequency so the fixed-step reference integrator resolves the fastest
+    # oscillation (h * Omega <= 0.01 keeps the fourth-order error far below the 1e-6 agreement gate)
+    omega = np.where(rect, rng.uniform(0.05, 4.0, n), rng.uniform(0.0, 10.0, n))
+    delta = np.where(rng.random(n) < 0.7, rng.uniform(-4.0, 4.0, n), 0.0)
+    gamma, t = rng.uniform(0.2, 2.0, n), rng.uniform(0.05, 50.0, n)
+    rows = zip(rect.tolist(), omega.tolist(), delta.tolist(), gamma.tolist(), t.tolist())
+    specs = [
+        pulses.PulseSpec.rectangular(o, x, d) if r else pulses.PulseSpec.exponential(o, g) for r, o, d, g, x in rows
+    ]
+    return specs, t
 
 
 def _check_pauli_algebra() -> CheckResult:
@@ -115,7 +118,7 @@ def _published_d_row(specs, ts) -> np.ndarray:
 
 
 def _check_d_row_anchor(rng) -> list[CheckResult]:
-    specs, ts = zip(*(_random_pulse(rng) for _ in range(1000)))
+    specs, ts = _random_pulses(rng, 1000)
     m = pulses.coefficient_map_batch(specs, ts)
     worst = float(np.abs(m[:, 2] - _published_d_row(specs, ts)).max())
     ortho = float(np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max())
@@ -127,7 +130,7 @@ def _check_d_row_anchor(rng) -> list[CheckResult]:
 
 
 def _check_oracle_triangle(rng) -> list[CheckResult]:
-    specs, t_ends = zip(*(_random_pulse(rng) for _ in range(80)))
+    specs, t_ends = _random_pulses(rng, 80)
     rk4 = evolution.rk4_oracle_batch(specs, t_ends, step=1e-3)
     exact = evolution.unitary_oracle_batch(specs, t_ends)
     analytic = pulses.coefficient_map_batch(specs, t_ends)
@@ -141,25 +144,23 @@ def _check_oracle_triangle(rng) -> list[CheckResult]:
     ]
 
 
-def _random_physical_correlations(rng) -> tuple[float, float, float]:
-    while True:
-        c = tuple(rng.uniform(-1.0, 1.0, size=3))
-        if min(evolution._bell_diagonal_rho_eigenvalues(c)) >= 0.0:
-            return c
+def _random_physical_correlations(rng: "np.random.Generator", n: int) -> np.ndarray:
+    """n diagonals (c_xx, c_yy, c_zz), (n, 3), uniform on the physical tetrahedron by rejection from [-1, 1]^3."""
+    c = np.empty((0, 3))
+    while len(c) < n:  # a third of the cube is physical
+        draw = rng.uniform(-1.0, 1.0, size=(3 * (n - len(c)) + 8, 3))
+        c = np.concatenate((c, draw[np.min(evolution._bell_diagonal_rho_eigenvalues(draw.T), axis=0) >= 0.0]))
+    return c[:n]
 
 
 def _check_fano_consistency(rng) -> CheckResult:
-    draws = []
-    for _ in range(500):
-        p1, t = _random_pulse(rng)
-        p2, _ = _random_pulse(rng)
-        if p2.shape is pulses.PulseShape.RECTANGULAR and t > p2.duration:
-            p2 = pulses.PulseSpec.rectangular(p2.omega0, duration=t, delta=p2.delta)
-        draws.append((p1, p2, t, _random_physical_correlations(rng)))
-    p1s, p2s, ts, cs = zip(*draws)
+    p1s, ts = _random_pulses(rng, 500)
+    stretch = zip(_random_pulses(rng, 500)[0], ts.tolist())  # a rectangle on qubit 2 lasts until t at least
+    p2s = [replace(p, duration=t) if p.duration and t > p.duration else p for p, t in stretch]
+    cs = _random_physical_correlations(rng, 500)
     m1, m2 = (pulses.coefficient_map_batch(p, ts) for p in (p1s, p2s))
-    direct = evolution.evolve_correlations_batch(np.array(cs)[:, None], m1, m2)[0][:, 0]
-    u = evolution.unitary_oracle_batch(p1s + p2s, ts + ts)
+    direct = evolution.evolve_correlations_batch(cs[:, None], m1, m2)[0][:, 0]
+    u = evolution.unitary_oracle_batch(p1s + p2s, np.concatenate((ts, ts)))
     u12 = np.einsum("nij,nkl->nikjl", u[:500], u[500:]).reshape(500, 4, 4)
     # the coefficient map substitutes evolved operators into the
     # initial expansion, which conjugates the state by U^dag
@@ -189,7 +190,7 @@ def _check_negativity_closed_form(rng) -> CheckResult:
     and those with c_zz = 0 (rank-deficient).  Each tensor comes again with
     T_xy, T_xz, T_yx and T_zx zeroed, so the closed form takes both its routes.
     """
-    c = np.array([_random_physical_correlations(rng) for _ in range(1000)])
+    c = _random_physical_correlations(rng, 1000)
     c[750:, 2] = 0.0
     q = np.linalg.qr(rng.normal(size=(2, 500, 3, 3)))[0]
     q *= np.sign(np.linalg.det(q))[..., None, None]
@@ -228,14 +229,17 @@ def _check_werner_monotone() -> CheckResult:
 
 
 def _check_presets() -> list[CheckResult]:
+    """The maps and evolution a UNITARY sweep skips, with no rounding guard (under 3e-14) and no LITERAL closed form."""
     const_err = start_err = literal_detuned_residue = literal_resonant_residue = 0.0
     for name, cfg in scenarios.paper_figure_presets().items():
-        evolved = scenarios._long_route(cfg, cfg.grid.values())[0]  # the maps, evolution and closed form a UNITARY sweep skips
-        initial = _negativities([s.correlations for s in cfg.initial_states])
+        states, x = [s.correlations for s in cfg.initial_states], cfg.grid.values()
+        tensors = evolution.evolve_correlations_batch(states, *scenarios._grid_maps(cfg, x))[0]
+        evolved = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
+        initial = _negativities(states)
         const_err = max(const_err, float(np.abs(evolved - initial).max()))
         start_err = max(start_err, float(np.abs(evolved[0] - initial).max()))
-        literal = scenarios.run_sweep(replace(cfg, mode=pulses.CoefficientMode.LITERAL))
-        residue = float(literal.residues.max())
+        literal = replace(cfg, mode=pulses.CoefficientMode.LITERAL)
+        residue = float(evolution.evolve_correlations_batch(states, *scenarios._grid_maps(literal, x))[1].max())
         if name in ("fig1b", "fig2b"):
             literal_detuned_residue = max(literal_detuned_residue, residue)
         elif max(cfg.detuning_prime) == 0.0:

@@ -30,7 +30,7 @@ from pulsepair.evolution import (
 )
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 from pulsepair.scenarios import paper_figure_presets, run_sweep
-from pulsepair.validation import VALIDATION_NOTES, _random_physical_correlations, _random_pulse
+from pulsepair.validation import VALIDATION_NOTES, _random_physical_correlations, _random_pulses
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -120,7 +120,7 @@ def test_three_way_propagator_agreement(capsys):
     rng = np.random.default_rng(314159)
     start = time.perf_counter()
     # the pulse draws of validate's oracle triangle, 200 of them
-    specs, t_ends = zip(*(_random_pulse(rng) for _ in range(200)))
+    specs, t_ends = _random_pulses(rng, 200)
 
     r_rk4 = adjoint_rotation(rk4_oracle_batch(specs, t_ends, step=1e-3))
     analytic = coefficient_map_batch(specs, t_ends, CoefficientMode.UNITARY).real
@@ -143,7 +143,7 @@ def test_three_way_propagator_agreement(capsys):
 def test_negativity_against_independent_diagonalization(capsys):
     rng = np.random.default_rng(4242)
     start = time.perf_counter()
-    cs = [_random_physical_correlations(rng) for _ in range(1000)]
+    cs = _random_physical_correlations(rng, 1000)
     ours = closed_form_negativities(cs)
     brute = np.array([oracles.brute_negativity(c) for c in cs])
     random_err = float(np.abs(ours - brute).max())

@@ -174,6 +174,18 @@ def test_triple_product_of_huge_rows_does_not_overflow(sign):
     assert zero_bloch_negativity_batch(np.stack([t, rotated])) == pytest.approx([1.5e200, 1.5e200], rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_past_the_float_range_raises_trace_not_one():
+    # 1 + t1 + t2 overflows at t1 = t2 = 1.7e308; the error is typed, with no overflow warning on the way
+    huge = np.diag([1.7e308, 1.7e308, 1.0])
+    with pytest.raises(TraceNotOne, match="overflows"):
+        zero_bloch_spectrum_batch(huge)
+    with pytest.raises(TraceNotOne, match="overflows"):
+        zero_bloch_spectrum_batch(np.stack([np.diag([-1.0, -1.0, -1.0]), huge, np.diag([5e307] * 3)]))
+    # just inside the range the spectrum stays finite: (1 + 1.5e308)/4 and three times (1 - 5e307)/4
+    assert zero_bloch_spectrum_batch(np.diag([5e307] * 3)) == pytest.approx([3.75e307] + [-1.25e307] * 3, rel=1e-15)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(-1.0, 1.0),

@@ -212,15 +212,13 @@ class TestDensityAssembly:
 
     def test_matches_raw_kron_assembly(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            c = _random_physical_correlations(rng)
+        for c in _random_physical_correlations(rng, 50):
             ours = assemble_density_batch(np.diag(c))
             assert np.abs(ours - oracles.bell_diagonal_rho(c)).max() < 1e-15
 
     def test_extraction_round_trip(self):
         rng = np.random.default_rng(19)
-        for _ in range(50):
-            c = _random_physical_correlations(rng)
+        for c in _random_physical_correlations(rng, 50):
             tensor, bloch_a, bloch_b = correlations_from_density_batch(assemble_density_batch(np.diag(c)))
             assert np.abs(tensor - np.diag(c)).max() < 1e-14
             assert np.abs(bloch_a).max() < 1e-14
@@ -299,7 +297,7 @@ class TestUnitaryOracle:
         u = exact_single(PulseSpec.rectangular(2.0, duration=10.0, delta=-1.5), 7.0)
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
 
-    # the ranges of validation._random_pulse; t = 0 and t = duration (the
+    # the ranges of validation._random_pulses; t = 0 and t = duration (the
     # window edge) are drawn on purpose, and lambda reaches Omega0/gamma_p = 50
     @settings(max_examples=300, deadline=None)
     @given(
@@ -361,7 +359,7 @@ class TestUnitaryOracle:
                 unitary_oracle_batch(specs + (spec,), times + (t,))
         assert np.isfinite(exact_single(PulseSpec.rectangular(1e150, duration=1e150), 1e150)).all()
 
-    # the ranges of validation._random_pulse, as (pulse, time) pairs
+    # the ranges of validation._random_pulses, as (pulse, time) pairs
     RECT_DRAWS = st.builds(
         lambda omega0, delta, duration, fraction: (
             PulseSpec.rectangular(omega0, duration=duration, delta=delta),

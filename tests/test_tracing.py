@@ -74,15 +74,12 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     # LITERAL chunks take the long route: maps, evolution, closed form
     t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.LITERAL)
     assert maps == 2 * chunks  # one per qubit per chunk, x = 0 included
-    for layer_function in (
-        "evolution.evolve_correlations_batch",
-        "entanglement.zero_bloch_negativity_batch",
-        # the guard's Jacobi route runs on every chunk, here on no cell; its
-        # calls are bound in entanglement
-        "evolution.assemble_density_batch",
-        "pauli.hermitian_eigenvalues_batch",
-    ):
+    for layer_function in ("evolution.evolve_correlations_batch", "entanglement.zero_bloch_negativity_batch"):
         assert names.count(layer_function) == chunks, layer_function
+    # the guard's Jacobi route (its calls are bound in entanglement) runs only
+    # on a chunk with a cell in doubt, and this sweep has none
+    for layer_function in ("evolution.assemble_density_batch", "pauli.hermitian_eigenvalues_batch"):
+        assert names.count(layer_function) == 0, layer_function
     assert t.counts["pauli.matrices"] == 0
 
 

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from pulsepair import scenarios, validation
+from pulsepair import entanglement, evolution, scenarios, validation
+from pulsepair.pulses import PulseShape
 from pulsepair.validation import VALIDATION_NOTES, CheckResult, run_validation
 
 EXPECTED_NAMES = [
@@ -100,8 +102,57 @@ def test_preset_checks_evolve_the_unitary_maps(monkeypatch):
     assert checks["preset_unitary_constancy"].max_error > 1e-3
 
 
+def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
+    # only the UNITARY tensors and the initial states take the closed form; a
+    # LITERAL sweep's residues need the evolution alone, and no cell is guarded
+    jacobi_cells, spectrum_cells = [], []
+
+    def counting(record, fn):
+        def counted(tensors):
+            record.append(int(np.prod(np.shape(tensors)[:-2])))
+            return fn(tensors)
+
+        return counted
+
+    for module in (entanglement, scenarios):
+        monkeypatch.setattr(module, "_jacobi_negativities", counting(jacobi_cells, module._jacobi_negativities))
+    monkeypatch.setattr(
+        entanglement, "zero_bloch_spectrum_batch", counting(spectrum_cells, entanglement.zero_bloch_spectrum_batch)
+    )
+    assert all(r.passed for r in validation._check_presets())
+    presets = scenarios.paper_figure_presets().values()
+    unitary_cells = sum(cfg.grid.points * len(cfg.initial_states) for cfg in presets)
+    initial_cells = sum(len(cfg.initial_states) for cfg in presets)
+    assert jacobi_cells == []
+    assert sum(spectrum_cells) == unitary_cells + initial_cells
+
+
+def test_seeded_samplers():
+    specs, t = validation._random_pulses(np.random.default_rng(3), 2000)
+    assert len(specs) == 2000 and t.shape == (2000,)
+    assert ((0.05 <= t) & (t <= 50.0)).all()
+    rect = [(p, x) for p, x in zip(specs, t) if p.shape is PulseShape.RECTANGULAR]
+    exp = [p for p in specs if p.shape is PulseShape.EXPONENTIAL]
+    assert rect and exp and len(rect) + len(exp) == len(specs)
+    assert all(p.duration == x and 0.05 <= p.omega0 <= 4.0 and -4.0 <= p.delta <= 4.0 for p, x in rect)
+    assert 0 < sum(p.delta != 0.0 for p, _ in rect) < len(rect)  # detuned with probability 0.7
+    assert all(0.0 <= p.omega0 <= 10.0 and 0.2 <= p.gamma_p <= 2.0 for p in exp)
+
+    c = validation._random_physical_correlations(np.random.default_rng(3), 1000)
+    assert c.shape == (1000, 3) and np.abs(c).max() <= 1.0
+    assert np.min(evolution._bell_diagonal_rho_eigenvalues(c.T), axis=0).min() >= 0.0
+
+    again = validation._random_pulses(np.random.default_rng(3), 2000)
+    assert again[0] == specs and np.array_equal(again[1], t)
+    assert np.array_equal(validation._random_physical_correlations(np.random.default_rng(3), 1000), c)
+    rng = np.random.default_rng(3)
+    empty_specs, empty_t = validation._random_pulses(rng, 0)
+    assert empty_specs == [] and empty_t.shape == (0,)
+    assert validation._random_physical_correlations(rng, 0).shape == (0, 3)
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1])
 def test_every_check_passes_on_the_pinned_seeds(seed):
     results = run_validation(seed=seed)
     assert [r.name for r in results] == EXPECTED_NAMES
