@@ -20,15 +20,15 @@ the state and the largest imaginary magnitude is recorded as a diagnostic
 Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
 exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
-sharing only the pulse gathering with the maps, and ``rk4_oracle_batch``,
-which shares nothing with either, integrates dU/dt = -i H(t) U with
-classical Runge-Kutta from U(0) = I.  Each RK4 pair takes the same steps
-in one of two product orders, chosen from its pulse: a rectangle's or an
-undriven qubit's piecewise constant drive raises its step matrices to
-their counts on either side of the window edge, and an exponential pulse
-multiplies its steps as complex numbers.  The adjoint action of either
-propagator on the Pauli triple must reproduce the UNITARY-mode
-coefficient matrix.
+sharing the pulse gathering with the maps, and ``rk4_oracle_batch``,
+which shares only the field reads of ``pulses._pulse_arrays``, integrates
+dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I.  Each RK4 pair
+takes the same steps in one of two product orders, chosen from its pulse:
+a rectangle's or an undriven qubit's piecewise constant drive raises its
+step matrices to their counts on either side of the window edge, and an
+exponential pulse multiplies its steps as complex numbers.  The adjoint
+action of either propagator on the Pauli triple must reproduce the
+UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
-from .pulses import _rotations
+from .pulses import _pulse_arrays, _rotations
 
 __all__ = [
     "InitialState",
@@ -184,9 +184,9 @@ def adjoint_rotation(u) -> np.ndarray:
 def unitary_oracle_batch(pulses, times) -> np.ndarray:
     """Exact rotating-frame propagators U = exp(-i tau h) of N (pulse, time) pairs, (N, 2, 2).
 
-    ``pulses`` is one PulseSpec for every time or a sequence of N.  h is the
-    constant 2x2 Hermitian generator (Delta sigma_z + Omega0 sigma_x)/2 and
-    tau = t for a rectangle; an exponential pulse is the resonant unit-rate
+    ``pulses`` is one PulseSpec for every time, N of them or their _Pulses.  h
+    is the constant 2x2 Hermitian generator (Delta sigma_z + Omega0 sigma_x)/2
+    and tau = t for a rectangle; an exponential pulse is the resonant unit-rate
     rectangle h = sigma_x/2 turned through tau = lambda(t); an undriven qubit
     has h = 0.  The pairs, and their OutOfWindow and AngleOverflow errors,
     come from the coefficient maps' pulses._rotations; the propagator itself
@@ -237,9 +237,10 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
     t_end_i / n_i, and f is sampled at t0, t0 + h/2 and t0 + h.
-    Deliberately shares no code, not even the pulse gathering, with
-    unitary_oracle_batch or the coefficient maps; this is the independent
-    route.  Raises ValueError unless step is positive and every t_end
+    It shares only pulses._pulse_arrays, which reads the pulses' fields, with
+    unitary_oracle_batch and the maps; its envelope f(t), window test and
+    stepping are its own, the independent route.  Raises ValueError unless
+    step is positive, t_ends matches N pulses in length and every t_end is
     non-negative, all finite, and the step count at most _RK4_MAX_STEPS,
     and StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
     h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not accuracy.
@@ -270,9 +271,10 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     t_ends = np.asarray(t_ends, dtype=float)
-    n = len(pulses)
-    if t_ends.shape != (n,):
+    p = _pulse_arrays(pulses)
+    if t_ends.ndim != 1 or np.shape(p.omega0) != t_ends.shape:
         raise ValueError("t_ends must match pulses in length")
+    n = len(t_ends)
     if not (np.isfinite(t_ends) & (t_ends >= 0.0)).all():
         raise ValueError("t_end must be finite and non-negative")
     positive = t_ends[t_ends > 0.0]
@@ -286,13 +288,11 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
         raise ValueError(f"t_end {t_max} takes {t_max / step:.3g} steps of {step}, over {_RK4_MAX_STEPS}")
     counts = np.ceil(t_ends / step).astype(np.int64)
     h = t_ends / np.maximum(counts, 1)
-    omega = np.array([p.omega0 for p in pulses])
-    dz = 0.5 * np.array([p.delta for p in pulses])
+    omega, delta, window, gamma = p  # window T and gamma_p: inf and 0 where unused
+    dz = 0.5 * delta
     with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan (no step) at h = 0
         if (h * np.hypot(0.5 * omega, dz) > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
             raise StepTooLarge(f"step {step} is past RK4's stability bound h hypot(Omega0, Delta) <= 4 sqrt(2)")
-    window = np.array([p.duration or np.inf for p in pulses])  # T, infinite unless a rectangle
-    gamma = np.array([p.gamma_p or 0.0 for p in pulses])
     exponential = (gamma > 0.0) & (omega != 0.0)
 
     u = np.zeros((4, n))

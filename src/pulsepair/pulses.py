@@ -43,6 +43,7 @@ suite verifies against independent oracles.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,15 +140,29 @@ def pulse_angle(p: PulseSpec, t):
     return _rotations(p, t.reshape(-1))[3].reshape(t.shape)[()]
 
 
+#: N pulses as arrays, 0-d for one pulse so that it broadcasts over any times: window is a
+#: rectangle's T (inf otherwise), gamma an exponential pulse's gamma_p (0 otherwise).
+_Pulses = namedtuple("_Pulses", "omega0 delta window gamma")
+
+
+def _pulse_arrays(pulses) -> _Pulses:
+    """One PulseSpec, a sequence of them or a _Pulses (returned as it is) as a _Pulses."""
+    if isinstance(pulses, _Pulses):
+        return pulses
+    one = isinstance(pulses, PulseSpec)
+    rows = [(p.omega0, p.delta, p.duration or math.inf, p.gamma_p or 0.0) for p in ([pulses] if one else pulses)]
+    columns = np.array(rows, dtype=float).reshape(-1, 4).T
+    return _Pulses(*(c[0] if one else c for c in columns))
+
+
 def _rotations(pulses, times):
-    """Check N (pulse, time) pairs and give each as a rotation: (omega, delta, Omega_1, tau).
+    """Check N (pulse, time) pairs and give each as a rotation: (omega, delta, Omega_1, tau), each (N,).
 
     Pair i turns by Omega_1 tau about (omega, 0, delta)/Omega_1: a rectangle
     with its own omega0 and delta and tau = t, an exponential pulse as the
     resonant unit-rate rectangle (omega = Omega_1 = 1, delta = 0) with
     tau = lambda(t), an undriven qubit with omega = delta = Omega_1 = 0.
-    ``pulses`` is one PulseSpec for every time, giving the first three arrays
-    shape (1,) to broadcast, or a sequence of N, giving them shape (N,).
+    ``pulses`` is anything _pulse_arrays takes: one pulse for every time, or N.
 
     The first pair with t outside its window (from 0 to a rectangle's T; NaN
     fails) raises OutOfWindow, and the first whose angle Omega_1 tau overflows
@@ -156,31 +171,25 @@ def _rotations(pulses, times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    one = isinstance(pulses, PulseSpec)
-    specs = [pulses] if one else list(pulses)
-    if not one and len(specs) != len(t):
+    p = _pulse_arrays(pulses)
+    if np.shape(p.omega0) not in ((), t.shape):
         raise ValueError("times must match pulses in length")
-    rows = []  # omega, delta, Omega_1, window end, lambda's scale Omega0/gamma_p and rate gamma_p
-    for p in specs:
-        if p.shape is PulseShape.RECTANGULAR:
-            rows.append((p.omega0, p.delta, math.hypot(p.omega0, p.delta), p.duration, 0.0, 0.0))
-        elif p.shape is PulseShape.EXPONENTIAL:
-            rows.append((1.0, 0.0, 1.0, math.inf, p.omega0 / p.gamma_p, p.gamma_p))
-        else:
-            rows.append((0.0, 0.0, 0.0, math.inf, 0.0, 0.0))
-    om, dl, om1, end, scale, rate = np.array(rows, dtype=float).reshape(-1, 6).T
+    om, dl, end, rate = np.broadcast_arrays(*p, t)[:4]
     outside = ~((0.0 <= t) & (t <= end))
     if outside.any():
         i = int(np.argmax(outside))
-        raise OutOfWindow(f"pair {i}: t = {t[i]} outside the pulse window [0, {end[0 if one else i]}]")
+        raise OutOfWindow(f"pair {i}: t = {t[i]} outside the pulse window [0, {end[i]}]")
+    exponential = rate > 0.0
     # an overflowing Omega0/gamma_p gives inf or NaN here, caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau = np.where(rate > 0.0, scale * (1.0 - np.exp(-rate * t)), t) if rate.any() else t
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tau = np.where(exponential, om / rate * (1.0 - np.exp(-rate * t)), t)
+        om1 = np.where(exponential, 1.0, np.hypot(om, dl))
         huge = ~np.isfinite(om1 * tau)
     if huge.any():
         i = int(np.argmax(huge))
-        raise AngleOverflow(f"pair {i}: the rotation of {specs[0 if one else i]} at t = {t[i]} overflows a float")
-    return om, dl, om1, tau
+        pair = f"omega0 = {om[i]}, delta = {dl[i]}, gamma_p = {rate[i]}"
+        raise AngleOverflow(f"pair {i}: the rotation of {pair} at t = {t[i]} overflows a float")
+    return np.where(exponential, 1.0, om), np.where(exponential, 0.0, dl), om1, tau
 
 
 def coefficient_map_batch(
@@ -188,14 +197,15 @@ def coefficient_map_batch(
 ) -> np.ndarray:
     """Coefficient maps (N, 3, 3), rows A, B, D, of N (pulse, time) pairs.
 
-    ``pulses`` is one PulseSpec for all N times or a sequence of N, one per
-    time; _rotations checks them.  Every driven pair takes the rectangle's
-    rows of the module docstring, with Omega_1 tau for Omega_1 t.  Both modes
-    share the A and D rows bit for bit; UNITARY mode adds B = D x A and gives
-    real float64 maps, LITERAL mode the printed B row, which vanishes on
-    resonance, in complex128 maps.  The rows take only ratios of Omega, Delta
-    and Omega_1, so no finite angle overflows or underflows them.  A pair with
-    Omega_1 = 0 (undriven, or Omega0 = Delta = 0) is the identity.
+    ``pulses`` is one PulseSpec for all N times, a sequence of N, one per
+    time, or the _Pulses of either; _rotations checks them.  Every driven pair
+    takes the rectangle's rows of the module docstring, with Omega_1 tau for
+    Omega_1 t.  Both modes share the A and D rows bit for bit; UNITARY mode
+    adds B = D x A and gives real float64 maps, LITERAL mode the printed B
+    row, which vanishes on resonance, in complex128 maps.  The rows take only
+    ratios of Omega, Delta and Omega_1, so no finite angle overflows or
+    underflows them.  A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0)
+    is the identity.
     """
     om, dl, om1, tau = _rotations(pulses, times)
     dtype = float if mode is CoefficientMode.UNITARY else np.complex128

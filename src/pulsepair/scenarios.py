@@ -21,13 +21,13 @@ configurations give bit-identical results, and grid values are defined as
 start + i * step (the last clamped to stop) so refining a grid never moves
 the shared nodes.
 
-run_sweep takes the grid in chunks of at most _CHUNK_CELLS (point, state)
-cells, so memory stays bounded.  A LITERAL chunk takes the long route: maps,
-evolved tensors, closed-form negativities (Jacobi on a density where the
-12th digit is in doubt).  A UNITARY chunk builds its maps only for their
-errors: its maps are proper rotations, which keep the negativity exactly, so
-each cell has its state's initial value (Vidal & Werner, PRA 65, 032314,
-2002).  No stage mixes matrices, so the chunk size never changes a bit.
+A LITERAL sweep takes the grid in chunks of at most _CHUNK_CELLS (point,
+state) cells, so memory stays bounded, and each chunk takes the long route:
+maps, evolved tensors, closed-form negativities (Jacobi on a density where
+the 12th digit is in doubt).  No stage mixes matrices, so the chunk size
+never changes a bit.  A UNITARY sweep builds no maps: they are proper
+rotations, which keep the negativity exactly, so each cell has its state's
+initial value (Vidal & Werner, PRA 65, 032314, 2002).
 """
 
 import math
@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .entanglement import CLAMP_TOL, _clamp, _jacobi_negativities, zero_bloch_negativity_batch
-from .errors import InvalidConfig, TraceNotOne
+from .errors import InvalidConfig
 from .evolution import InitialState, _diagonal_tensors, evolve_correlations_batch
 from .pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
@@ -261,12 +261,13 @@ def _long_route(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate one sweep configuration over its whole grid, chunk by chunk.
+    """Evaluate one sweep configuration over its whole grid.
 
-    LITERAL chunks take _long_route; UNITARY chunks build their maps only for
-    their errors, as rotations keep each state's initial negativity exactly.
-    Raises OutOfWindow outside a rectangular pulse window, TraceNotOne if a map
-    or tensor is not finite, and ConvergenceFailure if a Jacobi solve fails.
+    LITERAL chunks take _long_route; a UNITARY sweep gives each cell its
+    state's initial negativity, as rotations keep it exactly.  Raises
+    ConvergenceFailure if a Jacobi solve fails.  The grid keeps every
+    rectangle's t inside its window and PARAM_LIMIT every angle inside the
+    float range, so the maps of any config that constructs are finite.
     """
     grid = cfg.grid.values()
     step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
@@ -274,12 +275,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     residues = np.zeros(len(grid))
     if cfg.mode is CoefficientMode.UNITARY:  # computed once: every cell has its state's initial value
         negativities[:] = _negativities(_diagonal_tensors([s.correlations for s in cfg.initial_states]))
-    for lo in range(0, len(grid), step):
-        chunk = slice(lo, lo + step)
-        if cfg.mode is CoefficientMode.LITERAL:
+    else:
+        for chunk in (slice(lo, lo + step) for lo in range(0, len(grid), step)):
             negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])
-        elif not np.isfinite(_grid_maps(cfg, grid[chunk])).all():
-            raise TraceNotOne("coefficient map is not finite, so neither is the correlation tensor")
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
 
 

@@ -169,9 +169,9 @@ VALUES = {
 
 
 @st.composite
-def config_text(draw, modes=tuple(CoefficientMode)):
+def config_text(draw, modes=tuple(CoefficientMode), values=VALUES):
     """Config text that is mostly well formed, with a few arbitrary parts."""
-    wild = draw(st.sets(st.sampled_from(sorted(VALUES)), max_size=2))
+    wild = draw(st.sets(st.sampled_from(sorted(values)), max_size=2))
     family = draw(st.sampled_from(list(SweepFamily)))
     both = family is SweepFamily.COMBINED_VS_TIME or draw(st.booleans())
     pairs = {
@@ -179,7 +179,7 @@ def config_text(draw, modes=tuple(CoefficientMode)):
         "drive": "both_qubits" if both else "one_qubit",
         "mode": draw(st.sampled_from(modes)).value,
     }
-    for key, (plausible, arbitrary) in VALUES.items():
+    for key, (plausible, arbitrary) in values.items():
         pairs[key] = draw(arbitrary if key in wild else plausible)
     lines = [f"{key} = {value}" for key, value in pairs.items()]
     if draw(st.integers(0, 9)) == 0:
@@ -231,6 +231,8 @@ def test_unitary_sweep_agrees_with_the_long_route(text):
 
 @pytest.mark.parametrize("mode", list(CoefficientMode))
 def test_a_non_finite_map_raises_trace_not_one_on_either_route(monkeypatch, mode):
+    # the long route of either mode evolves the maps, so a NaN in them is a
+    # typed error; a UNITARY sweep builds no maps, so it never meets the NaN
     grid_maps = scenarios._grid_maps
 
     def broken(cfg, x):
@@ -242,11 +244,41 @@ def test_a_non_finite_map_raises_trace_not_one_on_either_route(monkeypatch, mode
     cfg = dataclasses.replace(paper_figure_presets()["fig3a"], mode=mode)
     monkeypatch.setattr(scenarios, "_grid_maps", broken)
     assert _error_type(scenarios._long_route, cfg, cfg.grid.values()) is TraceNotOne
-    assert _error_type(run_sweep, cfg) is TraceNotOne
+    if mode is CoefficientMode.LITERAL:
+        assert _error_type(run_sweep, cfg) is TraceNotOne
+    else:
+        assert np.isfinite(run_sweep(cfg).negativities).all()
 
 
-# The property test above found this config: a literal-mode sweep of a
-# generalized Werner state with one tiny correlation.  Its partial transposes
+# Every key at its extremes, on 5-point grids: detunings from 5e-324 to 1e6 in
+# size, ratios from 0 to 1e6, rect_omega from 1e-6 to 1e6, stop from 1e-300 to 1e6.
+_EXTREME = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 1e-6, -1.0, 1.0, 1e3, -1e6, 1e6]).map(repr)
+EXTREME_VALUES = {
+    **{key: (_EXTREME, _EXTREME) for key in ("detuning_prime_a", "detuning_prime_b")},
+    **{key: (st.sampled_from(["0.0", "1e-6", "1.0", "1e6"]),) * 2 for key in ("rabi_ratio_a", "rabi_ratio_b")},
+    "rect_omega": (st.sampled_from(["1e-6", "1e-3", "1.0", "1e6"]),) * 2,
+    "grid_start": (st.just("0.0"),) * 2,
+    "grid_stop": (st.sampled_from(["1e-300", "1e-6", "1.0", "20.0", "1e6"]),) * 2,
+    "grid_points": (st.just("5"),) * 2,
+    "initial_states": VALUES["initial_states"][:1] * 2,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(config_text(), config_text(values=EXTREME_VALUES)))
+def test_the_maps_of_every_config_that_constructs_are_finite(text):
+    # why a UNITARY sweep may skip its maps: no config reaches their errors
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, UnphysicalState):
+        return
+    for m in scenarios._grid_maps(cfg, cfg.grid.values()):
+        assert np.isfinite(m).all()
+
+
+# test_any_config_text_gives_finite_rows_or_a_typed_error found this config:
+# a literal-mode sweep of a generalized Werner state with one tiny
+# correlation.  Its partial transposes
 # have two doubly degenerate eigenvalues, so rounding-level off-diagonals sit
 # between equal diagonal entries.  The threshold rule in pauli._jacobi_rotate
 # must skip them: a 45-degree rotation on each only halves the off-diagonal

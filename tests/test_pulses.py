@@ -9,6 +9,8 @@ from pulsepair.pulses import (
     CoefficientMode,
     PulseShape,
     PulseSpec,
+    _pulse_arrays,
+    _Pulses,
     coefficient_map_batch,
     pulse_angle,
 )
@@ -436,6 +438,69 @@ def test_errors_name_the_first_failing_pair():
     for call in (coefficient_map_batch, unitary_oracle_batch):
         with pytest.raises(AngleOverflow, match="pair 2: .* overflows a float"):
             call(huge, (1.1, 2.5, 1e10, 1.0))
+
+
+def _batch_and_specs(rng):
+    # a hand-built batch of arrays and the equal PulseSpecs: detuned and resonant
+    # rectangles, exponential pulses (one of them at omega0 = 0) and an undriven qubit
+    n = 40
+    rect = np.arange(n) % 3 == 1
+    omega = rng.uniform(0.0, 4.0, n)
+    omega[2] = 0.0
+    delta = np.where(rect & (rng.random(n) < 0.7), rng.uniform(-4.0, 4.0, n), 0.0)
+    times = rng.uniform(0.05, 20.0, n)
+    window = np.where(rect, times * rng.uniform(1.0, 2.0, n), np.inf)
+    gamma = np.where(rect, 0.0, rng.uniform(0.2, 2.0, n))
+    omega[-1] = gamma[-1] = 0.0  # undriven
+    batch = _Pulses(omega, delta, window, gamma)
+    specs = [
+        PulseSpec.rectangular(o, w, d) if r else PulseSpec.exponential(o, g) if g else PulseSpec.none()
+        for r, o, d, w, g in zip(rect.tolist(), omega.tolist(), delta.tolist(), window.tolist(), gamma.tolist())
+    ]
+    assert [p.shape for p in specs[-3:]] == [PulseShape.RECTANGULAR, PulseShape.EXPONENTIAL, PulseShape.NONE]
+    return batch, specs, times
+
+
+def test_a_pulse_batch_and_its_specs_give_the_same_bits_and_errors():
+    batch, specs, times = _batch_and_specs(np.random.default_rng(23))
+    assert _pulse_arrays(batch) is batch
+    for mode in (LITERAL, UNITARY):
+        assert coefficient_map_batch(batch, times, mode).tobytes() == coefficient_map_batch(specs, times, mode).tobytes()
+    assert unitary_oracle_batch(batch, times).tobytes() == unitary_oracle_batch(specs, times).tobytes()
+    step = times.min() / 10.0
+    assert rk4_oracle_batch(batch, times, step).tobytes() == rk4_oracle_batch(specs, times, step).tobytes()
+
+    late = times.copy()
+    late[[7, 10]] = 1.5 * batch.window[[7, 10]]  # both rectangles, out of their windows
+    huge = _Pulses(*(a.copy() for a in batch))
+    huge.omega0[[5, 8]], huge.gamma[[5, 8]] = 1e300, 1e-300  # exponential pulses: Omega0/gamma_p overflows
+    huge_specs = [PulseSpec.exponential(1e300, 1e-300) if i in (5, 8) else p for i, p in enumerate(specs)]
+    for call in (coefficient_map_batch, unitary_oracle_batch):
+        with pytest.raises(OutOfWindow, match="pair 7: ") as from_batch:
+            call(batch, late)
+        with pytest.raises(OutOfWindow, match="pair 7: ") as from_specs:
+            call(specs, late)
+        assert str(from_batch.value) == str(from_specs.value)
+        with pytest.raises(AngleOverflow, match="pair 5: the rotation of omega0 = 1e.300, delta = 0.0, gamma_p = 1e-300 at t = ") as a:
+            call(huge, times)
+        with pytest.raises(AngleOverflow) as b:
+            call(huge_specs, times)
+        assert str(a.value) == str(b.value)
+
+
+def test_a_sequence_of_another_length_than_the_times_is_rejected():
+    batch, specs, times = _batch_and_specs(np.random.default_rng(5))
+    for pulses in (batch, specs):
+        for call in (coefficient_map_batch, unitary_oracle_batch):
+            with pytest.raises(ValueError, match="times must match pulses"):
+                call(pulses, times[:-1])
+        with pytest.raises(ValueError, match="t_ends must match pulses"):
+            rk4_oracle_batch(pulses, times[:-1], times.min() / 10.0)
+    for call in (coefficient_map_batch, unitary_oracle_batch):
+        with pytest.raises(ValueError, match="times must match pulses"):
+            call(specs[:1], times[:2])  # a sequence of one is not one pulse for every time
+    with pytest.raises(ValueError, match="t_ends must match pulses"):
+        rk4_oracle_batch(specs[0], times[:2], times.min() / 10.0)  # the RK4 takes N pulses only
 
 
 def test_unitary_mode_matrices_are_proper_rotations():

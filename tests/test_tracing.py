@@ -83,12 +83,12 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     assert t.counts["pauli.matrices"] == 0
 
 
-@pytest.mark.parametrize("chunk_cells, chunks", [(4096, 1), (4, 3)])
-def test_unitary_chunks_build_maps_and_skip_the_evolution(monkeypatch, chunk_cells, chunks):
-    # a UNITARY chunk builds its maps for their errors only; the negativities
+@pytest.mark.parametrize("chunk_cells", [4096, 4])
+def test_unitary_sweeps_build_no_maps_and_skip_the_evolution(monkeypatch, chunk_cells):
+    # a UNITARY sweep builds no maps, whatever its chunk size; the negativities
     # of the initial states come from one closed-form call per sweep
     t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.UNITARY)
-    assert maps == 2 * chunks
+    assert maps == 0
     assert names.count("evolution.evolve_correlations_batch") == 0
     assert names.count("entanglement.zero_bloch_negativity_batch") == 1
     assert t.counts["pauli.matrices"] == 0

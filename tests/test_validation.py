@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pulsepair import entanglement, evolution, scenarios, validation
-from pulsepair.pulses import PulseShape
+from pulsepair import entanglement, evolution, pulses, scenarios, validation
 from pulsepair.validation import VALIDATION_NOTES, CheckResult, run_validation
 
 EXPECTED_NAMES = [
@@ -128,27 +128,61 @@ def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
 
 
 def test_seeded_samplers():
-    specs, t = validation._random_pulses(np.random.default_rng(3), 2000)
-    assert len(specs) == 2000 and t.shape == (2000,)
+    batch, t = validation._random_pulses(np.random.default_rng(3), 2000)
+    assert isinstance(batch, pulses._Pulses) and t.shape == (2000,)
+    assert all(a.shape == (2000,) for a in batch)
     assert ((0.05 <= t) & (t <= 50.0)).all()
-    rect = [(p, x) for p, x in zip(specs, t) if p.shape is PulseShape.RECTANGULAR]
-    exp = [p for p in specs if p.shape is PulseShape.EXPONENTIAL]
-    assert rect and exp and len(rect) + len(exp) == len(specs)
-    assert all(p.duration == x and 0.05 <= p.omega0 <= 4.0 and -4.0 <= p.delta <= 4.0 for p, x in rect)
-    assert 0 < sum(p.delta != 0.0 for p, _ in rect) < len(rect)  # detuned with probability 0.7
-    assert all(0.0 <= p.omega0 <= 10.0 and 0.2 <= p.gamma_p <= 2.0 for p in exp)
+    rect = np.isfinite(batch.window)
+    assert 0 < rect.sum() < len(t)
+    assert np.array_equal(batch.window[rect], t[rect])  # a rectangle ends at its window
+    assert ((0.05 <= batch.omega0[rect]) & (batch.omega0[rect] <= 4.0)).all()
+    assert (np.abs(batch.delta[rect]) <= 4.0).all() and (batch.gamma[rect] == 0.0).all()
+    assert 0 < np.count_nonzero(batch.delta[rect]) < rect.sum()  # detuned with probability 0.7
+    assert ((0.0 <= batch.omega0[~rect]) & (batch.omega0[~rect] <= 10.0)).all()
+    assert ((0.2 <= batch.gamma[~rect]) & (batch.gamma[~rect] <= 2.0)).all()
+    assert (batch.delta[~rect] == 0.0).all() and (batch.window[~rect] == np.inf).all()
 
     c = validation._random_physical_correlations(np.random.default_rng(3), 1000)
     assert c.shape == (1000, 3) and np.abs(c).max() <= 1.0
     assert np.min(evolution._bell_diagonal_rho_eigenvalues(c.T), axis=0).min() >= 0.0
 
-    again = validation._random_pulses(np.random.default_rng(3), 2000)
-    assert again[0] == specs and np.array_equal(again[1], t)
+    again, t_again = validation._random_pulses(np.random.default_rng(3), 2000)
+    assert all(np.array_equal(a, b) for a, b in zip(again, batch)) and np.array_equal(t_again, t)
     assert np.array_equal(validation._random_physical_correlations(np.random.default_rng(3), 1000), c)
     rng = np.random.default_rng(3)
-    empty_specs, empty_t = validation._random_pulses(rng, 0)
-    assert empty_specs == [] and empty_t.shape == (0,)
+    empty, empty_t = validation._random_pulses(rng, 0)
+    assert all(a.shape == (0,) for a in empty) and empty_t.shape == (0,)
     assert validation._random_physical_correlations(rng, 0).shape == (0, 3)
+
+
+def test_validation_builds_pulse_specs_only_for_the_preset_grids(monkeypatch):
+    # the random draws stay arrays from the samplers to both oracles; the only
+    # PulseSpecs are those _grid_maps builds for the presets' maps
+    built, inside = [], [0]
+    post_init, grid_maps = pulses.PulseSpec.__post_init__, scenarios._grid_maps
+
+    def spied(spec):
+        built.append((spec, inside[0]))
+        post_init(spec)
+
+    def counted(cfg, x):
+        inside[0] += 1
+        try:
+            return grid_maps(cfg, x)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(pulses.PulseSpec, "__post_init__", spied)
+    monkeypatch.setattr(scenarios, "_grid_maps", counted)
+    presets = scenarios.paper_figure_presets().values()
+    for cfg in presets:
+        for mode in (pulses.CoefficientMode.UNITARY, pulses.CoefficientMode.LITERAL):  # _check_presets' order
+            counted(dataclasses.replace(cfg, mode=mode), cfg.grid.values())
+    expected = [spec for spec, _ in built]
+    built.clear()
+    assert all(r.passed for r in run_validation(seed=0))
+    assert [spec for spec, _ in built] == expected
+    assert all(depth == 1 for _, depth in built)
 
 
 @pytest.mark.slow
