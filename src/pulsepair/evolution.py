@@ -22,13 +22,12 @@ for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
 exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
 sharing the pulse gathering with the maps, and ``rk4_oracle_batch``,
 which shares only the field reads of ``pulses._pulse_arrays``, integrates
-dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I.  Each RK4 pair
-takes the same steps in one of two product orders, chosen from its pulse:
-a rectangle's or an undriven qubit's piecewise constant drive raises its
-step matrices to their counts on either side of the window edge, and an
-exponential pulse multiplies its steps as complex numbers.  The adjoint
-action of either propagator on the Pauli triple must reproduce the
-UNITARY-mode coefficient matrix.
+dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I on the same
+domain, the pulse window [0, T].  There each RK4 pair turns about one fixed
+axis, so its steps multiply as complex numbers: a constant drive raises its
+one step to its count, and an exponential pulse multiplies its own steps
+in blocks.  The adjoint action of either propagator on the Pauli triple
+must reproduce the UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -36,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooLarge, UnphysicalState
-from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z, kron
+from .errors import OutOfWindow, StepTooLarge, UnphysicalState
+from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z
 from .pulses import _pulse_arrays, _rotations
 
 __all__ = [
@@ -59,9 +58,9 @@ _RK4_MAX_STEPS = 10**7
 
 # Pauli product stacks for density assembly/extraction:
 # _PP[k, l] = sigma_k x sigma_l, _PA[k] = sigma_k x I, _PB[l] = I x sigma_l.
-_PP = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])
-_PA = np.array([kron(s, IDENTITY2) for s in PAULIS])
-_PB = np.array([kron(IDENTITY2, s) for s in PAULIS])
+_PP = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+_PA = np.array([np.kron(s, IDENTITY2) for s in PAULIS])
+_PB = np.array([np.kron(IDENTITY2, s) for s in PAULIS])
 _I4 = np.eye(4, dtype=np.complex128)
 _PAULIS = np.array(PAULIS)
 
@@ -198,124 +197,83 @@ def unitary_oracle_batch(pulses, times) -> np.ndarray:
     return (v * np.exp(-1j * tau[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quaternion products p q of component stacks of shape (4, ...)."""
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = p, q
-    return np.stack(
-        (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-    )
-
-
-def _amul(w, dz, q) -> np.ndarray:
-    """_qmul(A, q) for A = w X + dz Z, dropping A's zero terms (the result bits stay the same)."""
-    qa, qb, qc, qd = q
-    return np.stack((-w * qb - dz * qd, w * qa - dz * qc, dz * qb - w * qd, w * qc + dz * qa))
-
-
-_QEYE = np.array([1.0, 0.0, 0.0, 0.0])[:, None]  # the quaternion 1, for (4, pairs) stacks
-
-
-def _rk4_step(w1, w2, w3, dz, h) -> np.ndarray:
-    """One RK4 step P of A(t) = w(t) X + dz Z from w at t0, t0 + h/2 and t0 + h, as (4, pairs) components."""
-    k2 = _amul(w2, dz, (1.0, 0.5 * h * w1, 0.0, 0.5 * h * dz))
-    k3 = _amul(w2, dz, _QEYE + 0.5 * h * k2)
-    k4 = _amul(w3, dz, _QEYE + h * k3)
-    k = 2.0 * k2  # plus K1 = (0, w1, 0, dz): K1 + 2 K2
-    k[1] += w1
-    k[3] += dz
-    return _QEYE + h / 6.0 * (k + 2.0 * k3 + k4)
+def _rk4_step(u1, u2, u3) -> np.ndarray:
+    """RK4 steps P = a I + b J, J^2 = -I, as complex a + i b of u = h w at t0, t0 + h/2 and t0 + h."""
+    u22, u13 = u2 * u2, u1 + u3
+    p = np.empty(np.shape(u2), np.complex128)
+    p.real = 1.0 - (u2 * u13 + u22) / 6.0 + u1 * u22 * u3 / 24.0
+    p.imag = (u13 + 4.0 * u2) / 6.0 - u22 * u13 / 12.0
+    return p
 
 
 def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
-    """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2.
+    """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2, on [0, T].
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
-    t_end_i / n_i, and f is sampled at t0, t0 + h/2 and t0 + h.
-    It shares only pulses._pulse_arrays, which reads the pulses' fields, with
-    unitary_oracle_batch and the maps; its envelope f(t), window test and
-    stepping are its own, the independent route.  Raises ValueError unless
-    step is positive, t_ends matches N pulses in length and every t_end is
-    non-negative, all finite, and the step count at most _RK4_MAX_STEPS,
-    and StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
-    h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not accuracy.
+    t_end_i / n_i.  It shares only pulses._pulse_arrays, which reads the
+    pulses' fields, with unitary_oracle_batch and the maps; its window test,
+    envelope and stepping are its own, the independent route.  Raises
+    ValueError unless step is positive, t_ends matches N pulses in length and
+    every t_end is non-negative, all finite, and the step count at most
+    _RK4_MAX_STEPS; OutOfWindow for the first pair with t_end past its window
+    T (a rectangle's duration, inf otherwise), as the maps do; and
+    StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
+    h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not
+    accuracy.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
-    A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3) and A = -i H.  In the
-    units X, Y, Z = -i sigma_x, -i sigma_y, -i sigma_z, which multiply as
-    quaternions (XY = Z, X^2 = -I), every P is a real a I + b X + c Y + d Z.
-    The pulse decides the order of the products, never the steps or samples:
-    - a rectangle or an undriven qubit steps by P_in inside its window [0, T]
-      and by P_out (w = 0) past it.  With k0 = floor(T / h), the steps up to
-      k0 - 3 are P_in and those from k0 + 3 are P_out, each raised to its
-      count by binary powering; the at most two steps that straddle T lie
-      in k0 - 2 .. k0 + 2 and are taken one by one from their own samples.
-      A pair with t_end <= T is P_in^n_i.
-    - an exponential pulse (Omega0 != 0) is resonant: P = a I + b X is the
-      complex number a + i b, with u_i = h w_i, a = 1 - (u1 u2 + u2^2 + u2 u3)/6
-      + u1 u2^2 u3/24 and b = (u1 + 4 u2 + u3)/6 - u2^2 (u1 + u3)/12 in real
-      arithmetic.  Pairs sort longest first, the r still running advance by
+    A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3) and A = -i H.  Inside
+    its window each pair turns about one fixed axis n: x for an exponential
+    pulse, (Omega0/2, 0, Delta/2)/r with r = hypot(Omega0/2, Delta/2) for a
+    constant drive (a rectangle, an undriven qubit, or Omega0 = 0).  So
+    A = w J with J = -i n . sigma, J^2 = -I, and every P = a I + b J is the
+    complex number a + i b: with u_i = h w_i at t0, t0 + h/2 and t0 + h,
+    a = 1 - (u1 u2 + u2^2 + u2 u3)/6 + u1 u2^2 u3/24 and b = (u1 + 4 u2 +
+    u3)/6 - u2^2 (u1 + u3)/12, in real arithmetic (_rk4_step).
+    - a constant drive has u1 = u2 = u3 = h r, and its pair is P^n_i by
+      binary powering (the Taylor route of Moler & Van Loan, 2003);
+    - an exponential pulse samples w = Omega0 exp(-gamma_p t)/2 at each
+      step.  Pairs sort longest first, the r still running advance by
       max(1, _RK4_BLOCK_CELLS // r) steps per block, P = 1 past a pair's n_i.
-    The stepped reference clamps the last sample to t_end; no clamp is
-    needed here.  A pair with an edge has t_end > T, so the clamp moves no
-    sample across T, and for an exponential pulse it moves one sample by an
-    ulp.
+    U = Re z I + Im z J of each pair's product z.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     t_ends = np.asarray(t_ends, dtype=float)
-    p = _pulse_arrays(pulses)
-    if t_ends.ndim != 1 or np.shape(p.omega0) != t_ends.shape:
+    omega, delta, window, gamma = _pulse_arrays(pulses)  # window T and gamma_p: inf and 0 where unused
+    if t_ends.ndim != 1 or np.shape(omega) != t_ends.shape:
         raise ValueError("t_ends must match pulses in length")
     n = len(t_ends)
     if not (np.isfinite(t_ends) & (t_ends >= 0.0)).all():
         raise ValueError("t_end must be finite and non-negative")
+    outside = t_ends > window
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfWindow(f"pair {i}: t = {t_ends[i]} outside the pulse window [0, {window[i]}]")
     positive = t_ends[t_ends > 0.0]
     if positive.size and step > positive.min() / 10.0:
         raise StepTooLarge(f"step {step} exceeds t_end/10 = {positive.min() / 10.0}")
-    if not positive.size:
-        return np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2)).copy()
-
-    t_max = float(positive.max())
+    t_max = float(t_ends.max(initial=0.0))
     if t_max / step > _RK4_MAX_STEPS:
         raise ValueError(f"t_end {t_max} takes {t_max / step:.3g} steps of {step}, over {_RK4_MAX_STEPS}")
     counts = np.ceil(t_ends / step).astype(np.int64)
-    h = t_ends / np.maximum(counts, 1)
-    omega, delta, window, gamma = p  # window T and gamma_p: inf and 0 where unused
-    dz = 0.5 * delta
-    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan (no step) at h = 0
-        if (h * np.hypot(0.5 * omega, dz) > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
+    h = t_ends / np.maximum(counts, 1)  # 0 for a pair with t_end = 0: U = I
+    r = np.hypot(0.5 * omega, 0.5 * delta)
+    with np.errstate(over="ignore"):  # inf past the float range
+        if (h * r > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
             raise StepTooLarge(f"step {step} is past RK4's stability bound h hypot(Omega0, Delta) <= 4 sqrt(2)")
     exponential = (gamma > 0.0) & (omega != 0.0)
 
-    u = np.zeros((4, n))
-    u[0] = 1.0
-    i = np.flatnonzero(~exponential & (counts > 0))  # a pair with t_end = 0 takes no step: U = I
-    hi, wi, dzi, ni, ti = h[i], 0.5 * omega[i], dz[i], counts[i], window[i]
-    k0 = np.where(t_ends[i] <= ti, ni + 2, np.floor(ti / hi)).astype(np.int64)
+    # a constant drive: its one step raised to its count; an exponential pair stays at z = 1 here
+    u = h * r
+    z, p, k = np.ones(n, np.complex128), _rk4_step(u, u, u), np.where(exponential, 0, counts)
+    while k.any():
+        z = np.where(k & 1, z * p, z)
+        p, k = p * p, k >> 1
 
-    def power(q, w, k):  # left-multiply q by P^k, P the step of constant drive w, by binary powering
-        p = _rk4_step(w, w, w, dzi, hi)
-        while k.any():
-            q = np.where(k & 1, _qmul(p, q), q)
-            p, k = _qmul(p, p), k >> 1
-        return q
-
-    q = power(u[:, i], wi, np.maximum(k0 - 2, 0))
-    for k in k0 + np.arange(-2, 3)[:, None]:
-        t0 = k * hi
-        w1, w2, w3 = (wi * (t <= ti) for t in (t0, t0 + 0.5 * hi, t0 + hi))
-        q = np.where((0 <= k) & (k < ni), _qmul(_rk4_step(w1, w2, w3, dzi, hi), q), q)
-    u[:, i] = power(q, 0.0 * wi, np.maximum(ni - k0 - 3, 0))
-
-    z = np.ones(n, np.complex128)  # exponential pulses: U = Re z I + Im z X
     idx = np.flatnonzero(exponential)
     idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
     first, last = 0, counts[idx].max(initial=0)
@@ -325,13 +283,12 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
         steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
         t0 = steps * hs
         uh = np.where(steps < counts[a], 0.5 * omega[a] * hs, 0.0)  # u = h w, and P = 1 past n_i
-        u1, u2, u3 = (uh * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))
-        u22, u13 = u2 * u2, u1 + u3
-        p = np.empty(uh.shape, np.complex128)
-        p.real = 1.0 - (u2 * u13 + u22) / 6.0 + u1 * u22 * u3 / 24.0
-        p.imag = (u13 + 4.0 * u2) / 6.0 - u22 * u13 / 12.0
-        z[a] *= np.prod(p, axis=0)
+        z[a] *= np.prod(_rk4_step(*(uh * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))), axis=0)
         first = int(steps[-1, 0]) + 1
-    u[0, exponential], u[1, exponential] = z.real[exponential], z.imag[exponential]
-    a, b, c, d = u
-    return np.stack((a - 1j * d, -c - 1j * b, c - 1j * b, a + 1j * d), axis=-1).reshape(n, 2, 2)
+
+    # J = -i (n_x sigma_x + n_z sigma_z), exactly x for an exponential pulse (Delta = 0); at r = 0, z = 1
+    # and r = 1 stands in, so no 0/0
+    r = np.where(r > 0.0, r, 1.0)
+    nx, nz = 0.5 * omega / r, 0.5 * delta / r
+    s = -1j * z.imag
+    return np.stack((z.real + s * nz, s * nx, s * nx, z.real - s * nz), axis=-1).reshape(n, 2, 2)

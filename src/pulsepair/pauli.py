@@ -1,4 +1,4 @@
-"""Pauli basis, Kronecker products, and a small dense Hermitian eigensolver.
+"""Pauli basis and a small dense Hermitian eigensolver.
 
 Complex scalars are Python/numpy complex doubles and matrices are numpy
 ``complex128`` arrays throughout; this module pins the basis conventions
@@ -30,7 +30,6 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY2",
     "PAULIS",
-    "kron",
     "commutator_check",
     "hermitian_eigenvalues_batch",
 ]
@@ -57,15 +56,6 @@ HERMITICITY_TOL = 1e-10
 # Jacobi iteration stops.
 _OFFDIAG_TOL = 1e-13
 _MAX_SWEEPS = 40
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product of two complex matrices.
-
-    Thin wrapper over ``numpy.kron`` that fixes the dtype, so products of
-    the module's Pauli constants always come out as complex128 arrays.
-    """
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 def commutator_check(sx=None, sy=None, sz=None, tol: float = 1e-12) -> bool:

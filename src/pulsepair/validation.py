@@ -81,7 +81,7 @@ def _check_pauli_algebra() -> CheckResult:
     b = np.array([[1.0, 0.2], [0.5j, 0.9]])
     c = np.array([[0.4, -1.0j], [0.3, 0.8]])
     d = np.array([[-0.2, 0.6], [1.1, 0.05j]])
-    mixed = pauli.kron(a @ c, b @ d) - pauli.kron(a, b) @ pauli.kron(c, d)
+    mixed = np.kron(a @ c, b @ d) - np.kron(a, b) @ np.kron(c, d)
     err = float(np.abs(mixed).max()) + (0.0 if ok else 1.0)
     return _result("pauli_algebra", err, 1e-12)
 

@@ -16,7 +16,6 @@ from pulsepair.pauli import (
     SIGMA_Z,
     commutator_check,
     hermitian_eigenvalues_batch,
-    kron,
 )
 from pulsepair.evolution import assemble_density_batch, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
@@ -53,14 +52,6 @@ def test_commutator_check_rejects_scaled_and_permuted_bases():
     assert not commutator_check(sz=-SIGMA_Z)
 
 
-def test_kron_matches_numpy_and_fixes_dtype():
-    a = np.array([[1, 2], [3, 4]])
-    b = np.array([[0, 1], [1, 0]])
-    out = kron(a, b)
-    assert out.dtype == np.complex128
-    assert np.array_equal(out, np.kron(a, b))
-
-
 def test_hermiticity_gate_threshold():
     # the gate rejects a defect above HERMITICITY_TOL = 1e-10 and passes one below
     with pytest.raises(NonHermitianInput):
@@ -71,7 +62,7 @@ def test_hermiticity_gate_threshold():
 
 def test_eigenvalues_of_pinned_correlation_projector():
     # (I + YY)/4 has a doubly degenerate pair {0, 1/2}
-    m = 0.25 * (np.eye(4) + kron(SIGMA_Y, SIGMA_Y))
+    m = 0.25 * (np.eye(4) + np.kron(SIGMA_Y, SIGMA_Y))
     eigs = solo_eigenvalues(m)
     assert np.allclose(eigs, [0.0, 0.0, 0.5, 0.5], atol=1e-14)
 

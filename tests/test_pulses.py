@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,16 +68,20 @@ class TestPulseSpec:
 
 
 class TestEnvelope:
-    """The envelope f(t) that runs is the drive inside rk4_oracle_batch."""
+    """The envelope f(t) that runs is the drive inside rk4_oracle_batch; its window bounds every route."""
 
-    def test_rectangle_window(self):
-        # the drive is off past T = 2, so the last 3 time units are free
-        # precession about z; left on, the result would differ by about 1.18
+    @pytest.mark.parametrize(
+        "route", [coefficient_map_batch, unitary_oracle_batch, rk4_oracle_batch], ids=["maps", "exact", "rk4"]
+    )
+    def test_rectangle_window(self, route):
+        # every route ends where the drive does: T and the float below it
+        # integrate, and each route names pair 1, the first past its window
         p = PulseSpec.rectangular(1.3, duration=2.0, delta=0.7)
-        free = np.diag(np.exp(-0.5j * 0.7 * 3.0 * np.array([1.0, -1.0])))
-        u = rk4_oracle_batch([p], [5.0])[0]
-        # the step across the edge samples f on both sides: first order there
-        assert np.abs(u - free @ unitary_oracle_batch(p, [2.0])[0]).max() < 1e-3
+        specs = [PulseSpec.none(), p, p]
+        assert np.isfinite(route(specs, [3.0, 2.0, np.nextafter(2.0, 0.0)])).all()
+        late = np.nextafter(2.0, np.inf)
+        with pytest.raises(OutOfWindow, match=re.escape(f"pair 1: t = {late} outside the pulse window [0, 2.0]")):
+            route(specs, [3.0, late, 5.0])
 
     def test_exponential_decay(self):
         p = PulseSpec.exponential(3.0, 0.8)

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,37 @@ class TestClosedFormGuard:
 
 
 # CSV cells: signed zeros, NaNs of other payloads and signs, infinities, subnormals, any finite float
+_GUARD_DIGIT = pytest.mark.xfail(
+    strict=True,
+    reason="the sweep's rounding guard (scenarios._in_doubt) prints Jacobi's digit here; "
+    "deleting it, ROADMAP item 2, refreshes the fig1b/literal digest",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _literal_csv_rows(name):
+    cfg = dataclasses.replace(paper_figure_presets()[name], mode=CoefficientMode.LITERAL)
+    rows = [line.split(",") for line in run_sweep(cfg).csv_text().splitlines()]
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+# the six literal preset cells nearest a 12-digit tie (within 4 ulp), as a
+# 50-digit evaluation of their float tensors gives them, cut to 20 digits
+@pytest.mark.parametrize(
+    "name, row, column, value",
+    [
+        pytest.param("fig1b", 739, "E_werner", "0.54943957387949996259", marks=_GUARD_DIGIT),
+        ("fig2b", 107, "E_bell", "0.45038639056750006881"),
+        pytest.param("fig1b", 278, "E_werner", "0.61159140352649977472", marks=_GUARD_DIGIT),
+        ("fig1b", 534, "E_bell", "0.65292590186550016627"),
+        ("fig1b", 744, "E_bell", "0.76348511940150059968"),
+        ("fig1b", 297, "E_werner", "0.40000382361650039018"),
+    ],
+)
+def test_cells_next_to_a_tie_print_correctly_rounded(name, row, column, value):
+    assert _literal_csv_rows(name)[row][column] == format(Decimal(value), ".12g")
+
+
 _CELLS = st.one_of(
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.5]),
     st.sampled_from([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0000]).map(
