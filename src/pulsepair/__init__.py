@@ -30,7 +30,6 @@ from .evolution import InitialState, adjoint_rotation
 from .config import format_config, parse_config
 from .pulses import (
     CoefficientMode,
-    PulseShape,
     PulseSpec,
     pulse_angle,
 )

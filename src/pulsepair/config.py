@@ -109,8 +109,6 @@ def parse_config(text: str) -> SweepConfig:
     states = tuple(
         _parse_state(tok) for tok in pairs["initial_states"].split(",") if tok.strip()
     )
-    if not states:
-        raise InvalidConfig("initial_states must list at least one state")
     return SweepConfig(
         family=family,
         initial_states=states,

@@ -125,6 +125,6 @@ def classify_werner(x: float) -> WernerClass:
         state = InitialState.generalized_werner(x, x, x)
     except UnphysicalState:
         return WernerClass.UNPHYSICAL
-    if _clamp(zero_bloch_negativity_batch(np.diag(state.correlations))) > CLAMP_TOL:
+    if zero_bloch_negativity_batch(np.diag(state.correlations)) > CLAMP_TOL:
         return WernerClass.ENTANGLED
     return WernerClass.SEPARABLE

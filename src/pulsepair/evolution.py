@@ -21,7 +21,7 @@ Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
 exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
 sharing the pulse gathering with the maps, and ``rk4_oracle_batch``,
-which shares only the field reads of ``pulses._pulse_arrays``, integrates
+which shares only the pulse stacking of ``pulses._pulse_arrays``, integrates
 dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I on the same
 domain, the pulse window [0, T].  There each RK4 pair turns about one fixed
 axis, so its steps multiply as complex numbers: a constant drive raises its
@@ -183,7 +183,7 @@ def adjoint_rotation(u) -> np.ndarray:
 def unitary_oracle_batch(pulses, times) -> np.ndarray:
     """Exact rotating-frame propagators U = exp(-i tau h) of N (pulse, time) pairs, (N, 2, 2).
 
-    ``pulses`` is one PulseSpec for every time, N of them or their _Pulses.  h
+    ``pulses`` is one PulseSpec for every time, a PulseSpec of N or N of them.  h
     is the constant 2x2 Hermitian generator (Delta sigma_z + Omega0 sigma_x)/2
     and tau = t for a rectangle; an exponential pulse is the resonant unit-rate
     rectangle h = sigma_x/2 turned through tau = lambda(t); an undriven qubit
@@ -211,8 +211,8 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
-    t_end_i / n_i.  It shares only pulses._pulse_arrays, which reads the
-    pulses' fields, with unitary_oracle_batch and the maps; its window test,
+    t_end_i / n_i.  It shares only pulses._pulse_arrays, which stacks a
+    sequence of pulses, with unitary_oracle_batch and the maps; its window test,
     envelope and stepping are its own, the independent route.  Raises
     ValueError unless step is positive, t_ends matches N pulses in length and
     every t_end is non-negative, all finite, and the step count at most

@@ -44,7 +44,6 @@ suite verifies against independent oracles.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,7 +51,6 @@ import numpy as np
 from .errors import AngleOverflow, OutOfWindow, ResonanceRequired
 
 __all__ = [
-    "PulseShape",
     "CoefficientMode",
     "PulseSpec",
     "pulse_angle",
@@ -60,70 +58,65 @@ __all__ = [
 ]
 
 
-class PulseShape(Enum):
-    RECTANGULAR = "rectangular"
-    EXPONENTIAL = "exponential"
-    NONE = "none"
-
-
 class CoefficientMode(Enum):
     LITERAL = "literal"
     UNITARY = "unitary"
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """One qubit's drive: shape plus the parameters that shape needs.
+class PulseSpec(namedtuple("PulseSpec", "omega0 delta window gamma")):
+    """One qubit's drive, or N: four read-only float arrays, 0-d for one pulse, (N,) for N.
 
-    omega0 is the Rabi frequency, delta the detuning (drive frequency
-    offset from the qubit transition).  Rectangular pulses carry a
-    duration T > 0; exponential pulses carry a width gamma_p > 0 and are
-    only defined on resonance, so delta must be zero for them.  Every
-    parameter given must be finite (ValueError otherwise).
+    omega0 is the Rabi frequency, delta the detuning (drive frequency offset
+    from the qubit transition), window a rectangle's duration T (inf for any
+    other pulse) and gamma an exponential pulse's width gamma_p (0 for any
+    other); an entry with neither is an undriven qubit.  The constructor, which
+    _replace goes through too, broadcasts the fields and raises the error of
+    the first of its rules that an entry breaks.  A spec is not hashable.
     """
 
-    shape: PulseShape
-    omega0: float = 0.0
-    delta: float = 0.0
-    duration: float | None = None
-    gamma_p: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("omega0", "delta", "duration", "gamma_p"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} = {value!r} must be finite")
-        if self.omega0 < 0.0:
-            raise ValueError("omega0 must be non-negative")
-        if self.shape is PulseShape.RECTANGULAR:
-            if self.duration is None or self.duration <= 0.0:
-                raise ValueError("rectangular pulse requires duration > 0")
-            if self.gamma_p is not None:
-                raise ValueError("gamma_p does not apply to a rectangular pulse")
-        elif self.shape is PulseShape.EXPONENTIAL:
-            if self.gamma_p is None or self.gamma_p <= 0.0:
-                raise ValueError("exponential pulse requires gamma_p > 0")
-            if self.duration is not None:
-                raise ValueError("duration does not apply to an exponential pulse")
-            if self.delta != 0.0:
-                raise ResonanceRequired("exponential drive is defined only at delta = 0")
-        else:
-            if self.omega0 != 0.0 or self.delta != 0.0:
-                raise ValueError("an undriven qubit has omega0 = delta = 0")
-            if self.duration is not None or self.gamma_p is not None:
-                raise ValueError("width parameters do not apply to an undriven qubit")
+    def __new__(cls, omega0=0.0, delta=0.0, window=math.inf, gamma=0.0):
+        fields = np.empty((4,) + np.broadcast(omega0, delta, window, gamma).shape)
+        fields[0], fields[1], fields[2], fields[3] = omega0, delta, window, gamma
+        fields.flags.writeable = False
+        fin, pos, nonneg, zero = np.isfinite(fields), fields > 0.0, fields >= 0.0, fields == 0.0
+        # (where the rule holds, its error, the rule); rows 0-3 of each mask are omega0, delta, window, gamma
+        rules = (
+            (fin[0] & nonneg[0], ValueError, "omega0 must be finite and >= 0"),
+            (fin[1], ValueError, "delta must be finite"),
+            (pos[2], ValueError, "window must be > 0"),
+            (fin[3] & nonneg[3], ValueError, "gamma must be finite and >= 0"),
+            (~fin[2] | zero[3], ValueError, "a pulse has a finite window or gamma > 0, not both"),
+            (zero[3] | zero[1], ResonanceRequired, "exponential drive is defined only at delta = 0"),
+            (fin[2] | pos[3] | zero[0] & zero[1], ValueError, "an undriven qubit has omega0 = delta = 0"),
+        )
+        holds = np.array([r[0] for r in rules]).reshape(len(rules), -1)
+        if not holds.all():
+            k, i = np.argwhere(~holds)[0]
+            entry = ", ".join(f"{name} = {v!r}" for name, v in zip(cls._fields, fields.reshape(4, -1)[:, i].tolist()))
+            raise rules[k][1](f"{rules[k][2]}; entry {i} has {entry}")
+        return super().__new__(cls, *(fields[i, ...] for i in range(4)))
+
+    @classmethod
+    def _make(cls, iterable) -> "PulseSpec":
+        return cls(*iterable)
 
     @classmethod
     def rectangular(cls, omega0: float, duration: float, delta: float = 0.0) -> "PulseSpec":
-        return cls(PulseShape.RECTANGULAR, omega0=omega0, delta=delta, duration=duration)
+        if not 0.0 < duration < math.inf:
+            raise ValueError(f"duration = {duration!r} must be finite and > 0")
+        return cls(omega0, delta, duration)
 
     @classmethod
     def exponential(cls, omega0: float, gamma_p: float) -> "PulseSpec":
-        return cls(PulseShape.EXPONENTIAL, omega0=omega0, gamma_p=gamma_p)
+        if not 0.0 < gamma_p < math.inf:
+            raise ValueError(f"gamma_p = {gamma_p!r} must be finite and > 0")
+        return cls(omega0, gamma=gamma_p)
 
     @classmethod
     def none(cls) -> "PulseSpec":
-        return cls(PulseShape.NONE)
+        return cls()
 
 
 def pulse_angle(p: PulseSpec, t):
@@ -134,25 +127,17 @@ def pulse_angle(p: PulseSpec, t):
     saturating at Omega0/gamma_p, which is what makes the exponential drive
     leave a frozen long-time state behind.
     """
-    if p.shape is not PulseShape.EXPONENTIAL:
+    if not np.all(p.gamma > 0.0):
         raise ValueError("pulse_angle applies to exponential pulses only")
     t = np.asarray(t, dtype=float)
     return _rotations(p, t.reshape(-1))[3].reshape(t.shape)[()]
 
 
-#: N pulses as arrays, 0-d for one pulse so that it broadcasts over any times: window is a
-#: rectangle's T (inf otherwise), gamma an exponential pulse's gamma_p (0 otherwise).
-_Pulses = namedtuple("_Pulses", "omega0 delta window gamma")
-
-
-def _pulse_arrays(pulses) -> _Pulses:
-    """One PulseSpec, a sequence of them or a _Pulses (returned as it is) as a _Pulses."""
-    if isinstance(pulses, _Pulses):
+def _pulse_arrays(pulses) -> PulseSpec:
+    """One PulseSpec as it is, or a sequence of one-pulse PulseSpecs stacked into one of N."""
+    if isinstance(pulses, PulseSpec):
         return pulses
-    one = isinstance(pulses, PulseSpec)
-    rows = [(p.omega0, p.delta, p.duration or math.inf, p.gamma_p or 0.0) for p in ([pulses] if one else pulses)]
-    columns = np.array(rows, dtype=float).reshape(-1, 4).T
-    return _Pulses(*(c[0] if one else c for c in columns))
+    return PulseSpec(*np.array(pulses, dtype=float).reshape(-1, 4).T)
 
 
 def _rotations(pulses, times):
@@ -197,8 +182,8 @@ def coefficient_map_batch(
 ) -> np.ndarray:
     """Coefficient maps (N, 3, 3), rows A, B, D, of N (pulse, time) pairs.
 
-    ``pulses`` is one PulseSpec for all N times, a sequence of N, one per
-    time, or the _Pulses of either; _rotations checks them.  Every driven pair
+    ``pulses`` is one PulseSpec for all N times, a PulseSpec of N, or a
+    sequence of N, one per time; _rotations checks them.  Every driven pair
     takes the rectangle's rows of the module docstring, with Omega_1 tau for
     Omega_1 t.  Both modes share the A and D rows bit for bit; UNITARY mode
     adds B = D x A and gives real float64 maps, LITERAL mode the printed B

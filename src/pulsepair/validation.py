@@ -3,9 +3,9 @@
 Each check produces (name, max_error, tolerance); run_validation returns
 them all so the CLI can print a machine-readable summary and exit nonzero
 on the first failure.  Randomized checks draw all their pulses and states
-at once from a seeded generator, as arrays (_random_pulses gives a
-pulses._Pulses, _random_physical_correlations an (n, 3) array), so a given
-seed is fully reproducible; the tolerances hold for any seed.  The preset
+at once from a seeded generator, as arrays (_random_pulses gives one
+PulseSpec of n, _random_physical_correlations an (n, 3) array), so a
+given seed is fully reproducible; the tolerances hold for any seed.  The preset
 checks read only what they gate: the closed form of the evolved UNITARY
 maps, the imaginary parts of the resonant LITERAL maps, and the residues of
 the detuned LITERAL ones, the only LITERAL maps they evolve.
@@ -64,7 +64,7 @@ def _random_hermitian(rng: "np.random.Generator", n: int, count: int) -> np.ndar
     return 0.5 * (raw + raw.conj().transpose(0, 2, 1))
 
 
-def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses._Pulses, np.ndarray]:
+def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses.PulseSpec, np.ndarray]:
     """n (pulse, time) draws: half rectangles ending at their window, T = t, 70 % of them detuned; half exponential."""
     rect = rng.random(n) < 0.5
     # cap the exponential Rabi frequency so the fixed-step reference integrator resolves the fastest
@@ -72,7 +72,7 @@ def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses._Pulses, 
     omega = np.where(rect, rng.uniform(0.05, 4.0, n), rng.uniform(0.0, 10.0, n))
     delta = np.where(rng.random(n) < 0.7, rng.uniform(-4.0, 4.0, n), 0.0)
     gamma, t = rng.uniform(0.2, 2.0, n), rng.uniform(0.05, 50.0, n)
-    return pulses._Pulses(omega, np.where(rect, delta, 0.0), np.where(rect, t, np.inf), np.where(rect, 0.0, gamma)), t
+    return pulses.PulseSpec(omega, np.where(rect, delta, 0.0), np.where(rect, t, np.inf), np.where(rect, 0.0, gamma)), t
 
 
 def _check_pauli_algebra() -> CheckResult:
@@ -99,7 +99,7 @@ def _check_eigensolver(rng) -> list[CheckResult]:
     ]
 
 
-def _published_d_row(batch: pulses._Pulses, ts: np.ndarray) -> np.ndarray:
+def _published_d_row(batch: pulses.PulseSpec, ts: np.ndarray) -> np.ndarray:
     """The paper's D rows of N (pulse, t) pairs, (N, 3), evaluated here; only lambda(t) comes from pulses._rotations."""
     rect = np.isfinite(batch.window)
     # an exponential pulse's row is the rectangle's at Omega = Omega_1 = 1, Delta = 0, with lambda(t) for t
@@ -148,7 +148,7 @@ def _random_physical_correlations(rng: "np.random.Generator", n: int) -> np.ndar
 
 def _check_fano_consistency(rng) -> CheckResult:
     (p1s, ts), (p2s, _) = _random_pulses(rng, 500), _random_pulses(rng, 500)
-    p2s = p2s._replace(window=np.maximum(p2s.window, ts))  # a rectangle on qubit 2 lasts until t at least
+    p2s = p2s._replace(window=np.maximum(p2s.window, ts))  # qubit 2's rectangles last until t at least; checked again
     cs = _random_physical_correlations(rng, 500)
     m1, m2 = (pulses.coefficient_map_batch(p, ts) for p in (p1s, p2s))
     direct = evolution.evolve_correlations_batch(cs[:, None], m1, m2)[0][:, 0]

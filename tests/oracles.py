@@ -113,18 +113,16 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
     reference for its blocked product form: pair i takes n_i =
     ceil(t_end_i / step) steps of h_i = t_end_i / n_i and then stops, and
     the envelope is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
-    Pulses are read through their attributes only; inputs are not
+    Pulses are read through their fields only; inputs are not
     validated.
     """
     t_ends = np.asarray(t_ends, dtype=float)
     counts = np.ceil(t_ends / step).astype(int)
     h = t_ends / np.maximum(counts, 1)
-    shape = [p.shape.value for p in pulses]
-    is_rect = np.array([s == "rectangular" for s in shape])
-    is_exp = np.array([s == "exponential" for s in shape])
     omega = np.array([p.omega0 for p in pulses])
-    duration = np.array([p.duration if r else 0.0 for p, r in zip(pulses, is_rect)])
-    gamma = np.array([p.gamma_p if e else 0.0 for p, e in zip(pulses, is_exp)])
+    duration = np.array([p.window for p in pulses])  # inf unless a rectangle
+    gamma = np.array([p.gamma for p in pulses])  # 0 unless exponential
+    is_rect, is_exp = np.isfinite(duration), gamma > 0.0
     dz = (0.5 * np.array([p.delta for p in pulses]))[:, None]
 
     def w_at(t):

@@ -22,7 +22,7 @@ from pulsepair.evolution import (
     rk4_oracle_batch,
     unitary_oracle_batch,
 )
-from pulsepair.pulses import CoefficientMode, PulseShape, PulseSpec, coefficient_map_batch
+from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 from pulsepair.validation import _random_physical_correlations
 
 import oracles
@@ -382,8 +382,8 @@ class TestUnitaryOracle:
     def test_batch_property_against_expm(self, draws):
         expected = [
             oracles.rect_propagator(p.omega0, p.delta, t)
-            if p.shape.value == "rectangular"
-            else oracles.exp_propagator(p.omega0, p.gamma_p, t)
+            if p.gamma == 0.0
+            else oracles.exp_propagator(p.omega0, p.gamma, t)
             for p, t in draws
         ]
         specs, times = zip(*draws)
@@ -484,7 +484,7 @@ class TestRk4Oracle:
         p = PulseSpec.rectangular(
             2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357
         )
-        err = np.abs(rk4_single(p, p.duration) - exact_single(p, p.duration)).max()
+        err = np.abs(rk4_single(p, p.window) - exact_single(p, p.window)).max()
         assert err < 1e-9
 
     def test_batch_matches_exact_propagator(self):
@@ -497,7 +497,7 @@ class TestRk4Oracle:
         t_ends = np.array([6.0, 2.5, 3.0, 4.0])
         batch = rk4_oracle_batch(specs, t_ends)
         for p, t, u in zip(specs, t_ends, batch):
-            if p.shape.value == "none":
+            if p.window == np.inf and p.gamma == 0.0:  # undriven
                 assert np.abs(u - np.eye(2)).max() < 1e-12
             else:
                 assert np.abs(u - exact_single(p, t)).max() < 1e-9
@@ -570,8 +570,8 @@ class TestRk4Oracle:
     ROUTES = {
         # a constant drive: one step matrix raised to the step count
         "powered": (
-            (EDGE, EDGE.duration),
-            (EDGE, np.nextafter(EDGE.duration, 0.0)),
+            (EDGE, EDGE.window),
+            (EDGE, np.nextafter(EDGE.window, 0.0)),
             (PulseSpec.rectangular(0.0, duration=5.0, delta=1.5), 4.0),  # P = a I + d Z
             (PulseSpec.rectangular(1.3, duration=2.0), 2.0),  # resonant: P = a I + b X
             (PulseSpec.none(), 3.0),
@@ -596,7 +596,7 @@ class TestRk4Oracle:
         pairs, step = (self.MIXED, 1e-2) if route == "mixed" else (self.ROUTES[route], 0.2)
         specs, t_ends = zip(*pairs)
         batch = rk4_oracle_batch(specs, t_ends, step=step)
-        powered = [j for j, p in enumerate(specs) if p.shape is not PulseShape.EXPONENTIAL or p.omega0 == 0.0]
+        powered = [j for j, p in enumerate(specs) if p.gamma == 0.0 or p.omega0 == 0.0]
         assert len(powered) >= 3
         for j in powered:
             assert batch[j].tobytes() == rk4_oracle_batch([specs[j]], [t_ends[j]], step=step)[0].tobytes()

@@ -8,10 +8,8 @@ from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired
 from pulsepair.evolution import adjoint_rotation, rk4_oracle_batch, unitary_oracle_batch
 from pulsepair.pulses import (
     CoefficientMode,
-    PulseShape,
     PulseSpec,
     _pulse_arrays,
-    _Pulses,
     coefficient_map_batch,
     pulse_angle,
 )
@@ -24,9 +22,11 @@ UNITARY = CoefficientMode.UNITARY
 
 class TestPulseSpec:
     def test_factories_set_shapes(self):
-        assert PulseSpec.rectangular(1.0, duration=2.0).shape is PulseShape.RECTANGULAR
-        assert PulseSpec.exponential(1.0, 0.5).shape is PulseShape.EXPONENTIAL
-        assert PulseSpec.none().shape is PulseShape.NONE
+        # a rectangle has a finite window, an exponential pulse gamma > 0, an undriven qubit neither
+        assert PulseSpec.rectangular(1.0, duration=2.0, delta=0.5) == (1.0, 0.5, 2.0, 0.0)
+        assert PulseSpec.exponential(1.0, 0.5) == (1.0, 0.0, math.inf, 0.5)
+        assert PulseSpec.none() == (0.0, 0.0, math.inf, 0.0)
+        assert all(np.shape(f) == () and f.dtype == float for f in PulseSpec.none())
 
     def test_rectangular_requires_positive_duration(self):
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestPulseSpec:
 
     def test_exponential_rejects_detuning(self):
         with pytest.raises(ResonanceRequired):
-            PulseSpec(shape=PulseShape.EXPONENTIAL, omega0=1.0, delta=0.3, gamma_p=1.0)
+            PulseSpec(1.0, delta=0.3, gamma=1.0)
 
     def test_negative_rabi_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +48,15 @@ class TestPulseSpec:
 
     def test_undriven_spec_must_be_empty(self):
         with pytest.raises(ValueError):
-            PulseSpec(shape=PulseShape.NONE, omega0=1.0)
+            PulseSpec(1.0)
+
+    def test_fields_are_read_only_and_replace_is_checked(self):
+        p = PulseSpec.rectangular(1.0, duration=2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            p.omega0[...] = -1.0
+        with pytest.raises(ValueError, match="window must be > 0"):
+            p._replace(window=0.0)
+        assert p._replace(window=3.0) == (1.0, 0.0, 3.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -108,8 +116,10 @@ class TestPulseAngle:
         assert lams[-1] <= 4.0 / 0.5
 
     def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError):
-            pulse_angle(PulseSpec.rectangular(1.0, duration=1.0), 0.5)
+        mixed = PulseSpec([1.0, 1.0], window=[np.inf, 2.0], gamma=[0.5, 0.0])
+        for p in (PulseSpec.rectangular(1.0, duration=1.0), PulseSpec.none(), mixed):
+            with pytest.raises(ValueError, match="exponential pulses only"):
+                pulse_angle(p, 0.5)
 
     def test_overflowing_scale_is_a_typed_error(self):
         # Omega0 / gamma_p = 1e600; the RuntimeWarning-as-error filter fails the test on any numpy warning
@@ -404,7 +414,7 @@ def test_maps_keep_their_bits_under_power_of_two_scaling(mode, k):
     # about the same axis, and scaling by a power of two is exact
     specs, times = rect_draws(np.random.default_rng(41), 300)
     scaled = [
-        PulseSpec.rectangular(math.ldexp(p.omega0, k), math.ldexp(p.duration, -k), math.ldexp(p.delta, k))
+        PulseSpec.rectangular(math.ldexp(p.omega0, k), math.ldexp(p.window, -k), math.ldexp(p.delta, k))
         for p in specs
     ]
     base = coefficient_map_batch(specs, times, mode)
@@ -457,12 +467,12 @@ def _batch_and_specs(rng):
     window = np.where(rect, times * rng.uniform(1.0, 2.0, n), np.inf)
     gamma = np.where(rect, 0.0, rng.uniform(0.2, 2.0, n))
     omega[-1] = gamma[-1] = 0.0  # undriven
-    batch = _Pulses(omega, delta, window, gamma)
+    batch = PulseSpec(omega, delta, window, gamma)
     specs = [
         PulseSpec.rectangular(o, w, d) if r else PulseSpec.exponential(o, g) if g else PulseSpec.none()
         for r, o, d, w, g in zip(rect.tolist(), omega.tolist(), delta.tolist(), window.tolist(), gamma.tolist())
     ]
-    assert [p.shape for p in specs[-3:]] == [PulseShape.RECTANGULAR, PulseShape.EXPONENTIAL, PulseShape.NONE]
+    assert [(p.window < np.inf, p.gamma > 0.0) for p in specs[-3:]] == [(True, False), (False, True), (False, False)]
     return batch, specs, times
 
 
@@ -477,8 +487,9 @@ def test_a_pulse_batch_and_its_specs_give_the_same_bits_and_errors():
 
     late = times.copy()
     late[[7, 10]] = 1.5 * batch.window[[7, 10]]  # both rectangles, out of their windows
-    huge = _Pulses(*(a.copy() for a in batch))
-    huge.omega0[[5, 8]], huge.gamma[[5, 8]] = 1e300, 1e-300  # exponential pulses: Omega0/gamma_p overflows
+    omega, gamma = batch.omega0.copy(), batch.gamma.copy()
+    omega[[5, 8]], gamma[[5, 8]] = 1e300, 1e-300  # exponential pulses: Omega0/gamma_p overflows
+    huge = batch._replace(omega0=omega, gamma=gamma)
     huge_specs = [PulseSpec.exponential(1e300, 1e-300) if i in (5, 8) else p for i, p in enumerate(specs)]
     for call in (coefficient_map_batch, unitary_oracle_batch):
         with pytest.raises(OutOfWindow, match="pair 7: ") as from_batch:
@@ -491,6 +502,31 @@ def test_a_pulse_batch_and_its_specs_give_the_same_bits_and_errors():
         with pytest.raises(AngleOverflow) as b:
             call(huge_specs, times)
         assert str(a.value) == str(b.value)
+
+
+# entry j of _batch_and_specs' batch set to one invalid pulse: j = 4 and 7 are
+# rectangles, 3 is exponential and 39 undriven
+BAD_ENTRIES = {
+    "nan_omega0": (4, (math.nan, 0.5, 3.0, 0.0)),
+    "negative_omega0": (4, (-1.0, 0.5, 3.0, 0.0)),
+    "zero_window": (7, (1.0, 0.5, 0.0, 0.0)),
+    "window_and_gamma": (3, (1.0, 0.0, 3.0, 0.5)),
+    "detuned_exponential": (3, (1.0, 0.3, math.inf, 0.5)),
+    "driven_undriven": (39, (1.0, 0.0, math.inf, 0.0)),
+}
+
+
+@pytest.mark.parametrize("j, entry", BAD_ENTRIES.values(), ids=list(BAD_ENTRIES))
+def test_a_batch_is_checked_entry_by_entry(j, entry):
+    batch, _, _ = _batch_and_specs(np.random.default_rng(23))
+    with pytest.raises((ValueError, ResonanceRequired)) as one:
+        PulseSpec(*entry)
+    fields = [np.array(f) for f in batch]
+    for field, value in zip(fields, entry):
+        field[j] = value
+    with pytest.raises(type(one.value), match=f"; entry {j} has ") as batched:
+        PulseSpec(*fields)
+    assert type(batched.value) is type(one.value)
 
 
 def test_a_sequence_of_another_length_than_the_times_is_rejected():

@@ -129,7 +129,7 @@ def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
 
 def test_seeded_samplers():
     batch, t = validation._random_pulses(np.random.default_rng(3), 2000)
-    assert isinstance(batch, pulses._Pulses) and t.shape == (2000,)
+    assert isinstance(batch, pulses.PulseSpec) and t.shape == (2000,)
     assert all(a.shape == (2000,) for a in batch)
     assert ((0.05 <= t) & (t <= 50.0)).all()
     rect = np.isfinite(batch.window)
@@ -155,34 +155,41 @@ def test_seeded_samplers():
     assert validation._random_physical_correlations(rng, 0).shape == (0, 3)
 
 
-def test_validation_builds_pulse_specs_only_for_the_preset_grids(monkeypatch):
-    # the random draws stay arrays from the samplers to both oracles; the only
-    # PulseSpecs are those _grid_maps builds for the presets' maps
-    built, inside = [], [0]
-    post_init, grid_maps = pulses.PulseSpec.__post_init__, scenarios._grid_maps
+def test_validation_builds_one_pulse_spec_per_sampler_call_not_per_draw(monkeypatch):
+    # each _random_pulses call builds one checked PulseSpec of all its draws,
+    # and the Fano check's stretched windows one more; the others are those
+    # _grid_maps builds for the presets' maps
+    built, where, calls = [], ["run"], []
+    new, grid_maps, sampler = pulses.PulseSpec.__new__, scenarios._grid_maps, validation._random_pulses
 
-    def spied(spec):
-        built.append((spec, inside[0]))
-        post_init(spec)
+    def spied(cls, *args, **kwargs):
+        spec = new(cls, *args, **kwargs)
+        built.append((where[0], spec))
+        return spec
 
-    def counted(cfg, x):
-        inside[0] += 1
-        try:
-            return grid_maps(cfg, x)
-        finally:
-            inside[0] -= 1
+    def inside(place, fn):
+        def call(*args):
+            where[0] = place
+            try:
+                return fn(*args)
+            finally:
+                where[0] = "run"
 
-    monkeypatch.setattr(pulses.PulseSpec, "__post_init__", spied)
-    monkeypatch.setattr(scenarios, "_grid_maps", counted)
-    presets = scenarios.paper_figure_presets().values()
-    for cfg in presets:
+        return call
+
+    monkeypatch.setattr(pulses.PulseSpec, "__new__", spied)
+    monkeypatch.setattr(scenarios, "_grid_maps", inside("grid", grid_maps))
+    monkeypatch.setattr(validation, "_random_pulses", inside("sampler", lambda rng, n: calls.append(n) or sampler(rng, n)))
+    for cfg in scenarios.paper_figure_presets().values():
         for mode in (pulses.CoefficientMode.UNITARY, pulses.CoefficientMode.LITERAL):  # _check_presets' order
-            counted(dataclasses.replace(cfg, mode=mode), cfg.grid.values())
-    expected = [spec for spec, _ in built]
+            scenarios._grid_maps(dataclasses.replace(cfg, mode=mode), cfg.grid.values())
+    expected = [spec for _, spec in built]
     built.clear()
     assert all(r.passed for r in run_validation(seed=0))
-    assert [spec for spec, _ in built] == expected
-    assert all(depth == 1 for _, depth in built)
+    assert [spec for place, spec in built if place == "grid"] == expected
+    assert [np.shape(spec.omega0) for place, spec in built if place == "sampler"] == [(n,) for n in calls]
+    assert calls == [1000, 80, 500, 500]
+    assert [np.shape(spec.omega0) for place, spec in built if place == "run"] == [(500,)]
 
 
 @pytest.mark.slow
