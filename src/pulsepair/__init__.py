@@ -25,6 +25,7 @@ from .errors import (
     TraceNotOne,
     UnknownPreset,
     UnphysicalState,
+    ValidationFailed,
 )
 from .evolution import InitialState, adjoint_rotation
 from .config import format_config, parse_config

@@ -6,9 +6,9 @@ preset), negativity (one-shot diagonal-state evaluation), validate
 diagnostics go to stderr.
 
 Exit codes: 0 success, 1 argument or config parse failure or any other
-input error, 2 unknown preset, 3 I/O failure, 4 unphysical state, 5
-validation failure.  ``main`` is the one place that maps a PulsePairError
-to its exit code.
+input error, 2 unknown preset, 3 I/O failure (a file, or a write to
+stdout), 4 unphysical state, 5 validation failure.  Commands raise;
+``main`` alone turns a failure into one ``error:`` line and its code.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import parse_config
 from .entanglement import _clamp, zero_bloch_negativity_batch, zero_bloch_spectrum_batch
-from .errors import InvalidConfig, PulsePairError, UnknownPreset, UnphysicalState
+from .errors import InvalidConfig, PulsePairError, UnknownPreset, UnphysicalState, ValidationFailed
 from .evolution import InitialState
 from .pulses import CoefficientMode
 from .scenarios import SweepConfig, paper_figure_presets, run_sweep
@@ -36,15 +36,10 @@ __all__ = [
     "main",
 ]
 
-EXIT_OK = 0
 EXIT_PARSE = 1
-EXIT_UNKNOWN_PRESET = 2
-EXIT_IO = 3
-EXIT_UNPHYSICAL = 4
-EXIT_VALIDATION = 5
 
-# Exit code of each PulsePairError that main does not map to EXIT_PARSE.
-_EXIT_CODES = {UnknownPreset: EXIT_UNKNOWN_PRESET, UnphysicalState: EXIT_UNPHYSICAL}
+# Exit code of each failure main reports; the first type that matches wins.
+_EXIT_CODES = ((UnknownPreset, 2), (OSError, 3), (UnphysicalState, 4), (ValidationFailed, 5), (PulsePairError, 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,49 +89,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_and_write(cfg: SweepConfig, mode: str | None, out: str) -> int:
+def _run_and_write(cfg: SweepConfig, mode: str | None, out: str) -> None:
     if mode is not None:
         cfg = replace(cfg, mode=CoefficientMode(mode))
     result = run_sweep(cfg)
     try:
         result.write_csv(out)
     except OSError as exc:
-        _diag(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+        raise OSError(f"cannot write output: {exc}") from exc
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     try:
         with open(args.config, encoding="ascii") as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:
-        _diag(f"cannot read config: {exc}")
-        return EXIT_IO
+        raise OSError(f"cannot read config: {exc}") from exc
     except (InvalidConfig, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"bad config: {exc}") from exc
-    return _run_and_write(cfg, args.mode, args.out)
+    _run_and_write(cfg, args.mode, args.out)
 
 
-def cmd_preset(args: argparse.Namespace) -> int:
+def cmd_preset(args: argparse.Namespace) -> None:
     presets = paper_figure_presets()
     if args.name not in presets:
         known = ", ".join(sorted(presets))
         raise UnknownPreset(f"unknown preset {args.name!r} (known: {known})")
     out = args.out if args.out is not None else f"{args.name}.csv"
-    return _run_and_write(presets[args.name], args.mode, out)
+    _run_and_write(presets[args.name], args.mode, out)
 
 
-def cmd_negativity(args: argparse.Namespace) -> int:
+def cmd_negativity(args: argparse.Namespace) -> None:
     state = InitialState.generalized_werner(args.cxx, args.cyy, args.czz)
     tensor = np.diag(state.correlations)
     for i, mu in enumerate(np.sort(zero_bloch_spectrum_batch(tensor)), start=1):
         print(f"mu_{i} = {mu:.12f}")
     print(f"E = {_clamp(zero_bloch_negativity_batch(tensor)):.12f}")
-    return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> None:
     results = run_validation(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -151,26 +142,29 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"validation: {passed}/{len(results)} checks passed (seed={args.seed})")
     if failed:
         first = failed[0]
-        _diag(
+        raise ValidationFailed(
             f"validation failed at check {first.name} "
             f"(max_error={first.max_error:.3e}, tolerance={first.tolerance:.3e})"
         )
-        return EXIT_VALIDATION
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        sys.stdout.flush()
     except SystemExit as exc:
-        # also covers --help, which argparse exits 0 from
+        # argparse's own exit; also covers --help, which exits 0
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    try:
-        return args.func(args)
-    except PulsePairError as exc:
+    except (PulsePairError, OSError) as exc:
         _diag(str(exc))
-        return _EXIT_CODES.get(type(exc), EXIT_PARSE)
+        if sys.stdout is sys.__stdout__:
+            try:
+                sys.stdout.flush()
+            except OSError:  # stdout itself failed, so the interpreter's last flush would raise again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 def entry() -> None:

@@ -43,3 +43,7 @@ class InvalidConfig(PulsePairError):
 
 class UnknownPreset(PulsePairError):
     """Requested preset name is not defined."""
+
+
+class ValidationFailed(PulsePairError):
+    """A validate check's error exceeded its tolerance."""

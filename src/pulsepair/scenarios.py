@@ -170,10 +170,14 @@ class SweepResult:
     def write_csv(self, path) -> None:
         """Write csv_text() to a temporary file beside path, then rename it over path.
 
-        A symlink's target is replaced; an existing file keeps its mode.  See
-        the README for what a failing process or a power loss leaves behind.
+        A symlink's target is replaced, an existing file keeps its mode, and a FIFO or a
+        device is written in place.  The README says what a failure leaves behind.
         """
         path = os.path.realpath(path)
+        if os.path.exists(path) and not os.path.isfile(path):  # no earlier content to keep
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(self.csv_text())
+            return
         tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "x", encoding="ascii", newline="\n")
         try:

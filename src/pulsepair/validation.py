@@ -14,9 +14,9 @@ Two facts about the physics are worth stating up front because they are
 easy to mistake for bugs (the validate command prints them as notes):
 
 * UNITARY mode applies independent local rotations to the two qubits, and
-  negativity is invariant under local unitaries.  Every UNITARY-mode
-  sweep is therefore a constant line at the initial entanglement.  Decay
-  curves can only come out of LITERAL mode, which is not a physical map.
+  negativity is invariant under local unitaries, so every UNITARY sweep is
+  constant.  LITERAL mode, not a physical map, varies only for detuned
+  rectangular drives: a resonant LITERAL sweep is flat after its first point.
 * The LITERAL-mode imaginary residue is nonzero only for detuned
   rectangular drives.  On resonance (and for the resonant exponential
   pulse always) the verbatim closed forms are real, so the residue is
@@ -33,14 +33,10 @@ from .errors import InvalidConfig
 
 __all__ = ["CheckResult", "run_validation", "VALIDATION_NOTES"]
 
-# Test hook: every tolerance is multiplied by this before comparison, so a
-# test can force failures without touching any check's logic.
-_TOLERANCE_SCALE = 1.0
-
 VALIDATION_NOTES = (
     "unitary mode applies local rotations only, so negativity is constant "
-    "along every sweep; decaying curves are reproducible only qualitatively, "
-    "via literal mode",
+    "along every sweep; literal mode matches the paper only qualitatively: a "
+    "resonant literal sweep is flat after its first point; detuned rectangles vary",
     "literal-mode imaginary residue is nonzero only for detuned rectangular "
     "drives; resonant literal maps are real and carry zero residue",
 )
@@ -55,8 +51,7 @@ class CheckResult:
 
 
 def _result(name: str, err: float, tol: float) -> CheckResult:
-    tol_eff = tol * _TOLERANCE_SCALE
-    return CheckResult(name, float(err), tol_eff, float(err) <= tol_eff)
+    return CheckResult(name, float(err), tol, float(err) <= tol)
 
 
 def _random_hermitian(rng: "np.random.Generator", n: int, count: int) -> np.ndarray:
@@ -231,10 +226,10 @@ def _check_presets() -> list[CheckResult]:
         const_err = max(const_err, float(np.abs(evolved - initial).max()))
         start_err = max(start_err, float(np.abs(evolved[0] - initial).max()))
         literal = scenarios._grid_maps(replace(cfg, mode=pulses.CoefficientMode.LITERAL), x)  # evolved only if detuned
-        if name in ("fig1b", "fig2b"):
+        if any(cfg.detuning_prime):
             residue = float(evolution.evolve_correlations_batch(states, *literal)[1].max())
             literal_detuned_residue = max(literal_detuned_residue, residue)
-        elif max(cfg.detuning_prime) == 0.0:
+        else:
             literal_resonant_imag = max(literal_resonant_imag, float(np.abs(np.imag(literal)).max()))
     return [
         _result("preset_unitary_constancy", const_err, 1e-9),

@@ -5,11 +5,18 @@ exit codes, stdout and written files without spawning interpreters.
 """
 
 import dataclasses
+import errno
+import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulsepair
 from pulsepair import cli, pauli
 from pulsepair.cli import main
 from pulsepair.config import format_config
@@ -313,6 +320,54 @@ class TestParsing:
         monkeypatch.setenv("NO_COLOR", "1")
         _, _, err = run(capsys, "preset", "fig9")
         assert "\x1b[" not in err
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: the named method fails with ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        self._fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail("flush")
+
+    def _fail(self, method):
+        if method == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStdout:
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["negativity", "--", "-1", "-1", "-1"], ["validate"]])
+    def test_a_failed_write_to_stdout_exits_3(self, capsys, monkeypatch, argv, failing):
+        monkeypatch.setattr(cli, "run_validation", lambda seed=0: (CheckResult("alpha", 0.0, 1.0, True),))
+        monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert_one_error_line(err)
+        assert os.strerror(errno.ENOSPC) in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_a_closed_pipe_on_the_process_stdout_exits_3_without_a_second_error(self, unbuffered):
+        # a buffered stdout is flushed once more at exit; main points it at
+        # devnull so that flush cannot fail a second time (exit 120)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-m", "pulsepair.cli", "negativity", "--", "-1", "-1", "-1"]
+        try:
+            child = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 3
+        assert_one_error_line(child.stderr)
+        assert child.stderr.count("\n") == 1
 
 
 @pytest.mark.slow

@@ -2,6 +2,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import stat
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -444,7 +447,7 @@ class TestCsvFormat:
         out.write_text("earlier\n", "ascii")
         (tmp_path / "taken").mkdir()
         with pytest.raises(IsADirectoryError):
-            result.write_csv(tmp_path / "taken")  # fails at the final rename
+            result.write_csv(tmp_path / "taken")  # a directory is opened in place, and refuses
         monkeypatch.setattr(SweepResult, "csv_text", lambda self: "caf\u00e9\n")
         with pytest.raises(UnicodeEncodeError):
             result.write_csv(out)  # fails while writing
@@ -464,6 +467,20 @@ class TestCsvFormat:
         assert target.read_text("ascii") == result.csv_text()
         assert target.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_write_to_a_fifo_is_in_place(self, tmp_path):
+        # a rename over the FIFO would replace it, and its reader would get nothing
+        result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        result.write_csv(fifo)
+        reader.join(timeout=10)
+        assert received == [result.csv_text().encode("ascii")]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
     def test_write_accepts_a_name_of_the_longest_usual_length(self, tmp_path):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))

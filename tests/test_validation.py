@@ -54,20 +54,9 @@ class TestFullRun:
             assert r.passed == (r.max_error <= r.tolerance), r.name
 
 
-def test_tolerance_hook_forces_failure(monkeypatch):
-    # the scale multiplies every tolerance, so zeroing it fails any check
-    # whose measured error is nonzero
-    monkeypatch.setattr(validation, "_TOLERANCE_SCALE", 0.0)
-    squeezed = validation._check_fano_consistency(__import__("numpy").random.default_rng(0))
-    assert squeezed.tolerance == 0.0
-    assert not squeezed.passed
-
-
-def test_result_helper_applies_the_scale(monkeypatch):
-    monkeypatch.setattr(validation, "_TOLERANCE_SCALE", 0.5)
-    r = validation._result("demo", 0.7, 1.0)  # would pass unscaled
-    assert r.tolerance == 0.5
-    assert not r.passed
+def test_fano_check_measures_a_real_error():
+    # the check compares two routes that round differently, so a zero tolerance would fail it
+    assert validation._check_fano_consistency(np.random.default_rng(0)).max_error > 0.0
 
 
 def test_check_result_is_frozen():
