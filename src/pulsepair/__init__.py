@@ -12,7 +12,7 @@ detuning, and decay-rate ratios.
 
 import types
 
-from .entanglement import WernerClass, classify_werner, partial_transpose_b
+from .entanglement import partial_transpose_b
 from .errors import (
     AngleOverflow,
     ConvergenceFailure,
@@ -29,11 +29,7 @@ from .errors import (
 )
 from .evolution import InitialState, adjoint_rotation
 from .config import format_config, parse_config
-from .pulses import (
-    CoefficientMode,
-    PulseSpec,
-    pulse_angle,
-)
+from .pulses import CoefficientMode, PulseSpec
 from .scenarios import (
     DriveMode,
     GridSpec,

@@ -7,8 +7,8 @@ diagnostics go to stderr.
 
 Exit codes: 0 success, 1 argument or config parse failure or any other
 input error, 2 unknown preset, 3 I/O failure (a file, or a write to
-stdout), 4 unphysical state, 5 validation failure.  Commands raise;
-``main`` alone turns a failure into one ``error:`` line and its code.
+stdout), 4 unphysical state, 5 validation failure.  Commands raise; ``main``
+alone turns a failure into its code and one ``error:`` line, if stderr takes it.
 """
 
 import argparse
@@ -46,16 +46,32 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; this tool reserves
     # 2 for unknown presets, so parse failures are remapped to 1.
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        _diag(message)
+        _diag(message, self.format_usage())
         raise SystemExit(EXIT_PARSE)
 
+    # argparse drops an OSError of its own writes, which would lose a --help with exit 0
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
 
-def _diag(message: str) -> None:
+
+def _diag(message: str, usage: str = "") -> None:
     text = f"error: {message}"
     if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
         text = f"\x1b[31m{text}\x1b[0m"
-    print(text, file=sys.stderr)
+    try:
+        print(usage + text, file=sys.stderr, flush=True)
+    except OSError:  # the code of the failure reported stays
+        _flush_or_silence(sys.stderr)
+
+
+def _flush_or_silence(stream) -> None:
+    # the interpreter flushes a failed process stream again at exit ("Exception ignored", exit 120)
+    if stream is sys.__stdout__ or stream is sys.__stderr__:
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,22 +165,19 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    code = 0
     try:
-        args = build_parser().parse_args(argv)
-        args.func(args)
-        sys.stdout.flush()
-    except SystemExit as exc:
-        # argparse's own exit; also covers --help, which exits 0
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        try:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        except SystemExit as exc:  # argparse's own exit; also covers --help, which exits 0
+            code = exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        sys.stdout.flush()  # on SystemExit too: a --help that stdout cannot take exits 3
     except (PulsePairError, OSError) as exc:
         _diag(str(exc))
-        if sys.stdout is sys.__stdout__:
-            try:
-                sys.stdout.flush()
-            except OSError:  # stdout itself failed, so the interpreter's last flush would raise again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _flush_or_silence(sys.stdout)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    return 0
+    return code
 
 
 def entry() -> None:

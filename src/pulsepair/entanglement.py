@@ -1,4 +1,4 @@
-"""Partial transpose, negativity, and Werner-line classification.
+"""Partial transpose and negativity.
 
 Negativity here is E = sum_i |mu_i| - 1 over the four eigenvalues mu_i of
 the partial transpose of rho.  Since the partial transpose preserves the
@@ -17,29 +17,19 @@ rounding guard's tie-breaker (scenarios._negativities) and one leg of
 validate's negativity triangle.
 """
 
-from enum import Enum
-
 import numpy as np
 
-from .errors import TraceNotOne, UnphysicalState
+from .errors import TraceNotOne
 from .pauli import hermitian_eigenvalues_batch
-from .evolution import InitialState, assemble_density_batch
+from .evolution import assemble_density_batch
 
 __all__ = [
-    "WernerClass",
     "partial_transpose_b",
     "zero_bloch_spectrum_batch",
     "zero_bloch_negativity_batch",
-    "classify_werner",
 ]
 
 CLAMP_TOL = 1e-12
-
-
-class WernerClass(Enum):
-    ENTANGLED = "entangled"
-    SEPARABLE = "separable"
-    UNPHYSICAL = "unphysical"
 
 
 def partial_transpose_b(rho) -> np.ndarray:
@@ -111,20 +101,3 @@ def zero_bloch_negativity_batch(tensors) -> np.ndarray:
     """Unclamped negativities of the zero_bloch_spectrum_batch spectra, (..., 3, 3) -> (...)."""
     return np.abs(zero_bloch_spectrum_batch(tensors)).sum(axis=-1) - 1.0
 
-
-def classify_werner(x: float) -> WernerClass:
-    """Classify the Werner-line state with c = (x, x, x).
-
-    Unphysical if InitialState.generalized_werner rejects it (a density
-    eigenvalue below -1e-10, x outside [-1, 1/3], or x not finite);
-    otherwise entangled iff the negativity is positive.  The boundary
-    between entangled and separable sits at x = -1/3 in this
-    parametrization.
-    """
-    try:
-        state = InitialState.generalized_werner(x, x, x)
-    except UnphysicalState:
-        return WernerClass.UNPHYSICAL
-    if zero_bloch_negativity_batch(np.diag(state.correlations)) > CLAMP_TOL:
-        return WernerClass.ENTANGLED
-    return WernerClass.SEPARABLE

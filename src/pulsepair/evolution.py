@@ -20,14 +20,14 @@ the state and the largest imaginary magnitude is recorded as a diagnostic
 Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
 exact 2x2 propagators as matrix exponentials through numpy's ``eigh``,
-sharing the pulse gathering with the maps, and ``rk4_oracle_batch``,
-which shares only the pulse stacking of ``pulses._pulse_arrays``, integrates
-dU/dt = -i H(t) U with classical Runge-Kutta from U(0) = I on the same
-domain, the pulse window [0, T].  There each RK4 pair turns about one fixed
-axis, so its steps multiply as complex numbers: a constant drive raises its
-one step to its count, and an exponential pulse multiplies its own steps
-in blocks.  The adjoint action of either propagator on the Pauli triple
-must reproduce the UNITARY-mode coefficient matrix.
+sharing the pulse gathering with the maps, and ``rk4_oracle_batch``, which
+shares no code with either, integrates dU/dt = -i H(t) U with classical
+Runge-Kutta from U(0) = I on the same domain, the pulse window [0, T].
+There each RK4 pair turns about one fixed axis, so its steps multiply as
+complex numbers: a constant drive raises its one step to its count, and an
+exponential pulse multiplies its own steps in blocks.  The adjoint action of
+either propagator on the Pauli triple must reproduce the UNITARY-mode
+coefficient matrix.
 """
 
 import math
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z
-from .pulses import _pulse_arrays, _rotations
+from .pulses import PulseSpec, _rotations
 
 __all__ = [
     "InitialState",
@@ -180,10 +180,10 @@ def adjoint_rotation(u) -> np.ndarray:
     return 0.5 * np.einsum("...kij,lji->...kl", conj, _PAULIS).real
 
 
-def unitary_oracle_batch(pulses, times) -> np.ndarray:
+def unitary_oracle_batch(pulses: PulseSpec, times) -> np.ndarray:
     """Exact rotating-frame propagators U = exp(-i tau h) of N (pulse, time) pairs, (N, 2, 2).
 
-    ``pulses`` is one PulseSpec for every time, a PulseSpec of N or N of them.  h
+    ``pulses`` is one PulseSpec for every time or a PulseSpec of N.  h
     is the constant 2x2 Hermitian generator (Delta sigma_z + Omega0 sigma_x)/2
     and tau = t for a rectangle; an exponential pulse is the resonant unit-rate
     rectangle h = sigma_x/2 turned through tau = lambda(t); an undriven qubit
@@ -206,18 +206,18 @@ def _rk4_step(u1, u2, u3) -> np.ndarray:
     return p
 
 
-def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
+def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2, on [0, T].
 
     Classical fixed-step RK4 from U(0) = I for many (pulse, t_end) pairs at
     once; pair i takes its own n_i = ceil(t_end_i / step) steps of h_i =
-    t_end_i / n_i.  It shares only pulses._pulse_arrays, which stacks a
-    sequence of pulses, with unitary_oracle_batch and the maps; its window test,
-    envelope and stepping are its own, the independent route.  Raises
-    ValueError unless step is positive, t_ends matches N pulses in length and
-    every t_end is non-negative, all finite, and the step count at most
-    _RK4_MAX_STEPS; OutOfWindow for the first pair with t_end past its window
-    T (a rectangle's duration, inf otherwise), as the maps do; and
+    t_end_i / n_i.  ``pulses`` is one PulseSpec for every t_end or a
+    PulseSpec of N.  It shares no code with unitary_oracle_batch and the maps;
+    its window test, envelope and stepping are its own, the independent route.
+    Raises ValueError unless step is positive, t_ends matches the pulses in
+    length and every t_end is non-negative, all finite, and the step count
+    at most _RK4_MAX_STEPS; OutOfWindow for the first pair with t_end past
+    its window T (a rectangle's duration, inf otherwise), as the maps do; and
     StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
     h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not
     accuracy.
@@ -243,9 +243,9 @@ def rk4_oracle_batch(pulses, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarr
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     t_ends = np.asarray(t_ends, dtype=float)
-    omega, delta, window, gamma = _pulse_arrays(pulses)  # window T and gamma_p: inf and 0 where unused
-    if t_ends.ndim != 1 or np.shape(omega) != t_ends.shape:
+    if t_ends.ndim != 1 or np.shape(pulses.omega0) not in ((), t_ends.shape):
         raise ValueError("t_ends must match pulses in length")
+    omega, delta, window, gamma = np.broadcast_arrays(*pulses, t_ends)[:4]  # window T, gamma_p: inf, 0 if unused
     n = len(t_ends)
     if not (np.isfinite(t_ends) & (t_ends >= 0.0)).all():
         raise ValueError("t_end must be finite and non-negative")

@@ -30,7 +30,6 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY2",
     "PAULIS",
-    "commutator_check",
     "hermitian_eigenvalues_batch",
 ]
 
@@ -56,27 +55,6 @@ HERMITICITY_TOL = 1e-10
 # Jacobi iteration stops.
 _OFFDIAG_TOL = 1e-13
 _MAX_SWEEPS = 40
-
-
-def commutator_check(sx=None, sy=None, sz=None, tol: float = 1e-12) -> bool:
-    """Return True iff the (given or stored) basis satisfies the su(2) algebra.
-
-    Checks the cyclic commutators [s_x, s_y] = 2i s_z (and permutations)
-    together with s_k^2 = I.  Passing a scaled or permuted basis breaks at
-    least one of these relations, which is what makes the check useful as a
-    convention guard.
-    """
-    sx = SIGMA_X if sx is None else np.asarray(sx, dtype=np.complex128)
-    sy = SIGMA_Y if sy is None else np.asarray(sy, dtype=np.complex128)
-    sz = SIGMA_Z if sz is None else np.asarray(sz, dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    triples = ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy))
-    defect = 0.0
-    for a, b, c in triples:
-        defect = max(defect, np.abs(a @ b - b @ a - 2j * c).max())
-    for s in (sx, sy, sz):
-        defect = max(defect, np.abs(s @ s - eye).max())
-    return defect <= tol
 
 
 def _offdiag_norms(a: np.ndarray) -> np.ndarray:

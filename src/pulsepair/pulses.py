@@ -53,7 +53,6 @@ from .errors import AngleOverflow, OutOfWindow, ResonanceRequired
 __all__ = [
     "CoefficientMode",
     "PulseSpec",
-    "pulse_angle",
     "coefficient_map_batch",
 ]
 
@@ -119,35 +118,14 @@ class PulseSpec(namedtuple("PulseSpec", "omega0 delta window gamma")):
         return cls()
 
 
-def pulse_angle(p: PulseSpec, t):
-    """Accumulated rotation angle lambda(t) of a resonant exponential pulse.
-
-    lambda(t) = (Omega0/gamma_p)(1 - exp(-gamma_p t)), for a scalar or an
-    array t >= 0 (see _rotations for the errors).  Monotone non-decreasing,
-    saturating at Omega0/gamma_p, which is what makes the exponential drive
-    leave a frozen long-time state behind.
-    """
-    if not np.all(p.gamma > 0.0):
-        raise ValueError("pulse_angle applies to exponential pulses only")
-    t = np.asarray(t, dtype=float)
-    return _rotations(p, t.reshape(-1))[3].reshape(t.shape)[()]
-
-
-def _pulse_arrays(pulses) -> PulseSpec:
-    """One PulseSpec as it is, or a sequence of one-pulse PulseSpecs stacked into one of N."""
-    if isinstance(pulses, PulseSpec):
-        return pulses
-    return PulseSpec(*np.array(pulses, dtype=float).reshape(-1, 4).T)
-
-
-def _rotations(pulses, times):
+def _rotations(pulses: PulseSpec, times):
     """Check N (pulse, time) pairs and give each as a rotation: (omega, delta, Omega_1, tau), each (N,).
 
     Pair i turns by Omega_1 tau about (omega, 0, delta)/Omega_1: a rectangle
     with its own omega0 and delta and tau = t, an exponential pulse as the
     resonant unit-rate rectangle (omega = Omega_1 = 1, delta = 0) with
     tau = lambda(t), an undriven qubit with omega = delta = Omega_1 = 0.
-    ``pulses`` is anything _pulse_arrays takes: one pulse for every time, or N.
+    ``pulses`` is one PulseSpec for every time, or a PulseSpec of N.
 
     The first pair with t outside its window (from 0 to a rectangle's T; NaN
     fails) raises OutOfWindow, and the first whose angle Omega_1 tau overflows
@@ -156,10 +134,9 @@ def _rotations(pulses, times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    p = _pulse_arrays(pulses)
-    if np.shape(p.omega0) not in ((), t.shape):
+    if np.shape(pulses.omega0) not in ((), t.shape):
         raise ValueError("times must match pulses in length")
-    om, dl, end, rate = np.broadcast_arrays(*p, t)[:4]
+    om, dl, end, rate = np.broadcast_arrays(*pulses, t)[:4]
     outside = ~((0.0 <= t) & (t <= end))
     if outside.any():
         i = int(np.argmax(outside))
@@ -178,16 +155,16 @@ def _rotations(pulses, times):
 
 
 def coefficient_map_batch(
-    pulses, times, mode: CoefficientMode = CoefficientMode.UNITARY
+    pulses: PulseSpec, times, mode: CoefficientMode = CoefficientMode.UNITARY
 ) -> np.ndarray:
     """Coefficient maps (N, 3, 3), rows A, B, D, of N (pulse, time) pairs.
 
-    ``pulses`` is one PulseSpec for all N times, a PulseSpec of N, or a
-    sequence of N, one per time; _rotations checks them.  Every driven pair
-    takes the rectangle's rows of the module docstring, with Omega_1 tau for
-    Omega_1 t.  Both modes share the A and D rows bit for bit; UNITARY mode
-    adds B = D x A and gives real float64 maps, LITERAL mode the printed B
-    row, which vanishes on resonance, in complex128 maps.  The rows take only
+    ``pulses`` is one PulseSpec for all N times or a PulseSpec of N;
+    _rotations checks the pairs.  Every driven pair takes the rectangle's
+    rows of the module docstring, with Omega_1 tau for Omega_1 t.  Both
+    modes share the A and D rows bit for bit; UNITARY mode adds B = D x A
+    and gives real float64 maps, LITERAL mode the printed B row, which
+    vanishes on resonance, in complex128 maps.  The rows take only
     ratios of Omega, Delta and Omega_1, so no finite angle overflows or
     underflows them.  A pair with Omega_1 = 0 (undriven, or Omega0 = Delta = 0)
     is the identity.

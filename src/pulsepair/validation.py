@@ -70,16 +70,6 @@ def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses.PulseSpec
     return pulses.PulseSpec(omega, np.where(rect, delta, 0.0), np.where(rect, t, np.inf), np.where(rect, 0.0, gamma)), t
 
 
-def _check_pauli_algebra() -> CheckResult:
-    ok = pauli.commutator_check()
-    a = np.array([[0.3, 1.2 - 0.4j], [0.1j, -0.7]])
-    b = np.array([[1.0, 0.2], [0.5j, 0.9]])
-    c = np.array([[0.4, -1.0j], [0.3, 0.8]])
-    d = np.array([[-0.2, 0.6], [1.1, 0.05j]])
-    mixed = np.kron(a @ c, b @ d) - np.kron(a, b) @ np.kron(c, d)
-    err = float(np.abs(mixed).max()) + (0.0 if ok else 1.0)
-    return _result("pauli_algebra", err, 1e-12)
-
 def _check_eigensolver(rng) -> list[CheckResult]:
     mats = _random_hermitian(rng, 4, 1000)
     ours = pauli.hermitian_eigenvalues_batch(mats)
@@ -246,8 +236,7 @@ def run_validation(seed: int = 0) -> list[CheckResult]:
     if seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    results = [_check_pauli_algebra()]
-    results.extend(_check_eigensolver(rng))
+    results = _check_eigensolver(rng)
     results.extend(_check_d_row_anchor(rng))
     results.extend(_check_oracle_triangle(rng))
     results.append(_check_fano_consistency(rng))

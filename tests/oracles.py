@@ -106,6 +106,11 @@ def heisenberg_rotation(u: np.ndarray) -> np.ndarray:
     return r
 
 
+def stack(specs):
+    """One pulse spec of N from N one-pulse specs, field by field."""
+    return type(specs[0])(*np.array(specs, dtype=float).T)
+
+
 def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
     """Classical RK4 for dU/dt = -i H(t) U, one step at a time over a batch.
 
@@ -113,17 +118,15 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
     reference for its blocked product form: pair i takes n_i =
     ceil(t_end_i / step) steps of h_i = t_end_i / n_i and then stops, and
     the envelope is sampled at t0, t0 + h/2 and min(t0 + h, t_end).
-    Pulses are read through their fields only; inputs are not
-    validated.
+    ``pulses`` is one spec of N (omega0, delta, window, gamma), read
+    through its fields only; inputs are not validated.
     """
     t_ends = np.asarray(t_ends, dtype=float)
     counts = np.ceil(t_ends / step).astype(int)
     h = t_ends / np.maximum(counts, 1)
-    omega = np.array([p.omega0 for p in pulses])
-    duration = np.array([p.window for p in pulses])  # inf unless a rectangle
-    gamma = np.array([p.gamma for p in pulses])  # 0 unless exponential
-    is_rect, is_exp = np.isfinite(duration), gamma > 0.0
-    dz = (0.5 * np.array([p.delta for p in pulses]))[:, None]
+    omega, duration, gamma = pulses.omega0, pulses.window, pulses.gamma  # window inf unless a rectangle
+    is_rect, is_exp = np.isfinite(duration), gamma > 0.0  # gamma 0 unless exponential
+    dz = (0.5 * pulses.delta)[:, None]
 
     def w_at(t):
         f = np.where(is_rect, (t <= duration).astype(float), np.where(is_exp, np.exp(-gamma * t), 0.0))
@@ -135,7 +138,7 @@ def rk4_sequential(pulses, t_ends, step: float) -> np.ndarray:
         bot = -1j * (w * m[:, 0, :] - dz * m[:, 1, :])
         return np.stack((top, bot), axis=1)
 
-    u = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(pulses), 2, 2)).copy()
+    u = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(t_ends), 2, 2)).copy()
     hh = h[:, None, None]
     for i in range(counts.max()):
         t0 = i * h

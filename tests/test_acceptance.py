@@ -101,7 +101,7 @@ def test_rotation_row_closed_forms(capsys):
         specs += [rect, pulse]
         times += [t, t]
         expected += [d_rect, d_exp]
-    got = coefficient_map_batch(specs, times, CoefficientMode.UNITARY).real[:, 2]
+    got = coefficient_map_batch(oracles.stack(specs), times, CoefficientMode.UNITARY).real[:, 2]
     worst = float(np.abs(got - np.array(expected)).max())
     elapsed = time.perf_counter() - start
 

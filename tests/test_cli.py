@@ -356,18 +356,41 @@ class TestStdout:
     def test_a_closed_pipe_on_the_process_stdout_exits_3_without_a_second_error(self, unbuffered):
         # a buffered stdout is flushed once more at exit; main points it at
         # devnull so that flush cannot fail a second time (exit 120)
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
-        argv = [sys.executable, "-m", "pulsepair.cli", "negativity", "--", "-1", "-1", "-1"]
-        try:
-            child = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(write_end)
+        child = run_on_closed_pipe(["negativity", "--", "-1", "-1", "-1"], "stdout", unbuffered)
         assert child.returncode == 3
         assert_one_error_line(child.stderr)
         assert child.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_help_to_a_closed_pipe_exits_3_without_a_second_error(self, unbuffered):
+        # argparse drops an OSError of its own writes: unbuffered, the help is lost with exit 0
+        child = run_on_closed_pipe(["--help"], "stdout", unbuffered)
+        assert child.returncode == 3
+        assert_one_error_line(child.stderr)
+        assert child.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv, code", [(["preset", "fig9"], 2), (["preset"], 1), (["validate", "--seed", "-1"], 1)]
+    )
+    def test_a_closed_pipe_on_the_process_stderr_keeps_the_exit_code(self, argv, code, unbuffered):
+        # the error line is lost, not the code; buffered, the exit flush of stderr fails too
+        child = run_on_closed_pipe(argv, "stderr", unbuffered)
+        assert child.returncode == code
+        assert child.stdout == ""
+
+
+def run_on_closed_pipe(argv, stream, unbuffered):
+    """Run ``python -m pulsepair.cli`` with ``stream`` on a pipe whose read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run([sys.executable, "-m", "pulsepair.cli", *argv], env=env, text=True, **pipes)
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.slow

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from pulsepair import pauli
 from pulsepair.entanglement import (
-    WernerClass,
     _clamp,
-    classify_werner,
     partial_transpose_b,
     zero_bloch_negativity_batch,
     zero_bloch_spectrum_batch,
 )
-from pulsepair.errors import NonHermitianInput, TraceNotOne
-from pulsepair.evolution import assemble_density_batch
+from pulsepair.errors import NonHermitianInput, TraceNotOne, UnphysicalState
+from pulsepair.evolution import InitialState, assemble_density_batch
 
 import oracles
 
@@ -163,6 +161,14 @@ def test_only_tensors_with_an_x_coupling_go_to_lapack(monkeypatch):
     assert sent == [2]
 
 
+@pytest.mark.parametrize("k, l", [(0, 1), (0, 2), (1, 0), (2, 0)], ids=["T_xy", "T_xz", "T_yx", "T_zx"])
+def test_one_x_coupling_alone_takes_lapacks_singular_values(k, l):
+    # with T_yx = 0.3 alone, the block formula would give (0.5, 0.4, 0.2), LAPACK (0.632, 0.316, 0.2)
+    t = np.diag([0.5, 0.4, -0.2])
+    t[k, l] = 0.3
+    assert zero_bloch_negativity_batch(t) == pytest.approx(_lapack_route(t), abs=1e-15)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_triple_product_of_huge_rows_does_not_overflow(sign):
     # det T = sign * 1e600 unscaled; each row is scaled by a power of two first.  The spectrum is
@@ -202,24 +208,29 @@ def test_negativity_bounds_on_physical_states(c1, c2, c3):
 
 
 class TestClassifyWerner:
+    """The Werner line c = (x, x, x): generalized_werner's physicality gate, then the clamped negativity."""
+
+    @staticmethod
+    def negativity(x):
+        return _value(InitialState.generalized_werner(x, x, x).correlations)
+
     def test_entangled_region(self):
-        assert classify_werner(-1.0) is WernerClass.ENTANGLED
-        assert classify_werner(-0.9) is WernerClass.ENTANGLED
-        assert classify_werner(-1.0 / 3.0 - 1e-6) is WernerClass.ENTANGLED
+        for x in (-1.0, -0.9, -1.0 / 3.0 - 1e-6):
+            assert self.negativity(x) > 0.0
 
     def test_separable_region(self):
-        assert classify_werner(-1.0 / 3.0) is WernerClass.SEPARABLE
-        assert classify_werner(0.0) is WernerClass.SEPARABLE
-        assert classify_werner(1.0 / 3.0) is WernerClass.SEPARABLE
+        for x in (-1.0 / 3.0, 0.0, 1.0 / 3.0):
+            assert self.negativity(x) == 0.0
 
     def test_unphysical_region(self):
-        assert classify_werner(0.5) is WernerClass.UNPHYSICAL
-        assert classify_werner(-1.1) is WernerClass.UNPHYSICAL
-        assert classify_werner(math.nan) is WernerClass.UNPHYSICAL
+        for x in (0.5, -1.1, math.nan):
+            with pytest.raises(UnphysicalState):
+                InitialState.generalized_werner(x, x, x)
 
     def test_physicality_tolerance_at_both_ends(self):
         # a density eigenvalue down to -1e-10 still counts as physical
-        assert classify_werner(-1.0 - 1e-11) is WernerClass.ENTANGLED
-        assert classify_werner(-1.0 - 1e-9) is WernerClass.UNPHYSICAL
-        assert classify_werner(1.0 / 3.0 + 1e-11) is WernerClass.SEPARABLE
-        assert classify_werner(1.0 / 3.0 + 1e-9) is WernerClass.UNPHYSICAL
+        assert self.negativity(-1.0 - 1e-11) > 0.0
+        assert self.negativity(1.0 / 3.0 + 1e-11) == 0.0
+        for x in (-1.0 - 1e-9, 1.0 / 3.0 + 1e-9):
+            with pytest.raises(UnphysicalState):
+                InitialState.generalized_werner(x, x, x)

@@ -333,21 +333,21 @@ class TestUnitaryOracle:
 
     def test_batch_entries_equal_the_scalar_calls(self):
         specs, times = zip(*self.BATCH)
-        batch = unitary_oracle_batch(specs, times)
+        batch = unitary_oracle_batch(oracles.stack(specs), times)
         assert batch.shape == (5, 2, 2)
         for i, (p, t) in enumerate(self.BATCH):
-            assert np.array_equal(batch[i], unitary_oracle_batch([p], [t])[0])
+            assert np.array_equal(batch[i], unitary_oracle_batch(oracles.stack([p]), [t])[0])
             assert np.array_equal(batch[i], unitary_oracle_batch(p, [t])[0])
         assert np.array_equal(batch[2], np.eye(2))
-        assert unitary_oracle_batch([], []).shape == (0, 2, 2)
+        assert unitary_oracle_batch(PulseSpec([]), []).shape == (0, 2, 2)
 
     def test_batch_rejects_one_out_of_window_element(self):
         specs, times = zip(*self.BATCH)
         for i, bad in ((0, 5.5), (3, -1e-9), (1, -0.5), (0, math.nan), (1, math.nan), (4, math.nan)):
             with pytest.raises(OutOfWindow):
-                unitary_oracle_batch(specs, times[:i] + (bad,) + times[i + 1 :])
+                unitary_oracle_batch(oracles.stack(specs), times[:i] + (bad,) + times[i + 1 :])
         with pytest.raises(ValueError):
-            unitary_oracle_batch(specs, times[:4])
+            unitary_oracle_batch(oracles.stack(specs), times[:4])
 
     def test_batch_rejects_an_overflowing_phase(self):
         # Omega_1 t = 1e310 and Omega0 / gamma_p = 1e600 do not fit in a float;
@@ -356,7 +356,7 @@ class TestUnitaryOracle:
         overflowing = ((PulseSpec.rectangular(1e300, duration=1e10), 1e10), (PulseSpec.exponential(1e300, 1e-300), 0.0))
         for spec, t in overflowing:
             with pytest.raises(AngleOverflow, match="overflows a float"):
-                unitary_oracle_batch(specs + (spec,), times + (t,))
+                unitary_oracle_batch(oracles.stack(specs + (spec,)), times + (t,))
         assert np.isfinite(exact_single(PulseSpec.rectangular(1e150, duration=1e150), 1e150)).all()
 
     # the ranges of validation._random_pulses, as (pulse, time) pairs
@@ -387,7 +387,7 @@ class TestUnitaryOracle:
             for p, t in draws
         ]
         specs, times = zip(*draws)
-        assert np.abs(unitary_oracle_batch(specs, times) - np.array(expected)).max() < 1e-13
+        assert np.abs(unitary_oracle_batch(oracles.stack(specs), times) - np.array(expected)).max() < 1e-13
 
     def test_no_run_path_imports_scipy(self, tmp_path):
         # a fresh interpreter, because this one holds scipy through tests/oracles
@@ -398,8 +398,7 @@ class TestUnitaryOracle:
             from pulsepair import cli
             from pulsepair.evolution import unitary_oracle_batch
             from pulsepair.pulses import PulseSpec
-            specs = [PulseSpec.rectangular(1.0, duration=2.0, delta=0.5), PulseSpec.exponential(5.0, 1.0)]
-            unitary_oracle_batch(specs, [1.5, 2.0])
+            unitary_oracle_batch(PulseSpec([1.0, 5.0], [0.5, 0.0], [2.0, float("inf")], [0.0, 1.0]), [1.5, 2.0])
             assert cli.main(["preset", "fig2b", "--out", {str(tmp_path / "fig2b.csv")!r}]) == 0
             print(sorted(name for name in sys.modules if name.startswith("scipy")))
             """
@@ -412,7 +411,7 @@ class TestUnitaryOracle:
 
 
 def rk4_single(p, t_end, **kw):
-    return rk4_oracle_batch([p], [t_end], **kw)[0]
+    return rk4_oracle_batch(p, [t_end], **kw)[0]
 
 
 class TestRk4Oracle:
@@ -453,9 +452,10 @@ class TestRk4Oracle:
                 rk4_single(PulseSpec.rectangular(omega, 1.0, delta), 1.0, step=0.1)
         # a pair past the bound fails the whole batch; one with t_end = 0 takes no step
         p = PulseSpec.exponential(100.0, 1.0)
+        pair = oracles.stack([PulseSpec.none(), p])
         with pytest.raises(StepTooLarge):
-            rk4_oracle_batch([PulseSpec.none(), p], [1.0, 1.0], step=0.1)
-        assert np.array_equal(rk4_oracle_batch([PulseSpec.none(), p], [1.0, 0.0], step=0.1)[1], np.eye(2))
+            rk4_oracle_batch(pair, [1.0, 1.0], step=0.1)
+        assert np.array_equal(rk4_oracle_batch(pair, [1.0, 0.0], step=0.1)[1], np.eye(2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("omega, delta", [(1e308, 0.0), (0.0, 1e308), (1e308, -1e308)])
@@ -463,7 +463,7 @@ class TestRk4Oracle:
         # its step matrix from a drive near the float range overflowed ("overflow
         # encountered in add") though the pair takes no step and passes the bound
         p, q = PulseSpec.rectangular(omega, 1.0, delta), PulseSpec.rectangular(1.0, 1.0)
-        u = rk4_oracle_batch([p, q], [0.0, 1.0], 1e-3)
+        u = rk4_oracle_batch(oracles.stack([p, q]), [0.0, 1.0], 1e-3)
         assert np.array_equal(u[0], np.eye(2))
         assert np.array_equal(u[1], rk4_single(q, 1.0))
 
@@ -473,10 +473,21 @@ class TestRk4Oracle:
             (PulseSpec.rectangular(2.5, duration=4.0, delta=-1.0), 4.0),
             (PulseSpec.exponential(5.0, 1.0), 5.0),
             (PulseSpec.exponential(8.0, 0.5), 3.0),
+            (PulseSpec.exponential(1.0, 0.5), 4.0),  # Omega0 = 1: integrated as a constant drive, 1.07 away
         ]
         for p, t in cases:
             err = np.abs(rk4_single(p, t) - exact_single(p, t)).max()
             assert err < 1e-9
+
+    @pytest.mark.parametrize(
+        "p",
+        [PulseSpec.exponential(3.0, 0.7), PulseSpec.rectangular(1.3, duration=5.0, delta=-0.7), PulseSpec.none()],
+        ids=["exponential", "detuned", "none"],
+    )
+    def test_one_spec_for_every_end_is_the_spec_repeated(self, p):
+        ends = [0.0, 0.5, 4.0, 2.3]
+        repeated = oracles.stack([p] * len(ends))
+        assert rk4_oracle_batch(p, ends, 0.01).tobytes() == rk4_oracle_batch(repeated, ends, 0.01).tobytes()
 
     def test_rectangular_edge_is_sampled_inside_the_window(self):
         # duration == t_end: the last step ends on the window edge, which
@@ -495,7 +506,7 @@ class TestRk4Oracle:
             PulseSpec.none(),
         ]
         t_ends = np.array([6.0, 2.5, 3.0, 4.0])
-        batch = rk4_oracle_batch(specs, t_ends)
+        batch = rk4_oracle_batch(oracles.stack(specs), t_ends)
         for p, t, u in zip(specs, t_ends, batch):
             if p.window == np.inf and p.gamma == 0.0:  # undriven
                 assert np.abs(u - np.eye(2)).max() < 1e-12
@@ -506,28 +517,28 @@ class TestRk4Oracle:
         # pair 1 stops after its 50 steps of 1e-2; under a common count it
         # took 100 steps of 5e-3 and was 2e-9 away from the lone run
         p = PulseSpec.rectangular(4.0, duration=4.5, delta=2.0)
-        pair = rk4_oracle_batch([p, p], [1.0, 0.5], step=1e-2)
-        alone = rk4_oracle_batch([p], [0.5], step=1e-2)[0]
+        pair = rk4_oracle_batch(p, [1.0, 0.5], step=1e-2)
+        alone = rk4_oracle_batch(p, [0.5], step=1e-2)[0]
         assert np.abs(pair[1] - alone).max() < 1e-13
         # sorting these end times by step count is a 3-cycle, so results
         # put back in the wrong order would show
         ends = [0.5, 1.0, 0.8]
-        for u, t in zip(rk4_oracle_batch([p, p, p], ends, step=1e-2), ends):
-            assert np.abs(u - rk4_oracle_batch([p], [t], step=1e-2)[0]).max() < 1e-13
+        for u, t in zip(rk4_oracle_batch(p, ends, step=1e-2), ends):
+            assert np.abs(u - rk4_oracle_batch(p, [t], step=1e-2)[0]).max() < 1e-13
 
     def test_empty_batch(self):
-        assert rk4_oracle_batch([], []).shape == (0, 2, 2)
+        assert rk4_oracle_batch(PulseSpec([]), []).shape == (0, 2, 2)
 
     def test_batch_gates(self):
         p = PulseSpec.rectangular(1.0, duration=5.0)  # every t_end below lies inside the window
         with pytest.raises(StepTooLarge):
-            rk4_oracle_batch([p, p], np.array([5.0, 0.005]))
+            rk4_oracle_batch(p, np.array([5.0, 0.005]))
         with pytest.raises(ValueError):
-            rk4_oracle_batch([p], np.array([-1.0]))
+            rk4_oracle_batch(p, np.array([-1.0]))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                rk4_oracle_batch([p, p], np.array([1.0, bad]))
-        out = rk4_oracle_batch([p, p], np.array([0.0, 0.0]))
+                rk4_oracle_batch(p, np.array([1.0, bad]))
+        out = rk4_oracle_batch(p, np.array([0.0, 0.0]))
         assert np.array_equal(out[0], np.eye(2))
 
     # pairs 2 and 5 are exponential (complex blocks); the rest are powered:
@@ -546,6 +557,7 @@ class TestRk4Oracle:
         # the same RK4 scheme, not merely an accurate one: at step 1e-2 a
         # different scheme would be off by far more than rounding
         specs, t_ends = zip(*self.MIXED)
+        specs = oracles.stack(specs)
         batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
         assert np.array_equal(batch[4], np.eye(2))
@@ -557,8 +569,9 @@ class TestRk4Oracle:
         # inside one), then 42; with 1, it holds 3 steps (334 is not a
         # multiple of 3), then 6
         specs, t_ends = zip(*self.MIXED)
+        specs = oracles.stack(specs)
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
-        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(specs))
+        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
         blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
         assert np.abs(blocked - default).max() < 1e-13
 
@@ -586,6 +599,7 @@ class TestRk4Oracle:
     def test_each_route_matches_sequential_steps(self, route):
         assert list(np.ceil(np.array(self.ENDS) / 0.2)) == [10, 15, 16, 17, 63, 64, 65]
         specs, t_ends = zip(*self.ROUTES[route])
+        specs = oracles.stack(specs)
         batch = rk4_oracle_batch(specs, t_ends, step=0.2)
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 0.2)).max() < 1e-12
 
@@ -595,11 +609,11 @@ class TestRk4Oracle:
         # t_end = 0 included: it takes no step and is the power P^0
         pairs, step = (self.MIXED, 1e-2) if route == "mixed" else (self.ROUTES[route], 0.2)
         specs, t_ends = zip(*pairs)
-        batch = rk4_oracle_batch(specs, t_ends, step=step)
+        batch = rk4_oracle_batch(oracles.stack(specs), t_ends, step=step)
         powered = [j for j, p in enumerate(specs) if p.gamma == 0.0 or p.omega0 == 0.0]
         assert len(powered) >= 3
         for j in powered:
-            assert batch[j].tobytes() == rk4_oracle_batch([specs[j]], [t_ends[j]], step=step)[0].tobytes()
+            assert batch[j].tobytes() == rk4_oracle_batch(specs[j], [t_ends[j]], step=step)[0].tobytes()
 
 
 def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):

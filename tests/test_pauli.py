@@ -14,7 +14,6 @@ from pulsepair.pauli import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    commutator_check,
     hermitian_eigenvalues_batch,
 )
 from pulsepair.evolution import assemble_density_batch, evolve_correlations_batch
@@ -40,16 +39,6 @@ def test_pauli_constants_are_the_standard_matrices():
 def test_pauli_constants_are_immutable():
     with pytest.raises(ValueError):
         SIGMA_X[0, 0] = 9.0
-
-
-def test_commutator_check_accepts_stored_basis():
-    assert commutator_check()
-
-
-def test_commutator_check_rejects_scaled_and_permuted_bases():
-    assert not commutator_check(sx=2.0 * SIGMA_X)
-    assert not commutator_check(sx=SIGMA_Y, sy=SIGMA_X, sz=SIGMA_Z)
-    assert not commutator_check(sz=-SIGMA_Z)
 
 
 def test_hermiticity_gate_threshold():

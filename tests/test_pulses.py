@@ -6,13 +6,7 @@ import pytest
 
 from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired
 from pulsepair.evolution import adjoint_rotation, rk4_oracle_batch, unitary_oracle_batch
-from pulsepair.pulses import (
-    CoefficientMode,
-    PulseSpec,
-    _pulse_arrays,
-    coefficient_map_batch,
-    pulse_angle,
-)
+from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
 import oracles
 
@@ -85,7 +79,7 @@ class TestEnvelope:
         # every route ends where the drive does: T and the float below it
         # integrate, and each route names pair 1, the first past its window
         p = PulseSpec.rectangular(1.3, duration=2.0, delta=0.7)
-        specs = [PulseSpec.none(), p, p]
+        specs = oracles.stack([PulseSpec.none(), p, p])
         assert np.isfinite(route(specs, [3.0, 2.0, np.nextafter(2.0, 0.0)])).all()
         late = np.nextafter(2.0, np.inf)
         with pytest.raises(OutOfWindow, match=re.escape(f"pair 1: t = {late} outside the pulse window [0, 2.0]")):
@@ -93,42 +87,38 @@ class TestEnvelope:
 
     def test_exponential_decay(self):
         p = PulseSpec.exponential(3.0, 0.8)
-        u = rk4_oracle_batch([p], [4.0])[0]
+        u = rk4_oracle_batch(p, [4.0])[0]
         assert np.abs(u - unitary_oracle_batch(p, [4.0])[0]).max() < 1e-9
 
     def test_none_is_identically_zero(self):
-        assert np.array_equal(rk4_oracle_batch([PulseSpec.none()], [3.7])[0], np.eye(2))
+        assert np.array_equal(rk4_oracle_batch(PulseSpec.none(), [3.7])[0], np.eye(2))
 
 
 class TestPulseAngle:
+    """The angle lambda(t) of an exponential pulse, read off its unitary maps: x rotations by lambda(t)."""
+
     def test_starts_at_zero(self):
-        assert pulse_angle(PulseSpec.exponential(3.0, 0.7), 0.0) == 0.0
+        assert np.array_equal(coefficient_map_batch(PulseSpec.exponential(3.0, 0.7), [0.0], UNITARY)[0], np.eye(3))
 
     def test_saturates_at_rabi_over_width(self):
-        p = PulseSpec.exponential(5.0, 1.0)
-        assert pulse_angle(p, 1000.0) == pytest.approx(5.0, abs=1e-15)
+        m = coefficient_map_batch(PulseSpec.exponential(5.0, 1.0), [1000.0], UNITARY)[0]
+        assert np.abs(m - x_rotation(5.0)).max() <= 1e-15
 
     def test_monotone_and_bounded(self):
-        p = PulseSpec.exponential(4.0, 0.5)
-        ts = np.linspace(0.0, 30.0, 400)
-        lams = [pulse_angle(p, t) for t in ts]
-        assert all(b >= a for a, b in zip(lams, lams[1:]))
+        # the D row (0, sin lambda, cos lambda) unwraps to lambda(t) on a grid this fine
+        maps = coefficient_map_batch(PulseSpec.exponential(4.0, 0.5), np.linspace(0.0, 30.0, 400), UNITARY)
+        lams = np.unwrap(np.arctan2(maps[:, 2, 1], maps[:, 2, 2]))
+        assert (np.diff(lams) >= 0.0).all()
         assert lams[-1] <= 4.0 / 0.5
-
-    def test_rejects_other_shapes(self):
-        mixed = PulseSpec([1.0, 1.0], window=[np.inf, 2.0], gamma=[0.5, 0.0])
-        for p in (PulseSpec.rectangular(1.0, duration=1.0), PulseSpec.none(), mixed):
-            with pytest.raises(ValueError, match="exponential pulses only"):
-                pulse_angle(p, 0.5)
 
     def test_overflowing_scale_is_a_typed_error(self):
         # Omega0 / gamma_p = 1e600; the RuntimeWarning-as-error filter fails the test on any numpy warning
         with pytest.raises(AngleOverflow, match="overflows a float"):
-            pulse_angle(PulseSpec.exponential(1e300, 1e-300), 0.0)
+            coefficient_map_batch(PulseSpec.exponential(1e300, 1e-300), [0.0])
 
     def test_window_starts_at_zero(self):
         with pytest.raises(OutOfWindow):
-            pulse_angle(PulseSpec.exponential(1.0, 1.0), np.array([0.5, -0.5]))
+            coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), np.array([0.5, -0.5]))
 
 
 def x_rotation(angle):
@@ -143,7 +133,7 @@ def test_unitary_maps_are_proper_orthogonal():
     for _ in range(50):
         specs.append(PulseSpec.exponential(rng.uniform(0.0, 8.0), rng.uniform(0.2, 2.0)))
         times.append(rng.uniform(0.0, 30.0))
-    r = coefficient_map_batch(specs, times, UNITARY).real
+    r = coefficient_map_batch(oracles.stack(specs), times, UNITARY).real
     assert np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max() < 1e-12
     assert np.abs(np.linalg.det(r) - 1.0).max() < 1e-12
 
@@ -181,12 +171,12 @@ class TestRectIntermediates:
         # c_plus(0) = 1 exactly: the two prefactors average to one, so the
         # A row starts at (1, 0, 0) and the B row at zero
         specs = [PulseSpec.rectangular(1.3, 4.0, delta=delta) for delta in (0.0, 0.7, -2.5)]
-        for m in coefficient_map_batch(specs, [0.0] * 3, LITERAL):
+        for m in coefficient_map_batch(oracles.stack(specs), [0.0] * 3, LITERAL):
             assert np.array_equal(m[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_rows_follow_stated_forms(self):
         specs, times = rect_draws(np.random.default_rng(24), 60)
-        for p, t, m in zip(specs, times, coefficient_map_batch(specs, times, LITERAL)):
+        for p, t, m in zip(specs, times, coefficient_map_batch(oracles.stack(specs), times, LITERAL)):
             om, dl = p.omega0, p.delta
             om1 = math.hypot(om, dl)
             cos, sin = math.cos(om1 * t), math.sin(om1 * t)
@@ -227,13 +217,13 @@ class TestRectCoefficients:
 
     def test_unitary_map_matches_propagator_oracle(self):
         specs, times = rect_draws(np.random.default_rng(21), 80)
-        for p, t, m in zip(specs, times, coefficient_map_batch(specs, times, UNITARY)):
+        for p, t, m in zip(specs, times, coefficient_map_batch(oracles.stack(specs), times, UNITARY)):
             oracle = oracles.heisenberg_rotation(oracles.rect_propagator(p.omega0, p.delta, t))
             assert np.abs(m.real - oracle).max() < 1e-11
 
     def test_unitary_d_row_equals_published_formulas(self):
         specs, times = rect_draws(np.random.default_rng(22), 200)
-        for p, t, m in zip(specs, times, coefficient_map_batch(specs, times, UNITARY)):
+        for p, t, m in zip(specs, times, coefficient_map_batch(oracles.stack(specs), times, UNITARY)):
             om, dl = p.omega0, p.delta
             om1 = math.hypot(om, dl)
             d = np.array(
@@ -261,7 +251,7 @@ class TestRectCoefficients:
 
     def test_literal_shares_a_and_d_rows_with_unitary(self):
         specs, times = rect_draws(np.random.default_rng(23), 60)
-        lit, uni = (coefficient_map_batch(specs, times, mode) for mode in (LITERAL, UNITARY))
+        lit, uni = (coefficient_map_batch(oracles.stack(specs), times, mode) for mode in (LITERAL, UNITARY))
         assert np.array_equal(lit[:, 0], uni[:, 0])
         assert np.array_equal(lit[:, 2], uni[:, 2])
         assert np.isfinite(lit).all()
@@ -288,7 +278,7 @@ class TestExpCoefficients:
     def test_two_parameter_sets_reaching_the_same_angle(self):
         # ratio 10 at gamma t = ln 2 accumulates the same 5 rad as ratio 5
         # fully decayed
-        specs = [PulseSpec.exponential(5.0, 1.0), PulseSpec.exponential(10.0, 1.0)]
+        specs = oracles.stack([PulseSpec.exponential(5.0, 1.0), PulseSpec.exponential(10.0, 1.0)])
         late, half = coefficient_map_batch(specs, [1000.0, math.log(2.0)], UNITARY)
         assert np.abs(late - half).max() < 1e-12
 
@@ -296,7 +286,8 @@ class TestExpCoefficients:
         p = PulseSpec.exponential(3.0, 0.8)
         times = (0.1, 0.9, 4.0)
         maps = coefficient_map_batch(p, times, UNITARY)
-        for lam, m in zip(pulse_angle(p, times), maps):
+        for t, m in zip(times, maps):
+            lam = (3.0 / 0.8) * (1.0 - math.exp(-0.8 * t))
             assert np.abs(m.real - x_rotation(lam)).max() < 1e-14
         for t, m in zip(times, maps):
             oracle = oracles.heisenberg_rotation(oracles.exp_propagator(3.0, 0.8, t))
@@ -305,7 +296,7 @@ class TestExpCoefficients:
     def test_intermediates_follow_stated_forms(self):
         p = PulseSpec.exponential(2.0, 1.0)
         m = coefficient_map_batch(p, [0.7], LITERAL)[0]
-        lam = pulse_angle(p, 0.7)
+        lam = (2.0 / 1.0) * (1.0 - math.exp(-1.0 * 0.7))
         c_plus = 0.5 * (1.0 + math.cos(lam))
         c_minus = 0.5 * (1.0 - math.cos(lam))
         rows = literal_rows(complex(c_plus), complex(c_minus), -1j * math.sin(lam))
@@ -329,7 +320,9 @@ def test_undriven_map_is_identity_in_both_modes():
 
 
 def test_coefficient_map_dispatches_by_shape():
-    specs = [PulseSpec.rectangular(1.0, duration=2.0), PulseSpec.exponential(1.0, 1.0), PulseSpec.none()]
+    specs = oracles.stack(
+        [PulseSpec.rectangular(1.0, duration=2.0), PulseSpec.exponential(1.0, 1.0), PulseSpec.none()]
+    )
     # unitary maps are real rotations; only the printed literal B row needs complex entries
     for mode, dtype in ((UNITARY, np.float64), (LITERAL, np.complex128)):
         rect, exp, none = coefficient_map_batch(specs, [1.0] * 3, mode)
@@ -366,7 +359,7 @@ def test_batch_guards():
         with pytest.raises(OutOfWindow, match=f"pair 1: t = {bad} outside"):
             coefficient_map_batch(PulseSpec.exponential(1.0, 1.0), [1.0, bad])
     with pytest.raises(ValueError, match="times must match pulses"):
-        coefficient_map_batch([rect, rect], [1.0])
+        coefficient_map_batch(oracles.stack([rect, rect]), [1.0])
 
 
 @pytest.mark.parametrize("mode", [UNITARY, LITERAL])
@@ -417,8 +410,8 @@ def test_maps_keep_their_bits_under_power_of_two_scaling(mode, k):
         PulseSpec.rectangular(math.ldexp(p.omega0, k), math.ldexp(p.window, -k), math.ldexp(p.delta, k))
         for p in specs
     ]
-    base = coefficient_map_batch(specs, times, mode)
-    moved = coefficient_map_batch(scaled, [math.ldexp(t, -k) for t in times], mode)
+    base = coefficient_map_batch(oracles.stack(specs), times, mode)
+    moved = coefficient_map_batch(oracles.stack(scaled), [math.ldexp(t, -k) for t in times], mode)
     assert moved.tobytes() == base.tobytes()
 
 
@@ -434,6 +427,7 @@ MIXED = (
 @pytest.mark.parametrize("mode", [LITERAL, UNITARY])
 def test_mixed_pairs_equal_each_spec_own_call_bitwise(mode):
     specs, times = zip(*MIXED)
+    specs = oracles.stack(specs)
     maps = coefficient_map_batch(specs, times, mode)
     propagators = unitary_oracle_batch(specs, times)
     for (p, t), m, u in zip(MIXED, maps, propagators):
@@ -443,13 +437,16 @@ def test_mixed_pairs_equal_each_spec_own_call_bitwise(mode):
 
 def test_errors_name_the_first_failing_pair():
     specs, times = zip(*MIXED)
+    specs = oracles.stack(specs)
     for i, bad in ((1, -1.0), (0, 2.5), (2, math.nan)):
         moved = times[:i] + (bad,) + times[i + 1 :]
         both = moved[:3] + (-2.0,) + moved[4:]  # pair 3 fails too, later
         for call in (lambda: coefficient_map_batch(specs, both), lambda: unitary_oracle_batch(specs, both)):
             with pytest.raises(OutOfWindow, match=f"pair {i}: t = {bad} outside"):
                 call()
-    huge = specs[:2] + (PulseSpec.rectangular(1e300, duration=1e10), PulseSpec.exponential(1e300, 1e-300))
+    huge = oracles.stack(
+        [MIXED[0][0], MIXED[1][0], PulseSpec.rectangular(1e300, duration=1e10), PulseSpec.exponential(1e300, 1e-300)]
+    )
     for call in (coefficient_map_batch, unitary_oracle_batch):
         with pytest.raises(AngleOverflow, match="pair 2: .* overflows a float"):
             call(huge, (1.1, 2.5, 1e10, 1.0))
@@ -478,24 +475,26 @@ def _batch_and_specs(rng):
 
 def test_a_pulse_batch_and_its_specs_give_the_same_bits_and_errors():
     batch, specs, times = _batch_and_specs(np.random.default_rng(23))
-    assert _pulse_arrays(batch) is batch
+    stacked = oracles.stack(specs)
     for mode in (LITERAL, UNITARY):
-        assert coefficient_map_batch(batch, times, mode).tobytes() == coefficient_map_batch(specs, times, mode).tobytes()
-    assert unitary_oracle_batch(batch, times).tobytes() == unitary_oracle_batch(specs, times).tobytes()
+        assert coefficient_map_batch(batch, times, mode).tobytes() == coefficient_map_batch(stacked, times, mode).tobytes()
+    assert unitary_oracle_batch(batch, times).tobytes() == unitary_oracle_batch(stacked, times).tobytes()
     step = times.min() / 10.0
-    assert rk4_oracle_batch(batch, times, step).tobytes() == rk4_oracle_batch(specs, times, step).tobytes()
+    assert rk4_oracle_batch(batch, times, step).tobytes() == rk4_oracle_batch(stacked, times, step).tobytes()
 
     late = times.copy()
     late[[7, 10]] = 1.5 * batch.window[[7, 10]]  # both rectangles, out of their windows
     omega, gamma = batch.omega0.copy(), batch.gamma.copy()
     omega[[5, 8]], gamma[[5, 8]] = 1e300, 1e-300  # exponential pulses: Omega0/gamma_p overflows
     huge = batch._replace(omega0=omega, gamma=gamma)
-    huge_specs = [PulseSpec.exponential(1e300, 1e-300) if i in (5, 8) else p for i, p in enumerate(specs)]
+    huge_specs = oracles.stack(
+        [PulseSpec.exponential(1e300, 1e-300) if i in (5, 8) else p for i, p in enumerate(specs)]
+    )
     for call in (coefficient_map_batch, unitary_oracle_batch):
         with pytest.raises(OutOfWindow, match="pair 7: ") as from_batch:
             call(batch, late)
         with pytest.raises(OutOfWindow, match="pair 7: ") as from_specs:
-            call(specs, late)
+            call(stacked, late)
         assert str(from_batch.value) == str(from_specs.value)
         with pytest.raises(AngleOverflow, match="pair 5: the rotation of omega0 = 1e.300, delta = 0.0, gamma_p = 1e-300 at t = ") as a:
             call(huge, times)
@@ -531,17 +530,21 @@ def test_a_batch_is_checked_entry_by_entry(j, entry):
 
 def test_a_sequence_of_another_length_than_the_times_is_rejected():
     batch, specs, times = _batch_and_specs(np.random.default_rng(5))
-    for pulses in (batch, specs):
+    one = oracles.stack(specs[:1])  # a spec of one is not one pulse for every time
+    for pulses, t in ((batch, times[:-1]), (one, times[:2])):
         for call in (coefficient_map_batch, unitary_oracle_batch):
             with pytest.raises(ValueError, match="times must match pulses"):
-                call(pulses, times[:-1])
+                call(pulses, t)
         with pytest.raises(ValueError, match="t_ends must match pulses"):
-            rk4_oracle_batch(pulses, times[:-1], times.min() / 10.0)
-    for call in (coefficient_map_batch, unitary_oracle_batch):
-        with pytest.raises(ValueError, match="times must match pulses"):
-            call(specs[:1], times[:2])  # a sequence of one is not one pulse for every time
-    with pytest.raises(ValueError, match="t_ends must match pulses"):
-        rk4_oracle_batch(specs[0], times[:2], times.min() / 10.0)  # the RK4 takes N pulses only
+            rk4_oracle_batch(pulses, t, times.min() / 10.0)
+
+
+def test_a_list_of_specs_is_not_a_pulse_input():
+    # a list is never read as fields: it fails at its first field access
+    p = PulseSpec.rectangular(1.0, duration=2.0)
+    for call in (coefficient_map_batch, unitary_oracle_batch, rk4_oracle_batch):
+        with pytest.raises(AttributeError, match="omega0"):
+            call([p, p], [0.5, 1.0])
 
 
 def test_unitary_mode_matrices_are_proper_rotations():
@@ -556,7 +559,7 @@ def test_unitary_mode_matrices_are_proper_rotations():
         else:
             specs.append(PulseSpec.exponential(rng.uniform(0.0, 8.0), rng.uniform(0.2, 2.0)))
             times.append(rng.uniform(0.0, 30.0))
-    m = coefficient_map_batch(specs, times, UNITARY)
+    m = coefficient_map_batch(oracles.stack(specs), times, UNITARY)
     assert np.abs(m.imag).max() < 1e-12
     r = m.real
     assert np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max() < 1e-10

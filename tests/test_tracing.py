@@ -116,7 +116,7 @@ def test_tracer_counts_rk4_steps_taken_and_needed():
     t = tracer.Tracer()
     t.install()
     try:
-        evolution.rk4_oracle_batch([p, p], [1.0, 0.5], step=1e-2)
+        evolution.rk4_oracle_batch(p, [1.0, 0.5], step=1e-2)
     finally:
         t.uninstall()
     assert [s[tracer.NAME] for s in t.spans] == ["evolution.rk4_oracle_batch"]

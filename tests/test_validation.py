@@ -8,7 +8,6 @@ from pulsepair import entanglement, evolution, pulses, scenarios, validation
 from pulsepair.validation import VALIDATION_NOTES, CheckResult, run_validation
 
 EXPECTED_NAMES = [
-    "pauli_algebra",
     "eigensolver_lapack_agreement",
     "eigenvalue_trace_identity",
     "rotation_d_row_anchor",
