@@ -1,14 +1,16 @@
 """Flat key = value config files describing one sweep.
 
-The format is deliberately dumb: one `key = value` pair per line, `#`
-starts a comment, blank lines ignored.  Keys mirror the SweepConfig
-fields; initial states are a comma list of tokens
-
-    bell | werner:<x> | genwerner:<c_xx>:<c_yy>:<c_zz>
-
-A config written by format_config parses back to an equal SweepConfig,
-which the test suite pins as a round-trip property.
+One `key = value` pair per line, `#` starts a comment, blank lines are
+ignored.  A key names a SweepConfig field, an entry `<field>_a`/`<field>_b`
+of a per-qubit pair, or a GridSpec attribute `grid_<name>`; a key that a
+file leaves out takes its field's default.  Initial states are a comma list
+of tokens `bell | werner:<x> | genwerner:<c_xx>:<c_yy>:<c_zz>`.  A config
+written by format_config parses back to an equal SweepConfig.
 """
+
+import dataclasses
+import itertools
+from enum import Enum
 
 from .errors import InvalidConfig
 from .evolution import InitialState
@@ -17,132 +19,98 @@ from .scenarios import DriveMode, GridSpec, SweepConfig, SweepFamily
 
 __all__ = ["parse_config", "format_config"]
 
-_REQUIRED = ("family", "drive", "grid_start", "grid_stop", "grid_points", "initial_states")
-_OPTIONAL = (
-    "mode",
-    "detuning_prime_a",
-    "detuning_prime_b",
-    "rabi_ratio_a",
-    "rabi_ratio_b",
-    "rect_omega",
-)
+# SweepConfig field -> its default (None: required); a per-qubit pair's entries are _a and _b
+_DEFAULTS = {f.name: None if f.default is dataclasses.MISSING else f.default for f in dataclasses.fields(SweepConfig)}
+_QUBITS = ("a", "b")
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise InvalidConfig(f"{key}: not a number: {raw!r}") from None
+def _locate(key: str) -> tuple[str, str | None]:
+    """The field a key sets, and which part of it: None (all of it), a qubit or a GridSpec attribute."""
+    field, _, part = key.rpartition("_")
+    return (key, None) if key in _DEFAULTS else (field, part)
 
 
-def _parse_enum(kind, key: str, raw: str):
-    try:
-        return kind(raw.lower())
-    except ValueError:
-        raise InvalidConfig(f"unknown {key} {raw!r}") from None
+def _read(fields: dict, key: str):
+    """A key's value in a mapping of SweepConfig fields; a None field gives None."""
+    field, part = _locate(key)
+    value = fields[field]
+    if value is None or part is None:
+        return value
+    return value[_QUBITS.index(part)] if part in _QUBITS else getattr(value, part)
 
 
-def _parse_state(token: str) -> InitialState:
-    parts = token.split(":")
-    name = parts[0].strip().lower()
-    args = [p.strip() for p in parts[1:]]
-    if name == "bell":
-        if args:
-            raise InvalidConfig("bell takes no parameters")
-        return InitialState.bell_singlet()
-    if name == "werner":
-        if len(args) != 1:
-            raise InvalidConfig("werner takes exactly one parameter, werner:<x>")
-        return InitialState.werner(_parse_float("werner", args[0]))
-    if name == "genwerner":
-        if len(args) != 3:
-            raise InvalidConfig("genwerner takes three parameters, genwerner:<cxx>:<cyy>:<czz>")
-        return InitialState.generalized_werner(*(_parse_float("genwerner", a) for a in args))
-    raise InvalidConfig(f"unknown initial state {name!r}")
+# state token, which is also the state's label -> (constructor, parameter count)
+_STATES = {
+    "bell": (InitialState.bell_singlet, 0), "werner": (InitialState.werner, 1),
+    "genwerner": (InitialState.generalized_werner, 3),
+}
 
 
-def _format_state(state: InitialState) -> str:
-    c = state.correlations
-    if state.label == "bell":
-        return "bell"
-    if state.label == "werner":
-        return f"werner:{c[0]!r}"
-    return f"genwerner:{c[0]!r}:{c[1]!r}:{c[2]!r}"
+def _states(raw: str) -> tuple[InitialState, ...]:
+    """The initial states of a comma list of state tokens."""
+    states = []
+    for token in filter(str.strip, raw.split(",")):
+        name, *args = (part.strip() for part in token.split(":"))
+        if name not in _STATES or len(args) != _STATES[name][1]:
+            raise InvalidConfig(f"state {token.strip()!r} is not bell, werner:<x> or genwerner:<cxx>:<cyy>:<czz>")
+        states.append(_STATES[name][0](*map(float, args)))
+    return tuple(states)
+
+
+# key -> (type, default) in file order; the type parses the text, and None marks a required key
+_KEYS = {
+    key: (kind, _read(_DEFAULTS, key))
+    for key, kind in [
+        ("family", SweepFamily), ("drive", DriveMode), ("mode", CoefficientMode),
+        ("detuning_prime_a", float), ("detuning_prime_b", float), ("rabi_ratio_a", float), ("rabi_ratio_b", float),
+        ("rect_omega", float), ("grid_start", float), ("grid_stop", float), ("grid_points", int),
+        ("initial_states", _states),
+    ]
+}
+
+
+def _whole(parts: dict):
+    """A field from its parts: the one whole value, a per-qubit pair or a GridSpec."""
+    return parts[None] if None in parts else tuple(parts.values()) if set(parts) == set(_QUBITS) else GridSpec(**parts)
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse config text into a SweepConfig; raises InvalidConfig on any defect."""
-    pairs: dict[str, str] = {}
+    """Parse config text into a SweepConfig; raises InvalidConfig, or UnphysicalState for an unphysical state."""
+    given: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, equals, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+        if not (key or equals or value):
             continue
-        if "=" not in line:
+        if not (key and equals and value):
             raise InvalidConfig(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise InvalidConfig(f"line {lineno}: empty key or value")
-        if key in pairs:
+        if key in given:
             raise InvalidConfig(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = value
+        given[key] = value.lower()
+    unknown = sorted(given.keys() - _KEYS.keys())
+    missing = [key for key, (_, default) in _KEYS.items() if default is None and key not in given]
+    if unknown or missing:
+        raise InvalidConfig(f"unknown keys: {', '.join(unknown)}" if unknown else f"missing keys: {', '.join(missing)}")
 
-    unknown = set(pairs) - set(_REQUIRED) - set(_OPTIONAL)
-    if unknown:
-        raise InvalidConfig(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = [k for k in _REQUIRED if k not in pairs]
-    if missing:
-        raise InvalidConfig(f"missing keys: {', '.join(missing)}")
+    def parsed(key):
+        kind, default = _KEYS[key]
+        try:
+            return kind(given[key]) if key in given else default
+        except ValueError as exc:
+            raise InvalidConfig(f"{key}: {exc}") from None
 
-    family = _parse_enum(SweepFamily, "family", pairs["family"])
-    drive = _parse_enum(DriveMode, "drive", pairs["drive"])
-    mode = _parse_enum(CoefficientMode, "mode", pairs.get("mode", "unitary"))
-
-    try:
-        points = int(pairs["grid_points"])
-    except ValueError:
-        raise InvalidConfig(f"grid_points: not an integer: {pairs['grid_points']!r}") from None
-    grid = GridSpec(
-        start=_parse_float("grid_start", pairs["grid_start"]),
-        stop=_parse_float("grid_stop", pairs["grid_stop"]),
-        points=points,
-    )
-    states = tuple(
-        _parse_state(tok) for tok in pairs["initial_states"].split(",") if tok.strip()
-    )
-    return SweepConfig(
-        family=family,
-        initial_states=states,
-        drive=drive,
-        grid=grid,
-        mode=mode,
-        detuning_prime=(
-            _parse_float("detuning_prime_a", pairs.get("detuning_prime_a", "0.0")),
-            _parse_float("detuning_prime_b", pairs.get("detuning_prime_b", "0.0")),
-        ),
-        rabi_ratio=(
-            _parse_float("rabi_ratio_a", pairs.get("rabi_ratio_a", "5.0")),
-            _parse_float("rabi_ratio_b", pairs.get("rabi_ratio_b", "5.0")),
-        ),
-        rect_omega=_parse_float("rect_omega", pairs.get("rect_omega", "1.0")),
-    )
+    # Pulse parameters (the optional numbers) are read last and a field is built once its keys are
+    # read, so a defect of the grid is reported before a state's, and a state's before a parameter's.
+    order = sorted(_KEYS, key=lambda key: _KEYS[key][0] is float and _KEYS[key][1] is not None)
+    groups = itertools.groupby(order, key=lambda key: _locate(key)[0])
+    return SweepConfig(**{field: _whole({_locate(key)[1]: parsed(key) for key in keys}) for field, keys in groups})
 
 
 def format_config(cfg: SweepConfig) -> str:
     """Render a SweepConfig as config text that parses back to an equal value."""
-    states = ", ".join(_format_state(s) for s in cfg.initial_states)
-    lines = [
-        "# pulsepair sweep configuration",
-        f"family = {cfg.family.value}",
-        f"drive = {cfg.drive.value}",
-        f"mode = {cfg.mode.value}",
-        f"detuning_prime_a = {cfg.detuning_prime[0]!r}",
-        f"detuning_prime_b = {cfg.detuning_prime[1]!r}",
-        f"rabi_ratio_a = {cfg.rabi_ratio[0]!r}",
-        f"rabi_ratio_b = {cfg.rabi_ratio[1]!r}",
-        f"rect_omega = {cfg.rect_omega!r}",
-        f"grid_start = {cfg.grid.start!r}",
-        f"grid_stop = {cfg.grid.stop!r}",
-        f"grid_points = {cfg.grid.points}",
-        f"initial_states = {states}",
-    ]
+    lines = ["# pulsepair sweep configuration"]
+    for key, (kind, _) in _KEYS.items():
+        value = _read(vars(cfg), key)
+        if kind is _states:
+            value = ", ".join(":".join([s.label, *map(repr, s.correlations[: _STATES[s.label][1]])]) for s in value)
+        lines.append(f"{key} = {value.value if isinstance(value, Enum) else repr(value) if kind is float else value}")
     return "\n".join(lines) + "\n"

@@ -31,6 +31,7 @@ initial value (Vidal & Werner, PRA 65, 032314, 2002).
 """
 
 import math
+import operator
 import os
 import shutil
 from dataclasses import dataclass
@@ -91,6 +92,10 @@ class GridSpec:
     def __post_init__(self):
         _check_param("grid_start", self.start)
         _check_param("grid_stop", self.stop)
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise InvalidConfig(f"grid_points = {self.points!r} is not an integer") from None
         if not 2 <= self.points <= PARAM_LIMIT:
             raise InvalidConfig(f"grid_points = {self.points} is outside [2, {PARAM_LIMIT:g}]")
         if self.start < 0.0:
@@ -108,9 +113,9 @@ class GridSpec:
 class SweepConfig:
     """Full description of one sweep.
 
-    detuning_prime and rabi_ratio hold one value per qubit (a, b); entries
-    for slots a family does not consume are conventionally 0.  rect_omega
-    is the rectangular drive strength of qubit a in the combined family.
+    detuning_prime and rabi_ratio hold one value per qubit (a, b), (0, 0) and
+    (5, 5) by default; a family ignores the slots it does not use.  rect_omega
+    (default 1) is qubit a's rectangle strength in the combined family.
     """
 
     family: SweepFamily

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from pulsepair.entanglement import CLAMP_TOL
 from pulsepair.errors import InvalidConfig, PulsePairError, TraceNotOne, UnphysicalState
 from pulsepair.evolution import evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
-from pulsepair.scenarios import DriveMode, SweepFamily, paper_figure_presets, run_sweep
+from pulsepair.scenarios import DriveMode, SweepConfig, SweepFamily, paper_figure_presets, run_sweep
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOOD = """\
 # resonant rectangular sweep over pulse area
@@ -49,6 +52,13 @@ def test_round_trip_keeps_awkward_floats():
     import dataclasses
 
     cfg = dataclasses.replace(cfg, rect_omega=0.1 + 0.2)  # not representable as "0.3"
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_the_readme_config_example_parses_and_round_trips():
+    section = README.read_text(encoding="utf-8").split("### Config files", 1)[1]
+    cfg = parse_config(section.split("```\n", 2)[1])
+    assert cfg.detuning_prime == (1.0, 0.0)
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -98,6 +108,23 @@ def test_structural_defects():
         parse_config("family =\n")  # empty value
     with pytest.raises(InvalidConfig):
         parse_config(GOOD.replace("initial_states = bell, werner:-0.9, genwerner:-0.9:-0.8:-0.7", "initial_states = ,"))
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ({"grid_points": "1", "initial_states": "werner:0.9"}, InvalidConfig),
+        ({"grid_start": "nan", "initial_states": "werner:0.9"}, InvalidConfig),
+        ({"rabi_ratio_a": "five", "initial_states": "werner:0.9"}, UnphysicalState),
+        ({"rect_omega": "nan", "initial_states": "werner:0.9"}, UnphysicalState),
+        ({"initial_states": "werner:0.9, ghz"}, UnphysicalState),
+        ({"initial_states": "ghz, werner:0.9"}, InvalidConfig),
+    ],
+)
+def test_defects_are_reported_grid_first_then_states_then_parameters(pairs, error):
+    lines = [line for line in GOOD.splitlines() if line.partition("=")[0].strip() not in pairs]
+    with pytest.raises(error):
+        parse_config("\n".join(lines + [f"{key} = {value}" for key, value in pairs.items()]))
 
 
 def test_unphysical_state_tokens_fail_loudly():
@@ -198,6 +225,25 @@ def test_any_config_text_gives_finite_rows_or_a_typed_error(text):
     assert cfg.grid.points <= 64
     for values in (result.params, result.negativities, result.residues):
         assert np.isfinite(values).all()
+
+
+OPTIONAL_KEYS = ("mode", "detuning_prime_a", "detuning_prime_b", "rabi_ratio_a", "rabi_ratio_b", "rect_omega")
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_text(), st.sets(st.sampled_from(OPTIONAL_KEYS)))
+def test_every_config_that_parses_round_trips(text, omitted):
+    text = "".join(line + "\n" for line in text.splitlines() if line.partition("=")[0].strip() not in omitted)
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, UnphysicalState):
+        return
+    defaults = {field.name: field.default for field in dataclasses.fields(SweepConfig)}
+    for key in omitted & {"mode", "rect_omega"}:
+        assert getattr(cfg, key) == defaults[key]
+    written = format_config(cfg)
+    assert parse_config(written) == cfg
+    assert format_config(parse_config(written)) == written
 
 
 def _error_type(route, *args):

@@ -85,6 +85,16 @@ class TestGridSpec:
             with pytest.raises(InvalidConfig):
                 GridSpec(0.0, 1.0, too_many)
 
+    def test_points_must_be_an_integer(self):
+        # a float count of 2.5 gave three nodes spaced 2/3 apart
+        for bad in (2.5, 3.0, np.float64(3.0), np.array(3.0), Decimal(3), "3", None):
+            with pytest.raises(InvalidConfig):
+                GridSpec(0.0, 1.0, bad)
+        with pytest.raises(InvalidConfig):
+            GridSpec(0.0, 1.0, True)  # an integer, but fewer than two points
+        for points in (np.int64(3), np.array(3)):
+            assert GridSpec(0.0, 1.0, points).values().tolist() == [0.0, 0.5, 1.0]
+
     def test_last_node_never_passes_stop(self):
         # unclamped, 0.989 + 45 * step rounds to 1.8130000000000002, which
         # fell outside the combined family's rectangle window
