@@ -8,11 +8,12 @@ of tokens `bell | werner:<x> | genwerner:<c_xx>:<c_yy>:<c_zz>`.  A config
 written by format_config parses back to an equal SweepConfig.
 """
 
+import contextlib
 import dataclasses
 import itertools
 from enum import Enum
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, PulsePairError
 from .evolution import InitialState
 from .pulses import CoefficientMode
 from .scenarios import DriveMode, GridSpec, SweepConfig, SweepFamily
@@ -55,6 +56,15 @@ def _states(raw: str) -> tuple[InitialState, ...]:
             raise InvalidConfig(f"state {token.strip()!r} is not bell, werner:<x> or genwerner:<cxx>:<cyy>:<czz>")
         states.append(_STATES[name][0](*map(float, args)))
     return tuple(states)
+
+
+def _token(state: InitialState) -> str:
+    """A state's token; raises InvalidConfig unless the token parses back to this very state."""
+    token = ":".join([state.label, *map(repr, state.correlations[: _STATES.get(state.label, (None, 0))[1]])])
+    with contextlib.suppress(PulsePairError, ValueError):  # a label holding a comma or colon
+        if _states(token) == (state,):
+            return token
+    raise InvalidConfig(f"no state token gives {state}")
 
 
 # key -> (type, default) in file order; the type parses the text, and None marks a required key
@@ -106,11 +116,11 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def format_config(cfg: SweepConfig) -> str:
-    """Render a SweepConfig as config text that parses back to an equal value."""
+    """Render a SweepConfig as config text that parses back to an equal value; raises InvalidConfig otherwise."""
     lines = ["# pulsepair sweep configuration"]
     for key, (kind, _) in _KEYS.items():
         value = _read(vars(cfg), key)
         if kind is _states:
-            value = ", ".join(":".join([s.label, *map(repr, s.correlations[: _STATES[s.label][1]])]) for s in value)
+            value = ", ".join(map(_token, value))
         lines.append(f"{key} = {value.value if isinstance(value, Enum) else repr(value) if kind is float else value}")
     return "\n".join(lines) + "\n"

@@ -81,14 +81,22 @@ def _bell_diagonal_rho_eigenvalues(c: tuple[float, float, float]) -> tuple[float
 class InitialState:
     """A named initial-state family member: label plus diagonal correlations.
 
-    Constructors validate physicality (finite parameters, density-matrix
-    positivity up to 1e-10) and raise UnphysicalState otherwise; the
-    werner range test is false for NaN, so it needs no separate check.
-    The label feeds the CSV column names of the sweep layer.
+    The constructor checks physicality (finite correlations, density-matrix
+    positivity up to 1e-10) and raises UnphysicalState otherwise, so every
+    state, one built by a classmethod or not, is physical.  The label feeds
+    the CSV column names of the sweep layer.
     """
 
     label: str
     correlations: tuple[float, float, float]
+
+    def __post_init__(self):
+        c = tuple(map(float, self.correlations))
+        object.__setattr__(self, "correlations", c)
+        if not all(map(math.isfinite, c)):
+            raise UnphysicalState(f"correlations {c} must be finite")
+        if min(_bell_diagonal_rho_eigenvalues(c)) < -1e-10:
+            raise UnphysicalState(f"correlations {c} give a negative density eigenvalue")
 
     @classmethod
     def bell_singlet(cls) -> "InitialState":
@@ -96,18 +104,11 @@ class InitialState:
 
     @classmethod
     def werner(cls, x: float) -> "InitialState":
-        if not -1.0 <= x <= 1.0 / 3.0:
-            raise UnphysicalState(f"werner parameter {x} outside [-1, 1/3]")
         return cls("werner", (x, x, x))
 
     @classmethod
     def generalized_werner(cls, c_xx: float, c_yy: float, c_zz: float) -> "InitialState":
-        c = (float(c_xx), float(c_yy), float(c_zz))
-        if not all(map(math.isfinite, c)):
-            raise UnphysicalState(f"correlations {c} must be finite")
-        if min(_bell_diagonal_rho_eigenvalues(c)) < -1e-10:
-            raise UnphysicalState(f"correlations {c} give a negative density eigenvalue")
-        return cls("genwerner", c)
+        return cls("genwerner", (c_xx, c_yy, c_zz))
 
 
 def _diagonal_tensors(diagonals) -> np.ndarray:

@@ -3,7 +3,7 @@
 Complex scalars are Python/numpy complex doubles and matrices are numpy
 ``complex128`` arrays throughout; this module pins the basis conventions
 and supplies the eigensolver that breaks the sweep rounding guard's ties
-(entanglement._jacobi_negativities) and that validate's solver checks test.
+(entanglement._jacobi_negativities) and that validate's closed-form triangle tests.
 
 The eigensolver is a cyclic complex Jacobi iteration.  At 4x4 scale it is
 unconditionally stable, needs no pivoting heuristics, and its rotation

@@ -131,8 +131,11 @@ class SweepConfig:
         object.__setattr__(self, "initial_states", tuple(self.initial_states))
         object.__setattr__(self, "detuning_prime", tuple(float(v) for v in self.detuning_prime))
         object.__setattr__(self, "rabi_ratio", tuple(float(v) for v in self.rabi_ratio))
-        if not self.initial_states:
-            raise InvalidConfig("at least one initial state is required")
+        for key, kind in (("family", SweepFamily), ("drive", DriveMode), ("grid", GridSpec), ("mode", CoefficientMode)):
+            if not isinstance(getattr(self, key), kind):
+                raise InvalidConfig(f"{key} = {getattr(self, key)!r} is not a {kind.__name__}")
+        if not self.initial_states or not all(isinstance(s, InitialState) for s in self.initial_states):
+            raise InvalidConfig(f"initial_states = {self.initial_states!r} is not one or more InitialState values")
         if len(self.detuning_prime) != 2 or len(self.rabi_ratio) != 2:
             raise InvalidConfig("detuning_prime and rabi_ratio take one value per qubit")
         for qubit, dprime, ratio in zip("ab", self.detuning_prime, self.rabi_ratio):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import entanglement, evolution, pauli, pulses, scenarios
+from . import entanglement, evolution, pulses, scenarios
 from .errors import InvalidConfig
 
 __all__ = ["CheckResult", "run_validation", "VALIDATION_NOTES"]
@@ -54,11 +54,6 @@ def _result(name: str, err: float, tol: float) -> CheckResult:
     return CheckResult(name, float(err), tol, float(err) <= tol)
 
 
-def _random_hermitian(rng: "np.random.Generator", n: int, count: int) -> np.ndarray:
-    raw = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    return 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-
-
 def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses.PulseSpec, np.ndarray]:
     """n (pulse, time) draws: half rectangles ending at their window, T = t, 70 % of them detuned; half exponential."""
     rect = rng.random(n) < 0.5
@@ -68,20 +63,6 @@ def _random_pulses(rng: "np.random.Generator", n: int) -> tuple[pulses.PulseSpec
     delta = np.where(rng.random(n) < 0.7, rng.uniform(-4.0, 4.0, n), 0.0)
     gamma, t = rng.uniform(0.2, 2.0, n), rng.uniform(0.05, 50.0, n)
     return pulses.PulseSpec(omega, np.where(rect, delta, 0.0), np.where(rect, t, np.inf), np.where(rect, 0.0, gamma)), t
-
-
-def _check_eigensolver(rng) -> list[CheckResult]:
-    mats = _random_hermitian(rng, 4, 1000)
-    ours = pauli.hermitian_eigenvalues_batch(mats)
-    lapack = np.linalg.eigvalsh(mats)
-    scale = np.abs(mats).max()
-    agree = float(np.abs(ours - lapack).max()) / max(1.0, scale)
-    traces = np.einsum("nii->n", mats).real
-    trace_err = float(np.abs(ours.sum(axis=1) - traces).max())
-    return [
-        _result("eigensolver_lapack_agreement", agree, 1e-9),
-        _result("eigenvalue_trace_identity", trace_err, 1e-9),
-    ]
 
 
 def _published_d_row(batch: pulses.PulseSpec, ts: np.ndarray) -> np.ndarray:
@@ -236,8 +217,7 @@ def run_validation(seed: int = 0) -> list[CheckResult]:
     if seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    results = _check_eigensolver(rng)
-    results.extend(_check_d_row_anchor(rng))
+    results = _check_d_row_anchor(rng)
     results.extend(_check_oracle_triangle(rng))
     results.append(_check_fano_consistency(rng))
     results.append(_check_negativity_oracle(rng))

@@ -11,7 +11,7 @@ from pulsepair import scenarios
 from pulsepair.config import format_config, parse_config
 from pulsepair.entanglement import CLAMP_TOL
 from pulsepair.errors import InvalidConfig, PulsePairError, TraceNotOne, UnphysicalState
-from pulsepair.evolution import evolve_correlations_batch
+from pulsepair.evolution import InitialState, evolve_correlations_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import DriveMode, SweepConfig, SweepFamily, paper_figure_presets, run_sweep
 
@@ -53,6 +53,19 @@ def test_round_trip_keeps_awkward_floats():
 
     cfg = dataclasses.replace(cfg, rect_omega=0.1 + 0.2)  # not representable as "0.3"
     assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        InitialState("mystate", (0.0, 0.0, 0.0)),  # a label with no token
+        InitialState("werner", (0.1, 0.2, 0.3)),  # werner:0.1 would parse back to (0.1, 0.1, 0.1)
+    ],
+)
+def test_format_refuses_a_state_its_token_cannot_rebuild(state):
+    cfg = dataclasses.replace(paper_figure_presets()["fig1a"], initial_states=(state,))
+    with pytest.raises(InvalidConfig):
+        format_config(cfg)
 
 
 def test_the_readme_config_example_parses_and_round_trips():

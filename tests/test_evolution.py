@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -84,6 +85,14 @@ class TestInitialState:
     def test_state_round_trip(self):
         s = InitialState.generalized_werner(-0.9, -0.8, -0.7)
         assert s.correlations == (-0.9, -0.8, -0.7)
+
+    def test_the_constructor_itself_checks_physicality(self):
+        # the classmethods are not the only way in: a direct construction and a
+        # replace of the correlations meet the same check
+        with pytest.raises(UnphysicalState):
+            InitialState("genwerner", (0.9, 0.9, 0.9))
+        with pytest.raises(UnphysicalState):
+            dataclasses.replace(InitialState.generalized_werner(-0.9, -0.8, -0.7), correlations=(0.9, 0.9, 0.9))
 
 
 class TestEvolveCorrelations:

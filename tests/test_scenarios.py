@@ -147,6 +147,24 @@ class TestSweepConfigValidation:
         with pytest.raises(InvalidConfig):
             small_config(detuning_prime=(1.0,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("family", "rect_vs_area"),
+            ("drive", "one_qubit"),
+            ("mode", "literal"),
+            ("grid", (0.0, 1.0, 3)),
+            ("initial_states", ("bell",)),
+            ("initial_states", (STATES[0], "bell")),
+        ],
+        ids=["family", "drive", "mode", "grid", "states", "second_state"],
+    )
+    def test_fields_must_have_their_types(self, field, value):
+        # unchecked, a string family takes _grid_maps' combined branch, and a tuple
+        # grid or a string state fails inside run_sweep with an AttributeError
+        with pytest.raises(InvalidConfig, match=field):
+            small_config(**{field: value})
+
 
 class TestRunSweep:
     def test_resonant_one_qubit_rectangle_full_cycles(self):

@@ -8,8 +8,6 @@ from pulsepair import entanglement, evolution, pulses, scenarios, validation
 from pulsepair.validation import VALIDATION_NOTES, CheckResult, run_validation
 
 EXPECTED_NAMES = [
-    "eigensolver_lapack_agreement",
-    "eigenvalue_trace_identity",
     "rotation_d_row_anchor",
     "rotation_orthogonality",
     "oracle_triangle_rotations",
@@ -181,7 +179,7 @@ def test_validation_builds_one_pulse_spec_per_sampler_call_not_per_draw(monkeypa
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1, 1, 2, 1000])
 def test_every_check_passes_on_the_pinned_seeds(seed):
     results = run_validation(seed=seed)
     assert [r.name for r in results] == EXPECTED_NAMES
