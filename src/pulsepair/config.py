@@ -61,7 +61,7 @@ def _states(raw: str) -> tuple[InitialState, ...]:
 def _token(state: InitialState) -> str:
     """A state's token; raises InvalidConfig unless the token parses back to this very state."""
     token = ":".join([state.label, *map(repr, state.correlations[: _STATES.get(state.label, (None, 0))[1]])])
-    with contextlib.suppress(PulsePairError, ValueError):  # a label holding a comma or colon
+    with contextlib.suppress(PulsePairError, ValueError):  # a label holding a colon, say
         if _states(token) == (state,):
             return token
     raise InvalidConfig(f"no state token gives {state}")

@@ -24,8 +24,9 @@ sharing the pulse gathering with the maps, and ``rk4_oracle_batch``, which
 shares no code with either, integrates dU/dt = -i H(t) U with classical
 Runge-Kutta from U(0) = I on the same domain, the pulse window [0, T].
 There each RK4 pair turns about one fixed axis, so its steps multiply as
-complex numbers: a constant drive raises its one step to its count, and an
-exponential pulse multiplies its own steps in blocks.  The adjoint action of
+complex numbers, each a quartic in one envelope sample: a constant drive
+raises its one step to its count, and an exponential pulse multiplies its own
+steps in blocks.  The adjoint action of
 either propagator on the Pauli triple must reproduce the UNITARY-mode
 coefficient matrix.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfWindow, StepTooLarge, UnphysicalState
+from .errors import InvalidConfig, OutOfWindow, StepTooLarge, UnphysicalState
 from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z
 from .pulses import PulseSpec, _rotations
 
@@ -84,13 +85,16 @@ class InitialState:
     The constructor checks physicality (finite correlations, density-matrix
     positivity up to 1e-10) and raises UnphysicalState otherwise, so every
     state, one built by a classmethod or not, is physical.  The label feeds
-    the CSV column names of the sweep layer.
+    the CSV column names of the sweep layer, unquoted, so it raises
+    InvalidConfig for a label holding a comma, a double quote or a line break.
     """
 
     label: str
     correlations: tuple[float, float, float]
 
     def __post_init__(self):
+        if any(ch in self.label for ch in ',"\r\n'):
+            raise InvalidConfig(f"state label {self.label!r} holds a comma, a double quote or a line break")
         c = tuple(map(float, self.correlations))
         object.__setattr__(self, "correlations", c)
         if not all(map(math.isfinite, c)):
@@ -198,12 +202,27 @@ def unitary_oracle_batch(pulses: PulseSpec, times) -> np.ndarray:
     return (v * np.exp(-1j * tau[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _rk4_step(u1, u2, u3) -> np.ndarray:
-    """RK4 steps P = a I + b J, J^2 = -I, as complex a + i b of u = h w at t0, t0 + h/2 and t0 + h."""
-    u22, u13 = u2 * u2, u1 + u3
-    p = np.empty(np.shape(u2), np.complex128)
-    p.real = 1.0 - (u2 * u13 + u22) / 6.0 + u1 * u22 * u3 / 24.0
-    p.imag = (u13 + 4.0 * u2) / 6.0 - u22 * u13 / 12.0
+def _rk4_coefficients(s):
+    """(c1, c2, c3, c4) of the RK4 step on a drive w with w(t0 + h/2) = s w(t0) and w(t0 + h) = s^2 w(t0)."""
+    s2 = s * s
+    return (1.0 + 4.0 * s + s2) / 6.0, s * (1.0 + s + s2) / 6.0, s2 * (1.0 + s2) / 12.0, s2 * s2 / 24.0
+
+
+def _rk4_step(u, c) -> np.ndarray:
+    """RK4 steps P = a I + b J, J^2 = -I, as complex a + i b of u = h w(t0) and v = u^2.
+
+    a = 1 + v (c4 v - c2) and b = u (c1 - c3 v), with c from _rk4_coefficients.
+    """
+    c1, c2, c3, c4 = c
+    v = u * u
+    a, b = c4 * v, c3 * v  # in place from here: one pass over the block per operation
+    a -= c2
+    a *= v
+    a += 1.0
+    np.subtract(c1, b, out=b)
+    b *= u
+    p = np.empty(v.shape, np.complex128)
+    p.real, p.imag = a, b
     return p
 
 
@@ -230,14 +249,20 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     pulse, (Omega0/2, 0, Delta/2)/r with r = hypot(Omega0/2, Delta/2) for a
     constant drive (a rectangle, an undriven qubit, or Omega0 = 0).  So
     A = w J with J = -i n . sigma, J^2 = -I, and every P = a I + b J is the
-    complex number a + i b: with u_i = h w_i at t0, t0 + h/2 and t0 + h,
-    a = 1 - (u1 u2 + u2^2 + u2 u3)/6 + u1 u2^2 u3/24 and b = (u1 + 4 u2 +
-    u3)/6 - u2^2 (u1 + u3)/12, in real arithmetic (_rk4_step).
-    - a constant drive has u1 = u2 = u3 = h r, and its pair is P^n_i by
+    complex number a + i b.  On either kind of pair the drive scales by a
+    fixed s per half step, w(t0 + h/2) = s w(t0) and w(t0 + h) = s^2 w(t0),
+    so with u = h w(t0) and v = u^2 the step is a quartic in u:
+    a = 1 + v (c4 v - c2) and b = u (c1 - c3 v), where c1 = (1 + 4s + s^2)/6,
+    c2 = s (1 + s + s^2)/6, c3 = s^2 (1 + s^2)/12 and c4 = s^4/24, in real
+    arithmetic (_rk4_coefficients, _rk4_step).
+    - a constant drive has s = 1 and u = h r, and its pair is P^n_i by
       binary powering (the Taylor route of Moler & Van Loan, 2003);
-    - an exponential pulse samples w = Omega0 exp(-gamma_p t)/2 at each
-      step.  Pairs sort longest first, the r still running advance by
-      max(1, _RK4_BLOCK_CELLS // r) steps per block, P = 1 past a pair's n_i.
+    - an exponential pulse has w = Omega0 exp(-gamma_p t)/2, so s =
+      exp(-gamma_p h/2) and the step j of a block from step `first` has
+      u = h w(0) exp(-gamma_p h first) exp(-gamma_p h j).  Pairs sort longest
+      first, the r still running advance by max(1, _RK4_BLOCK_CELLS // r)
+      steps per block, P = 1 past a pair's n_i, and the table of
+      exp(-gamma_p h j) is rebuilt only when r changes.
     U = Re z I + Im z J of each pair's product z.
     """
     step = float(step)
@@ -266,26 +291,32 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     with np.errstate(over="ignore"):  # inf past the float range
         if (h * r > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
             raise StepTooLarge(f"step {step} is past RK4's stability bound h hypot(Omega0, Delta) <= 4 sqrt(2)")
+        # gamma_p h; exp(-750) is already 0.0, so the cap moves no envelope sample and keeps 0 * rate finite
+        rate = np.minimum(gamma * h, 1500.0)
     exponential = (gamma > 0.0) & (omega != 0.0)
 
-    # a constant drive: its one step raised to its count; an exponential pair stays at z = 1 here
-    u = h * r
-    z, p, k = np.ones(n, np.complex128), _rk4_step(u, u, u), np.where(exponential, 0, counts)
+    # a constant drive: its one step (s = 1) raised to its count; an exponential pair stays at z = 1 here
+    z, p, k = np.ones(n, np.complex128), _rk4_step(h * r, _rk4_coefficients(1.0)), np.where(exponential, 0, counts)
     while k.any():
         z = np.where(k & 1, z * p, z)
         p, k = p * p, k >> 1
 
     idx = np.flatnonzero(exponential)
     idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
-    first, last = 0, counts[idx].max(initial=0)
+    first, last, running = 0, counts[idx].max(initial=0), 0
     while first < last:
         a = idx[: np.count_nonzero(counts[idx] > first)]
-        hs = h[a]
-        steps = np.arange(first, min(first + max(1, _RK4_BLOCK_CELLS // a.size), last))[:, None]
-        t0 = steps * hs
-        uh = np.where(steps < counts[a], 0.5 * omega[a] * hs, 0.0)  # u = h w, and P = 1 past n_i
-        z[a] *= np.prod(_rk4_step(*(uh * np.exp(-gamma[a] * t) for t in (t0, t0 + 0.5 * hs, t0 + hs))), axis=0)
-        first = int(steps[-1, 0]) + 1
+        if a.size != running:  # per running set: exp(-gamma_p h j) for the j < steps per block, and the step
+            running, ra, ua = a.size, rate[a], 0.5 * omega[a] * h[a]
+            table = np.exp(-np.arange(max(1, _RK4_BLOCK_CELLS // running))[:, None] * ra)
+            c = _rk4_coefficients(np.exp(-0.5 * ra))
+        m = min(len(table), last - first)
+        u = table[:m] * (ua * np.exp(-ra * first))  # u = h w(t0) at the block's steps
+        left = counts[a] - first  # the shortest running pair is last
+        if left[-1] < m:
+            u = np.where(np.arange(m)[:, None] < left, u, 0.0)  # P = 1 past n_i
+        z[a] *= np.prod(_rk4_step(u, c), axis=0)
+        first += m
 
     # J = -i (n_x sigma_x + n_z sigma_z), exactly x for an exponential pulse (Delta = 0); at r = 0, z = 1
     # and r = 1 stands in, so no 0/0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pulsepair
 from pulsepair import evolution
-from pulsepair.errors import AngleOverflow, OutOfWindow, StepTooLarge, UnphysicalState
+from pulsepair.errors import AngleOverflow, InvalidConfig, OutOfWindow, StepTooLarge, UnphysicalState
 from pulsepair.evolution import (
     InitialState,
     adjoint_rotation,
@@ -93,6 +93,15 @@ class TestInitialState:
             InitialState("genwerner", (0.9, 0.9, 0.9))
         with pytest.raises(UnphysicalState):
             dataclasses.replace(InitialState.generalized_werner(-0.9, -0.8, -0.7), correlations=(0.9, 0.9, 0.9))
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ",", "\n"])
+    def test_a_label_that_would_split_the_csv_header_is_refused(self, label):
+        # the label is written into the CSV header unquoted: "a,b" gave the
+        # header param,E_a,b,imag_residue over rows of three fields
+        with pytest.raises(InvalidConfig, match="state label"):
+            InitialState(label, (-1.0, -1.0, -1.0))
+        with pytest.raises(InvalidConfig):
+            dataclasses.replace(InitialState.bell_singlet(), label=label)
 
 
 class TestEvolveCorrelations:
@@ -623,6 +632,41 @@ class TestRk4Oracle:
         assert len(powered) >= 3
         for j in powered:
             assert batch[j].tobytes() == rk4_oracle_batch(specs[j], [t_ends[j]], step=step)[0].tobytes()
+
+    # 40 exponential pulses in the ranges validate draws from, ending anywhere up to 20 at step 1e-2:
+    # 10-2000 steps each, so pairs end inside blocks and the envelope table is rebuilt as they do
+    _rng = np.random.default_rng(1)
+    DRAWN = (PulseSpec(_rng.uniform(0.0, 10.0, 40), gamma=_rng.uniform(0.2, 2.0, 40)), _rng.uniform(0.1, 20.0, 40))
+
+    def test_drawn_exponential_pairs_match_sequential_steps(self):
+        specs, t_ends = self.DRAWN
+        assert len(set(np.ceil(t_ends / 1e-2))) == 40
+        batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
+
+    @pytest.mark.parametrize("steps_per_block", [1, 7])
+    def test_drawn_exponential_pairs_do_not_depend_on_the_block_size(self, monkeypatch, steps_per_block):
+        specs, t_ends = self.DRAWN
+        default = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
+        blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        assert np.abs(blocked - default).max() < 1e-13
+
+    def test_an_exponential_pulse_that_does_not_decay_is_the_powered_rectangle(self):
+        # gamma_p h = 1e-302: every envelope sample is 1.0 and s = 1, the
+        # constant drive's step, here multiplied out in blocks, not powered
+        flat, rect = PulseSpec.exponential(2.0, 1e-300), PulseSpec.rectangular(2.0, 5.0)
+        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - rk4_single(rect, 5.0, step=1e-2)).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma_p", [1e307, 1e308])
+    def test_a_pulse_that_vanishes_within_one_step_stays_finite(self, gamma_p):
+        # gamma_p t overflowed at the step ends ("overflow encountered in
+        # multiply"), and 0 * inf would be NaN in the envelope table.  The
+        # first step sees u = h Omega0 / 2 = 1 and every later sample is 0.0,
+        # so U = I - (i/6) X
+        u = rk4_single(PulseSpec.exponential(1.0, gamma_p), 20.0, step=2.0)
+        assert np.abs(u - (np.eye(2) - 1j / 6.0 * oracles.SX)).max() <= 1e-15
 
 
 def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):

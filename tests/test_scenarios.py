@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import stat
@@ -419,6 +421,20 @@ class TestCsvFormat:
         assert len(lines) == 5  # header + 3 rows + trailing newline
         assert lines[-1] == ""
         assert "\r" not in text
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(st.sampled_from('ab:_ ,"\r\n\t\x85\u2028\u00e9'), max_size=6))
+    def test_every_accepted_label_gives_a_header_as_wide_as_each_row(self, label):
+        if any(ch in label for ch in ',"\r\n'):
+            with pytest.raises(InvalidConfig):
+                InitialState(label, (-1.0, -1.0, -1.0))
+            return
+        states = (InitialState(label, (-1.0, -1.0, -1.0)), InitialState.werner(-0.9))
+        text = run_sweep(small_config(initial_states=states, grid=GridSpec(0.0, 1.0, 3))).csv_text()
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert header[1] == f"E_{label}"
+        assert len(header) == 4
+        assert [len(row) for row in rows] == [4, 4, 4]
 
     def test_twelve_significant_digits(self):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 4)))
