@@ -24,11 +24,13 @@ sharing the pulse gathering with the maps, and ``rk4_oracle_batch``, which
 shares no code with either, integrates dU/dt = -i H(t) U with classical
 Runge-Kutta from U(0) = I on the same domain, the pulse window [0, T].
 There each RK4 pair turns about one fixed axis, so its steps multiply as
-complex numbers, each a quartic in one envelope sample: a constant drive
-raises its one step to its count, and an exponential pulse multiplies its own
-steps in blocks.  The adjoint action of
-either propagator on the Pauli triple must reproduce the UNITARY-mode
-coefficient matrix.
+complex numbers, each a quartic P in one envelope sample: a constant drive
+raises its one step to its count; an exponential pulse with a small first
+sample takes the exponential of the series of log P summed over its steps in
+closed form (its samples are geometric), and one with a larger first sample,
+up to the stability bound, multiplies its own steps in blocks.  The adjoint
+action of either propagator on the Pauli triple must reproduce the
+UNITARY-mode coefficient matrix.
 """
 
 import math
@@ -56,6 +58,11 @@ RK4_DEFAULT_STEP = 1e-3
 _RK4_BLOCK_CELLS = 4096
 # far above validation's 50 000 steps; bounds the time a tiny step can ask for
 _RK4_MAX_STEPS = 10**7
+# an exponential pair with u0 = h Omega0/2 <= 0.1 sums K = 17 terms of the series of log P; P's zeros lie at
+# |u| >= 1.944, so the terms past K add at most 4 n (0.1/1.944)^(K+1)/((K+1)(1 - 0.1/1.944)) = 1.5e-17 < 2^-52
+# at n = _RK4_MAX_STEPS
+_RK4_SERIES_BOUND = 0.1
+_RK4_SERIES_TERMS = 17
 
 # Pauli product stacks for density assembly/extraction:
 # _PP[k, l] = sigma_k x sigma_l, _PA[k] = sigma_k x I, _PB[l] = I x sigma_l.
@@ -85,8 +92,9 @@ class InitialState:
     The constructor checks physicality (finite correlations, density-matrix
     positivity up to 1e-10) and raises UnphysicalState otherwise, so every
     state, one built by a classmethod or not, is physical.  The label feeds
-    the CSV column names of the sweep layer, unquoted, so it raises
-    InvalidConfig for a label holding a comma, a double quote or a line break.
+    the CSV column names of the sweep layer, unquoted and ASCII-encoded, so it
+    raises InvalidConfig for a label holding a comma, a double quote, a line
+    break or a character outside ASCII.
     """
 
     label: str
@@ -95,6 +103,8 @@ class InitialState:
     def __post_init__(self):
         if any(ch in self.label for ch in ',"\r\n'):
             raise InvalidConfig(f"state label {self.label!r} holds a comma, a double quote or a line break")
+        if not self.label.isascii():
+            raise InvalidConfig(f"state label {self.label!r} holds a character outside ASCII")
         c = tuple(map(float, self.correlations))
         object.__setattr__(self, "correlations", c)
         if not all(map(math.isfinite, c)):
@@ -226,6 +236,25 @@ def _rk4_step(u, c) -> np.ndarray:
     return p
 
 
+def _rk4_series(u0, rate, counts) -> np.ndarray:
+    """Products over j < n of the steps P(u0 q^j), q = exp(-rate), as exp(sum_k alpha_k S_k); see rk4_oracle_batch."""
+    c = _rk4_coefficients(np.exp(-0.5 * rate))  # P(u) = Q(iu), Q(x) = 1 + c1 x + c2 x^2 + c3 x^3 + c4 x^4
+    beta, uk, log_z = [], np.ones(len(u0)), [np.zeros(len(u0)), np.zeros(len(u0))]
+    for k in range(1, _RK4_SERIES_TERMS + 1):
+        # log Q(x) = sum_k beta_k x^k with beta_k = c_k - (1/k) sum_{m<k} m beta_m c_{k-m}, c_k = 0 past k = 4
+        b = c[k - 1] if k <= 4 else 0.0
+        for m in range(max(1, k - 4), k):
+            b = b - m / k * beta[m - 1] * c[k - m - 1]
+        beta.append(b)
+        uk = uk * u0
+        # sum_j q^(kj) over j < n, and n where k rate is 0 (t_end = 0, or gamma_p h below the float range)
+        d = np.expm1(-k * rate)
+        geometric = np.divide(np.expm1(-k * rate * counts), d, out=counts.astype(float), where=d != 0.0)
+        # alpha_k = i^k beta_k: even k add to the real part of log z, odd k to the imaginary part
+        log_z[k % 2] += (b if k % 4 < 2 else -b) * uk * geometric
+    return np.exp(log_z[0] + 1j * log_z[1])
+
+
 def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U, H(t) = (Delta sigma_z + Omega0 f(t) sigma_x)/2, on [0, T].
 
@@ -258,11 +287,24 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     - a constant drive has s = 1 and u = h r, and its pair is P^n_i by
       binary powering (the Taylor route of Moler & Van Loan, 2003);
     - an exponential pulse has w = Omega0 exp(-gamma_p t)/2, so s =
-      exp(-gamma_p h/2) and the step j of a block from step `first` has
-      u = h w(0) exp(-gamma_p h first) exp(-gamma_p h j).  Pairs sort longest
-      first, the r still running advance by max(1, _RK4_BLOCK_CELLS // r)
-      steps per block, P = 1 past a pair's n_i, and the table of
-      exp(-gamma_p h j) is rebuilt only when r changes.
+      exp(-gamma_p h/2) and step j has u_j = u0 q^j, u0 = h Omega0/2 and
+      q = exp(-gamma_p h).
+    - an exponential pair with u0 <= _RK4_SERIES_BOUND (0.1) takes the
+      series (_rk4_series).  P(u) = Q(iu) with Q(x) = 1 + c1 x + c2 x^2 +
+      c3 x^3 + c4 x^4, and |u| stays below the nearest zero of P (|u| >=
+      1.944 for every s in (0, 1]), so log P(u) = sum_k alpha_k u^k with
+      alpha_k = i^k beta_k, beta_k = c_k - (1/k) sum_{m<k} m beta_m c_{k-m}
+      (c_k = 0 past k = 4).  The product of the n_i steps is then exactly
+      exp(sum_k alpha_k S_k) with S_k = sum_j u_j^k = u0^k
+      expm1(-k gamma_p h n_i)/expm1(-k gamma_p h), a geometric sum (n_i where
+      k gamma_p h is 0).  Its first _RK4_SERIES_TERMS terms give the step
+      product to rounding, in O(terms) work per pair instead of O(n_i).
+    - any other exponential pair, which may lie near the stability bound
+      where the series diverges, multiplies its steps in blocks: step j of a
+      block from step `first` has u = u0 exp(-gamma_p h first) exp(-gamma_p
+      h j).  Pairs sort longest first, the r still running advance by max(1,
+      _RK4_BLOCK_CELLS // r) steps per block, P = 1 past a pair's n_i, and
+      the table of exp(-gamma_p h j) is rebuilt only when r changes.
     U = Re z I + Im z J of each pair's product z.
     """
     step = float(step)
@@ -301,13 +343,17 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
         z = np.where(k & 1, z * p, z)
         p, k = p * p, k >> 1
 
-    idx = np.flatnonzero(exponential)
+    u0 = np.where(exponential, 0.5 * omega * h, 0.0)  # h w(0) of an exponential pair
+    series = exponential & (u0 <= _RK4_SERIES_BOUND)
+    z[series] = _rk4_series(u0[series], rate[series], counts[series])
+
+    idx = np.flatnonzero(exponential & ~series)
     idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
     first, last, running = 0, counts[idx].max(initial=0), 0
     while first < last:
         a = idx[: np.count_nonzero(counts[idx] > first)]
         if a.size != running:  # per running set: exp(-gamma_p h j) for the j < steps per block, and the step
-            running, ra, ua = a.size, rate[a], 0.5 * omega[a] * h[a]
+            running, ra, ua = a.size, rate[a], u0[a]
             table = np.exp(-np.arange(max(1, _RK4_BLOCK_CELLS // running))[:, None] * ra)
             c = _rk4_coefficients(np.exp(-0.5 * ra))
         m = min(len(table), last - first)

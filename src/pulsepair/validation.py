@@ -189,11 +189,15 @@ def _check_werner_monotone() -> CheckResult:
 def _check_presets() -> list[CheckResult]:
     """The maps and evolution a UNITARY sweep skips, with no rounding guard (under 3e-14) and no LITERAL closed form."""
     const_err = start_err = literal_detuned_residue = literal_resonant_imag = 0.0
-    for name, cfg in scenarios.paper_figure_presets().items():
-        states, x = [s.correlations for s in cfg.initial_states], cfg.grid.values()
+    presets = scenarios.paper_figure_presets().values()
+    per_preset = [[s.correlations for s in cfg.initial_states] for cfg in presets]
+    # every preset's initial negativities from one call, split back per preset
+    initials = _negativities([c for states in per_preset for c in states])
+    initials = np.split(initials, np.cumsum(list(map(len, per_preset)))[:-1])
+    for cfg, states, initial in zip(presets, per_preset, initials):
+        x = cfg.grid.values()
         tensors = evolution.evolve_correlations_batch(states, *scenarios._grid_maps(cfg, x))[0]
         evolved = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
-        initial = _negativities(states)
         const_err = max(const_err, float(np.abs(evolved - initial).max()))
         start_err = max(start_err, float(np.abs(evolved[0] - initial).max()))
         literal = scenarios._grid_maps(replace(cfg, mode=pulses.CoefficientMode.LITERAL), x)  # evolved only if detuned

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsepair
-from pulsepair import evolution
+from pulsepair import evolution, validation
 from pulsepair.errors import AngleOverflow, InvalidConfig, OutOfWindow, StepTooLarge, UnphysicalState
 from pulsepair.evolution import (
     InitialState,
@@ -94,10 +94,12 @@ class TestInitialState:
         with pytest.raises(UnphysicalState):
             dataclasses.replace(InitialState.generalized_werner(-0.9, -0.8, -0.7), correlations=(0.9, 0.9, 0.9))
 
-    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ",", "\n"])
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ",", "\n", "caf\u00e9", "a\u2028b", "a\x85b"])
     def test_a_label_that_would_split_the_csv_header_is_refused(self, label):
         # the label is written into the CSV header unquoted: "a,b" gave the
-        # header param,E_a,b,imag_residue over rows of three fields
+        # header param,E_a,b,imag_residue over rows of three fields.  The
+        # header is written as ASCII: "caf\u00e9" ran the sweep and then raised
+        # an untyped UnicodeEncodeError at the write
         with pytest.raises(InvalidConfig, match="state label"):
             InitialState(label, (-1.0, -1.0, -1.0))
         with pytest.raises(InvalidConfig):
@@ -580,13 +582,18 @@ class TestRk4Oracle:
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
         assert np.array_equal(batch[4], np.eye(2))
 
+    # exponential pairs past the series bound at step 1e-2 (u0 = h Omega0/2 = 0.15 and 0.125): their steps
+    # are multiplied in blocks
+    ABOVE = ((PulseSpec.exponential(30.0, 1.0), 5.0), (PulseSpec.exponential(25.0, 0.7), 3.34))
+
     @pytest.mark.parametrize("steps_per_block", [1, 7])
     def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
-        # the two exponential pairs take 500 and 334 complex steps.  With 7
-        # steps per pair, a block holds 21 steps while both run (334 ends
-        # inside one), then 42; with 1, it holds 3 steps (334 is not a
-        # multiple of 3), then 6
-        specs, t_ends = zip(*self.MIXED)
+        # MIXED's two exponential pairs take the series; the two ABOVE pairs take
+        # 500 and 334 steps in blocks.  With 7 steps per pair of the 8, a block
+        # holds 28 steps while both run (334 ends inside one), then 56; with 1,
+        # it holds 4 steps (334 is not a multiple of 4), then 8
+        assert all(0.5 * p.omega0 * 1e-2 > evolution._RK4_SERIES_BOUND for p, _ in self.ABOVE)
+        specs, t_ends = zip(*self.MIXED, *self.ABOVE)
         specs = oracles.stack(specs)
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
         monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
@@ -609,8 +616,10 @@ class TestRk4Oracle:
             (PulseSpec.exponential(0.0, 0.4), 3.0),  # no drive to sample
             *((PulseSpec.rectangular(1.3, duration=20.0, delta=-0.7), t) for t in ENDS),
         ),
-        # exponential pulses: steps multiplied as complex numbers
+        # exponential pulses past the series bound (u0 = h Omega0/2 near 0.2): steps multiplied in blocks
         "complex": tuple((PulseSpec.exponential(2.0, 0.4), t) for t in ENDS),
+        # exponential pulses at or below it (u0 <= 0.08): the exponential of the series of log P
+        "series": tuple((PulseSpec.exponential(0.8, 0.4), t) for t in ENDS),
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -646,17 +655,26 @@ class TestRk4Oracle:
 
     @pytest.mark.parametrize("steps_per_block", [1, 7])
     def test_drawn_exponential_pairs_do_not_depend_on_the_block_size(self, monkeypatch, steps_per_block):
-        specs, t_ends = self.DRAWN
+        # DRAWN takes the series; the same pairs with Omega0 raised by 20.1
+        # (u0 > 0.1005) take the blocks, and end inside them
+        drawn, t_ends = self.DRAWN
+        above = drawn._replace(omega0=drawn.omega0 + 20.1)
+        assert (0.5 * above.omega0 * 1e-2 > evolution._RK4_SERIES_BOUND).all()
+        specs, t_ends = PulseSpec(*map(np.concatenate, zip(drawn, above))), np.concatenate((t_ends, t_ends))
         default = rk4_oracle_batch(specs, t_ends, step=1e-2)
         monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
         blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
         assert np.abs(blocked - default).max() < 1e-13
 
-    def test_an_exponential_pulse_that_does_not_decay_is_the_powered_rectangle(self):
+    def test_an_exponential_pulse_that_does_not_decay_is_the_powered_rectangle(self, monkeypatch):
         # gamma_p h = 1e-302: every envelope sample is 1.0 and s = 1, the
-        # constant drive's step, here multiplied out in blocks, not powered
+        # constant drive's step, here summed as a series (u0 = 0.01) or, past
+        # a bound of 0, multiplied out in blocks, not powered
         flat, rect = PulseSpec.exponential(2.0, 1e-300), PulseSpec.rectangular(2.0, 5.0)
-        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - rk4_single(rect, 5.0, step=1e-2)).max() < 1e-12
+        powered = rk4_single(rect, 5.0, step=1e-2)
+        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - powered).max() < 1e-12
+        monkeypatch.setattr(evolution, "_RK4_SERIES_BOUND", 0.0)
+        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - powered).max() < 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma_p", [1e307, 1e308])
@@ -667,6 +685,79 @@ class TestRk4Oracle:
         # so U = I - (i/6) X
         u = rk4_single(PulseSpec.exponential(1.0, gamma_p), 20.0, step=2.0)
         assert np.abs(u - (np.eye(2) - 1j / 6.0 * oracles.SX)).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma_p", [1e307, 1e308])
+    def test_a_series_pulse_that_vanishes_within_one_step_stays_finite(self, gamma_p):
+        # as above at u = h Omega0 / 2 = 0.1, at the series bound: gamma_p h
+        # is capped at 1500, so sum_j q^(kj) = 1 and U = I - (i 0.1/6) X
+        u = rk4_single(PulseSpec.exponential(0.1, gamma_p), 20.0, step=2.0)
+        assert np.abs(u - (np.eye(2) - 0.1j / 6.0 * oracles.SX)).max() <= 1e-15
+
+    # exponential pairs on h = 0.25 (t_end 2.5 in 10 steps, 12.5 in 50), where u0 = h Omega0/2 = Omega0/8
+    # is exact: at the bound, one ulp either side of it, and further out on both sides
+    BOUND_U0 = (0.08, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), 0.12)
+
+    @pytest.mark.parametrize("t_end", [2.5, 12.5])
+    def test_pairs_either_side_of_the_series_bound_match_sequential_steps(self, monkeypatch, t_end):
+        seen = []
+        series = evolution._rk4_series
+        monkeypatch.setattr(evolution, "_rk4_series", lambda u0, *rest: seen.extend(u0) or series(u0, *rest))
+        assert evolution._RK4_SERIES_BOUND == 0.1
+        u0 = np.array(self.BOUND_U0)
+        specs = PulseSpec(8.0 * u0, gamma=0.4)
+        batch = rk4_oracle_batch(specs, np.full(len(u0), t_end), step=0.25)
+        assert seen == [0.08, np.nextafter(0.1, 0.0), 0.1]  # at or below the bound, in batch order
+        assert np.abs(batch - oracles.rk4_sequential(specs, np.full(len(u0), t_end), 0.25)).max() < 1e-12
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5, 8])
+    def test_the_series_is_the_exponential_of_its_first_terms(self, monkeypatch, terms):
+        # log P(u) = sum_i log(1 - u/z_i) over the four zeros z_i of the step
+        # quartic, so alpha_k = -sum_i z_i^-k / k; S_k = sum_j u_j^k summed
+        # here step by step.  Few terms on u0 = 0.1 leave a tail far above
+        # rounding, so a term too few or too many, or a wrong S_k, shows
+        monkeypatch.setattr(evolution, "_RK4_SERIES_TERMS", terms)
+        h, n = 0.25, np.array([10, 50, 50])
+        omega0, gamma_p = np.array([0.8, 0.8, 0.4]), np.array([0.4, 4.0, 1.0])
+        batch = rk4_oracle_batch(PulseSpec(omega0, gamma=gamma_p), h * n, step=h)
+        for u, w, g, steps in zip(batch, omega0, gamma_p, n):
+            s = math.exp(-0.5 * g * h)
+            c1, c2, c3, c4 = (1 + 4 * s + s * s) / 6, s * (1 + s + s * s) / 6, s * s * (1 + s * s) / 12, s**4 / 24
+            zeros = np.roots([c4, -1j * c3, -c2, 1j * c1, 1.0])
+            samples = h * w / 2 * np.exp(-g * h * np.arange(steps))
+            log_z = sum(-(zeros ** -k).sum() / k * (samples**k).sum() for k in range(1, terms + 1))
+            z = np.exp(log_z)
+            assert np.abs(u - (z.real * np.eye(2) - 1j * z.imag * oracles.SX)).max() < 1e-12
+
+    def test_the_series_matches_the_blocks_on_drawn_and_validate_pairs(self, monkeypatch):
+        # validate's seed-0 oracle triangle: the d-row anchor draws 1000 pairs first
+        rng = np.random.default_rng(0)
+        validation._random_pulses(rng, 1000)
+        cases = ((*self.DRAWN, 1e-2), (*validation._random_pulses(rng, 80), 1e-3))
+        series = [rk4_oracle_batch(specs, t_ends, step=step) for specs, t_ends, step in cases]
+        monkeypatch.setattr(evolution, "_RK4_SERIES_BOUND", 0.0)
+        for (specs, t_ends, step), by_series in zip(cases, series):
+            assert np.abs(rk4_oracle_batch(specs, t_ends, step=step) - by_series).max() < 1e-12
+
+    def test_each_series_pair_is_the_same_alone_and_in_the_batch(self):
+        specs, t_ends = self.DRAWN
+        batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
+        for j, t in enumerate(t_ends):
+            alone = rk4_oracle_batch(PulseSpec(specs.omega0[j], gamma=specs.gamma[j]), [t], step=1e-2)
+            assert batch[j].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_series_pair_at_zero_time_or_a_vanishing_rate_is_exact(self):
+        # t_end = 0 takes no step: k gamma_p h = 0 and sum_j q^(kj) over no j
+        # is 0, not the 0/0 of the geometric ratio.  gamma_p h subnormal (1e-312)
+        # or zero (5e-324 h) makes every sample 1.0: the powered rectangle
+        flat = PulseSpec(2.0, gamma=[0.4, 1e-310, 5e-324])
+        identities = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        assert rk4_oracle_batch(flat, [0.0, 0.0, 0.0]).tobytes() == identities.tobytes()
+        batch = rk4_oracle_batch(flat, [0.0, 5.0, 5.0], step=1e-2)
+        assert np.array_equal(batch[0], np.eye(2))
+        rect = rk4_single(PulseSpec.rectangular(2.0, 5.0), 5.0, step=1e-2)
+        assert np.abs(batch[1:] - rect).max() < 1e-12
 
 
 def evolve_pair(pa, pb, t, mode=CoefficientMode.UNITARY):

@@ -425,7 +425,7 @@ class TestCsvFormat:
     @settings(max_examples=60, deadline=None)
     @given(st.text(st.sampled_from('ab:_ ,"\r\n\t\x85\u2028\u00e9'), max_size=6))
     def test_every_accepted_label_gives_a_header_as_wide_as_each_row(self, label):
-        if any(ch in label for ch in ',"\r\n'):
+        if any(ch in label for ch in ',"\r\n') or not label.isascii():
             with pytest.raises(InvalidConfig):
                 InitialState(label, (-1.0, -1.0, -1.0))
             return
