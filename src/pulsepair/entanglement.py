@@ -9,7 +9,8 @@ zero_bloch_spectrum_batch takes the mu_i of a state with zero Bloch
 vectors in closed form, from the singular values of its 3x3 correlation
 tensor alone.  A drive on resonance (an exponential pulse, or a rectangle
 with Delta = 0) turns its qubit about x, so both coefficient maps fix the x
-axis and the tensor splits into T_xx and a 2x2 yz block; such tensors take
+axis and the tensor splits into T_xx and a 2x2 yz block; such tensors (the
+diagonal ones of run_sweep, and those validate's preset checks evolve) take
 those singular values in closed form, and any other tensor, such as one of a
 detuned drive, goes to LAPACK's SVD.  _jacobi_negativities takes the same
 negativities through the density and the Jacobi solver; it is the sweep

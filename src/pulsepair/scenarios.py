@@ -21,13 +21,17 @@ configurations give bit-identical results, and grid values are defined as
 start + i * step (the last clamped to stop) so refining a grid never moves
 the shared nodes.
 
-A LITERAL sweep takes the grid in chunks of at most _CHUNK_CELLS (point,
-state) cells, so memory stays bounded, and each chunk takes the long route:
+A sweep takes one of three routes.  A UNITARY sweep builds no maps: they
+are proper rotations, which keep the negativity exactly, so each cell has
+its state's initial value (Vidal & Werner, PRA 65, 032314, 2002).  Nor does
+a resonant LITERAL sweep: its printed maps (B = 0, A = e_x, D a unit vector)
+give C~ = c_xx e_x e_x^T + c_zz D1 D2^T, whose singular values |c_xx|, |c_zz|
+and 0 are those of diag(c_xx, 0, c_zz) (Horodecki & Horodecki, PRA 54, 1838,
+1996); every residue is 0.  A detuned LITERAL sweep takes the grid in chunks
+of at most _CHUNK_CELLS (point, state) cells, and each chunk the long route:
 maps, evolved tensors, closed-form negativities (Jacobi on a density where
 the 12th digit is in doubt).  No stage mixes matrices, so the chunk size
-never changes a bit.  A UNITARY sweep builds no maps: they are proper
-rotations, which keep the negativity exactly, so each cell has its state's
-initial value (Vidal & Werner, PRA 65, 032314, 2002).
+never changes a bit.
 """
 
 import math
@@ -240,13 +244,10 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     return values
 
 
-def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x (Omega = gamma_p = 1)."""
-    t = x
+def _grid_pulses(cfg: SweepConfig) -> tuple[PulseSpec, PulseSpec]:
+    """The pulses (pa, pb) that drive a sweep's qubits (Omega = gamma_p = 1)."""
     if cfg.family is SweepFamily.RECT_VS_AREA:
-        # each point is its own pulse ending at t = 2 pi n; one window over
-        # the whole grid admits every such t
-        t = 2.0 * math.pi * x
+        # each point is its own pulse ending at t = 2 pi n (_grid_maps); one window admits them all
         window = 2.0 * math.pi * cfg.grid.stop
         pa, pb = (PulseSpec.rectangular(1.0, window, delta) for delta in cfg.detuning_prime)
     elif cfg.family is SweepFamily.EXP_VS_TIME:
@@ -258,11 +259,20 @@ def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         pb = PulseSpec.exponential(cfg.rabi_ratio[1], 1.0)
     if cfg.drive is DriveMode.ONE_QUBIT:
         pb = PulseSpec.none()
-    m1, m2 = (coefficient_map_batch(p, t, cfg.mode) for p in (pa, pb))
-    if cfg.family is SweepFamily.RECT_VS_AREA:
-        # n = 0 is no pulse at all: the identity, which the literal closed
-        # forms at t = 0 are not bit for bit
-        m1, m2 = (np.where((x == 0.0)[:, None, None], np.eye(3), m) for m in (m1, m2))
+    return pa, pb
+
+
+def _identity_points(cfg: SweepConfig, x: np.ndarray) -> np.ndarray:
+    """Mask of grid values x where no pulse acts (n = 0 of RECT_VS_AREA), so the maps are np.eye(3)."""
+    return (x == 0.0) & (cfg.family is SweepFamily.RECT_VS_AREA)
+
+
+def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x (Omega = gamma_p = 1)."""
+    t = 2.0 * math.pi * x if cfg.family is SweepFamily.RECT_VS_AREA else x
+    idle = _identity_points(cfg, x)
+    m1, m2 = (coefficient_map_batch(p, t, cfg.mode) for p in _grid_pulses(cfg))
+    m1[idle] = m2[idle] = np.eye(3)  # the literal closed forms at t = 0 are not the identity bit for bit
     return m1, m2
 
 
@@ -273,23 +283,27 @@ def _long_route(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate one sweep configuration over its whole grid.
+    """Evaluate one sweep configuration over its whole grid, by one of three routes.
 
-    LITERAL chunks take _long_route; a UNITARY sweep gives each cell its
-    state's initial negativity, as rotations keep it exactly.  Raises
-    ConvergenceFailure if a Jacobi solve fails.  The grid keeps every
-    rectangle's t inside its window and PARAM_LIMIT every angle inside the
-    float range, so the maps of any config that constructs are finite.
+    A UNITARY cell has its state's initial negativity; a resonant LITERAL one
+    (every pulse built has delta = 0) that of diag(c_xx, 0, c_zz), or at an
+    identity point (_identity_points) the initial one; detuned LITERAL chunks
+    take _long_route.  Raises ConvergenceFailure if a Jacobi solve fails.
+    The grid keeps rectangles' t in their windows and PARAM_LIMIT angles in
+    the float range, so the maps of any config that constructs are finite.
     """
     grid = cfg.grid.values()
-    step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
     negativities = np.empty((len(grid), len(cfg.initial_states)))
     residues = np.zeros(len(grid))
-    if cfg.mode is CoefficientMode.UNITARY:  # computed once: every cell has its state's initial value
-        negativities[:] = _negativities(_diagonal_tensors([s.correlations for s in cfg.initial_states]))
-    else:
+    if cfg.mode is CoefficientMode.LITERAL and any(p.delta for p in _grid_pulses(cfg)):
+        step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
         for chunk in (slice(lo, lo + step) for lo in range(0, len(grid), step)):
             negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])
+    else:  # computed once: the states' initial negativities, then those of diag(c_xx, 0, c_zz)
+        c = [s.correlations for s in cfg.initial_states]
+        initial, resonant = _negativities(_diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c])).reshape(2, -1)
+        negativities[:] = resonant if cfg.mode is CoefficientMode.LITERAL else initial
+        negativities[_identity_points(cfg, grid)] = initial
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -89,11 +89,15 @@ def test_mode_key():
         "exposure = 3\n",  # unknown key
         "rabi_ratio_a = five\n",  # not a number
         "grid_points = 12.5\n",  # not an integer
+        "junk line\n",  # no equals sign after a complete config
+        "grid_stop 20\n",  # likewise, with a known key
     ],
 )
 def test_defective_lines_raise(mutation):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig) as info:
         parse_config(GOOD + mutation)
+    if "=" not in mutation:  # a line that is not key = value is named by its number
+        assert str(info.value).startswith(f"line {len(GOOD.splitlines()) + 1}: expected key = value")
 
 
 @pytest.mark.parametrize(
@@ -291,7 +295,8 @@ def test_unitary_sweep_agrees_with_the_long_route(text):
 @pytest.mark.parametrize("mode", list(CoefficientMode))
 def test_a_non_finite_map_raises_trace_not_one_on_either_route(monkeypatch, mode):
     # the long route of either mode evolves the maps, so a NaN in them is a
-    # typed error; a UNITARY sweep builds no maps, so it never meets the NaN
+    # typed error; only a detuned LITERAL sweep takes it, so a UNITARY sweep
+    # and a resonant LITERAL one build no maps and never meet the NaN
     grid_maps = scenarios._grid_maps
 
     def broken(cfg, x):
@@ -300,13 +305,14 @@ def test_a_non_finite_map_raises_trace_not_one_on_either_route(monkeypatch, mode
         m1[-1, 0, 0] = np.nan
         return m1, m2
 
-    cfg = dataclasses.replace(paper_figure_presets()["fig3a"], mode=mode)
     monkeypatch.setattr(scenarios, "_grid_maps", broken)
-    assert _error_type(scenarios._long_route, cfg, cfg.grid.values()) is TraceNotOne
-    if mode is CoefficientMode.LITERAL:
-        assert _error_type(run_sweep, cfg) is TraceNotOne
-    else:
-        assert np.isfinite(run_sweep(cfg).negativities).all()
+    for name in ("fig1b", "fig3a"):
+        cfg = dataclasses.replace(paper_figure_presets()[name], mode=mode)
+        assert _error_type(scenarios._long_route, cfg, cfg.grid.values()) is TraceNotOne
+        if (name, mode) == ("fig1b", CoefficientMode.LITERAL):
+            assert _error_type(run_sweep, cfg) is TraceNotOne
+        else:
+            assert np.isfinite(run_sweep(cfg).negativities).all()
 
 
 # Every key at its extremes, on 5-point grids: detunings from 5e-324 to 1e6 in
@@ -321,6 +327,24 @@ EXTREME_VALUES = {
     "grid_points": (st.just("5"),) * 2,
     "initial_states": VALUES["initial_states"][:1] * 2,
 }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(config_text(modes=(CoefficientMode.LITERAL,), values=v) for v in (VALUES, EXTREME_VALUES))))
+def test_resonant_literal_sweep_prints_the_long_route_bytes(text):
+    # a LITERAL sweep whose pulses all have delta = 0 gives each cell the value
+    # of diag(c_xx, 0, c_zz) (its state's initial one at an identity point)
+    # without evolving; the long route evolves every cell and must print alike
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, UnphysicalState):
+        return
+    assert cfg.mode is CoefficientMode.LITERAL
+    if any(p.delta for p in scenarios._grid_pulses(cfg)):
+        return
+    event("resonant")
+    grid = cfg.grid.values()
+    assert run_sweep(cfg).csv_text() == scenarios.SweepResult(cfg, grid, *scenarios._long_route(cfg, grid)).csv_text()
 
 
 @settings(max_examples=300, deadline=None)

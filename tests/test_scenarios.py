@@ -290,6 +290,59 @@ class TestBatchedSweep:
             assert np.abs(run_sweep(cfg).negativities - closed).max() < 1e-10, key
 
 
+class TestResonantLiteralRoute:
+    # a LITERAL sweep whose built pulses all have delta = 0 builds no maps and
+    # evolves no tensor; the family decides which detuning slots build a pulse
+    LITERAL = CoefficientMode.LITERAL
+    RESONANT = {
+        "fig3a with detuning_prime_a = 3 (exp_vs_time ignores it)": ("fig3a", (3.0, 0.0)),
+        "fig1a with detuning_prime_b = 3 (one_qubit ignores it)": ("fig1a", (0.0, 3.0)),
+        **{f"{name}/literal": (name, None) for name in paper_figure_presets() if name not in ("fig1b", "fig2b")},
+    }
+    DETUNED = {
+        "fig1b/literal": ("fig1b", None),
+        "fig2b/literal": ("fig2b", None),
+        "fig5a with detuning_prime_a = 2": ("fig5a", (2.0, 0.0)),
+    }
+
+    def _spied(self, monkeypatch, name, detuning):
+        cfg = dataclasses.replace(paper_figure_presets()[name], mode=self.LITERAL)
+        if detuning is not None:
+            cfg = dataclasses.replace(cfg, detuning_prime=detuning)
+        calls = []
+
+        def spy(label, function, *args):
+            calls.append(label)
+            return function(*args)
+
+        for spied in ("coefficient_map_batch", "evolve_correlations_batch", "_long_route"):
+            monkeypatch.setattr(scenarios, spied, functools.partial(spy, spied, getattr(scenarios, spied)))
+        return cfg, run_sweep(cfg), calls
+
+    @pytest.mark.parametrize("key", list(RESONANT))
+    def test_a_resonant_literal_sweep_builds_no_maps_and_evolves_nothing(self, monkeypatch, key):
+        cfg, result, calls = self._spied(monkeypatch, *self.RESONANT[key])
+        assert calls == []
+        assert np.array_equal(result.residues, np.zeros(cfg.grid.points))
+        monkeypatch.undo()
+        long_route = SweepResult(cfg, cfg.grid.values(), *scenarios._long_route(cfg, cfg.grid.values()))
+        assert result.csv_text().splitlines() == long_route.csv_text().splitlines()  # lines: a quick diff
+
+    @pytest.mark.parametrize("key", list(DETUNED))
+    def test_a_detuned_literal_sweep_takes_the_long_route(self, monkeypatch, key):
+        _, _, calls = self._spied(monkeypatch, *self.DETUNED[key])
+        assert calls == ["_long_route", "coefficient_map_batch", "coefficient_map_batch", "evolve_correlations_batch"]
+
+    def test_only_the_identity_points_keep_the_initial_negativity(self):
+        # the literal time sweeps have no identity point: their maps at t = 0 are
+        # not the identity, so row 0 already has the value of diag(c_xx, 0, c_zz)
+        presets = paper_figure_presets()
+        area, decay = (run_sweep(dataclasses.replace(presets[n], mode=self.LITERAL)) for n in ("fig1a", "fig3a"))
+        assert np.abs(area.negativities[0] - INITIAL_E).max() < 1e-12
+        assert np.abs(area.negativities[1:] - (0.5, 0.4, 0.3)).max() < 1e-12
+        assert np.abs(decay.negativities - (0.5, 0.4, 0.3)).max() < 1e-12
+
+
 class TestClosedFormGuard:
     # fig1b/literal, state werner, at params 6.95 and 18.475: the partial
     # transposes' negativities to 17 digits, from a 50-digit evaluation
