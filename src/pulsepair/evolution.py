@@ -24,12 +24,10 @@ sharing the pulse gathering with the maps, and ``rk4_oracle_batch``, which
 shares no code with either, integrates dU/dt = -i H(t) U with classical
 Runge-Kutta from U(0) = I on the same domain, the pulse window [0, T].
 There each RK4 pair turns about one fixed axis, so its steps multiply as
-complex numbers, each a quartic P in one envelope sample: a constant drive
-raises its one step to its count; an exponential pulse with a small first
-sample takes the exponential of the series of log P summed over its steps in
-closed form (its samples are geometric), and one with a larger first sample,
-up to the stability bound, multiplies its own steps in blocks.  The adjoint
-action of either propagator on the Pauli triple must reproduce the
+complex numbers, each a quartic P in one envelope sample, and every pair's
+product is the exponential of the series of log P summed over its steps in
+closed form (its samples are geometric; a constant drive's are equal).  The
+adjoint action of either propagator on the Pauli triple must reproduce the
 UNITARY-mode coefficient matrix.
 """
 
@@ -54,11 +52,9 @@ __all__ = [
 ]
 
 RK4_DEFAULT_STEP = 1e-3
-# step-matrix cells per RK4 block: a block holds max(1, this // pairs) steps
-_RK4_BLOCK_CELLS = 4096
-# far above validation's 50 000 steps; bounds the time a tiny step can ask for
+# the premise of the series' tail bound below (validation takes at most 50 000 steps)
 _RK4_MAX_STEPS = 10**7
-# an exponential pair with u0 = h Omega0/2 <= 0.1 sums K = 17 terms of the series of log P; P's zeros lie at
+# a pair with u0 = h hypot(Omega0, Delta)/2 <= 0.1 sums K = 17 terms of the series of log P; P's zeros lie at
 # |u| >= 1.944, so the terms past K add at most 4 n (0.1/1.944)^(K+1)/((K+1)(1 - 0.1/1.944)) = 1.5e-17 < 2^-52
 # at n = _RK4_MAX_STEPS
 _RK4_SERIES_BOUND = 0.1
@@ -212,33 +208,12 @@ def unitary_oracle_batch(pulses: PulseSpec, times) -> np.ndarray:
     return (v * np.exp(-1j * tau[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _rk4_coefficients(s):
-    """(c1, c2, c3, c4) of the RK4 step on a drive w with w(t0 + h/2) = s w(t0) and w(t0 + h) = s^2 w(t0)."""
-    s2 = s * s
-    return (1.0 + 4.0 * s + s2) / 6.0, s * (1.0 + s + s2) / 6.0, s2 * (1.0 + s2) / 12.0, s2 * s2 / 24.0
-
-
-def _rk4_step(u, c) -> np.ndarray:
-    """RK4 steps P = a I + b J, J^2 = -I, as complex a + i b of u = h w(t0) and v = u^2.
-
-    a = 1 + v (c4 v - c2) and b = u (c1 - c3 v), with c from _rk4_coefficients.
-    """
-    c1, c2, c3, c4 = c
-    v = u * u
-    a, b = c4 * v, c3 * v  # in place from here: one pass over the block per operation
-    a -= c2
-    a *= v
-    a += 1.0
-    np.subtract(c1, b, out=b)
-    b *= u
-    p = np.empty(v.shape, np.complex128)
-    p.real, p.imag = a, b
-    return p
-
-
 def _rk4_series(u0, rate, counts) -> np.ndarray:
     """Products over j < n of the steps P(u0 q^j), q = exp(-rate), as exp(sum_k alpha_k S_k); see rk4_oracle_batch."""
-    c = _rk4_coefficients(np.exp(-0.5 * rate))  # P(u) = Q(iu), Q(x) = 1 + c1 x + c2 x^2 + c3 x^3 + c4 x^4
+    s = np.exp(-0.5 * rate)  # the drive's factor per half step
+    s2 = s * s
+    # P(u) = Q(iu), Q(x) = 1 + c1 x + c2 x^2 + c3 x^3 + c4 x^4
+    c = (1.0 + 4.0 * s + s2) / 6.0, s * (1.0 + s + s2) / 6.0, s2 * (1.0 + s2) / 12.0, s2 * s2 / 24.0
     beta, uk, log_z = [], np.ones(len(u0)), [np.zeros(len(u0)), np.zeros(len(u0))]
     for k in range(1, _RK4_SERIES_TERMS + 1):
         # log Q(x) = sum_k beta_k x^k with beta_k = c_k - (1/k) sum_{m<k} m beta_m c_{k-m}, c_k = 0 past k = 4
@@ -247,7 +222,8 @@ def _rk4_series(u0, rate, counts) -> np.ndarray:
             b = b - m / k * beta[m - 1] * c[k - m - 1]
         beta.append(b)
         uk = uk * u0
-        # sum_j q^(kj) over j < n, and n where k rate is 0 (t_end = 0, or gamma_p h below the float range)
+        # sum_j q^(kj) over j < n, and n where k rate is 0 (a constant drive, t_end = 0, or gamma_p h
+        # below the float range)
         d = np.expm1(-k * rate)
         geometric = np.divide(np.expm1(-k * rate * counts), d, out=counts.astype(float), where=d != 0.0)
         # alpha_k = i^k beta_k: even k add to the real part of log z, odd k to the imaginary part
@@ -268,8 +244,9 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     at most _RK4_MAX_STEPS; OutOfWindow for the first pair with t_end past
     its window T (a rectangle's duration, inf otherwise), as the maps do; and
     StepTooLarge if step exceeds a tenth of the shortest t_end > 0 or if
-    h_i hypot(Omega0, Delta) > 4 sqrt(2), a bound that buys stability, not
-    accuracy.
+    h_i hypot(Omega0, Delta)/2 > _RK4_SERIES_BOUND (0.1), where the series
+    below stops meeting rounding in _RK4_SERIES_TERMS terms: a bound on the
+    route, not on RK4's accuracy.
 
     The equation is linear, so a step is U <- P U with P = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1), K3 =
@@ -280,32 +257,20 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     A = w J with J = -i n . sigma, J^2 = -I, and every P = a I + b J is the
     complex number a + i b.  On either kind of pair the drive scales by a
     fixed s per half step, w(t0 + h/2) = s w(t0) and w(t0 + h) = s^2 w(t0),
-    so with u = h w(t0) and v = u^2 the step is a quartic in u:
-    a = 1 + v (c4 v - c2) and b = u (c1 - c3 v), where c1 = (1 + 4s + s^2)/6,
-    c2 = s (1 + s + s^2)/6, c3 = s^2 (1 + s^2)/12 and c4 = s^4/24, in real
-    arithmetic (_rk4_coefficients, _rk4_step).
-    - a constant drive has s = 1 and u = h r, and its pair is P^n_i by
-      binary powering (the Taylor route of Moler & Van Loan, 2003);
-    - an exponential pulse has w = Omega0 exp(-gamma_p t)/2, so s =
-      exp(-gamma_p h/2) and step j has u_j = u0 q^j, u0 = h Omega0/2 and
-      q = exp(-gamma_p h).
-    - an exponential pair with u0 <= _RK4_SERIES_BOUND (0.1) takes the
-      series (_rk4_series).  P(u) = Q(iu) with Q(x) = 1 + c1 x + c2 x^2 +
-      c3 x^3 + c4 x^4, and |u| stays below the nearest zero of P (|u| >=
-      1.944 for every s in (0, 1]), so log P(u) = sum_k alpha_k u^k with
-      alpha_k = i^k beta_k, beta_k = c_k - (1/k) sum_{m<k} m beta_m c_{k-m}
-      (c_k = 0 past k = 4).  The product of the n_i steps is then exactly
-      exp(sum_k alpha_k S_k) with S_k = sum_j u_j^k = u0^k
-      expm1(-k gamma_p h n_i)/expm1(-k gamma_p h), a geometric sum (n_i where
-      k gamma_p h is 0).  Its first _RK4_SERIES_TERMS terms give the step
-      product to rounding, in O(terms) work per pair instead of O(n_i).
-    - any other exponential pair, which may lie near the stability bound
-      where the series diverges, multiplies its steps in blocks: step j of a
-      block from step `first` has u = u0 exp(-gamma_p h first) exp(-gamma_p
-      h j).  Pairs sort longest first, the r still running advance by max(1,
-      _RK4_BLOCK_CELLS // r) steps per block, P = 1 past a pair's n_i, and
-      the table of exp(-gamma_p h j) is rebuilt only when r changes.
-    U = Re z I + Im z J of each pair's product z.
+    so with u = h w(t0) the step is a quartic in u, P(u) = Q(iu) with Q(x) =
+    1 + c1 x + c2 x^2 + c3 x^3 + c4 x^4, where c1 = (1 + 4s + s^2)/6, c2 =
+    s (1 + s + s^2)/6, c3 = s^2 (1 + s^2)/12 and c4 = s^4/24.  Step j has
+    u_j = u0 q^j with u0 = h r, q = exp(-gamma_p h) and s = exp(-gamma_p
+    h/2): a constant drive has gamma_p = 0, so s = q = 1.  |u| stays below the nearest zero of P (|u| >= 1.944 for
+    every s in (0, 1]), so log P(u) = sum_k alpha_k u^k with alpha_k = i^k
+    beta_k, beta_k = c_k - (1/k) sum_{m<k} m beta_m c_{k-m} (c_k = 0 past
+    k = 4).  The product of the n_i steps is then exactly exp(sum_k alpha_k
+    S_k) with S_k = sum_j u_j^k = u0^k expm1(-k gamma_p h n_i)/expm1(-k
+    gamma_p h), a geometric sum (n_i u0^k where k gamma_p h is 0).  Its first
+    _RK4_SERIES_TERMS terms give the step product to rounding, in O(terms)
+    work per pair instead of O(n_i) (_rk4_series; the Taylor route of Moler
+    & Van Loan, 2003, summed in the logarithm).  U = Re z I + Im z J of each
+    pair's product z.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -331,38 +296,16 @@ def rk4_oracle_batch(pulses: PulseSpec, t_ends, step: float = RK4_DEFAULT_STEP) 
     h = t_ends / np.maximum(counts, 1)  # 0 for a pair with t_end = 0: U = I
     r = np.hypot(0.5 * omega, 0.5 * delta)
     with np.errstate(over="ignore"):  # inf past the float range
-        if (h * r > 2.0 * math.sqrt(2.0)).any():  # |h eig(-iH)|: RK4 diverges past 2 sqrt(2)
-            raise StepTooLarge(f"step {step} is past RK4's stability bound h hypot(Omega0, Delta) <= 4 sqrt(2)")
-        # gamma_p h; exp(-750) is already 0.0, so the cap moves no envelope sample and keeps 0 * rate finite
+        u0 = h * r  # h w(0); 0 for an undriven pair or one with t_end = 0
+        # gamma_p h, 0 for a constant drive; exp(-750) is already 0.0, so the cap moves no envelope sample
+        # and keeps k rate n finite
         rate = np.minimum(gamma * h, 1500.0)
-    exponential = (gamma > 0.0) & (omega != 0.0)
-
-    # a constant drive: its one step (s = 1) raised to its count; an exponential pair stays at z = 1 here
-    z, p, k = np.ones(n, np.complex128), _rk4_step(h * r, _rk4_coefficients(1.0)), np.where(exponential, 0, counts)
-    while k.any():
-        z = np.where(k & 1, z * p, z)
-        p, k = p * p, k >> 1
-
-    u0 = np.where(exponential, 0.5 * omega * h, 0.0)  # h w(0) of an exponential pair
-    series = exponential & (u0 <= _RK4_SERIES_BOUND)
-    z[series] = _rk4_series(u0[series], rate[series], counts[series])
-
-    idx = np.flatnonzero(exponential & ~series)
-    idx = idx[np.argsort(-counts[idx], kind="stable")]  # longest first: the running pairs are a prefix
-    first, last, running = 0, counts[idx].max(initial=0), 0
-    while first < last:
-        a = idx[: np.count_nonzero(counts[idx] > first)]
-        if a.size != running:  # per running set: exp(-gamma_p h j) for the j < steps per block, and the step
-            running, ra, ua = a.size, rate[a], u0[a]
-            table = np.exp(-np.arange(max(1, _RK4_BLOCK_CELLS // running))[:, None] * ra)
-            c = _rk4_coefficients(np.exp(-0.5 * ra))
-        m = min(len(table), last - first)
-        u = table[:m] * (ua * np.exp(-ra * first))  # u = h w(t0) at the block's steps
-        left = counts[a] - first  # the shortest running pair is last
-        if left[-1] < m:
-            u = np.where(np.arange(m)[:, None] < left, u, 0.0)  # P = 1 past n_i
-        z[a] *= np.prod(_rk4_step(u, c), axis=0)
-        first += m
+    past = u0 > _RK4_SERIES_BOUND
+    if past.any():
+        i = int(np.argmax(past))
+        u = f"h hypot(Omega0, Delta)/2 = {u0[i]:.3g}"
+        raise StepTooLarge(f"pair {i}: step {step} gives {u}, past the series bound {_RK4_SERIES_BOUND}")
+    z = _rk4_series(u0, rate, counts)
 
     # J = -i (n_x sigma_x + n_z sigma_z), exactly x for an exponential pulse (Delta = 0); at r = 0, z = 1
     # and r = 1 stands in, so no 0/0

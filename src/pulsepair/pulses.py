@@ -160,7 +160,7 @@ def coefficient_map_batch(
     """Coefficient maps (N, 3, 3), rows A, B, D, of N (pulse, time) pairs.
 
     ``pulses`` is one PulseSpec for all N times or a PulseSpec of N;
-    _rotations checks the pairs.  Every driven pair takes the rectangle's
+    _rotations checks the pairs and raises its OutOfWindow and AngleOverflow.  Every driven pair takes the rectangle's
     rows of the module docstring, with Omega_1 tau for Omega_1 t.  Both
     modes share the A and D rows bit for bit; UNITARY mode adds B = D x A
     and gives real float64 maps, LITERAL mode the printed B row, which

@@ -455,25 +455,34 @@ class TestRk4Oracle:
                 rk4_single(p, t_end, step=step)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("p", [PulseSpec.rectangular(1e6, 1.0), PulseSpec.exponential(1e6, 1.0)])
-    def test_step_past_the_stability_bound_raises_before_any_product(self, p):
-        # h Omega0 = 1e3, far past 4 sqrt(2): the step matrices overflowed
-        # ("overflow encountered in multiply", or in reduce) before the gate
-        with pytest.raises(StepTooLarge, match="stability bound"):
-            rk4_single(p, 1.0, step=1e-3)
+    @pytest.mark.parametrize(
+        "p, t_end, step",
+        [
+            (PulseSpec.rectangular(1e6, 1.0), 1.0, 1e-3),
+            (PulseSpec.rectangular(1e6, 1.0, delta=-1e6), 1.0, 1e-3),
+            (PulseSpec.exponential(1e6, 1.0), 1.0, 1e-3),
+            (PulseSpec.rectangular(1e308, 1e10, delta=1e308), 1e10, 1e9),  # h hypot(Omega0, Delta)/2 overflows
+        ],
+        ids=["resonant", "detuned", "exponential", "overflow"],
+    )
+    def test_step_past_the_series_bound_raises_before_any_product(self, p, t_end, step):
+        # h Omega0/2 = 500, or inf: refused before any product, with no
+        # "overflow encountered in multiply"
+        with pytest.raises(StepTooLarge, match="pair 0: .* past the series bound 0.1"):
+            rk4_single(p, t_end, step=step)
 
-    def test_stability_bound_takes_drive_and_detuning_together(self):
-        # ten steps of h = 0.1: h hypot(Omega0, Delta) against 4 sqrt(2) = 5.657
-        for omega, delta in ((56.0, 0.0), (0.0, 56.0), (39.0, 39.0)):
+    def test_series_bound_takes_drive_and_detuning_together(self):
+        # ten steps of h = 0.1: h hypot(Omega0, Delta)/2 against 0.1
+        for omega, delta in ((2.0, 0.0), (0.0, 2.0), (1.4, 1.4)):
             u = rk4_single(PulseSpec.rectangular(omega, 1.0, delta), 1.0, step=0.1)
             assert np.isfinite(u).all()
-        for omega, delta in ((57.0, 0.0), (0.0, -57.0), (41.0, 41.0)):
-            with pytest.raises(StepTooLarge, match="stability bound"):
+        for omega, delta in ((2.1, 0.0), (0.0, -2.1), (1.5, 1.5)):
+            with pytest.raises(StepTooLarge, match="series bound"):
                 rk4_single(PulseSpec.rectangular(omega, 1.0, delta), 1.0, step=0.1)
         # a pair past the bound fails the whole batch; one with t_end = 0 takes no step
         p = PulseSpec.exponential(100.0, 1.0)
         pair = oracles.stack([PulseSpec.none(), p])
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge, match="pair 1: "):
             rk4_oracle_batch(pair, [1.0, 1.0], step=0.1)
         assert np.array_equal(rk4_oracle_batch(pair, [1.0, 0.0], step=0.1)[1], np.eye(2))
 
@@ -561,9 +570,9 @@ class TestRk4Oracle:
         out = rk4_oracle_batch(p, np.array([0.0, 0.0]))
         assert np.array_equal(out[0], np.eye(2))
 
-    # pairs 2 and 5 are exponential (complex blocks); the rest are powered:
-    # a detuned rectangle inside its window and one ending at it, an
-    # undriven qubit, and a resonant rectangle at t_end = 0
+    # pairs 2 and 5 are exponential; the rest are constant drives: a detuned
+    # rectangle inside its window and one ending at it, an undriven qubit, and a
+    # resonant rectangle at t_end = 0
     MIXED = (
         (PulseSpec.rectangular(1.0, duration=6.0, delta=0.3), 6.0),
         (PulseSpec.rectangular(2.5, duration=4.0, delta=-1.0), 4.0),
@@ -582,68 +591,64 @@ class TestRk4Oracle:
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
         assert np.array_equal(batch[4], np.eye(2))
 
-    # exponential pairs past the series bound at step 1e-2 (u0 = h Omega0/2 = 0.15 and 0.125): their steps
-    # are multiplied in blocks
-    ABOVE = ((PulseSpec.exponential(30.0, 1.0), 5.0), (PulseSpec.exponential(25.0, 0.7), 3.34))
-
-    @pytest.mark.parametrize("steps_per_block", [1, 7])
-    def test_block_size_does_not_change_the_result(self, monkeypatch, steps_per_block):
-        # MIXED's two exponential pairs take the series; the two ABOVE pairs take
-        # 500 and 334 steps in blocks.  With 7 steps per pair of the 8, a block
-        # holds 28 steps while both run (334 ends inside one), then 56; with 1,
-        # it holds 4 steps (334 is not a multiple of 4), then 8
-        assert all(0.5 * p.omega0 * 1e-2 > evolution._RK4_SERIES_BOUND for p, _ in self.ABOVE)
-        specs, t_ends = zip(*self.MIXED, *self.ABOVE)
-        specs = oracles.stack(specs)
-        default = rk4_oracle_batch(specs, t_ends, step=1e-2)
-        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
-        blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
-        assert np.abs(blocked - default).max() < 1e-13
-
     # a rectangle ending at its window: the stepped reference samples it at
     # (n - 1) h + h, one ulp past t_end, and clamps; ENDS take 10 (the fewest
     # the step gate allows), 15, 16, 17, 63, 64 and 65 steps of 0.2
-    EDGE = PulseSpec.rectangular(2.6254388966933235, duration=49.68892250324508, delta=3.6528710962000357)
+    EDGE = PulseSpec.rectangular(0.5250877793386647, duration=49.68892250324508, delta=0.7305742192400071)
     ENDS = (2.0, 2.9, 3.1, 3.3, 12.5, 12.7, 12.9)
-    ROUTES = {
-        # a constant drive: one step matrix raised to the step count
-        "powered": (
+    # every first sample u0 = h hypot(Omega0, Delta)/2 at h <= 0.2 is at most 0.09, inside the series bound
+    KINDS = {
+        # constant drives: s = q = 1, so S_k = n u0^k; and Omega0 = 0, where u0 = 0 and z = 1
+        "constant": (
             (EDGE, EDGE.window),
             (EDGE, np.nextafter(EDGE.window, 0.0)),
-            (PulseSpec.rectangular(0.0, duration=5.0, delta=1.5), 4.0),  # P = a I + d Z
-            (PulseSpec.rectangular(1.3, duration=2.0), 2.0),  # resonant: P = a I + b X
+            (PulseSpec.rectangular(0.0, duration=5.0, delta=0.9), 4.0),  # P = a I + d Z
+            (PulseSpec.rectangular(0.9, duration=2.0), 2.0),  # resonant: P = a I + b X
             (PulseSpec.none(), 3.0),
-            (PulseSpec.exponential(0.0, 0.4), 3.0),  # no drive to sample
-            *((PulseSpec.rectangular(1.3, duration=20.0, delta=-0.7), t) for t in ENDS),
+            (PulseSpec.exponential(0.0, 0.4), 3.0),
+            *((PulseSpec.rectangular(0.4, duration=20.0, delta=-0.3), t) for t in ENDS),
         ),
-        # exponential pulses past the series bound (u0 = h Omega0/2 near 0.2): steps multiplied in blocks
-        "complex": tuple((PulseSpec.exponential(2.0, 0.4), t) for t in ENDS),
-        # exponential pulses at or below it (u0 <= 0.08): the exponential of the series of log P
-        "series": tuple((PulseSpec.exponential(0.8, 0.4), t) for t in ENDS),
+        # exponential pulses: geometric samples u0 q^j
+        "exponential": tuple((PulseSpec.exponential(0.8, 0.4), t) for t in ENDS),
     }
 
-    @pytest.mark.parametrize("route", list(ROUTES))
-    def test_each_route_matches_sequential_steps(self, route):
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_each_kind_of_pair_matches_sequential_steps(self, kind):
         assert list(np.ceil(np.array(self.ENDS) / 0.2)) == [10, 15, 16, 17, 63, 64, 65]
-        specs, t_ends = zip(*self.ROUTES[route])
+        specs, t_ends = zip(*self.KINDS[kind])
         specs = oracles.stack(specs)
         batch = rk4_oracle_batch(specs, t_ends, step=0.2)
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 0.2)).max() < 1e-12
 
-    @pytest.mark.parametrize("route", ["mixed", "powered"])
-    def test_each_powered_pair_is_the_same_alone_and_in_the_batch(self, route):
-        # every pair but the driven exponential ones is powered, a pair with
-        # t_end = 0 included: it takes no step and is the power P^0
-        pairs, step = (self.MIXED, 1e-2) if route == "mixed" else (self.ROUTES[route], 0.2)
+    @pytest.mark.parametrize("pairs", ["mixed", "constant"])
+    def test_each_pair_is_the_same_alone_and_in_the_batch(self, pairs):
+        # a pair with t_end = 0 included: it takes no step and is the empty product
+        pairs, step = (self.MIXED, 1e-2) if pairs == "mixed" else (self.KINDS[pairs], 0.2)
         specs, t_ends = zip(*pairs)
         batch = rk4_oracle_batch(oracles.stack(specs), t_ends, step=step)
-        powered = [j for j, p in enumerate(specs) if p.gamma == 0.0 or p.omega0 == 0.0]
-        assert len(powered) >= 3
-        for j in powered:
-            assert batch[j].tobytes() == rk4_oracle_batch(specs[j], [t_ends[j]], step=step)[0].tobytes()
+        for j, (p, t) in enumerate(pairs):
+            assert batch[j].tobytes() == rk4_oracle_batch(p, [t], step=step)[0].tobytes()
 
-    # 40 exponential pulses in the ranges validate draws from, ending anywhere up to 20 at step 1e-2:
-    # 10-2000 steps each, so pairs end inside blocks and the envelope table is rebuilt as they do
+    # six constant drives of 10^4 to 1.05 10^4 steps of 1e-3: resonant and detuned rectangles, a pure
+    # detuning and a drive near the series bound (u0 = 0.0875)
+    LONG = (
+        (PulseSpec.rectangular(1.0, duration=50.0, delta=0.3), 10.0),
+        (PulseSpec.rectangular(2.5, duration=30.0, delta=-1.0), 10.3),
+        (PulseSpec.rectangular(4.0, duration=10.0), 10.0),
+        (PulseSpec.rectangular(0.0, duration=40.0, delta=3.3), 10.45),
+        (PulseSpec.rectangular(0.6, duration=12.0, delta=-0.05), 10.2),
+        (PulseSpec.rectangular(150.0, duration=20.0, delta=90.0), 10.5),
+    )
+
+    def test_long_constant_drives_match_sequential_steps(self):
+        specs, t_ends = zip(*self.LONG)
+        specs = oracles.stack(specs)
+        assert np.ceil(np.array(t_ends) / 1e-3).min() == 1e4
+        batch = rk4_oracle_batch(specs, t_ends, step=1e-3)
+        assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-3)).max() < 1e-12
+
+    # 40 exponential pulses in the ranges validate draws from, ending anywhere up to 20 at step 1e-2: 10-2000
+    # steps each
     _rng = np.random.default_rng(1)
     DRAWN = (PulseSpec(_rng.uniform(0.0, 10.0, 40), gamma=_rng.uniform(0.2, 2.0, 40)), _rng.uniform(0.1, 20.0, 40))
 
@@ -653,62 +658,56 @@ class TestRk4Oracle:
         batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
         assert np.abs(batch - oracles.rk4_sequential(specs, t_ends, 1e-2)).max() < 1e-12
 
-    @pytest.mark.parametrize("steps_per_block", [1, 7])
-    def test_drawn_exponential_pairs_do_not_depend_on_the_block_size(self, monkeypatch, steps_per_block):
-        # DRAWN takes the series; the same pairs with Omega0 raised by 20.1
-        # (u0 > 0.1005) take the blocks, and end inside them
-        drawn, t_ends = self.DRAWN
-        above = drawn._replace(omega0=drawn.omega0 + 20.1)
-        assert (0.5 * above.omega0 * 1e-2 > evolution._RK4_SERIES_BOUND).all()
-        specs, t_ends = PulseSpec(*map(np.concatenate, zip(drawn, above))), np.concatenate((t_ends, t_ends))
-        default = rk4_oracle_batch(specs, t_ends, step=1e-2)
-        monkeypatch.setattr(evolution, "_RK4_BLOCK_CELLS", steps_per_block * len(t_ends))
-        blocked = rk4_oracle_batch(specs, t_ends, step=1e-2)
-        assert np.abs(blocked - default).max() < 1e-13
-
-    def test_an_exponential_pulse_that_does_not_decay_is_the_powered_rectangle(self, monkeypatch):
-        # gamma_p h = 1e-302: every envelope sample is 1.0 and s = 1, the
-        # constant drive's step, here summed as a series (u0 = 0.01) or, past
-        # a bound of 0, multiplied out in blocks, not powered
-        flat, rect = PulseSpec.exponential(2.0, 1e-300), PulseSpec.rectangular(2.0, 5.0)
-        powered = rk4_single(rect, 5.0, step=1e-2)
-        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - powered).max() < 1e-12
-        monkeypatch.setattr(evolution, "_RK4_SERIES_BOUND", 0.0)
-        assert np.abs(rk4_single(flat, 5.0, step=1e-2) - powered).max() < 1e-12
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma_p", [1e307, 1e308])
     def test_a_pulse_that_vanishes_within_one_step_stays_finite(self, gamma_p):
         # gamma_p t overflowed at the step ends ("overflow encountered in
-        # multiply"), and 0 * inf would be NaN in the envelope table.  The
-        # first step sees u = h Omega0 / 2 = 1 and every later sample is 0.0,
-        # so U = I - (i/6) X
-        u = rk4_single(PulseSpec.exponential(1.0, gamma_p), 20.0, step=2.0)
-        assert np.abs(u - (np.eye(2) - 1j / 6.0 * oracles.SX)).max() <= 1e-15
+        # multiply"), and 0 * inf would be NaN in an envelope table.  gamma_p h
+        # is capped at 1500, so the first step sees u = h Omega0/2 (0.05, or 0.1
+        # at the series bound), every later sample is 0.0, sum_j q^(kj) = 1 and
+        # U = I - (i u/6) X
+        omega0 = np.array([0.05, 0.1])
+        u = rk4_oracle_batch(PulseSpec(omega0, gamma=gamma_p), [20.0, 20.0], step=2.0)
+        assert np.abs(u - (np.eye(2) - 1j * omega0[:, None, None] / 6.0 * oracles.SX)).max() <= 1e-15
+
+    # on h = 0.25 (t_end 2.5 in 10 steps, 12.5 in 50), (Omega0 at the bound, Omega0 one ulp over it, Delta)
+    # with u0 = h hypot(Omega0, Delta)/2 exactly 0.1 and exactly one ulp past it
+    BOUND = {"resonant": (0.8, 0.8000000000000002, 0.0), "detuned": (0.64, 0.6400000000000002, 0.48)}
+    BOUND["exponential"] = BOUND["resonant"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("gamma_p", [1e307, 1e308])
-    def test_a_series_pulse_that_vanishes_within_one_step_stays_finite(self, gamma_p):
-        # as above at u = h Omega0 / 2 = 0.1, at the series bound: gamma_p h
-        # is capped at 1500, so sum_j q^(kj) = 1 and U = I - (i 0.1/6) X
-        u = rk4_single(PulseSpec.exponential(0.1, gamma_p), 20.0, step=2.0)
-        assert np.abs(u - (np.eye(2) - 0.1j / 6.0 * oracles.SX)).max() <= 1e-15
-
-    # exponential pairs on h = 0.25 (t_end 2.5 in 10 steps, 12.5 in 50), where u0 = h Omega0/2 = Omega0/8
-    # is exact: at the bound, one ulp either side of it, and further out on both sides
-    BOUND_U0 = (0.08, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), 0.12)
-
+    @pytest.mark.parametrize("kind", list(BOUND))
     @pytest.mark.parametrize("t_end", [2.5, 12.5])
-    def test_pairs_either_side_of_the_series_bound_match_sequential_steps(self, monkeypatch, t_end):
-        seen = []
-        series = evolution._rk4_series
-        monkeypatch.setattr(evolution, "_rk4_series", lambda u0, *rest: seen.extend(u0) or series(u0, *rest))
+    def test_a_pair_at_the_series_bound_passes_and_one_ulp_over_raises(self, kind, t_end):
         assert evolution._RK4_SERIES_BOUND == 0.1
-        u0 = np.array(self.BOUND_U0)
-        specs = PulseSpec(8.0 * u0, gamma=0.4)
-        batch = rk4_oracle_batch(specs, np.full(len(u0), t_end), step=0.25)
-        assert seen == [0.08, np.nextafter(0.1, 0.0), 0.1]  # at or below the bound, in batch order
-        assert np.abs(batch - oracles.rk4_sequential(specs, np.full(len(u0), t_end), 0.25)).max() < 1e-12
+        at, over, delta = self.BOUND[kind]
+        assert [0.25 * np.hypot(0.5 * w, 0.5 * delta) for w in (at, over)] == [0.1, np.nextafter(0.1, 1.0)]
+
+        def pulse(omega0):
+            if kind == "exponential":
+                return PulseSpec.exponential(omega0, 0.4)
+            return PulseSpec.rectangular(omega0, t_end, delta)
+
+        u = rk4_single(pulse(at), t_end, step=0.25)
+        assert np.abs(u - oracles.rk4_sequential(oracles.stack([pulse(at)]), [t_end], 0.25)[0]).max() < 1e-12
+        with pytest.raises(StepTooLarge, match="pair 0: .* past the series bound"):
+            rk4_single(pulse(over), t_end, step=0.25)
+
+    def test_pairs_at_the_step_cap_match_the_exact_propagator(self):
+        # t_end = 10 at step 1e-6 is exactly _RK4_MAX_STEPS steps, the count the
+        # series' tail bound assumes, and one ulp more is past the cap
+        specs = oracles.stack(
+            [
+                PulseSpec.rectangular(1.0, duration=20.0, delta=0.5),
+                PulseSpec.exponential(2.0, 0.3),
+                PulseSpec.rectangular(1.5, duration=20.0),
+            ]
+        )
+        assert np.ceil(10.0 / 1e-6) == evolution._RK4_MAX_STEPS
+        batch = rk4_oracle_batch(specs, [10.0] * 3, step=1e-6)
+        assert np.abs(batch - unitary_oracle_batch(specs, [10.0] * 3)).max() < 1e-13
+        with pytest.raises(ValueError, match="steps of 1e-06, over 10000000"):
+            rk4_oracle_batch(specs, [10.0, np.nextafter(10.0, 11.0), 10.0], step=1e-6)
 
     @pytest.mark.parametrize("terms", [1, 2, 3, 5, 8])
     def test_the_series_is_the_exponential_of_its_first_terms(self, monkeypatch, terms):
@@ -729,16 +728,6 @@ class TestRk4Oracle:
             z = np.exp(log_z)
             assert np.abs(u - (z.real * np.eye(2) - 1j * z.imag * oracles.SX)).max() < 1e-12
 
-    def test_the_series_matches_the_blocks_on_drawn_and_validate_pairs(self, monkeypatch):
-        # validate's seed-0 oracle triangle: the d-row anchor draws 1000 pairs first
-        rng = np.random.default_rng(0)
-        validation._random_pulses(rng, 1000)
-        cases = ((*self.DRAWN, 1e-2), (*validation._random_pulses(rng, 80), 1e-3))
-        series = [rk4_oracle_batch(specs, t_ends, step=step) for specs, t_ends, step in cases]
-        monkeypatch.setattr(evolution, "_RK4_SERIES_BOUND", 0.0)
-        for (specs, t_ends, step), by_series in zip(cases, series):
-            assert np.abs(rk4_oracle_batch(specs, t_ends, step=step) - by_series).max() < 1e-12
-
     def test_each_series_pair_is_the_same_alone_and_in_the_batch(self):
         specs, t_ends = self.DRAWN
         batch = rk4_oracle_batch(specs, t_ends, step=1e-2)
@@ -749,12 +738,13 @@ class TestRk4Oracle:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_series_pair_at_zero_time_or_a_vanishing_rate_is_exact(self):
         # t_end = 0 takes no step: k gamma_p h = 0 and sum_j q^(kj) over no j
-        # is 0, not the 0/0 of the geometric ratio.  gamma_p h subnormal (1e-312)
-        # or zero (5e-324 h) makes every sample 1.0: the powered rectangle
-        flat = PulseSpec(2.0, gamma=[0.4, 1e-310, 5e-324])
-        identities = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
-        assert rk4_oracle_batch(flat, [0.0, 0.0, 0.0]).tobytes() == identities.tobytes()
-        batch = rk4_oracle_batch(flat, [0.0, 5.0, 5.0], step=1e-2)
+        # is 0, not the 0/0 of the geometric ratio.  gamma_p h tiny (1e-302),
+        # subnormal (1e-312) or zero (5e-324 h) makes every sample 1.0 and s = 1:
+        # the rectangle's step, summed by the same series
+        flat = PulseSpec(2.0, gamma=[0.4, 1e-300, 1e-310, 5e-324])
+        identities = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        assert rk4_oracle_batch(flat, [0.0] * 4).tobytes() == identities.tobytes()
+        batch = rk4_oracle_batch(flat, [0.0, 5.0, 5.0, 5.0], step=1e-2)
         assert np.array_equal(batch[0], np.eye(2))
         rect = rk4_single(PulseSpec.rectangular(2.0, 5.0), 5.0, step=1e-2)
         assert np.abs(batch[1:] - rect).max() < 1e-12

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired
+from pulsepair.errors import AngleOverflow, OutOfWindow, ResonanceRequired, StepTooLarge
 from pulsepair.evolution import adjoint_rotation, rk4_oracle_batch, unitary_oracle_batch
 from pulsepair.pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
@@ -545,6 +547,47 @@ def test_a_list_of_specs_is_not_a_pulse_input():
     for call in (coefficient_map_batch, unitary_oracle_batch, rk4_oracle_batch):
         with pytest.raises(AttributeError, match="omega0"):
             call([p, p], [0.5, 1.0])
+
+
+_POSITIVE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # 1e-300 to 1e300
+_MAGNITUDE = st.one_of(st.just(0.0), _POSITIVE)
+
+
+@st.composite
+def _pairs(draw):
+    """One (pulse, time) pair of any kind with magnitudes from 1e-300 to 1e300; a rectangle's t mostly in its window."""
+    kind = draw(st.sampled_from(["rectangle", "exponential", "none"]))
+    if kind == "rectangle":
+        window, delta = draw(_POSITIVE), draw(st.sampled_from([-1.0, 1.0])) * draw(_MAGNITUDE)
+        t = draw(st.one_of(st.floats(0.0, 1.0).map(lambda f: f * window), _MAGNITUDE))
+        return PulseSpec.rectangular(draw(_MAGNITUDE), window, delta), t
+    if kind == "exponential":
+        return PulseSpec.exponential(draw(_MAGNITUDE), draw(_POSITIVE)), draw(_MAGNITUDE)
+    return PulseSpec.none(), draw(_MAGNITUDE)
+
+
+# each public batch function on (pulses, times, step), and the errors its docstring names
+NAMED_ERRORS = {
+    "maps_unitary": (lambda p, t, step: coefficient_map_batch(p, t, UNITARY), (OutOfWindow, AngleOverflow)),
+    "maps_literal": (lambda p, t, step: coefficient_map_batch(p, t, LITERAL), (OutOfWindow, AngleOverflow)),
+    "exact": (lambda p, t, step: unitary_oracle_batch(p, t), (OutOfWindow, AngleOverflow)),
+    "rk4": (rk4_oracle_batch, (ValueError, OutOfWindow, StepTooLarge)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pairs(), min_size=1, max_size=4), st.floats(1.0, 8.0), _POSITIVE)
+def test_every_batch_gives_finite_output_or_an_error_its_docstring_names(pairs, steps, other_step):
+    # the RK4 step is mostly t_max / 10^steps, so that some calls pass its step gates
+    specs, times = zip(*pairs)
+    step = max(times) / 10.0**steps if max(times) > 0.0 else other_step
+    for name, (call, named) in NAMED_ERRORS.items():
+        try:
+            out = call(oracles.stack(specs), times, step)
+        except named:
+            continue
+        assert np.isfinite(out).all(), name
 
 
 def test_unitary_mode_matrices_are_proper_rotations():
