@@ -143,17 +143,16 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
     ``diagonals`` is an (S, 3) array of (c_xx, c_yy, c_zz), or (N, 1, 3)
     for one state per point; ``m1`` and ``m2`` are (N, 3, 3) arrays, one map
     per grid point.  C~ is the elementwise sum c_xx outer(A1, A2) + c_yy
-    outer(B1, B2) + c_zz outer(D1, D2), in float64 when neither map has a
-    nonzero imaginary part (real UNITARY maps; LITERAL maps on resonance go
-    through their real parts).  Returns the real parts of C~ for every (point,
-    state) pair, shape (N, S, 3, 3), and per point the largest imaginary
-    magnitude discarded over all S states: exactly 0.0 on the float64 route.
+    outer(B1, B2) + c_zz outer(D1, D2), in float64 for two real maps (UNITARY)
+    and in complex128 otherwise (LITERAL).  Returns the real parts of C~ for
+    every (point, state) pair, shape (N, S, 3, 3), and per point the largest
+    imaginary magnitude discarded over all S states: exactly 0.0 for real maps.
+    The domain is that of the sweeps: physical diagonals, and map entries of
+    magnitude at most 1, so every cell is at most 3 in magnitude and finite.
     """
     d = np.asarray(diagonals, dtype=float)
     if d.shape[-1:] != (3,) or not (d.ndim == 2 or d.ndim == 3 and d.shape[1] == 1):
         raise ValueError(f"expected diagonals of shape (S, 3) or (N, 1, 3), got {d.shape}")
-    if not (np.imag(m1).any() or np.imag(m2).any()):
-        m1, m2 = np.real(m1), np.real(m2)
     c = d[..., None, None]  # c[..., j, :, :] is (S, 1, 1) or (N, 1, 1, 1)
     rows = (m1[:, :, :, None] * m2[:, :, None, :])[:, None]  # rows[n, 0, j] = outer(m1[n, j], m2[n, j])
     product = c[..., 0, :, :] * rows[:, :, 0] + c[..., 1, :, :] * rows[:, :, 1] + c[..., 2, :, :] * rows[:, :, 2]

@@ -2,10 +2,9 @@
 
 Each check produces (name, max_error, tolerance); run_validation returns
 them all so the CLI can print a machine-readable summary and exit nonzero
-on the first failure.  Randomized checks draw all their pulses and states
-at once from a seeded generator, as arrays (_random_pulses gives one
-PulseSpec of n, _random_physical_correlations an (n, 3) array), so a
-given seed is fully reproducible; the tolerances hold for any seed.  The preset
+on the first failure.  Each check draws all its inputs at once, as arrays, from its
+own stream default_rng([seed, key]), its key from _CHECKS (_random_pulses gives one
+PulseSpec of n, _random_physical_correlations an (n, 3) array); the tolerances hold for any seed.  The preset
 checks read only what they gate: the closed form of the evolved UNITARY
 maps, the imaginary parts of the resonant LITERAL maps, and the residues of
 the detuned LITERAL ones, the only LITERAL maps they evolve.
@@ -112,7 +111,7 @@ def _random_physical_correlations(rng: "np.random.Generator", n: int) -> np.ndar
     return c[:n]
 
 
-def _check_fano_consistency(rng) -> CheckResult:
+def _check_fano_consistency(rng) -> list[CheckResult]:
     (p1s, ts), (p2s, _) = _random_pulses(rng, 500), _random_pulses(rng, 500)
     p2s = p2s._replace(window=np.maximum(p2s.window, ts))  # qubit 2's rectangles last until t at least; checked again
     cs = _random_physical_correlations(rng, 500)
@@ -125,7 +124,7 @@ def _check_fano_consistency(rng) -> CheckResult:
     rho = u12.conj().transpose(0, 2, 1) @ evolution.assemble_density_batch(evolution._diagonal_tensors(cs)) @ u12
     tensor, bloch_a, bloch_b = evolution.correlations_from_density_batch(rho)
     worst = max(float(np.abs(x).max()) for x in (direct - tensor.real, bloch_a.real, bloch_b.real))
-    return _result("fano_conjugation_consistency", worst, 1e-9)
+    return [_result("fano_conjugation_consistency", worst, 1e-9)]
 
 
 def _lapack_negativities(tensors) -> np.ndarray:
@@ -134,13 +133,13 @@ def _lapack_negativities(tensors) -> np.ndarray:
     return entanglement._clamp(np.abs(np.linalg.eigvalsh(entanglement.partial_transpose_b(rho))).sum(axis=1) - 1.0)
 
 
-def _check_negativity_oracle(rng) -> CheckResult:
+def _check_negativity_oracle(rng) -> list[CheckResult]:
     c = rng.uniform(-1.0, 1.0, size=(1000, 3))
     err = float(np.abs(_negativities(c) - _lapack_negativities(evolution._diagonal_tensors(c))).max())
-    return _result("negativity_brute_force", err, 1e-10)
+    return [_result("negativity_brute_force", err, 1e-10)]
 
 
-def _check_negativity_closed_form(rng) -> CheckResult:
+def _check_negativity_closed_form(rng) -> list[CheckResult]:
     """Closed form, Jacobi and LAPACK on 1000 tensors M1^T diag(c) M2 with physical c, and on their x-decoupled parts.
 
     Four groups of 250 maps: proper rotations, the same with a reflection on
@@ -159,7 +158,7 @@ def _check_negativity_closed_form(rng) -> CheckResult:
     closed = entanglement._clamp(entanglement.zero_bloch_negativity_batch(tensors))
     jacobi, lapack = entanglement._jacobi_negativities(tensors), _lapack_negativities(tensors)
     err = max(float(np.abs(a - b).max()) for a, b in ((closed, jacobi), (closed, lapack), (jacobi, lapack)))
-    return _result("negativity_closed_form_triangle", err, 1e-10)
+    return [_result("negativity_closed_form_triangle", err, 1e-10)]
 
 
 def _negativities(diagonals) -> np.ndarray:
@@ -167,7 +166,7 @@ def _negativities(diagonals) -> np.ndarray:
     return entanglement._clamp(entanglement.zero_bloch_negativity_batch(evolution._diagonal_tensors(diagonals)))
 
 
-def _check_pinned_values() -> list[CheckResult]:
+def _check_pinned_values(rng) -> list[CheckResult]:
     singlet, threshold, partial_a, partial_b = _negativities(
         [(-1.0, -1.0, -1.0), (-1.0 / 3.0,) * 3, (-0.9, -0.9, -0.9), (-0.9, -0.8, -0.6)]
     )
@@ -178,15 +177,15 @@ def _check_pinned_values() -> list[CheckResult]:
     ]
 
 
-def _check_werner_monotone() -> CheckResult:
+def _check_werner_monotone(rng) -> list[CheckResult]:
     xs = np.linspace(-1.0, 1.0 / 3.0, 201)
     values = _negativities(np.repeat(xs[:, None], 3, axis=1))
     rises = values[1:] - values[:-1]  # non-increasing along the line
     past = np.abs(values[1:][xs[1:] >= -1.0 / 3.0])  # flat zero past the threshold
-    return _result("werner_line_monotone", max(0.0, rises.max(), past.max(initial=0.0)), 1e-12)
+    return [_result("werner_line_monotone", max(0.0, rises.max(), past.max(initial=0.0)), 1e-12)]
 
 
-def _check_presets() -> list[CheckResult]:
+def _check_presets(rng) -> list[CheckResult]:
     """The maps and evolution a UNITARY sweep skips, with no rounding guard (under 3e-14) and no LITERAL closed form."""
     const_err = start_err = literal_detuned_residue = literal_resonant_imag = 0.0
     presets = scenarios.paper_figure_presets().values()
@@ -216,17 +215,17 @@ def _check_presets() -> list[CheckResult]:
     ]
 
 
+# (check, key) in report order.  Each check draws only from default_rng([seed, key]), so deleting or reordering one
+# moves no other check's inputs; keys 5-7 draw nothing.  No key is 0: SeedSequence pads its entropy with zeros, so
+# default_rng([seed, 0]) is default_rng(seed), and that key would quietly share the bare seed's stream.
+_CHECKS = (
+    (_check_d_row_anchor, 1), (_check_oracle_triangle, 2), (_check_fano_consistency, 3), (_check_negativity_oracle, 4),
+    (_check_pinned_values, 5), (_check_werner_monotone, 6), (_check_presets, 7), (_check_negativity_closed_form, 8),
+)
+
+
 def run_validation(seed: int = 0) -> list[CheckResult]:
-    """Run every check; returns results in a stable order."""
+    """Run every check of _CHECKS on its own keyed stream; returns results in a stable order."""
     if seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    results = _check_d_row_anchor(rng)
-    results.extend(_check_oracle_triangle(rng))
-    results.append(_check_fano_consistency(rng))
-    results.append(_check_negativity_oracle(rng))
-    results.extend(_check_pinned_values())
-    results.append(_check_werner_monotone())
-    results.extend(_check_presets())
-    results.append(_check_negativity_closed_form(rng))
-    return results
+    return [r for check, key in _CHECKS for r in check(np.random.default_rng([seed, key]))]

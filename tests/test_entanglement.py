@@ -192,6 +192,26 @@ def test_spectrum_past_the_float_range_raises_trace_not_one():
     assert zero_bloch_spectrum_batch(np.diag([5e307] * 3)) == pytest.approx([3.75e307] + [-1.25e307] * 3, rel=1e-15)
 
 
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(-300.0, math.log10(1.7e308)).map(lambda e: 10.0**e))  # 0, 1e-300-1.7e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_any_tensor_gives_a_finite_spectrum_or_trace_not_one(n, decoupled, data):
+    # both routes of the singular values: x-decoupled tensors and those that go to LAPACK
+    entries = data.draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE), min_size=9 * n, max_size=9 * n))
+    tensors = np.reshape([sign * size for sign, size in entries], (n, 3, 3))
+    if decoupled:
+        tensors[:, [0, 0, 1, 2], [1, 2, 0, 0]] = 0.0
+    for call in (zero_bloch_spectrum_batch, zero_bloch_negativity_batch):
+        try:
+            out = call(tensors)
+        except TraceNotOne:
+            continue
+        assert np.isfinite(out).all(), call.__name__
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(-1.0, 1.0),

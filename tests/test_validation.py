@@ -53,7 +53,7 @@ class TestFullRun:
 
 def test_fano_check_measures_a_real_error():
     # the check compares two routes that round differently, so a zero tolerance would fail it
-    assert validation._check_fano_consistency(np.random.default_rng(0)).max_error > 0.0
+    assert validation._check_fano_consistency(np.random.default_rng(0))[0].max_error > 0.0
 
 
 def test_check_result_is_frozen():
@@ -83,7 +83,7 @@ def test_preset_checks_evolve_the_unitary_maps(monkeypatch):
     before = scenarios.run_sweep(cfg).negativities
     monkeypatch.setattr(scenarios, "_grid_maps", scaled)
     assert (scenarios.run_sweep(cfg).negativities == before).all()
-    checks = {r.name: r for r in validation._check_presets()}
+    checks = {r.name: r for r in validation._check_presets(np.random.default_rng(0))}
     assert not checks["preset_unitary_constancy"].passed
     assert checks["preset_unitary_constancy"].max_error > 1e-3
 
@@ -105,7 +105,7 @@ def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
     monkeypatch.setattr(
         entanglement, "zero_bloch_spectrum_batch", counting(spectrum_cells, entanglement.zero_bloch_spectrum_batch)
     )
-    assert all(r.passed for r in validation._check_presets())
+    assert all(r.passed for r in validation._check_presets(np.random.default_rng(0)))
     presets = scenarios.paper_figure_presets().values()
     unitary_cells = sum(cfg.grid.points * len(cfg.initial_states) for cfg in presets)
     initial_cells = sum(len(cfg.initial_states) for cfg in presets)
@@ -184,3 +184,37 @@ def test_every_check_passes_on_the_pinned_seeds(seed):
     results = run_validation(seed=seed)
     assert [r.name for r in results] == EXPECTED_NAMES
     assert [r.name for r in results if not r.passed] == []
+
+
+def _bits(results):
+    return {r.name: r.max_error.hex() for r in results}
+
+
+def test_check_keys_are_distinct_positive_ints():
+    # a key of 0 would give default_rng([seed, 0]), which is default_rng(seed)
+    keys = [key for _, key in validation._CHECKS]
+    assert all(type(key) is int and key > 0 for key in keys)
+    assert len(set(keys)) == len(keys)
+    assert len({check for check, _ in validation._CHECKS}) == len(keys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 7])
+def test_dropping_a_check_moves_no_other_checks_inputs(monkeypatch, seed):
+    full = _bits(run_validation(seed))
+    for dropped in validation._CHECKS:
+        monkeypatch.setattr(validation, "_CHECKS", tuple(entry for entry in validation._CHECKS if entry != dropped))
+        rest = _bits(run_validation(seed))
+        monkeypatch.undo()
+        assert rest and rest == {name: full[name] for name in rest}, dropped[0].__name__
+        assert set(full) - set(rest) == {r.name for r in dropped[0](np.random.default_rng([seed, dropped[1]]))}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_reversed_table_gives_every_check_the_same_bits(monkeypatch, seed):
+    full = run_validation(seed)
+    monkeypatch.setattr(validation, "_CHECKS", validation._CHECKS[::-1])
+    reversed_run = run_validation(seed)
+    assert [r.name for r in reversed_run] != [r.name for r in full]
+    assert _bits(reversed_run) == _bits(full)
