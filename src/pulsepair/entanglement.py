@@ -12,16 +12,15 @@ with Delta = 0) turns its qubit about x, so both coefficient maps fix the x
 axis and the tensor splits into T_xx and a 2x2 yz block; such tensors (the
 diagonal ones of run_sweep, and those validate's preset checks evolve) take
 those singular values in closed form, and any other tensor, such as one of a
-detuned drive, goes to LAPACK's SVD.  _jacobi_negativities takes the same
-negativities through the density and the Jacobi solver; it is the sweep
-rounding guard's tie-breaker (scenarios._negativities) and one leg of
-validate's negativity triangle.
+detuned drive, goes to LAPACK's SVD.  _density_negativities is the one route
+through the density: rho, its partial transpose, and the mu_i from the solver
+its caller names (pauli's Jacobi for the sweep rounding guard, LAPACK's
+eigvalsh for validate's oracles; the closed-form triangle takes both).
 """
 
 import numpy as np
 
 from .errors import TraceNotOne
-from .pauli import hermitian_eigenvalues_batch
 from .evolution import assemble_density_batch
 
 __all__ = [
@@ -48,9 +47,9 @@ def _clamp(raw: np.ndarray) -> np.ndarray:
     return np.where(raw < CLAMP_TOL, 0.0, raw)
 
 
-def _jacobi_negativities(tensors) -> np.ndarray:
-    """Clamped negativities of (N, 3, 3) tensors through their densities and the Jacobi solver."""
-    mu = hermitian_eigenvalues_batch(partial_transpose_b(assemble_density_batch(tensors)))
+def _density_negativities(tensors, eigenvalues) -> np.ndarray:
+    """Clamped negativities of (N, 3, 3) tensors through their densities; eigenvalues solves (N, 4, 4) -> (N, 4)."""
+    mu = eigenvalues(partial_transpose_b(assemble_density_batch(tensors)))
     return _clamp(np.abs(mu).sum(axis=1) - 1.0)
 
 

@@ -15,7 +15,8 @@ summed elementwise as c_xx outer(A1, A2) + c_yy outer(B1, B2) + c_zz
 outer(D1, D2).  UNITARY-mode maps are real, so C~ is float64 and carries no
 imaginary part.  LITERAL-mode maps are complex; the real part is kept as
 the state and the largest imaginary magnitude is recorded as a diagnostic
-(``imag_residue``), never silently dropped.
+(``imag_residue``), never silently dropped.  Entanglement's density route and
+validate's Fano check, which compares densities, build rho by assemble_density_batch.
 
 Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
@@ -37,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, OutOfWindow, StepTooLarge, UnphysicalState
-from .pauli import IDENTITY2, PAULIS, SIGMA_X, SIGMA_Z
+from .pauli import PAULIS, SIGMA_X, SIGMA_Z
 from .pulses import PulseSpec, _rotations
 
 __all__ = [
     "InitialState",
     "evolve_correlations_batch",
     "assemble_density_batch",
-    "correlations_from_density_batch",
     "adjoint_rotation",
     "unitary_oracle_batch",
     "rk4_oracle_batch",
@@ -60,11 +60,8 @@ _RK4_MAX_STEPS = 10**7
 _RK4_SERIES_BOUND = 0.1
 _RK4_SERIES_TERMS = 17
 
-# Pauli product stacks for density assembly/extraction:
-# _PP[k, l] = sigma_k x sigma_l, _PA[k] = sigma_k x I, _PB[l] = I x sigma_l.
+# Pauli product stack for density assembly: _PP[k, l] = sigma_k x sigma_l.
 _PP = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
-_PA = np.array([np.kron(s, IDENTITY2) for s in PAULIS])
-_PB = np.array([np.kron(IDENTITY2, s) for s in PAULIS])
 _I4 = np.eye(4, dtype=np.complex128)
 _PAULIS = np.array(PAULIS)
 
@@ -164,18 +161,6 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
 def assemble_density_batch(tensors) -> np.ndarray:
     """Zero-Bloch densities rho = (1/4)(I + sum_kl C_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4, 4)."""
     return 0.25 * (_I4 + np.einsum("...kl,klij->...ij", tensors, _PP))
-
-
-def correlations_from_density_batch(rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract the Fano data (C, a, b) out of densities of shape (..., 4, 4).
-
-    C_kl = trace(rho . sigma_k x sigma_l), a_k = trace(rho . sigma_k x I), b_l
-    likewise: complex, with zero imaginary parts for Hermitian input.
-    C round-trips with assemble_density_batch.
-    """
-    rhos = np.asarray(rhos, dtype=np.complex128)
-    pairs = (("kl", _PP), ("k", _PA), ("k", _PB))
-    return tuple(np.einsum(f"...ij,{k}ji->...{k}", rhos, basis) for k, basis in pairs)
 
 
 def adjoint_rotation(u) -> np.ndarray:

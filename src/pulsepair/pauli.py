@@ -2,8 +2,8 @@
 
 Complex scalars are Python/numpy complex doubles and matrices are numpy
 ``complex128`` arrays throughout; this module pins the basis conventions
-and supplies the eigensolver that breaks the sweep rounding guard's ties
-(entanglement._jacobi_negativities) and that validate's closed-form triangle tests.
+and supplies the eigensolver that entanglement._density_negativities takes
+for the sweep rounding guard's ties and for one leg of validate's closed-form triangle.
 
 The eigensolver is a cyclic complex Jacobi iteration.  At 4x4 scale it is
 unconditionally stable, needs no pivoting heuristics, and its rotation
@@ -28,7 +28,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "IDENTITY2",
     "PAULIS",
     "hermitian_eigenvalues_batch",
 ]
@@ -43,7 +42,6 @@ def _frozen(values) -> np.ndarray:
 SIGMA_X = _frozen([[0, 1], [1, 0]])
 SIGMA_Y = _frozen([[0, -1j], [1j, 0]])
 SIGMA_Z = _frozen([[1, 0], [0, -1]])
-IDENTITY2 = _frozen([[1, 0], [0, 1]])
 
 #: Pauli triple in (x, y, z) order, matching correlation-tensor indexing.
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)

@@ -172,8 +172,6 @@ def coefficient_map_batch(
     om, dl, om1, tau = _rotations(pulses, times)
     dtype = float if mode is CoefficientMode.UNITARY else np.complex128
     idle = om1 == 0.0
-    if idle.all():
-        return np.tile(np.eye(3, dtype=dtype), (len(tau), 1, 1))
     om1 = np.where(idle, 1.0, om1)  # no 0/0: idle pairs are set to the identity below
     angle = om1 * tau
     c = np.cos(angle)
@@ -199,6 +197,5 @@ def coefficient_map_batch(
     else:
         r[:, 1, 0] = maps.imag[:, 1, 1] = -a_y
         maps.imag[:, 1, 2] = -a_z
-    if idle.any():
-        maps[idle] = np.eye(3)
+    maps[idle] = np.eye(3)
     return maps

@@ -35,6 +35,7 @@ never changes a bit.
 """
 
 import math
+import numbers
 import operator
 import os
 import shutil
@@ -43,9 +44,10 @@ from enum import Enum
 
 import numpy as np
 
-from .entanglement import CLAMP_TOL, _clamp, _jacobi_negativities, zero_bloch_negativity_batch
+from .entanglement import CLAMP_TOL, _clamp, _density_negativities, zero_bloch_negativity_batch
 from .errors import InvalidConfig
 from .evolution import InitialState, _diagonal_tensors, evolve_correlations_batch
+from .pauli import hermitian_eigenvalues_batch
 from .pulses import CoefficientMode, PulseSpec, coefficient_map_batch
 
 __all__ = [
@@ -69,9 +71,13 @@ PARAM_LIMIT = 1e6
 _CHUNK_CELLS = 4096
 
 
-def _check_param(name: str, value: float) -> None:
+def _check_param(name: str, value) -> float:
+    """value as a Python float; raises InvalidConfig unless it is a real number of size at most PARAM_LIMIT."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} = {value!r} is not a real number")
     if not abs(value) <= PARAM_LIMIT:  # false for NaN and inf too
         raise InvalidConfig(f"{name} = {value!r} is not finite or exceeds {PARAM_LIMIT:g} in size")
+    return float(value)
 
 
 class SweepFamily(Enum):
@@ -94,8 +100,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        _check_param("grid_start", self.start)
-        _check_param("grid_stop", self.stop)
+        object.__setattr__(self, "start", _check_param("grid_start", self.start))
+        object.__setattr__(self, "stop", _check_param("grid_stop", self.stop))
         try:
             operator.index(self.points)
         except TypeError:
@@ -133,19 +139,17 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_states", tuple(self.initial_states))
-        object.__setattr__(self, "detuning_prime", tuple(float(v) for v in self.detuning_prime))
-        object.__setattr__(self, "rabi_ratio", tuple(float(v) for v in self.rabi_ratio))
         for key, kind in (("family", SweepFamily), ("drive", DriveMode), ("grid", GridSpec), ("mode", CoefficientMode)):
             if not isinstance(getattr(self, key), kind):
                 raise InvalidConfig(f"{key} = {getattr(self, key)!r} is not a {kind.__name__}")
         if not self.initial_states or not all(isinstance(s, InitialState) for s in self.initial_states):
             raise InvalidConfig(f"initial_states = {self.initial_states!r} is not one or more InitialState values")
-        if len(self.detuning_prime) != 2 or len(self.rabi_ratio) != 2:
+        pairs = {key: tuple(getattr(self, key)) for key in ("detuning_prime", "rabi_ratio")}
+        if any(len(pair) != 2 for pair in pairs.values()):
             raise InvalidConfig("detuning_prime and rabi_ratio take one value per qubit")
-        for qubit, dprime, ratio in zip("ab", self.detuning_prime, self.rabi_ratio):
-            _check_param(f"detuning_prime_{qubit}", dprime)
-            _check_param(f"rabi_ratio_{qubit}", ratio)
-        _check_param("rect_omega", self.rect_omega)
+        for key, pair in pairs.items():
+            object.__setattr__(self, key, tuple(_check_param(f"{key}_{q}", v) for q, v in zip("ab", pair)))
+        object.__setattr__(self, "rect_omega", _check_param("rect_omega", self.rect_omega))
         if min(self.rabi_ratio) < 0.0:
             raise InvalidConfig("rabi_ratio entries must be non-negative")
         if self.family is SweepFamily.COMBINED_VS_TIME:
@@ -240,7 +244,7 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     doubt = _in_doubt(raw)
     values = _clamp(raw)
     if doubt.size:
-        values[doubt] = _jacobi_negativities(tensors[doubt])
+        values[doubt] = _density_negativities(tensors[doubt], hermitian_eigenvalues_batch)
     return values
 
 

@@ -55,6 +55,37 @@ def test_round_trip_keeps_awkward_floats():
     assert parse_config(format_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("kind", [np.float64, np.float32, int, bool])
+def test_round_trip_stores_every_real_number_as_a_float(kind):
+    # numpy >= 2 writes repr(np.float64(2.0)) as "np.float64(2.0)", and "true" is no float
+    cfg = dataclasses.replace(
+        paper_figure_presets()["fig5a"],
+        grid=scenarios.GridSpec(kind(0), kind(1), 11),
+        detuning_prime=(kind(1), kind(0)),
+        rabi_ratio=(kind(0), kind(1)),
+        rect_omega=kind(1),
+    )
+    values = (cfg.grid.start, cfg.grid.stop, *cfg.detuning_prime, *cfg.rabi_ratio, cfg.rect_omega)
+    assert [type(v) for v in values] == [float] * 7
+    assert parse_config(format_config(cfg)) == cfg
+
+
+_WITH_PARAM = {
+    "grid_start": lambda cfg, v: dataclasses.replace(cfg, grid=scenarios.GridSpec(v, 5.0, 11)),
+    "grid_stop": lambda cfg, v: dataclasses.replace(cfg, grid=scenarios.GridSpec(0.0, v, 11)),
+    "detuning_prime_b": lambda cfg, v: dataclasses.replace(cfg, detuning_prime=(0.0, v)),
+    "rabi_ratio_a": lambda cfg, v: dataclasses.replace(cfg, rabi_ratio=(v, 5.0)),
+    "rect_omega": lambda cfg, v: dataclasses.replace(cfg, rect_omega=v),
+}
+
+
+@pytest.mark.parametrize("key", _WITH_PARAM)
+@pytest.mark.parametrize("value", [1j, "2.0", None])
+def test_a_parameter_that_is_not_a_real_number_raises_naming_its_key(key, value):
+    with pytest.raises(InvalidConfig, match=f"^{key} = .* is not a real number$"):
+        _WITH_PARAM[key](paper_figure_presets()["fig5a"], value)
+
+
 @pytest.mark.parametrize(
     "state",
     [

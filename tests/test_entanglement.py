@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pulsepair import pauli
+from pulsepair import entanglement, pauli, validation
 from pulsepair.entanglement import (
     _clamp,
     partial_transpose_b,
@@ -254,3 +255,24 @@ class TestClassifyWerner:
         for x in (-1.0 - 1e-9, 1.0 / 3.0 + 1e-9):
             with pytest.raises(UnphysicalState):
                 InitialState.generalized_werner(x, x, x)
+
+
+# sha256 of seed 0's closed-form-triangle tensors and of their negativities through the density by the
+# Jacobi and the LAPACK solver, recorded from the two routes _density_negativities replaced (one per
+# solver); the LAPACK bytes depend on this LAPACK build, as the preset digests depend on numpy's
+TRIANGLE_DIGESTS = (
+    "2dfa22bef766cc464cc0445cc98f57b4e5873a629962d1a30210888046304a0a",
+    "9aa892af5e3e2ac2c6a30b5950ccb80eeec52b79329b7bafa61d59b17abf32a9",
+    "ce6731ca8743c795cd9a83f6ff5993cddd13fda542aac939fc38f7728493fabf",
+)
+
+
+def test_density_route_keeps_the_bytes_of_the_jacobi_and_lapack_routes(monkeypatch):
+    route, calls = entanglement._density_negativities, []
+    monkeypatch.setattr(entanglement, "_density_negativities", lambda *args: calls.append(args) or route(*args))
+    key = dict(validation._CHECKS)[validation._check_negativity_closed_form]
+    validation._check_negativity_closed_form(np.random.default_rng([0, key]))
+    (tensors, jacobi), (same, lapack) = calls
+    assert same is tensors and (jacobi, lapack) == (pauli.hermitian_eigenvalues_batch, np.linalg.eigvalsh)
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (tensors, route(tensors, jacobi), route(tensors, lapack))]
+    assert tuple(digests) == TRIANGLE_DIGESTS

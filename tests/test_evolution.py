@@ -18,7 +18,6 @@ from pulsepair.evolution import (
     InitialState,
     adjoint_rotation,
     assemble_density_batch,
-    correlations_from_density_batch,
     evolve_correlations_batch,
     rk4_oracle_batch,
     unitary_oracle_batch,
@@ -41,17 +40,6 @@ def evolve_one(c, m1, m2):
     """C~ and residue of one diagonal state under one pair of maps."""
     tensors, residues = evolve_correlations_batch([c], m1[None], m2[None])
     return tensors[0, 0], residues[0]
-
-
-def fano_density(tensor, bloch_a, bloch_b):
-    """(1/4)(I + a.sigma x I + I x b.sigma + sum_kl C_kl sigma_k x sigma_l), from raw krons."""
-    eye2 = np.eye(2)
-    rho = np.eye(4, dtype=np.complex128)
-    for k, sk in enumerate(oracles.PAULI3):
-        rho += bloch_a[k] * np.kron(sk, eye2) + bloch_b[k] * np.kron(eye2, sk)
-        for l, sl in enumerate(oracles.PAULI3):
-            rho += tensor[k, l] * np.kron(sk, sl)
-    return 0.25 * rho
 
 
 class TestInitialState:
@@ -249,37 +237,6 @@ class TestDensityAssembly:
         for c in _random_physical_correlations(rng, 50):
             ours = assemble_density_batch(np.diag(c))
             assert np.abs(ours - oracles.bell_diagonal_rho(c)).max() < 1e-15
-
-    def test_extraction_round_trip(self):
-        rng = np.random.default_rng(19)
-        for c in _random_physical_correlations(rng, 50):
-            tensor, bloch_a, bloch_b = correlations_from_density_batch(assemble_density_batch(np.diag(c)))
-            assert np.abs(tensor - np.diag(c)).max() < 1e-14
-            assert np.abs(bloch_a).max() < 1e-14
-            assert np.abs(bloch_b).max() < 1e-14
-
-    def test_batch_extraction_matches_the_scalar_form(self):
-        rng = np.random.default_rng(29)
-        tensors = rng.uniform(-1.0, 1.0, size=(6, 3, 3))
-        bloch_a, bloch_b = rng.uniform(-1.0, 1.0, size=(2, 6, 3))
-        rhos = np.array([fano_density(*x) for x in zip(tensors, bloch_a, bloch_b)])
-        c, a, b = correlations_from_density_batch(rhos)
-        assert c.shape == (6, 3, 3) and a.shape == b.shape == (6, 3)
-        assert np.abs(c - tensors).max() < 1e-14
-        assert np.abs(a - bloch_a).max() < 1e-14 and np.abs(b - bloch_b).max() < 1e-14
-        for i, rho in enumerate(rhos):
-            one = correlations_from_density_batch(rho)
-            assert [x.shape for x in one] == [(3, 3), (3,), (3,)]
-            assert all(np.array_equal(x, y[i]) for x, y in zip(one, (c, a, b)))
-
-    def test_extraction_handles_bloch_terms(self):
-        # |0><0| x I/2 has a pure z Bloch vector on qubit a
-        rho = fano_density(np.zeros((3, 3)), [0.0, 0.0, 1.0], np.zeros(3))
-        assert np.array_equal(rho, np.diag([0.5, 0.5, 0.0, 0.0]))
-        tensor, bloch_a, bloch_b = correlations_from_density_batch(rho)
-        assert np.allclose(bloch_a, [0.0, 0.0, 1.0], atol=1e-15)
-        assert np.allclose(bloch_b, [0.0, 0.0, 0.0], atol=1e-15)
-        assert np.allclose(tensor, np.diag([0.0, 0.0, 0.0]), atol=1e-15)
 
 
 class TestAdjointRotation:

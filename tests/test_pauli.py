@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pulsepair import entanglement, pauli, scenarios
 from pulsepair.errors import ConvergenceFailure, NonHermitianInput
 from pulsepair.pauli import (
-    IDENTITY2,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -32,7 +31,6 @@ def test_pauli_constants_are_the_standard_matrices():
     assert np.array_equal(SIGMA_X, oracles.SX)
     assert np.array_equal(SIGMA_Y, oracles.SY)
     assert np.array_equal(SIGMA_Z, oracles.SZ)
-    assert np.array_equal(IDENTITY2, np.eye(2))
     assert PAULIS == (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 

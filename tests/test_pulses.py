@@ -321,6 +321,16 @@ def test_undriven_map_is_identity_in_both_modes():
         assert np.linalg.det(m.real) == 1.0
 
 
+@pytest.mark.parametrize("mode, dtype", [(UNITARY, np.float64), (LITERAL, np.complex128)])
+def test_an_all_undriven_batch_gives_exact_identities_in_the_dtype_of_its_mode(mode, dtype):
+    # one path for undriven pairs, whether the batch has driven pairs or none
+    specs = oracles.stack([PulseSpec.none(), PulseSpec.rectangular(0.0, duration=3.0, delta=0.0), PulseSpec.none()])
+    for batch in (specs, PulseSpec.none()):
+        maps = coefficient_map_batch(batch, [0.0, 2.5, 1e300], mode)
+        assert maps.dtype == dtype
+        assert maps.tobytes() == np.tile(np.eye(3, dtype=dtype), (3, 1, 1)).tobytes()  # no -0.0 either
+
+
 def test_coefficient_map_dispatches_by_shape():
     specs = oracles.stack(
         [PulseSpec.rectangular(1.0, duration=2.0), PulseSpec.exponential(1.0, 1.0), PulseSpec.none()]

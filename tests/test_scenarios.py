@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import oracles
 from pulsepair import scenarios
 from pulsepair.config import format_config
-from pulsepair.entanglement import CLAMP_TOL, _jacobi_negativities, zero_bloch_negativity_batch
+from pulsepair.entanglement import CLAMP_TOL, _density_negativities, zero_bloch_negativity_batch
 from pulsepair.errors import InvalidConfig
 from pulsepair.evolution import InitialState, evolve_correlations_batch
+from pulsepair.pauli import hermitian_eigenvalues_batch
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import (
     PARAM_LIMIT,
@@ -414,7 +415,7 @@ class TestClosedFormGuard:
         det = np.linalg.det(tensors)
         assert (det < 0.0).sum() > 4000 and (np.abs(det) < 1e-12).sum() >= 7000
         guarded = scenarios._negativities(tensors)
-        jacobi = _jacobi_negativities(tensors)
+        jacobi = _density_negativities(tensors, hermitian_eigenvalues_batch)
         assert [scenarios._fmt(v) for v in guarded] == [scenarios._fmt(v) for v in jacobi]
         raw = zero_bloch_negativity_batch(tensors)
         # the guard had work to do: unguarded, some cells would print otherwise

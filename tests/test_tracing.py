@@ -76,8 +76,8 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
     assert maps == 2 * chunks  # one per qubit per chunk, x = 0 included
     for layer_function in ("evolution.evolve_correlations_batch", "entanglement.zero_bloch_negativity_batch"):
         assert names.count(layer_function) == chunks, layer_function
-    # the guard's Jacobi route (its calls are bound in entanglement) runs only
-    # on a chunk with a cell in doubt, and this sweep has none
+    # the guard's density route (the solver bound in scenarios, the density in
+    # entanglement) runs only on a chunk with a cell in doubt, and this sweep has none
     for layer_function in ("evolution.assemble_density_batch", "pauli.hermitian_eigenvalues_batch"):
         assert names.count(layer_function) == 0, layer_function
     assert t.counts["pauli.matrices"] == 0

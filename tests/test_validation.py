@@ -94,14 +94,14 @@ def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
     jacobi_cells, spectrum_cells = [], []
 
     def counting(record, fn):
-        def counted(tensors):
+        def counted(tensors, *solver):
             record.append(int(np.prod(np.shape(tensors)[:-2])))
-            return fn(tensors)
+            return fn(tensors, *solver)
 
         return counted
 
     for module in (entanglement, scenarios):
-        monkeypatch.setattr(module, "_jacobi_negativities", counting(jacobi_cells, module._jacobi_negativities))
+        monkeypatch.setattr(module, "_density_negativities", counting(jacobi_cells, module._density_negativities))
     monkeypatch.setattr(
         entanglement, "zero_bloch_spectrum_batch", counting(spectrum_cells, entanglement.zero_bloch_spectrum_batch)
     )
@@ -111,6 +111,24 @@ def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
     initial_cells = sum(len(cfg.initial_states) for cfg in presets)
     assert jacobi_cells == []
     assert sum(spectrum_cells) == unitary_cells + initial_cells
+
+
+def _swap_the_maps(evolve):
+    return lambda diagonals, m1, m2: evolve(diagonals, m2, m1)
+
+
+def _drop_the_c_yy_term(evolve):
+    return lambda diagonals, m1, m2: evolve(np.asarray(diagonals) * [1.0, 0.0, 1.0], m1, m2)
+
+
+@pytest.mark.parametrize("mutant", [_swap_the_maps, _drop_the_c_yy_term])
+def test_fano_check_fails_on_a_wrong_evolution(monkeypatch, mutant):
+    # the two densities are compared entry by entry, so a wrong tensor shows however it is wrong
+    (healthy,) = validation._check_fano_consistency(np.random.default_rng([0, 3]))
+    assert healthy.name == "fano_conjugation_consistency" and healthy.passed
+    monkeypatch.setattr(evolution, "evolve_correlations_batch", mutant(evolution.evolve_correlations_batch))
+    (mutated,) = validation._check_fano_consistency(np.random.default_rng([0, 3]))
+    assert not mutated.passed and mutated.max_error > 1e-3
 
 
 def test_seeded_samplers():
