@@ -138,16 +138,19 @@ class SweepConfig:
     rect_omega: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_states", tuple(self.initial_states))
+        for key in ("initial_states", "detuning_prime", "rabi_ratio"):
+            try:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+            except TypeError:
+                raise InvalidConfig(f"{key} = {getattr(self, key)!r} is not a sequence") from None
         for key, kind in (("family", SweepFamily), ("drive", DriveMode), ("grid", GridSpec), ("mode", CoefficientMode)):
             if not isinstance(getattr(self, key), kind):
                 raise InvalidConfig(f"{key} = {getattr(self, key)!r} is not a {kind.__name__}")
         if not self.initial_states or not all(isinstance(s, InitialState) for s in self.initial_states):
             raise InvalidConfig(f"initial_states = {self.initial_states!r} is not one or more InitialState values")
-        pairs = {key: tuple(getattr(self, key)) for key in ("detuning_prime", "rabi_ratio")}
-        if any(len(pair) != 2 for pair in pairs.values()):
+        if len(self.detuning_prime) != 2 or len(self.rabi_ratio) != 2:
             raise InvalidConfig("detuning_prime and rabi_ratio take one value per qubit")
-        for key, pair in pairs.items():
+        for key, pair in (("detuning_prime", self.detuning_prime), ("rabi_ratio", self.rabi_ratio)):
             object.__setattr__(self, key, tuple(_check_param(f"{key}_{q}", v) for q, v in zip("ab", pair)))
         object.__setattr__(self, "rect_omega", _check_param("rect_omega", self.rect_omega))
         if min(self.rabi_ratio) < 0.0:
@@ -177,10 +180,12 @@ class SweepResult:
     def csv_text(self) -> str:
         labels = ",".join(f"E_{s.label}" for s in self.config.initial_states)
         table = np.column_stack((self.params, self.negativities, self.residues))
-        bits = table.view(np.int64)  # compared as bits, so -0.0 and NaN payloads stay apart
-        folded = (bits == bits[:1]).all(axis=0) & (len(table) > 0)  # columns of one bit pattern
-        row = ",".join(_CELL % table[0, j] if f else _CELL for j, f in enumerate(folded))
-        text = ("\n" + row) * len(table) % tuple(table[:, ~folded].ravel().tolist())
+        first, rest = table[:1], table[1:]  # row 0 prints apart: an area sweep's identity point differs
+        bits = rest.view(np.int64)  # compared as bits, so -0.0 and NaN payloads stay apart
+        folded = (bits == bits[:1]).all(axis=0) & (len(rest) > 0)  # columns of one bit pattern after row 0
+        row = ",".join(_CELL % rest[0, j] if f else _CELL for j, f in enumerate(folded))
+        text = ("\n" + ",".join([_CELL] * len(folded))) * len(first) + ("\n" + row) * len(rest)
+        text %= tuple(first.ravel().tolist() + rest[:, ~folded].ravel().tolist())
         return f"param,{labels},imag_residue{text}\n"
 
     def write_csv(self, path) -> None:

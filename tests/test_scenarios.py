@@ -168,6 +168,16 @@ class TestSweepConfigValidation:
         with pytest.raises(InvalidConfig, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("detuning_prime", 1.0), ("initial_states", None), ("rabi_ratio", None)],
+        ids=["scalar_detuning_prime", "no_initial_states", "no_rabi_ratio"],
+    )
+    def test_a_field_that_is_not_a_sequence_is_invalid(self, field, value):
+        # tuple() of a scalar or None would raise an untyped TypeError
+        with pytest.raises(InvalidConfig, match=field):
+            dataclasses.replace(paper_figure_presets()["fig5a"], **{field: value})
+
 
 class TestRunSweep:
     def test_resonant_one_qubit_rectangle_full_cycles(self):
@@ -462,8 +472,18 @@ _CELLS = st.one_of(
     ),
     st.floats(allow_nan=False),
 )
-# how one column's cells are drawn: one value throughout, 0.0 and -0.0 mixed, or any cells
-_COLUMN = st.one_of(_CELLS.map(st.just), st.just(st.sampled_from([0.0, -0.0])), st.just(_CELLS))
+_NAN_PAYLOAD = float(np.array(0x7FF8DEADBEEF0000, dtype=np.uint64).view(np.float64))
+
+
+def _column(rows):
+    """One column of rows cells: one value throughout, 0.0 and -0.0 mixed, any cells, or any row 0 above one value."""
+    cells = functools.partial(st.lists, min_size=rows, max_size=rows)
+    return st.one_of(
+        _CELLS.map(lambda v: [v] * rows),
+        cells(st.sampled_from([0.0, -0.0])),
+        cells(_CELLS),
+        st.tuples(_CELLS, _CELLS).map(lambda pair: ([pair[0]] + [pair[1]] * rows)[:rows]),
+    )
 
 
 class TestCsvFormat:
@@ -527,10 +547,22 @@ class TestCsvFormat:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 4), st.data())
     def test_folded_columns_print_as_the_row_by_row_format(self, rows, states, data):
-        cells = [data.draw(st.lists(data.draw(_COLUMN), min_size=rows, max_size=rows)) for _ in range(states + 2)]
+        cells = [data.draw(_column(rows)) for _ in range(states + 2)]
         table = np.array(cells, dtype=float).T.reshape(rows, states + 2)
         four = STATES + (InitialState.werner(-0.5),)
         result = SweepResult(small_config(initial_states=four[:states]), table[:, 0], table[:, 1:-1], table[:, -1])
+        assert result.csv_text() == self._row_by_row_csv(result)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 5])
+    @pytest.mark.parametrize(
+        "first, after",
+        [(-0.0, 0.0), (0.0, -0.0), (np.nan, 0.5), (0.5, np.nan), (np.inf, 1.0), (1.0, -np.inf), (_NAN_PAYLOAD, np.nan)],
+    )
+    def test_row_zero_above_a_folded_column(self, rows, first, after):
+        # the second negativity column swaps row 0's value with the one below it
+        column, swapped = (([a] + [b] * rows)[:rows] for a, b in ((first, after), (after, first)))
+        params, negativities = np.arange(rows, dtype=float), np.array([column, swapped]).T.reshape(rows, 2)
+        result = SweepResult(small_config(initial_states=STATES[:2]), params, negativities, column)
         assert result.csv_text() == self._row_by_row_csv(result)
 
     def test_write_round_trip(self, tmp_path):
