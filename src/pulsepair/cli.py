@@ -112,7 +112,7 @@ def _run_and_write(cfg: SweepConfig, mode: str | None, out: str) -> None:
     try:
         result.write_csv(out)
     except OSError as exc:
-        raise OSError(f"cannot write output: {exc}") from exc
+        raise OSError(f"cannot write output to {out!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

@@ -13,9 +13,9 @@ axis and the tensor splits into T_xx and a 2x2 yz block; such tensors (the
 diagonal ones of run_sweep, and those validate's preset checks evolve) take
 those singular values in closed form, and any other tensor, such as one of a
 detuned drive, goes to LAPACK's SVD.  _density_negativities is the one route
-through the density: rho, its partial transpose, and the mu_i from the solver
+through the density: rho, its partial transpose, and the mu_i from each solver
 its caller names (pauli's Jacobi for the sweep rounding guard, LAPACK's
-eigvalsh for validate's oracles; the closed-form triangle takes both).
+eigvalsh for validate's oracles; the closed-form triangle's two share one build).
 """
 
 import numpy as np
@@ -47,10 +47,18 @@ def _clamp(raw: np.ndarray) -> np.ndarray:
     return np.where(raw < CLAMP_TOL, 0.0, raw)
 
 
-def _density_negativities(tensors, eigenvalues) -> np.ndarray:
-    """Clamped negativities of (N, 3, 3) tensors through their densities; eigenvalues solves (N, 4, 4) -> (N, 4)."""
-    mu = eigenvalues(partial_transpose_b(assemble_density_batch(tensors)))
-    return _clamp(np.abs(mu).sum(axis=1) - 1.0)
+def _density_negativities(tensors, *solvers) -> list[np.ndarray]:
+    """Clamped negativities of (N, 3, 3) tensors through densities built once, per solver (N, 4, 4) -> (N, 4)."""
+    transposes = partial_transpose_b(assemble_density_batch(tensors))
+    return [_clamp(np.abs(solve(transposes)).sum(axis=1) - 1.0) for solve in solvers]
+
+
+def _triple_product(t: np.ndarray) -> np.ndarray:
+    """det T of (..., 3, 3) as the triple product (LAPACK's LU warns on some subnormal entries), each row first
+    scaled by a power of two to a largest magnitude in [0.5, 1): the sign stays, nothing overflows."""
+    rows = np.moveaxis(t, (-2, -1), (0, 1)).copy()  # (3, 3, ...), so that max(axis=1) is fast
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    return r11 * (r22 * r33 - r23 * r32) + r12 * (r23 * r31 - r21 * r33) + r13 * (r21 * r32 - r22 * r31)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a spectrum past the float range raises at the end
@@ -83,14 +91,10 @@ def zero_bloch_spectrum_batch(tensors) -> np.ndarray:
     a, b, c = np.abs(t[..., 0, 0]), 0.5 * (p + q), 0.5 * np.abs(p - q)  # b >= c
     s = np.stack((np.maximum(a, b), np.maximum(np.minimum(a, b), c), np.minimum(a, c)), axis=-1)
     coupled = t[..., [0, 0, 1, 2], [1, 2, 0, 0]].any(axis=-1)  # T_xy, T_xz, T_yx, T_zx; -0.0 is False
-    s[coupled] = np.linalg.svd(t[coupled], compute_uv=False)
+    if coupled.any():
+        s[coupled] = np.linalg.svd(t[coupled], compute_uv=False)
     t1, t2 = s[..., 0], s[..., 1]
-    # det T as the triple product (LAPACK's LU warns on some subnormal entries), each row first
-    # scaled by a power of two to a largest magnitude in [0.5, 1): the sign stays, nothing overflows
-    rows = np.moveaxis(t, (-2, -1), (0, 1)).copy()  # (3, 3, ...), so that max(axis=1) is fast
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
-    det = r11 * (r22 * r33 - r23 * r32) + r12 * (r23 * r31 - r21 * r33) + r13 * (r21 * r32 - r22 * r31)
-    t3 = np.where(det < 0.0, -s[..., 2], s[..., 2])
+    t3 = np.where(_triple_product(t) < 0.0, -s[..., 2], s[..., 2])
     mu = np.stack((1.0 + t1 + t2 + t3, 1.0 - t1 - t2 + t3, 1.0 + t1 - t2 - t3, 1.0 - t1 + t2 - t3))
     if not np.isfinite(mu).all():
         raise TraceNotOne("correlation tensor is so large that its partial-transpose spectrum overflows")

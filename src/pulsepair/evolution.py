@@ -13,10 +13,10 @@ pulses module) transforms the correlation tensor as
 
 summed elementwise as c_xx outer(A1, A2) + c_yy outer(B1, B2) + c_zz
 outer(D1, D2).  UNITARY-mode maps are real, so C~ is float64 and carries no
-imaginary part.  LITERAL-mode maps are complex; the real part is kept as
-the state and the largest imaginary magnitude is recorded as a diagnostic
-(``imag_residue``), never silently dropped.  Entanglement's density route and
-validate's Fano check, which compares densities, build rho by assemble_density_batch.
+imaginary part.  LITERAL-mode maps are complex; the real part is kept as the state and the
+largest imaginary magnitude is recorded as a diagnostic (``imag_residue``), never silently
+dropped.  Entanglement's density route and validate's Fano check, which compares densities,
+build rho by assemble_density_batch, one real matrix product exact in any summation order.
 
 Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the
@@ -60,8 +60,9 @@ _RK4_MAX_STEPS = 10**7
 _RK4_SERIES_BOUND = 0.1
 _RK4_SERIES_TERMS = 17
 
-# Pauli product stack for density assembly: _PP[k, l] = sigma_k x sigma_l.
-_PP = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+# Row 3k + l is sigma_k x sigma_l as 32 reals, each real part before its imaginary part, all 0 or +-1 and at most
+# two nonzero per column: C @ _PP rounds each sum once, so no summation order, FMA or BLAS thread split moves a bit
+_PP = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS]).reshape(9, 16).view(np.float64)
 _I4 = np.eye(4, dtype=np.complex128)
 _PAULIS = np.array(PAULIS)
 
@@ -159,8 +160,14 @@ def evolve_correlations_batch(diagonals, m1, m2) -> tuple[np.ndarray, np.ndarray
 
 
 def assemble_density_batch(tensors) -> np.ndarray:
-    """Zero-Bloch densities rho = (1/4)(I + sum_kl C_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4, 4)."""
-    return 0.25 * (_I4 + np.einsum("...kl,klij->...ij", tensors, _PP))
+    """Zero-Bloch densities rho = (1/4)(I + sum_kl C_kl sigma_k x sigma_l), (..., 3, 3) -> (..., 4, 4), by C @ _PP.
+
+    C must be real (a complex one, such as a literal C~ before its real part is taken, raises TypeError)."""
+    if np.iscomplexobj(tensors):
+        raise TypeError("assemble_density_batch takes a real correlation tensor, not a complex one")
+    t = np.asarray(tensors, dtype=float)
+    rho = (t.reshape(-1, 9) @ _PP).view(np.complex128).reshape(t.shape[:-2] + (4, 4))
+    return 0.25 * (_I4 + rho)
 
 
 def adjoint_rotation(u) -> np.ndarray:

@@ -3,7 +3,7 @@
 Complex scalars are Python/numpy complex doubles and matrices are numpy
 ``complex128`` arrays throughout; this module pins the basis conventions
 and supplies the eigensolver that entanglement._density_negativities takes
-for the sweep rounding guard's ties and for one leg of validate's closed-form triangle.
+for the sweep rounding guard's ties and, beside LAPACK's, for validate's closed-form triangle.
 
 The eigensolver is a cyclic complex Jacobi iteration.  At 4x4 scale it is
 unconditionally stable, needs no pivoting heuristics, and its rotation

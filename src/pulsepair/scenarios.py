@@ -249,7 +249,7 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     doubt = _in_doubt(raw)
     values = _clamp(raw)
     if doubt.size:
-        values[doubt] = _density_negativities(tensors[doubt], hermitian_eigenvalues_batch)
+        values[doubt] = _density_negativities(tensors[doubt], hermitian_eigenvalues_batch)[0]
     return values
 
 

@@ -12,6 +12,7 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULI3 = (SX, SY, SZ)
+PAULI_PRODUCTS = np.array([[np.kron(a, b) for b in PAULI3] for a in PAULI3])  # [k, l] = s_k x s_l
 
 
 def bell_diagonal_rho(c: tuple[float, float, float]) -> np.ndarray:
@@ -20,6 +21,11 @@ def bell_diagonal_rho(c: tuple[float, float, float]) -> np.ndarray:
     for ck, sk in zip(c, PAULI3):
         rho += ck * np.kron(sk, sk)
     return 0.25 * rho
+
+
+def zero_bloch_density(tensors) -> np.ndarray:
+    """(1/4)(I + sum_kl T_kl s_k x s_l) of a stack of T, (..., 3, 3) -> (..., 4, 4), by one complex einsum."""
+    return 0.25 * (np.eye(4, dtype=np.complex128) + np.einsum("...kl,klij->...ij", tensors, PAULI_PRODUCTS))
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:

@@ -148,11 +148,11 @@ class TestPreset:
         assert not (tmp_path / "fig1b.csv").exists()
 
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "preset", "fig1a", "--out", str(tmp_path / "missing" / "f.csv")
-        )
+        # the line names the path given, not the temporary file written beside it
+        out = tmp_path / "missing" / "f.csv"
+        code, _, err = run(capsys, "preset", "fig1a", "--out", str(out))
         assert code == 3
-        assert "cannot write" in err
+        assert err == f"error: cannot write output to {str(out)!r}: No such file or directory\n"
 
 
 class TestSweep:

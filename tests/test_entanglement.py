@@ -268,11 +268,14 @@ TRIANGLE_DIGESTS = (
 
 
 def test_density_route_keeps_the_bytes_of_the_jacobi_and_lapack_routes(monkeypatch):
-    route, calls = entanglement._density_negativities, []
+    # one call takes both solvers, and the triangle builds its densities once
+    route, calls, builds = entanglement._density_negativities, [], []
     monkeypatch.setattr(entanglement, "_density_negativities", lambda *args: calls.append(args) or route(*args))
+    assemble = entanglement.assemble_density_batch
+    monkeypatch.setattr(entanglement, "assemble_density_batch", lambda t: builds.append(len(t)) or assemble(t))
     key = dict(validation._CHECKS)[validation._check_negativity_closed_form]
     validation._check_negativity_closed_form(np.random.default_rng([0, key]))
-    (tensors, jacobi), (same, lapack) = calls
-    assert same is tensors and (jacobi, lapack) == (pauli.hermitian_eigenvalues_batch, np.linalg.eigvalsh)
-    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (tensors, route(tensors, jacobi), route(tensors, lapack))]
+    ((tensors, *solvers),) = calls
+    assert solvers == [pauli.hermitian_eigenvalues_batch, np.linalg.eigvalsh] and builds == [2000]
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (tensors, *route(tensors, *solvers))]
     assert tuple(digests) == TRIANGLE_DIGESTS

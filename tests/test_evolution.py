@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -219,6 +220,16 @@ class TestEvolveCorrelations:
         assert np.array_equal(residues, imag) and residues[1:].min() > 0.0
 
 
+# signed zeros, subnormals, and magnitudes up to half the float range, where a sum of two stays finite
+_DENSITY_SIGN = st.sampled_from([1.0, -1.0])
+_DENSITY_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.builds(lambda m, s: s * m, st.floats(5e-324, 2.2e-308), _DENSITY_SIGN),
+    st.builds(lambda e, s: s * 10.0**e, st.floats(-300.0, 307.0), _DENSITY_SIGN),
+    st.floats(-8.9e307, 8.9e307),
+)
+
+
 class TestDensityAssembly:
     def test_singlet_density_matrix(self):
         rho = assemble_density_batch(np.diag(InitialState.bell_singlet().correlations))
@@ -237,6 +248,42 @@ class TestDensityAssembly:
         for c in _random_physical_correlations(rng, 50):
             ours = assemble_density_batch(np.diag(c))
             assert np.abs(ours - oracles.bell_diagonal_rho(c)).max() < 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(), (0,), (1,), (2, 3)]), st.data())
+    def test_gives_the_bytes_of_the_complex_einsum(self, shape, data):
+        n = 9 * math.prod(shape)
+        t = np.reshape(data.draw(st.lists(_DENSITY_ENTRY, min_size=n, max_size=n)), shape + (3, 3))
+        assert assemble_density_batch(t).tobytes() == oracles.zero_bloch_density(t).tobytes()
+
+    def test_complex_tensor_raises_rather_than_dropping_its_imaginary_part(self):
+        with pytest.raises(TypeError, match="real correlation tensor"):
+            assemble_density_batch(np.diag([1.0, -1.0, 1.0]) + 1e-3j)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # signed zeros, subnormals, entries near 1 and near half the float range, solved in a fresh
+        # interpreter per thread count, as OpenBLAS reads it at load
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.0, -2.5, 8.9e307, -8.9e307]
+        t = rng.choice(values, size=(20_000, 3, 3)) * rng.choice([1.0, -1.0, 0.3], size=(20_000, 3, 3))
+        np.save(tmp_path / "t.npy", t)
+        code = textwrap.dedent(
+            f"""
+            import hashlib
+            import numpy as np
+            from pulsepair.evolution import assemble_density_batch
+            t = np.load({str(tmp_path / "t.npy")!r})
+            print(hashlib.sha256(assemble_density_batch(t).tobytes()).hexdigest())
+            """
+        )
+        digests = {hashlib.sha256(oracles.zero_bloch_density(t).tobytes()).hexdigest()}
+        path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestAdjointRotation:

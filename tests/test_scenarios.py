@@ -425,7 +425,7 @@ class TestClosedFormGuard:
         det = np.linalg.det(tensors)
         assert (det < 0.0).sum() > 4000 and (np.abs(det) < 1e-12).sum() >= 7000
         guarded = scenarios._negativities(tensors)
-        jacobi = _density_negativities(tensors, hermitian_eigenvalues_batch)
+        (jacobi,) = _density_negativities(tensors, hermitian_eigenvalues_batch)
         assert [scenarios._fmt(v) for v in guarded] == [scenarios._fmt(v) for v in jacobi]
         raw = zero_bloch_negativity_batch(tensors)
         # the guard had work to do: unguarded, some cells would print otherwise
