@@ -34,6 +34,7 @@ the 12th digit is in doubt).  No stage mixes matrices, so the chunk size
 never changes a bit.
 """
 
+import functools
 import math
 import numbers
 import operator
@@ -184,8 +185,12 @@ class SweepResult:
         bits = rest.view(np.int64)  # compared as bits, so -0.0 and NaN payloads stay apart
         folded = (bits == bits[:1]).all(axis=0) & (len(rest) > 0)  # columns of one bit pattern after row 0
         row = ",".join(_CELL % rest[0, j] if f else _CELL for j, f in enumerate(folded))
-        text = ("\n" + ",".join([_CELL] * len(folded))) * len(first) + ("\n" + row) * len(rest)
-        text %= tuple(first.ravel().tolist() + rest[:, ~folded].ravel().tolist())
+        text = ("\n" + ",".join([_CELL] * len(folded))) * len(first) % tuple(first.ravel().tolist())
+        if not folded[0] and folded[1:].all() and len(rest) <= _MEMO_ROWS:  # only the parameter column varies
+            tail = row[len(_CELL):]
+            text += "\n" + (tail + "\n").join(_param_cells(rest[:, 0].tobytes())) + tail
+        else:
+            text += ("\n" + row) * len(rest) % tuple(rest[:, ~folded].ravel().tolist())
         return f"param,{labels},imag_residue{text}\n"
 
     def write_csv(self, path) -> None:
@@ -218,6 +223,16 @@ _CELL = "%.12g"
 
 def _fmt(v: float) -> str:
     return _CELL % v
+
+
+#: _param_cells keeps at most _MEMO_GRIDS columns; csv_text asks it for none longer than _MEMO_ROWS cells.
+_MEMO_GRIDS, _MEMO_ROWS = 4, 4096
+
+
+@functools.lru_cache(maxsize=_MEMO_GRIDS)
+def _param_cells(bits: bytes) -> tuple[str, ...]:
+    """The _CELL text of each float64 in bits, kept per process: the presets print two grids' columns."""
+    return tuple([_CELL % v for v in np.frombuffer(bits).tolist()])
 
 
 #: Widest closed-form vs Jacobi negativity gap _negativities allows for; the

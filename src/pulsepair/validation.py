@@ -89,7 +89,7 @@ def _check_d_row_anchor(rng) -> list[CheckResult]:
 
 def _check_oracle_triangle(rng) -> list[CheckResult]:
     batch, t_ends = _random_pulses(rng, 80)
-    rk4 = evolution.rk4_oracle_batch(batch, t_ends, step=1e-3)
+    rk4 = evolution.rk4_oracle_batch(batch, t_ends, step=evolution.RK4_DEFAULT_STEP)
     exact = evolution.unitary_oracle_batch(batch, t_ends)
     analytic = pulses.coefficient_map_batch(batch, t_ends)
     r_exact, r_rk4 = evolution.adjoint_rotation(exact), evolution.adjoint_rotation(rk4)

@@ -565,6 +565,77 @@ class TestCsvFormat:
         result = SweepResult(small_config(initial_states=STATES[:2]), params, negativities, column)
         assert result.csv_text() == self._row_by_row_csv(result)
 
+    @pytest.fixture
+    def memo(self):
+        """scenarios._param_cells, emptied: its entries and counts start at zero in each test."""
+        scenarios._param_cells.cache_clear()
+        yield scenarios._param_cells
+        scenarios._param_cells.cache_clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_results_that_share_a_parameter_column_print_as_the_row_by_row_format(self, rows, data):
+        # every other column is drawn per result, folded or not, and the results print in any order, twice
+        params = data.draw(_column(rows))
+        results = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            table = np.array([params] + [data.draw(_column(rows)) for _ in range(4)], dtype=float).T
+            results.append(SweepResult(small_config(), table[:, 0], table[:, 1:4], table[:, 4]))
+        order = data.draw(st.permutations(range(len(results))))
+        for i in order + order[::-1]:
+            assert results[i].csv_text() == self._row_by_row_csv(results[i])
+
+    @pytest.mark.parametrize("a, b", [(0.0, -0.0), (np.nan, _NAN_PAYLOAD), (np.nan, -np.nan)])
+    def test_columns_apart_only_in_a_zero_sign_or_a_nan_payload_print_apart(self, memo, a, b):
+        results = [
+            SweepResult(small_config(), [0.0, 1.0, v, 3.0], np.full((4, 3), 0.5), np.zeros(4)) for v in (a, b)
+        ]
+        for result in results + results[::-1]:
+            assert result.csv_text() == self._row_by_row_csv(result)
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CELLS, min_size=3, max_size=6), st.data())
+    def test_columns_one_bit_apart_never_share_a_memo_entry(self, column, data):
+        column = np.array(column)
+        flipped = column.copy()
+        bit = np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
+        flipped.view(np.uint64)[data.draw(st.integers(1, len(column) - 1))] ^= bit
+        memo = scenarios._param_cells
+        memo.cache_clear()
+        for params in (column, flipped, column):
+            result = SweepResult(small_config(), params, np.full((len(column), 3), 0.5), np.zeros(len(column)))
+            assert result.csv_text() == self._row_by_row_csv(result)
+        # a column reaches the memo when its cells after row 0 hold more than one bit pattern
+        varies = [len(set(c[1:].view(np.uint64).tolist())) > 1 for c in (column, flipped)]
+        info = memo.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (sum(varies), sum(varies), varies[0])
+
+    def test_a_pass_over_the_presets_misses_the_memo_twice_in_any_order(self, memo):
+        # 22 of the 24 take their parameter cells from the memo; the area and time grids are its two keys
+        results = {key: run_sweep(cfg) for key, cfg in _preset_modes()}
+        expected = json.loads(REFERENCE_DIGESTS.read_text("ascii"))
+        keys = list(results)
+        shuffled = keys.copy()
+        np.random.default_rng(37).shuffle(shuffled)
+        for order in (keys, keys[::-1], shuffled):
+            for key in order:
+                assert hashlib.sha256(results[key].csv_text().encode("ascii")).hexdigest() == expected[key], key
+            if order is keys:
+                assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 20)
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
+
+    def test_the_memo_keeps_its_bounds(self, memo):
+        for points in range(3, 3 + scenarios._MEMO_GRIDS + 2):
+            result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, points)))
+            assert result.csv_text() == self._row_by_row_csv(result)
+        assert memo.cache_info().currsize == scenarios._MEMO_GRIDS
+        memo.cache_clear()
+        for points, entries in ((scenarios._MEMO_ROWS + 2, 0), (scenarios._MEMO_ROWS + 1, 1)):
+            result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, points)))
+            assert result.csv_text() == self._row_by_row_csv(result)
+            assert memo.cache_info().currsize == entries  # rows 1 onward: kept only up to _MEMO_ROWS cells
+
     def test_write_round_trip(self, tmp_path):
         result = run_sweep(small_config(grid=GridSpec(0.0, 1.0, 3)))
         out = tmp_path / "sweep.csv"
