@@ -27,11 +27,12 @@ its state's initial value (Vidal & Werner, PRA 65, 032314, 2002).  Nor does
 a resonant LITERAL sweep: its printed maps (B = 0, A = e_x, D a unit vector)
 give C~ = c_xx e_x e_x^T + c_zz D1 D2^T, whose singular values |c_xx|, |c_zz|
 and 0 are those of diag(c_xx, 0, c_zz) (Horodecki & Horodecki, PRA 54, 1838,
-1996); every residue is 0.  A detuned LITERAL sweep takes the grid in chunks
-of at most _CHUNK_CELLS (point, state) cells, and each chunk the long route:
-maps, evolved tensors, closed-form negativities (Jacobi on a density where
-the 12th digit is in doubt).  No stage mixes matrices, so the chunk size
-never changes a bit.
+1996); every residue is 0.  Both take these values from _fixed_negativities,
+computed once per process for each set of states.  A detuned LITERAL sweep
+takes the grid in chunks of at most _CHUNK_CELLS (point, state) cells, and
+each chunk the long route: maps, evolved tensors, closed-form negativities
+(Jacobi on a density where the 12th digit is in doubt).  No stage mixes
+matrices, so the chunk size never changes a bit.
 """
 
 import functools
@@ -199,11 +200,13 @@ class SweepResult:
         A symlink's target is replaced, an existing file keeps its mode, and a FIFO or a
         device is written in place.  The README says what a failure leaves behind.
         """
-        path = os.path.realpath(path)
-        if os.path.exists(path) and not os.path.isfile(path):  # no earlier content to keep
+        # a name ending in a separator, or no earlier content to keep: opened in place, as a plain write opens it
+        named_dir = os.fsdecode(path).endswith((os.sep, os.altsep or os.sep))  # realpath would drop the separator
+        if named_dir or os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w", encoding="ascii", newline="\n") as fh:
                 fh.write(self.csv_text())
             return
+        path = os.path.realpath(path)
         tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "x", encoding="ascii", newline="\n")
         try:
@@ -268,6 +271,19 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     return values
 
 
+#: _fixed_negativities keeps the values of at most _MEMO_STATE_SETS sets of initial states.
+_MEMO_STATE_SETS = 4
+
+
+@functools.lru_cache(maxsize=_MEMO_STATE_SETS)
+def _fixed_negativities(bits: bytes) -> np.ndarray:
+    """Read-only (2, S): initial negativities of the states whose diagonals are bits, then of diag(c_xx, 0, c_zz)."""
+    c = np.frombuffer(bits).reshape(-1, 3).tolist()
+    values = _negativities(_diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c])).reshape(2, -1)
+    values.setflags(write=False)
+    return values
+
+
 def _grid_pulses(cfg: SweepConfig) -> tuple[PulseSpec, PulseSpec]:
     """The pulses (pa, pb) that drive a sweep's qubits (Omega = gamma_p = 1)."""
     if cfg.family is SweepFamily.RECT_VS_AREA:
@@ -323,9 +339,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
         for chunk in (slice(lo, lo + step) for lo in range(0, len(grid), step)):
             negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])
-    else:  # computed once: the states' initial negativities, then those of diag(c_xx, 0, c_zz)
-        c = [s.correlations for s in cfg.initial_states]
-        initial, resonant = _negativities(_diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c])).reshape(2, -1)
+    else:  # once per process for each set of states: their initial negativities, then those of diag(c_xx, 0, c_zz)
+        initial, resonant = _fixed_negativities(np.array([s.correlations for s in cfg.initial_states]).tobytes())
         negativities[:] = resonant if cfg.mode is CoefficientMode.LITERAL else initial
         negativities[_identity_points(cfg, grid)] = initial
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)

@@ -154,6 +154,26 @@ class TestPreset:
         assert code == 3
         assert err == f"error: cannot write output to {str(out)!r}: No such file or directory\n"
 
+    @pytest.mark.parametrize("existing", [None, "file", "dir"])
+    def test_output_path_ending_in_a_separator_exits_3_and_writes_nothing(self, capsys, tmp_path, existing):
+        # a trailing separator names a directory; the write fails as a plain open(path, "w") does
+        if existing == "file":
+            (tmp_path / "newname").write_text("earlier\n", "ascii")
+        elif existing == "dir":
+            (tmp_path / "newname").mkdir()
+        out = str(tmp_path / "newname") + os.sep
+        with pytest.raises(OSError) as plain:
+            open(out, "w")
+        code, stdout, err = run(capsys, "preset", "fig1a", "--out", out)
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err)
+        assert err == f"error: cannot write output to {out!r}: {plain.value.strerror}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["newname"])
+        if existing == "file":
+            assert (tmp_path / "newname").read_text("ascii") == "earlier\n"
+        elif existing == "dir":
+            assert not any((tmp_path / "newname").iterdir())
+
 
 class TestSweep:
     def test_config_to_csv(self, capsys, tmp_path):

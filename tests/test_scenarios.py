@@ -354,6 +354,81 @@ class TestResonantLiteralRoute:
         assert np.abs(decay.negativities - (0.5, 0.4, 0.3)).max() < 1e-12
 
 
+class TestFixedRouteMemo:
+    # the unitary and resonant literal routes take their (2, S) negativities from
+    # scenarios._fixed_negativities, keyed by the bits of the states' diagonals
+
+    def test_a_pass_over_the_presets_misses_once_in_any_order(self):
+        # the 22 fixed-route sweeps share one set of states; fig1b/literal and fig2b/literal take the long route
+        memo, configs = scenarios._fixed_negativities, dict(_preset_modes())
+        expected = json.loads(REFERENCE_DIGESTS.read_text("ascii"))
+        keys = list(configs)
+        shuffled = keys.copy()
+        np.random.default_rng(38).shuffle(shuffled)
+        for order in (keys, keys[::-1], shuffled):
+            for key in order:
+                text = run_sweep(configs[key]).csv_text()
+                assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected[key], key
+            if order is keys:
+                assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 21)
+        assert (memo.cache_info().misses, memo.cache_info().hits, memo.cache_info().currsize) == (1, 65, 1)
+
+    @pytest.mark.parametrize("mode", list(CoefficientMode))
+    def test_state_sets_apart_only_in_a_zero_sign_take_two_entries(self, mode):
+        # resonant in LITERAL mode: the zero reaches both rows, the resonant one through its c_xx
+        configs = [
+            small_config(mode=mode, initial_states=(STATES[0], InitialState("zero", (zero, -0.5, -0.5))))
+            for zero in (0.0, -0.0)
+        ]
+        cleared = []
+        for cfg in configs:
+            scenarios._fixed_negativities.cache_clear()
+            cleared.append(run_sweep(cfg).csv_text())
+        scenarios._fixed_negativities.cache_clear()
+        for i in (0, 1, 0, 1):
+            assert run_sweep(configs[i]).csv_text() == cleared[i]
+        info = scenarios._fixed_negativities.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_the_memo_keeps_its_bound(self):
+        configs = [small_config(initial_states=(InitialState.werner(-0.1 * k),)) for k in range(1, 8)]
+        texts = [run_sweep(cfg).csv_text() for cfg in configs]
+        assert len(configs) > scenarios._MEMO_STATE_SETS
+        assert scenarios._fixed_negativities.cache_info().currsize == scenarios._MEMO_STATE_SETS
+        assert run_sweep(configs[0]).csv_text() == texts[0]  # evicted: computed again, the same bytes
+        assert scenarios._fixed_negativities.cache_info().misses == len(configs) + 1
+
+    def test_a_cached_array_is_read_only(self):
+        cfg = small_config()
+        before = run_sweep(cfg).csv_text()
+        values = scenarios._fixed_negativities(np.array([s.correlations for s in cfg.initial_states]).tobytes())
+        assert scenarios._fixed_negativities.cache_info().hits == 1
+        initial, resonant = values
+        for array in (values, initial, resonant):
+            with pytest.raises(ValueError):
+                array[0] = 0.25
+        assert run_sweep(cfg).csv_text() == before
+
+    def test_a_hit_makes_no_closed_form_call(self, monkeypatch):
+        calls = []
+
+        def spy(tensors):
+            calls.append(tensors.tobytes())
+            return zero_bloch_negativity_batch(tensors)
+
+        monkeypatch.setattr(scenarios, "zero_bloch_negativity_batch", spy)
+        presets = paper_figure_presets()
+        texts = [run_sweep(presets["fig1a"]).csv_text()]
+        # one call on a miss: the initial rows, then the resonant rows with a +0.0 c_yy, bit for bit
+        c = [s.correlations for s in STATES]
+        miss = [scenarios._diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c]).tobytes()]
+        assert calls == miss
+        resonant = dataclasses.replace(presets["fig3a"], mode=CoefficientMode.LITERAL)
+        texts += [run_sweep(cfg).csv_text() for cfg in (presets["fig1a"], presets["fig4b"], resonant)]
+        assert calls == miss
+        assert texts[1] == texts[0]
+
+
 class TestClosedFormGuard:
     # fig1b/literal, state werner, at params 6.95 and 18.475: the partial
     # transposes' negativities to 17 digits, from a 50-digit evaluation
@@ -567,10 +642,8 @@ class TestCsvFormat:
 
     @pytest.fixture
     def memo(self):
-        """scenarios._param_cells, emptied: its entries and counts start at zero in each test."""
-        scenarios._param_cells.cache_clear()
-        yield scenarios._param_cells
-        scenarios._param_cells.cache_clear()
+        """scenarios._param_cells, which conftest.py empties before each test: its entries and counts start at zero."""
+        return scenarios._param_cells
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 6), st.data())

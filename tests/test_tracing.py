@@ -85,13 +85,15 @@ def test_tracer_records_one_span_per_layer_per_chunk(monkeypatch, chunk_cells, c
 
 @pytest.mark.parametrize("chunk_cells", [4096, 4])
 def test_unitary_sweeps_build_no_maps_and_skip_the_evolution(monkeypatch, chunk_cells):
-    # a UNITARY sweep builds no maps, whatever its chunk size; the negativities
-    # of the initial states come from one closed-form call per sweep
-    t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.UNITARY)
-    assert maps == 0
-    assert names.count("evolution.evolve_correlations_batch") == 0
-    assert names.count("entanglement.zero_bloch_negativity_batch") == 1
-    assert t.counts["pauli.matrices"] == 0
+    # a UNITARY sweep builds no maps, whatever its chunk size; the negativities of
+    # the initial states come from one closed-form call for the first sweep of a
+    # set of states, and from the per-process memo, with no call, for a repeat
+    for closed_form_calls in (1, 0):
+        t, names, maps = _traced_small_sweep(monkeypatch, chunk_cells, pulses.CoefficientMode.UNITARY)
+        assert maps == 0
+        assert names.count("evolution.evolve_correlations_batch") == 0
+        assert names.count("entanglement.zero_bloch_negativity_batch") == closed_form_calls
+        assert t.counts["pauli.matrices"] == 0
 
 
 def test_tracer_counts_only_the_cells_sent_to_jacobi():
