@@ -180,11 +180,16 @@ class SweepResult:
             object.__setattr__(self, name, arr)
 
     def csv_text(self) -> str:
+        """CSV text, each cell as _CELL prints it.
+
+        Row 0 prints apart.  After it, a column whose bytes are one cell's repeated is formatted once; bytes keep
+        -0.0 and NaN payloads apart, and one column is copied at a time, so the fold's temporaries stay small.
+        """
         labels = ",".join(f"E_{s.label}" for s in self.config.initial_states)
         table = np.column_stack((self.params, self.negativities, self.residues))
         first, rest = table[:1], table[1:]  # row 0 prints apart: an area sweep's identity point differs
-        bits = rest.view(np.int64)  # compared as bits, so -0.0 and NaN payloads stay apart
-        folded = (bits == bits[:1]).all(axis=0) & (len(rest) > 0)  # columns of one bit pattern after row 0
+        folded = np.array([rest[:, j].tobytes() == rest[:1, j].tobytes() * len(rest) for j in range(table.shape[1])])
+        folded &= len(rest) > 0
         row = ",".join(_CELL % rest[0, j] if f else _CELL for j, f in enumerate(folded))
         text = ("\n" + ",".join([_CELL] * len(folded))) * len(first) % tuple(first.ravel().tolist())
         if not folded[0] and folded[1:].all() and len(rest) <= _MEMO_ROWS:  # only the parameter column varies
@@ -200,9 +205,11 @@ class SweepResult:
         A symlink's target is replaced, an existing file keeps its mode, and a FIFO or a
         device is written in place.  The README says what a failure leaves behind.
         """
-        # a name ending in a separator, or no earlier content to keep: opened in place, as a plain write opens it
-        named_dir = os.fsdecode(path).endswith((os.sep, os.altsep or os.sep))  # realpath would drop the separator
-        if named_dir or os.path.exists(path) and not os.path.isfile(path):
+        # a name ending in a separator, a parent that is no directory (realpath would drop the separator, or
+        # collapse x/.. without looking at x), or no earlier content to keep: opened in place, as a plain write opens it
+        named_dir = os.fsdecode(path).endswith((os.sep, os.altsep or os.sep))
+        no_parent = not os.path.isdir(os.path.dirname(path) or os.curdir)
+        if named_dir or no_parent or os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w", encoding="ascii", newline="\n") as fh:
                 fh.write(self.csv_text())
             return
@@ -284,22 +291,17 @@ def _fixed_negativities(bits: bytes) -> np.ndarray:
     return values
 
 
-def _grid_pulses(cfg: SweepConfig) -> tuple[PulseSpec, PulseSpec]:
-    """The pulses (pa, pb) that drive a sweep's qubits (Omega = gamma_p = 1)."""
+def _grid_pulses(cfg: SweepConfig) -> tuple[tuple[float, float, float, float], ...]:
+    """Unchecked PulseSpec fields of the qubits' pulses (pa, pb) at Omega = gamma_p = 1, as tuples of floats."""
     if cfg.family is SweepFamily.RECT_VS_AREA:
         # each point is its own pulse ending at t = 2 pi n (_grid_maps); one window admits them all
-        window = 2.0 * math.pi * cfg.grid.stop
-        pa, pb = (PulseSpec.rectangular(1.0, window, delta) for delta in cfg.detuning_prime)
+        pa, pb = ((1.0, delta, 2.0 * math.pi * cfg.grid.stop, 0.0) for delta in cfg.detuning_prime)
     elif cfg.family is SweepFamily.EXP_VS_TIME:
-        pa, pb = (PulseSpec.exponential(ratio, 1.0) for ratio in cfg.rabi_ratio)
-    else:
-        # rectangle on qubit a spanning the whole grid, exponential on b
-        omega = cfg.rect_omega
-        pa = PulseSpec.rectangular(omega, cfg.grid.stop, cfg.detuning_prime[0] * omega)
-        pb = PulseSpec.exponential(cfg.rabi_ratio[1], 1.0)
-    if cfg.drive is DriveMode.ONE_QUBIT:
-        pb = PulseSpec.none()
-    return pa, pb
+        pa, pb = ((ratio, 0.0, math.inf, 1.0) for ratio in cfg.rabi_ratio)
+    else:  # rectangle on qubit a spanning the whole grid, exponential on b
+        pa = (cfg.rect_omega, cfg.detuning_prime[0] * cfg.rect_omega, cfg.grid.stop, 0.0)
+        pb = (cfg.rabi_ratio[1], 0.0, math.inf, 1.0)
+    return pa, (0.0, 0.0, math.inf, 0.0) if cfg.drive is DriveMode.ONE_QUBIT else pb
 
 
 def _identity_points(cfg: SweepConfig, x: np.ndarray) -> np.ndarray:
@@ -308,10 +310,10 @@ def _identity_points(cfg: SweepConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x (Omega = gamma_p = 1)."""
+    """Coefficient maps (m1, m2), each (N, 3, 3), at grid values x, of the checked PulseSpecs of _grid_pulses."""
     t = 2.0 * math.pi * x if cfg.family is SweepFamily.RECT_VS_AREA else x
     idle = _identity_points(cfg, x)
-    m1, m2 = (coefficient_map_batch(p, t, cfg.mode) for p in _grid_pulses(cfg))
+    m1, m2 = (coefficient_map_batch(PulseSpec(*fields), t, cfg.mode) for fields in _grid_pulses(cfg))
     m1[idle] = m2[idle] = np.eye(3)  # the literal closed forms at t = 0 are not the identity bit for bit
     return m1, m2
 
@@ -326,7 +328,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate one sweep configuration over its whole grid, by one of three routes.
 
     A UNITARY cell has its state's initial negativity; a resonant LITERAL one
-    (every pulse built has delta = 0) that of diag(c_xx, 0, c_zz), or at an
+    (every pulse of _grid_pulses has delta = 0) that of diag(c_xx, 0, c_zz), or at an
     identity point (_identity_points) the initial one; detuned LITERAL chunks
     take _long_route.  Raises ConvergenceFailure if a Jacobi solve fails.
     The grid keeps rectangles' t in their windows and PARAM_LIMIT angles in
@@ -335,7 +337,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     grid = cfg.grid.values()
     negativities = np.empty((len(grid), len(cfg.initial_states)))
     residues = np.zeros(len(grid))
-    if cfg.mode is CoefficientMode.LITERAL and any(p.delta for p in _grid_pulses(cfg)):
+    if cfg.mode is CoefficientMode.LITERAL and any(delta for _, delta, _, _ in _grid_pulses(cfg)):
         step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
         for chunk in (slice(lo, lo + step) for lo in range(0, len(grid), step)):
             negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])

@@ -175,6 +175,25 @@ class TestPreset:
             assert not any((tmp_path / "newname").iterdir())
 
 
+    @pytest.mark.parametrize("through", ["missing", "file"])
+    def test_output_path_through_a_missing_or_non_directory_component_exits_3_and_writes_nothing(
+        self, capsys, tmp_path, through
+    ):
+        # x/.. fails as a plain open(path, "w") does when x is missing or a file, though realpath would collapse it
+        if through == "file":
+            (tmp_path / "afile").write_text("earlier\n", "ascii")
+        out = os.path.join(str(tmp_path / ("afile" if through == "file" else "nonexist")), os.pardir, "o.csv")
+        with pytest.raises((FileNotFoundError, NotADirectoryError)[through == "file"]) as plain:
+            open(out, "w")
+        code, stdout, err = run(capsys, "preset", "fig1a", "--out", out)
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err)
+        assert err == f"error: cannot write output to {out!r}: {plain.value.strerror}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if through == "missing" else ["afile"])
+        if through == "file":
+            assert (tmp_path / "afile").read_text("ascii") == "earlier\n"
+
+
 class TestSweep:
     def test_config_to_csv(self, capsys, tmp_path):
         cfg = paper_figure_presets()["fig4a"]

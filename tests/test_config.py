@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from pulsepair.config import format_config, parse_config
 from pulsepair.entanglement import CLAMP_TOL
 from pulsepair.errors import InvalidConfig, PulsePairError, TraceNotOne, UnphysicalState
 from pulsepair.evolution import InitialState, evolve_correlations_batch
-from pulsepair.pulses import CoefficientMode
+from pulsepair.pulses import CoefficientMode, PulseSpec
 from pulsepair.scenarios import DriveMode, SweepConfig, SweepFamily, paper_figure_presets, run_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -371,11 +373,73 @@ def test_resonant_literal_sweep_prints_the_long_route_bytes(text):
     except (InvalidConfig, UnphysicalState):
         return
     assert cfg.mode is CoefficientMode.LITERAL
-    if any(p.delta for p in scenarios._grid_pulses(cfg)):
+    if any(delta for _, delta, _, _ in scenarios._grid_pulses(cfg)):  # the route run_sweep reads
         return
     event("resonant")
     grid = cfg.grid.values()
     assert run_sweep(cfg).csv_text() == scenarios.SweepResult(cfg, grid, *scenarios._long_route(cfg, grid)).csv_text()
+
+
+def _factory_specs(cfg):
+    """The checked PulseSpecs that the factories give for a sweep's pulses (Omega = gamma_p = 1)."""
+    if cfg.family is SweepFamily.RECT_VS_AREA:
+        window = 2.0 * math.pi * cfg.grid.stop
+        pa, pb = (PulseSpec.rectangular(1.0, window, delta) for delta in cfg.detuning_prime)
+    elif cfg.family is SweepFamily.EXP_VS_TIME:
+        pa, pb = (PulseSpec.exponential(ratio, 1.0) for ratio in cfg.rabi_ratio)
+    else:
+        omega = cfg.rect_omega
+        pa = PulseSpec.rectangular(omega, cfg.grid.stop, cfg.detuning_prime[0] * omega)
+        pb = PulseSpec.exponential(cfg.rabi_ratio[1], 1.0)
+    if cfg.drive is DriveMode.ONE_QUBIT:
+        pb = PulseSpec.none()
+    return pa, pb
+
+
+def _assert_grid_pulses_are_the_factory_specs(cfg):
+    # plain floats, which PulseSpec turns into the factories' specs bit for bit
+    fields = scenarios._grid_pulses(cfg)
+    assert [[type(v) for v in f] for f in fields] == [[float] * 4] * 2
+    for f, spec in zip(fields, _factory_specs(cfg)):
+        assert [a.tobytes() for a in PulseSpec(*f)] == [a.tobytes() for a in spec]
+
+
+@pytest.mark.parametrize("mode", list(CoefficientMode))
+@pytest.mark.parametrize("name", sorted(paper_figure_presets()))
+def test_grid_pulse_fields_of_every_preset_build_the_factory_specs(name, mode):
+    _assert_grid_pulses_are_the_factory_specs(dataclasses.replace(paper_figure_presets()[name], mode=mode))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(config_text(), config_text(values=EXTREME_VALUES)))
+def test_grid_pulse_fields_of_every_config_build_the_factory_specs(text):
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, UnphysicalState):
+        return
+    _assert_grid_pulses_are_the_factory_specs(cfg)
+
+
+def test_only_a_detuned_literal_sweep_builds_pulse_specs(monkeypatch):
+    # the route comes from plain fields; _grid_maps alone builds (and so checks) PulseSpecs
+    built = []
+
+    def spy(*fields):
+        built.append(fields)
+        return PulseSpec(*fields)
+
+    monkeypatch.setattr(scenarios, "PulseSpec", spy)
+    presets = paper_figure_presets()
+    # fig3a literal with detuning_prime_a = 3.0, a slot exp_vs_time ignores, stays resonant
+    slot = dataclasses.replace(presets["fig3a"], mode=CoefficientMode.LITERAL, detuning_prime=(3.0, 0.0))
+    for (name, cfg), mode in itertools.product(presets.items(), CoefficientMode):
+        built.clear()
+        run_sweep(dataclasses.replace(cfg, mode=mode))
+        detuned = name in ("fig1b", "fig2b") and mode is CoefficientMode.LITERAL
+        assert len(built) == (2 if detuned else 0), (name, mode)
+    built.clear()
+    run_sweep(slot)
+    assert built == []
 
 
 @settings(max_examples=300, deadline=None)

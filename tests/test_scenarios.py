@@ -640,6 +640,27 @@ class TestCsvFormat:
         result = SweepResult(small_config(initial_states=STATES[:2]), params, negativities, column)
         assert result.csv_text() == self._row_by_row_csv(result)
 
+    @pytest.mark.parametrize("rows", [scenarios._MEMO_ROWS + 1, 5000])
+    @pytest.mark.parametrize("same, deep", [(0.0, -0.0), (-0.0, 0.0), (np.nan, _NAN_PAYLOAD), (_NAN_PAYLOAD, np.nan)])
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_one_deep_cell_apart_in_a_zero_sign_or_a_nan_payload_unfolds_its_column(self, rows, same, deep, column):
+        # the fold compares every byte of a column, not a prefix: one cell near the end differs
+        table = np.full((rows, 5), 0.25)
+        table[:, column] = same
+        table[rows - 2, column] = deep
+        result = SweepResult(small_config(), table[:, 0], table[:, 1:4], table[:, 4])
+        assert result.csv_text() == self._row_by_row_csv(result)
+        # the parameter column, the one left to format, reaches the memo when it is short enough
+        assert scenarios._param_cells.cache_info().currsize == (column == 0 and rows - 1 <= scenarios._MEMO_ROWS)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    @pytest.mark.parametrize("value", [0.25, -0.0, np.nan, _NAN_PAYLOAD])
+    def test_tables_of_no_row_or_one_row_print_as_the_row_by_row_format(self, rows, value):
+        table = np.full((rows, 5), value)
+        result = SweepResult(small_config(), table[:, 0], table[:, 1:4], table[:, 4])
+        assert result.csv_text() == self._row_by_row_csv(result)
+        assert result.csv_text().count("\n") == rows + 1
+
     @pytest.fixture
     def memo(self):
         """scenarios._param_cells, which conftest.py empties before each test: its entries and counts start at zero."""
