@@ -28,11 +28,14 @@ a resonant LITERAL sweep: its printed maps (B = 0, A = e_x, D a unit vector)
 give C~ = c_xx e_x e_x^T + c_zz D1 D2^T, whose singular values |c_xx|, |c_zz|
 and 0 are those of diag(c_xx, 0, c_zz) (Horodecki & Horodecki, PRA 54, 1838,
 1996); every residue is 0.  Both take these values from _fixed_negativities,
-computed once per process for each set of states.  A detuned LITERAL sweep
-takes the grid in chunks of at most _CHUNK_CELLS (point, state) cells, and
-each chunk the long route: maps, evolved tensors, closed-form negativities
-(Jacobi on a density where the 12th digit is in doubt).  No stage mixes
-matrices, so the chunk size never changes a bit.
+computed once per process for each set of states.  A resonant LITERAL sweep
+where one of those values has its 12th digit in doubt takes the long route
+instead: Jacobi decides that digit, and may decide it otherwise on the evolved
+tensors than on diag(c_xx, 0, c_zz).  A detuned LITERAL sweep takes the
+grid in chunks of at most _CHUNK_CELLS (point, state) cells, and each chunk
+the long route: maps, evolved tensors, closed-form negativities (Jacobi on a
+density where the 12th digit is in doubt).  No stage mixes matrices, so the
+chunk size never changes a bit.
 """
 
 import functools
@@ -264,8 +267,8 @@ def _in_doubt(raw: np.ndarray) -> np.ndarray:
     return maybe[np.array([_fmt(x) != _fmt(y) for x, y in pairs], dtype=bool)]
 
 
-def _negativities(tensors: np.ndarray) -> np.ndarray:
-    """Clamped negativities of (N, 3, 3) tensors, each printing as its Jacobi value does.
+def _negativities(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped negativities of (N, 3, 3) tensors, each printing as its Jacobi value does, and the cells in doubt.
 
     A cell whose closed form has its 12th digit in doubt (_in_doubt) is solved
     through its density instead; a chunk with no such cell never reaches Jacobi.
@@ -275,7 +278,7 @@ def _negativities(tensors: np.ndarray) -> np.ndarray:
     values = _clamp(raw)
     if doubt.size:
         values[doubt] = _density_negativities(tensors[doubt], hermitian_eigenvalues_batch)[0]
-    return values
+    return values, doubt
 
 
 #: _fixed_negativities keeps the values of at most _MEMO_STATE_SETS sets of initial states.
@@ -283,12 +286,16 @@ _MEMO_STATE_SETS = 4
 
 
 @functools.lru_cache(maxsize=_MEMO_STATE_SETS)
-def _fixed_negativities(bits: bytes) -> np.ndarray:
-    """Read-only (2, S): initial negativities of the states whose diagonals are bits, then of diag(c_xx, 0, c_zz)."""
+def _fixed_negativities(bits: bytes) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only (S,) arrays: initial negativities of the states whose diagonals are bits, then of diag(c_xx, 0, c_zz).
+
+    The second is None when one of its cells is in doubt (_in_doubt): such a resonant LITERAL sweep takes the long route.
+    """
     c = np.frombuffer(bits).reshape(-1, 3).tolist()
-    values = _negativities(_diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c])).reshape(2, -1)
+    values, doubt = _negativities(_diagonal_tensors(c + [(x, 0.0, z) for x, _, z in c]))
+    values = values.reshape(2, -1)
     values.setflags(write=False)
-    return values
+    return values[0], None if (doubt >= len(c)).any() else values[1]
 
 
 def _grid_pulses(cfg: SweepConfig) -> tuple[tuple[float, float, float, float], ...]:
@@ -321,7 +328,7 @@ def _grid_maps(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _long_route(cfg: SweepConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativities (N, S) and residues (N,) at grid values x: maps, evolved tensors, closed form."""
     tensors, residues = evolve_correlations_batch([s.correlations for s in cfg.initial_states], *_grid_maps(cfg, x))
-    return _negativities(tensors.reshape(-1, 3, 3)).reshape(tensors.shape[:2]), residues
+    return _negativities(tensors.reshape(-1, 3, 3))[0].reshape(tensors.shape[:2]), residues
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -330,20 +337,27 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     A UNITARY cell has its state's initial negativity; a resonant LITERAL one
     (every pulse of _grid_pulses has delta = 0) that of diag(c_xx, 0, c_zz), or at an
     identity point (_identity_points) the initial one; detuned LITERAL chunks
-    take _long_route.  Raises ConvergenceFailure if a Jacobi solve fails.
+    take _long_route, and so do resonant LITERAL ones whose diag(c_xx, 0, c_zz)
+    has a cell in doubt (_fixed_negativities gives them None).  Raises
+    ConvergenceFailure if a Jacobi solve fails.
     The grid keeps rectangles' t in their windows and PARAM_LIMIT angles in
     the float range, so the maps of any config that constructs are finite.
     """
     grid = cfg.grid.values()
     negativities = np.empty((len(grid), len(cfg.initial_states)))
     residues = np.zeros(len(grid))
-    if cfg.mode is CoefficientMode.LITERAL and any(delta for _, delta, _, _ in _grid_pulses(cfg)):
+    literal = cfg.mode is CoefficientMode.LITERAL
+    initial = resonant = None
+    if not (literal and any(delta for _, delta, _, _ in _grid_pulses(cfg))):
+        # once per process for each set of states: their initial negativities, then those of diag(c_xx, 0, c_zz)
+        initial, resonant = _fixed_negativities(np.array([s.correlations for s in cfg.initial_states]).tobytes())
+    fixed = resonant if literal else initial
+    if fixed is None:
         step = max(1, _CHUNK_CELLS // len(cfg.initial_states))
         for chunk in (slice(lo, lo + step) for lo in range(0, len(grid), step)):
             negativities[chunk], residues[chunk] = _long_route(cfg, grid[chunk])
-    else:  # once per process for each set of states: their initial negativities, then those of diag(c_xx, 0, c_zz)
-        initial, resonant = _fixed_negativities(np.array([s.correlations for s in cfg.initial_states]).tobytes())
-        negativities[:] = resonant if cfg.mode is CoefficientMode.LITERAL else initial
+    else:
+        negativities[:] = fixed
         negativities[_identity_points(cfg, grid)] = initial
     return SweepResult(config=cfg, params=grid, negativities=negativities, residues=residues)
 

@@ -7,7 +7,8 @@ own stream default_rng([seed, key]), its key from _CHECKS (_random_pulses gives 
 PulseSpec of n, _random_physical_correlations an (n, 3) array); the tolerances hold for any seed.  The preset
 checks read only what they gate: the closed form of the evolved UNITARY
 maps, the imaginary parts of the resonant LITERAL maps, and the residues of
-the detuned LITERAL ones, the only LITERAL maps they evolve.
+the detuned LITERAL ones, the only LITERAL maps they evolve; a process computes
+them once (_preset_results).
 
 Two facts about the physics are worth stating up front because they are
 easy to mistake for bugs (the validate command prints them as notes):
@@ -23,6 +24,7 @@ easy to mistake for bugs (the validate command prints them as notes):
   unitary one.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,7 +182,16 @@ def _check_werner_monotone(rng) -> list[CheckResult]:
 
 
 def _check_presets(rng) -> list[CheckResult]:
-    """The maps and evolution a UNITARY sweep skips, with no rounding guard (under 3e-14) and no LITERAL closed form."""
+    """A new list of _preset_results(), so a caller's edit changes no later run; nothing is drawn from rng."""
+    return list(_preset_results())
+
+
+@functools.cache
+def _preset_results() -> tuple[CheckResult, ...]:
+    """The maps and evolution a UNITARY sweep skips, with no rounding guard (under 3e-14) and no LITERAL closed form.
+
+    The fixed presets are the only inputs, so a process computes the four results once, for every seed.
+    """
     const_err = start_err = literal_detuned_residue = literal_resonant_imag = 0.0
     presets = scenarios.paper_figure_presets().values()
     per_preset = [[s.correlations for s in cfg.initial_states] for cfg in presets]
@@ -199,14 +210,14 @@ def _check_presets(rng) -> list[CheckResult]:
             literal_detuned_residue = max(literal_detuned_residue, residue)
         else:
             literal_resonant_imag = max(literal_resonant_imag, float(np.abs(np.imag(literal)).max()))
-    return [
+    return (
         _result("preset_unitary_constancy", const_err, 1e-9),
         _result("preset_initial_value", start_err, 1e-10),
         # detuned rectangular literal sweeps must show a real residue signal
         _result("literal_residue_detuned_floor", max(0.0, 1e-6 - literal_detuned_residue), 1e-12),
         # resonant literal maps are real, so their residue is exactly zero
         _result("literal_residue_resonant_zero", literal_resonant_imag, 1e-15),
-    ]
+    )
 
 
 # (check, key) in report order.  Each check draws only from default_rng([seed, key]), so deleting or reordering one

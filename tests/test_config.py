@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -364,10 +364,16 @@ EXTREME_VALUES = {
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(*(config_text(modes=(CoefficientMode.LITERAL,), values=v) for v in (VALUES, EXTREME_VALUES))))
+# diag(c_xx, 0, c_zz) has negativity 2**-10, whose 12th digit is in doubt: Jacobi prints it otherwise on the evolved tensors
+@example(
+    "family = exp_vs_time\ndrive = one_qubit\nmode = literal\nrabi_ratio_a = 1.0\ngrid_start = 0.0\ngrid_stop = 1.0\n"
+    "grid_points = 5\ninitial_states = genwerner:-0.82421875:-0.25:-0.177734375\n"
+)
 def test_resonant_literal_sweep_prints_the_long_route_bytes(text):
     # a LITERAL sweep whose pulses all have delta = 0 gives each cell the value
     # of diag(c_xx, 0, c_zz) (its state's initial one at an identity point)
-    # without evolving; the long route evolves every cell and must print alike
+    # without evolving, unless one of those values is in doubt; the long route
+    # evolves every cell and must print alike
     try:
         cfg = parse_config(text)
     except (InvalidConfig, UnphysicalState):

@@ -355,8 +355,8 @@ class TestResonantLiteralRoute:
 
 
 class TestFixedRouteMemo:
-    # the unitary and resonant literal routes take their (2, S) negativities from
-    # scenarios._fixed_negativities, keyed by the bits of the states' diagonals
+    # the unitary and resonant literal routes take their two rows of S negativities
+    # from scenarios._fixed_negativities, keyed by the bits of the states' diagonals
 
     def test_a_pass_over_the_presets_misses_once_in_any_order(self):
         # the 22 fixed-route sweeps share one set of states; fig1b/literal and fig2b/literal take the long route
@@ -404,7 +404,9 @@ class TestFixedRouteMemo:
         values = scenarios._fixed_negativities(np.array([s.correlations for s in cfg.initial_states]).tobytes())
         assert scenarios._fixed_negativities.cache_info().hits == 1
         initial, resonant = values
-        for array in (values, initial, resonant):
+        with pytest.raises(TypeError):
+            values[0] = initial.copy()
+        for array in (initial, resonant):
             with pytest.raises(ValueError):
                 array[0] = 0.25
         assert run_sweep(cfg).csv_text() == before
@@ -499,7 +501,7 @@ class TestClosedFormGuard:
         tensors[12_000:14_000] = x[:, None, None] * np.eye(3)
         det = np.linalg.det(tensors)
         assert (det < 0.0).sum() > 4000 and (np.abs(det) < 1e-12).sum() >= 7000
-        guarded = scenarios._negativities(tensors)
+        guarded, _ = scenarios._negativities(tensors)
         (jacobi,) = _density_negativities(tensors, hermitian_eigenvalues_batch)
         assert [scenarios._fmt(v) for v in guarded] == [scenarios._fmt(v) for v in jacobi]
         raw = zero_bloch_negativity_batch(tensors)

@@ -196,6 +196,51 @@ def test_validation_builds_one_pulse_spec_per_sampler_call_not_per_draw(monkeypa
     assert [np.shape(spec.omega0) for place, spec in built if place == "run"] == [(500,)]
 
 
+def test_a_process_computes_the_preset_checks_once(monkeypatch):
+    built, grid_maps = [], scenarios._grid_maps
+    monkeypatch.setattr(scenarios, "_grid_maps", lambda cfg, x: built.append(cfg.mode) or grid_maps(cfg, x))
+
+    def maps_built(seed):
+        built.clear()
+        run_validation(seed)
+        return len(built)
+
+    every_preset_map = 2 * len(scenarios.paper_figure_presets())  # each preset's UNITARY and LITERAL maps
+    assert maps_built(0) == every_preset_map
+    assert maps_built(1) == 0
+    validation._preset_results.cache_clear()
+    assert maps_built(0) == every_preset_map
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1])
+def test_warm_and_cold_runs_give_the_same_bits(seed):
+    # cold: the memo is empty; warm: another seed's run filled it, so equal bits show it holds nothing of a seed
+    cold = [(r.name, r.max_error.hex()) for r in run_validation(seed)]
+    validation._preset_results.cache_clear()
+    run_validation(seed + 1)
+    warm = [(r.name, r.max_error.hex()) for r in run_validation(seed)]
+    assert validation._preset_results.cache_info().misses == 1
+    assert warm == cold
+    assert [name for name, _ in warm] == EXPECTED_NAMES
+
+
+def test_the_preset_checks_list_is_the_callers_own():
+    first = validation._check_presets(np.random.default_rng([0, 7]))
+    expected = list(first)
+    first.clear()  # a caller that edits its list changes no later run
+    assert validation._check_presets(np.random.default_rng([0, 7])) == expected
+    assert [r.name for r in run_validation(0)] == EXPECTED_NAMES
+
+
+def test_the_preset_checks_leave_their_stream_untouched():
+    # a cached result that drew from its stream would freeze the first seed's draw
+    for _ in ("miss", "hit"):
+        rng = np.random.default_rng([0, 7])
+        state = rng.bit_generator.state
+        validation._check_presets(rng)
+        assert rng.bit_generator.state == state
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1, 1, 2, 1000])
 def test_every_check_passes_on_the_pinned_seeds(seed):
