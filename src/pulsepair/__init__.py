@@ -12,7 +12,6 @@ detuning, and decay-rate ratios.
 
 import types
 
-from .entanglement import partial_transpose_b
 from .errors import (
     AngleOverflow,
     ConvergenceFailure,
@@ -27,7 +26,7 @@ from .errors import (
     UnphysicalState,
     ValidationFailed,
 )
-from .evolution import InitialState, adjoint_rotation
+from .evolution import InitialState
 from .config import format_config, parse_config
 from .pulses import CoefficientMode, PulseSpec
 from .scenarios import (

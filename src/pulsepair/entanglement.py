@@ -13,9 +13,11 @@ axis and the tensor splits into T_xx and a 2x2 yz block; such tensors (the
 diagonal ones of run_sweep, and those validate's preset checks evolve) take
 those singular values in closed form, and any other tensor, such as one of a
 detuned drive, goes to LAPACK's SVD.  _density_negativities is the one route
-through the density: rho, its partial transpose, and the mu_i from each solver
-its caller names (pauli's Jacobi for the sweep rounding guard, LAPACK's
-eigvalsh for validate's oracles; the closed-form triangle's two share one build).
+through the density.  The transpose of sigma_y is -sigma_y and those of sigma_x
+and sigma_z are themselves, so the partial transpose of rho is the density of
+T diag(1, -1, 1), built in one step; the mu_i come from each solver its caller
+names (pauli's Jacobi for the sweep rounding guard, LAPACK's eigvalsh for
+validate's oracles; the closed-form triangle's two share one build).
 """
 
 import numpy as np
@@ -24,7 +26,6 @@ from .errors import TraceNotOne
 from .evolution import assemble_density_batch
 
 __all__ = [
-    "partial_transpose_b",
     "zero_bloch_spectrum_batch",
     "zero_bloch_negativity_batch",
 ]
@@ -32,24 +33,13 @@ __all__ = [
 CLAMP_TOL = 1e-12
 
 
-def partial_transpose_b(rho) -> np.ndarray:
-    """Transpose the second qubit's indices: ((i,j),(k,l)) -> ((i,l),(k,j)).
-
-    Takes one 4x4 matrix or a stack of shape (n, 4, 4).
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected shape (4, 4) or (n, 4, 4), got {rho.shape}")
-    return rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(rho.shape)
-
-
 def _clamp(raw: np.ndarray) -> np.ndarray:
     return np.where(raw < CLAMP_TOL, 0.0, raw)
 
 
 def _density_negativities(tensors, *solvers) -> list[np.ndarray]:
-    """Clamped negativities of (N, 3, 3) tensors through densities built once, per solver (N, 4, 4) -> (N, 4)."""
-    transposes = partial_transpose_b(assemble_density_batch(tensors))
+    """Clamped negativities of (N, 3, 3) tensors through partial transposes built once, per solver (N, 4, 4) -> (N, 4)."""
+    transposes = assemble_density_batch(tensors * np.array([1.0, -1.0, 1.0]))  # rho^T_B = density of T diag(1, -1, 1)
     return [_clamp(np.abs(solve(transposes)).sum(axis=1) - 1.0) for solve in solvers]
 
 

@@ -15,8 +15,8 @@ summed elementwise as c_xx outer(A1, A2) + c_yy outer(B1, B2) + c_zz
 outer(D1, D2).  UNITARY-mode maps are real, so C~ is float64 and carries no
 imaginary part.  LITERAL-mode maps are complex; the real part is kept as the state and the
 largest imaginary magnitude is recorded as a diagnostic (``imag_residue``), never silently
-dropped.  Entanglement's density route and validate's Fano check, which compares densities,
-build rho by assemble_density_batch, one real matrix product exact in any summation order.
+dropped.  Validate's Fano check builds rho, and entanglement's density route its partial transpose (the
+density of C~ diag(1, -1, 1)), by assemble_density_batch, one real matrix product exact in any summation order.
 
 Two oracles are provided for cross-validation of the analytic maps, both
 for many (pulse, time) pairs at once: ``unitary_oracle_batch`` builds the

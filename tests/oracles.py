@@ -29,12 +29,13 @@ def zero_bloch_density(tensors) -> np.ndarray:
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
+    """Swap the second qubit's indices of a 4x4 matrix or a stack of them, entry by entry."""
     out = np.empty_like(rho)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    out[2 * i + j, 2 * k + l] = rho[2 * i + l, 2 * k + j]
+                    out[..., 2 * i + j, 2 * k + l] = rho[..., 2 * i + l, 2 * k + j]
     return out
 
 

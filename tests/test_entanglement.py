@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pulsepair import entanglement, pauli, validation
 from pulsepair.entanglement import (
     _clamp,
-    partial_transpose_b,
+    _density_negativities,
     zero_bloch_negativity_batch,
     zero_bloch_spectrum_batch,
 )
@@ -28,17 +28,24 @@ def _value(c):
     return float(_clamp(zero_bloch_negativity_batch(np.diag(c))))
 
 
-def test_partial_transpose_swaps_second_qubit_indices():
-    rho = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0).reshape(4, 4) * 0.1
-    ours = partial_transpose_b(rho)
-    assert np.array_equal(ours, oracles.partial_transpose_second(rho))
-    # involution
-    assert np.array_equal(partial_transpose_b(ours), rho)
-
-
-def test_partial_transpose_shape_check():
-    with pytest.raises(ValueError):
-        partial_transpose_b(np.eye(3))
+def test_the_density_route_solves_the_partial_transposes_bit_for_bit():
+    # rho^T_B of T is the density of T diag(1, -1, 1), since the transpose of sigma_y is -sigma_y: the
+    # route's matrices equal the entry-by-entry transpose of the densities, signed zeros included
+    rng = np.random.default_rng(43)
+    entries = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 0.5, -1.0])
+    t = np.concatenate(
+        [
+            rng.uniform(-1.0, 1.0, size=(2000, 3, 3)),
+            rng.choice(entries, size=(2000, 3, 3)),
+            rng.choice([-1.0, 1.0], size=(2000, 3, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, size=(2000, 3, 3)),
+        ]
+    )
+    t[rng.random(t.shape) < 0.2] = -0.0
+    solved = []
+    _density_negativities(t, lambda m: solved.append(m) or np.zeros(m.shape[:2]))
+    expected = oracles.partial_transpose_second(assemble_density_batch(t))
+    assert np.isfinite(expected).all()
+    assert solved[0].tobytes() == expected.tobytes()
 
 
 def test_singlet_negativity_is_one():
@@ -76,7 +83,7 @@ def test_spectrum_matches_lapack_on_random_tensors():
     t[250:, 0, 1:] = t[250:, 1:, 0] = 0.0  # x-decoupled: the block route
     spectrum = zero_bloch_spectrum_batch(t.reshape(2, 250, 3, 3))
     assert spectrum.shape == (2, 250, 4)
-    lapack = np.linalg.eigvalsh(partial_transpose_b(assemble_density_batch(t)))
+    lapack = np.linalg.eigvalsh(oracles.partial_transpose_second(assemble_density_batch(t)))
     assert np.abs(np.sort(spectrum.reshape(500, 4), axis=1) - lapack).max() < 1e-14
 
 

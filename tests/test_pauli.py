@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsepair import entanglement, pauli, scenarios
+from pulsepair import pauli, scenarios
 from pulsepair.errors import ConvergenceFailure, NonHermitianInput
 from pulsepair.pauli import (
     PAULIS,
@@ -119,7 +119,7 @@ def _fig1b_literal_partial_transposes() -> np.ndarray:
     cfg = dataclasses.replace(paper_figure_presets()["fig1b"], mode=CoefficientMode.LITERAL)
     diagonals = [s.correlations for s in cfg.initial_states]
     tensors, _ = evolve_correlations_batch(diagonals, *scenarios._grid_maps(cfg, cfg.grid.values()))
-    return entanglement.partial_transpose_b(assemble_density_batch(tensors).reshape(-1, 4, 4))
+    return oracles.partial_transpose_second(assemble_density_batch(tensors).reshape(-1, 4, 4))
 
 
 PINNED_EIGENVALUE_DIGEST = "51e25f40e61196a8aa98b50ea9b92c0a6b83a86607c6895421f24f8e7f0f2dd4"

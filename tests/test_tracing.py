@@ -63,6 +63,17 @@ def test_every_public_name_resolves(layer):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_removed_names_leave_the_package_and_adjoint_rotation_stays_traced():
+    # the density route builds its partial transposes in one step, so partial_transpose_b is gone;
+    # adjoint_rotation leaves the top level but stays a traced evolution name, since validate calls it
+    import pulsepair
+
+    for name in ("partial_transpose_b", "adjoint_rotation"):
+        assert name not in pulsepair.__all__ and not hasattr(pulsepair, name), name
+    assert "partial_transpose_b" not in entanglement.__all__ and not hasattr(entanglement, "partial_transpose_b")
+    assert "adjoint_rotation" in evolution.__all__
+
+
 def test_sweep_binds_each_layer_function_from_its_module():
     for module, name in BATCHED:
         assert name in module.__all__
