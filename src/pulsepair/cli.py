@@ -12,6 +12,7 @@ alone turns a failure into its code and one ``error:`` line, if stderr takes it.
 """
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -181,7 +182,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    if sys.stdout is None:  # fd 1 closed at start: a write fails with EBADF, as one to /dev/full does with ENOSPC
+        # as the process's stdout, _flush_or_silence silences it after a failure (no second error at exit)
+        sys.stdout = sys.__stdout__ = open(os.open(os.devnull, os.O_RDONLY), "w", encoding="utf-8")
+    code = main(sys.argv[1:])
+    gc.freeze()  # the collections at shutdown then skip the heap that the imports built
+    sys.exit(code)
 
 
 if __name__ == "__main__":

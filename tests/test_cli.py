@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line front end.
 
-Everything runs in process through cli.main so the tests can assert on
-exit codes, stdout and written files without spawning interpreters.
+Most checks run in process through cli.main so the tests can assert on
+exit codes, stdout and written files without spawning interpreters; the
+process's own streams and its exit run in child interpreters.
 """
 
 import dataclasses
 import errno
+import gc
 import io
 import os
 import re
@@ -418,18 +420,80 @@ class TestStdout:
         assert child.returncode == code
         assert child.stdout == ""
 
+    @pytest.mark.parametrize("argv", [["negativity", "--", "-1", "-1", "-1"], ["validate"], ["--help"]])
+    def test_a_closed_stdout_exits_3_as_a_full_one_does(self, argv, tmp_path):
+        # with fd 1 closed the interpreter sets sys.stdout to None, and print drops its text
+        child = run_with_closed_stdout(argv, tmp_path)
+        assert child.returncode == 3
+        assert child.stderr == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+    @pytest.mark.parametrize("command", [["preset", "fig3a"], ["sweep", "--config", "fig3a.cfg"]])
+    def test_a_closed_stdout_leaves_a_csv_run_at_exit_0(self, command, tmp_path):
+        (tmp_path / "fig3a.cfg").write_text(format_config(paper_figure_presets()["fig3a"]), "ascii")
+        child = run_with_closed_stdout([*command, "--out", "out.csv"], tmp_path)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert main(["preset", "fig3a", "--out", str(tmp_path / "ref.csv")]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestExit:
+    # `python -c` leaves sys.argv[1:] to the arguments, as the console script does
+    ENTRY = (
+        "import gc, sys\n"
+        "from pulsepair import cli\n"
+        "def exit(code):\n"
+        "    print('frozen', gc.get_freeze_count(), 'code', code, file=sys.stderr)\n"
+        "    raise SystemExit(code)\n"
+        "sys.exit = exit\n"
+        "cli.entry()\n"
+    )
+
+    @pytest.mark.parametrize("argv, code", [(["negativity", "--", "-1", "-1", "-1"], 0), (["preset", "fig9"], 2)])
+    def test_entry_freezes_the_heap_and_exits_with_the_code_of_main(self, argv, code):
+        # the collections at shutdown skip a frozen heap
+        child = subprocess.run(
+            [sys.executable, "-c", self.ENTRY, *argv], env=child_env(), capture_output=True, text=True
+        )
+        frozen, count, said, exit_code = child.stderr.splitlines()[-1].split()
+        assert (frozen, said) == ("frozen", "code")
+        assert int(count) > 0
+        assert int(exit_code) == child.returncode == code
+
+    def test_main_leaves_the_heap_collectable(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "negativity", "--", "-1", "-1", "-1")[0] == 0
+        assert gc.get_freeze_count() == before
+
+
+def child_env(unbuffered=""):
+    """The environment of a child interpreter that imports this package."""
+    path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
+
 
 def run_on_closed_pipe(argv, stream, unbuffered):
     """Run ``python -m pulsepair.cli`` with ``stream`` on a pipe whose read end is closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    path = [str(Path(pulsepair.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONUNBUFFERED": unbuffered}
     pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
-        return subprocess.run([sys.executable, "-m", "pulsepair.cli", *argv], env=env, text=True, **pipes)
+        return subprocess.run(
+            [sys.executable, "-m", "pulsepair.cli", *argv], env=child_env(unbuffered), text=True, **pipes
+        )
     finally:
         os.close(write_end)
+
+
+def run_with_closed_stdout(argv, cwd):
+    """Run ``python -m pulsepair.cli`` in ``cwd`` with fd 1 closed, as ``>&-`` leaves it in a shell."""
+    return subprocess.run(
+        [sys.executable, "-m", "pulsepair.cli", *argv],
+        cwd=cwd,
+        env=child_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
 
 
 @pytest.mark.slow
