@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The exit paths of the `pulsepair` console script: the singlet's output
-# verbatim, a full stdout, a full stderr and a closed stdout, each with its
-# exit code, one `error:` line and no traceback.
+# verbatim, a full stdout, a full stderr, a closed stdout and a closed stderr,
+# each with its exit code, one `error:` line where stderr takes it and no
+# traceback.
 #
 # Usage: bash ci/exit_paths.sh, with `pulsepair` on PATH. It writes its
 # files into the current directory.
@@ -43,4 +44,14 @@ for args in "negativity -- -1 -1 -1" "validate" "--help"; do
   test "$code" -eq 3
   test "$(grep -c '^error:' closed.err)" -eq 1
   test "$(grep -c Traceback closed.err)" -eq 0
+done
+# a closed stderr, alone or with a closed stdout, keeps the exit code: the error line is lost, and the
+# interpreter's flush at exit does not fail a second time (which exited 120)
+code=0
+pulsepair preset fig9 2>&- || code=$?
+test "$code" -eq 2
+for args in "negativity -- -1 -1 -1" "--help"; do
+  code=0
+  pulsepair $args >&- 2>&- || code=$?
+  test "$code" -eq 3
 done

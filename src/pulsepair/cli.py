@@ -61,18 +61,9 @@ def _diag(message: str, usage: str = "") -> None:
     if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
         text = f"\x1b[31m{text}\x1b[0m"
     try:
-        print(usage + text, file=sys.stderr, flush=True)
+        print(usage + text, file=sys.stderr)
     except OSError:  # the code of the failure reported stays
-        _flush_or_silence(sys.stderr)
-
-
-def _flush_or_silence(stream) -> None:
-    # the interpreter flushes a failed process stream again at exit ("Exception ignored", exit 120)
-    if stream is sys.__stdout__ or stream is sys.__stderr__:
-        try:
-            stream.flush()
-        except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,13 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
     sweep.add_argument("--config", required=True, help="key=value config file")
-    sweep.add_argument("--mode", choices=["literal", "unitary"], default=None)
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.set_defaults(func=cmd_sweep)
 
     preset = sub.add_parser("preset", help="run a named figure preset")
     preset.add_argument("name")
-    preset.add_argument("--mode", choices=["literal", "unitary"], default=None)
+    preset.add_argument("--mode", choices=["literal", "unitary"], default="unitary")
     preset.add_argument("--out", default=None, help="CSV path (default <name>.csv)")
     preset.set_defaults(func=cmd_preset)
 
@@ -106,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_and_write(cfg: SweepConfig, mode: str | None, out: str) -> None:
-    if mode is not None:
-        cfg = replace(cfg, mode=CoefficientMode(mode))
+def _run_and_write(cfg: SweepConfig, out: str) -> None:
     result = run_sweep(cfg)
     try:
         result.write_csv(out)
@@ -124,7 +112,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         raise OSError(f"cannot read config: {exc}") from exc
     except (InvalidConfig, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"bad config: {exc}") from exc
-    _run_and_write(cfg, args.mode, args.out)
+    _run_and_write(cfg, args.out)
 
 
 def cmd_preset(args: argparse.Namespace) -> None:
@@ -133,7 +121,7 @@ def cmd_preset(args: argparse.Namespace) -> None:
         known = ", ".join(sorted(presets))
         raise UnknownPreset(f"unknown preset {args.name!r} (known: {known})")
     out = args.out if args.out is not None else f"{args.name}.csv"
-    _run_and_write(presets[args.name], args.mode, out)
+    _run_and_write(replace(presets[args.name], mode=CoefficientMode(args.mode)), out)
 
 
 def cmd_negativity(args: argparse.Namespace) -> None:
@@ -176,16 +164,20 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # on SystemExit too: a --help that stdout cannot take exits 3
     except (PulsePairError, OSError) as exc:
         _diag(str(exc))
-        _flush_or_silence(sys.stdout)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return code
 
 
 def entry() -> None:
-    if sys.stdout is None:  # fd 1 closed at start: a write fails with EBADF, as one to /dev/full does with ENOSPC
-        # as the process's stdout, _flush_or_silence silences it after a failure (no second error at exit)
-        sys.stdout = sys.__stdout__ = open(os.open(os.devnull, os.O_RDONLY), "w", encoding="utf-8")
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:  # fd closed at start: its writes fail (EBADF) as those to /dev/full do (ENOSPC)
+            setattr(sys, name, open(os.open(os.devnull, os.O_RDONLY), "w", encoding="utf-8"))
     code = main(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # the interpreter's flush at exit would fail again ("Exception ignored", exit 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     gc.freeze()  # the collections at shutdown then skip the heap that the imports built
     sys.exit(code)
 

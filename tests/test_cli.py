@@ -268,34 +268,13 @@ class TestSweep:
         assert "bad config" in err
         assert not out.exists()
 
-    def test_mode_flag_overrides_config(self, capsys, tmp_path):
-        cfg = paper_figure_presets()["fig1b"]
-        cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, points=21))
-        path = tmp_path / "cfg"
-        path.write_text(format_config(cfg), "ascii")
-        out = tmp_path / "out.csv"
-        code, _, _ = run(
-            capsys, "sweep", "--config", str(path), "--mode", "literal", "--out", str(out)
-        )
-        assert code == 0
-        residues = [
-            float(line.split(",")[-1])
-            for line in out.read_text("ascii").splitlines()[1:]
-        ]
-        assert max(residues) > 1e-6
-
-    def test_mode_must_be_known(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys,
-            "sweep",
-            "--config",
-            "whatever",
-            "--mode",
-            "exact",
-            "--out",
-            str(tmp_path / "x.csv"),
-        )
+    def test_mode_must_be_known(self, capsys, tmp_path, monkeypatch):
+        # a config file's mode key sets a sweep's mode; only preset takes --mode
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "preset", "fig1a", "--mode", "exact")
         assert code == 1
+        assert "invalid choice: 'exact'" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestValidate:
@@ -423,17 +402,40 @@ class TestStdout:
     @pytest.mark.parametrize("argv", [["negativity", "--", "-1", "-1", "-1"], ["validate"], ["--help"]])
     def test_a_closed_stdout_exits_3_as_a_full_one_does(self, argv, tmp_path):
         # with fd 1 closed the interpreter sets sys.stdout to None, and print drops its text
-        child = run_with_closed_stdout(argv, tmp_path)
+        child = run_with_closed_fds(argv, tmp_path, [1])
         assert child.returncode == 3
         assert child.stderr == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
 
+    @pytest.mark.parametrize("fds, unbuffered", [([1], ""), ([1, 2], ""), ([1, 2], "1")])
     @pytest.mark.parametrize("command", [["preset", "fig3a"], ["sweep", "--config", "fig3a.cfg"]])
-    def test_a_closed_stdout_leaves_a_csv_run_at_exit_0(self, command, tmp_path):
+    def test_a_closed_stdout_leaves_a_csv_run_at_exit_0(self, command, fds, unbuffered, tmp_path):
         (tmp_path / "fig3a.cfg").write_text(format_config(paper_figure_presets()["fig3a"]), "ascii")
-        child = run_with_closed_stdout([*command, "--out", "out.csv"], tmp_path)
-        assert (child.returncode, child.stderr) == (0, "")
+        child = run_with_closed_fds([*command, "--out", "out.csv"], tmp_path, fds, unbuffered)
+        assert (child.returncode, child.stderr) == (0, None if 2 in fds else "")
         assert main(["preset", "fig3a", "--out", str(tmp_path / "ref.csv")]) == 0
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["preset", "fig9"], 2),
+            (["sweep", "--config", "missing.cfg", "--out", "x.csv"], 3),
+            (["negativity", "--", "2", "2", "2"], 4),
+            (["validate", "--seed", "-1"], 1),
+        ],
+    )
+    def test_a_closed_stderr_keeps_the_exit_code(self, argv, code, unbuffered, tmp_path):
+        # with fd 2 closed the interpreter sets sys.stderr to None: the error line is lost, not the code
+        child = run_with_closed_fds(argv, tmp_path, [2], unbuffered)
+        assert (child.returncode, child.stdout) == (code, "")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [["negativity", "--", "-1", "-1", "-1"], ["validate"], ["--help"]])
+    def test_closed_stdout_and_stderr_exit_3_without_a_second_error(self, argv, unbuffered, tmp_path):
+        # neither stream takes a byte; the exit flushes cannot fail a second time (exit 120)
+        assert run_with_closed_fds(argv, tmp_path, [1, 2], unbuffered).returncode == 3
 
 
 class TestExit:
@@ -484,15 +486,19 @@ def run_on_closed_pipe(argv, stream, unbuffered):
         os.close(write_end)
 
 
-def run_with_closed_stdout(argv, cwd):
-    """Run ``python -m pulsepair.cli`` in ``cwd`` with fd 1 closed, as ``>&-`` leaves it in a shell."""
+def run_with_closed_fds(argv, cwd, fds, unbuffered=""):
+    """Run ``python -m pulsepair.cli`` in ``cwd`` with ``fds`` closed, as ``>&-`` and ``2>&-`` leave them in a shell.
+
+    The child closes them itself, so the test does not depend on whether a shell's ``2>&-`` reaches the interpreter.
+    """
     return subprocess.run(
         [sys.executable, "-m", "pulsepair.cli", *argv],
         cwd=cwd,
-        env=child_env(),
-        stderr=subprocess.PIPE,
+        env=child_env(unbuffered),
+        stdout=None if 1 in fds else subprocess.PIPE,
+        stderr=None if 2 in fds else subprocess.PIPE,
         text=True,
-        preexec_fn=lambda: os.close(1),
+        preexec_fn=lambda: [os.close(fd) for fd in fds],
     )
 
 
