@@ -1,5 +1,5 @@
 """The nine files that the pulsepair processes of the console-script step wrote into the directory
-given as the one argument have the sha256 digests in perfbench/reference_digests.json, and the
+given as the one argument have the sha256 digests in tests/preset_digests.json, and the
 sweep's and the CSV's per-process memos live across sweeps in one process: all 24 preset/mode
 pairs, reversed and then shuffled, print those files' bytes.
 
@@ -9,7 +9,7 @@ import dataclasses, hashlib, json, os, random, sys
 from pulsepair.pulses import CoefficientMode
 from pulsepair.scenarios import paper_figure_presets, run_sweep
 files = (("a.csv", "fig1a/literal"), ("h.csv", "fig2a/literal"), ("b.csv", "fig1b/literal"), ("d.csv", "fig2b/literal"), ("c.csv", "fig3a/unitary"), ("e.csv", "fig5a/literal"), ("f.csv", "fig1a/unitary"), ("g.csv", "fig3a/literal"), ("fifo.csv", "fig3a/unitary"))
-with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference_digests.json")) as f:
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "preset_digests.json")) as f:
     reference = json.load(f)
 for path, key in files:
     digest = hashlib.sha256(open(os.path.join(sys.argv[1], path), "rb").read()).hexdigest()

@@ -1,6 +1,7 @@
 """The workflow and the scripts under ci/ name each other: no step calls a missing script, and no script is orphaned.
 
-ci/README.md, whose recipes run the scripts by hand, names no missing script either.
+ci/README.md, whose recipes run the scripts by hand, names no missing script either. No test or script under tests/ or
+ci/ names the benchmark's directory: they keep their own preset digests and their own spies.
 """
 
 import re
@@ -24,3 +25,13 @@ def test_the_ci_readme_names_only_existing_scripts():
     assert named, "ci/README.md names no ci/ script"
     missing = sorted(name for name in named if not (ROOT / "ci" / name).is_file())
     assert missing == [], "named by ci/README.md, missing from ci/"
+
+
+def test_tests_and_ci_read_nothing_under_the_benchmark():
+    # the benchmark measures the program and keeps its own digests; the program's tests and
+    # CI scripts keep theirs (tests/preset_digests.json), so a benchmark-only change breaks neither
+    this = Path(__file__).resolve()
+    sources = [p for d in ("tests", "ci") for p in sorted((ROOT / d).rglob("*")) if p.suffix in (".py", ".sh")]
+    assert sources, "no .py or .sh file under tests/ or ci/"
+    naming = [str(p.relative_to(ROOT)) for p in sources if p.resolve() != this and "perfbench" in p.read_text("utf-8")]
+    assert naming == [], "names the benchmark's directory"

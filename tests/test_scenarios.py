@@ -258,7 +258,7 @@ class TestRunSweep:
             assert np.abs(row - initial).max() < 1e-9
 
 
-REFERENCE_DIGESTS = Path(__file__).parents[1] / "perfbench" / "reference_digests.json"
+REFERENCE_DIGESTS = Path(__file__).with_name("preset_digests.json")
 
 
 def _preset_modes(names=None):
