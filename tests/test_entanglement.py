@@ -159,19 +159,98 @@ def test_split_route_matches_lapack_on_x_decoupled_tensors(shape, data):
     assert np.abs(ours - _lapack_route(t)).max(initial=0.0) <= 4e-15 * max(1.0, np.abs(t).max(initial=0.0))
 
 
-def test_only_tensors_with_an_x_coupling_go_to_lapack(monkeypatch):
-    svd, sent = np.linalg.svd, []
+def _route_spies(monkeypatch):
+    """Lists that get the number of tensors of every np.linalg.svd call and of every quartic call from now on."""
+    svd, quartic, sent, solved = np.linalg.svd, entanglement._quartic_negativities, [], []
     monkeypatch.setattr(np.linalg, "svd", lambda t, **kw: sent.append(len(t)) or svd(t, **kw))
+    monkeypatch.setattr(entanglement, "_quartic_negativities", lambda t: solved.append(len(t)) or quartic(t))
+    return sent, solved
+
+
+def test_only_tensors_with_an_x_coupling_take_the_quartic(monkeypatch):
+    # the negativity of an x-coupled tensor comes from the quartic, with no SVD; its spectrum still takes LAPACK's
     t = np.tile(np.diag([-0.9, -0.8, -0.7]), (4, 2, 1, 1))
     t[0, 0, 0, 1], t[1, 1, 2, 0], t[2, 0, 1, 0] = 1e-300, -0.1, -0.0
     t[3, :, 0, 0] = 0.0
-    zero_bloch_negativity_batch(t)
-    assert sent == [2]
+    expected = _lapack_route(t)
+    sent, solved = _route_spies(monkeypatch)
+    assert zero_bloch_negativity_batch(t) == pytest.approx(expected, abs=1e-15)
+    assert (sent, solved) == ([], [2])
+    zero_bloch_spectrum_batch(t)
+    assert (sent, solved) == ([2], [2])
+
+
+def test_a_near_double_root_below_minus_one_takes_lapack(monkeypatch):
+    # 2 R for a proper rotation R has singular values (2, 2, 2) and det 8 > 0, so s = 6, -2, -2, -2: a triple root
+    # at -2 and E = 3 * 0.5 = 1.5.  Only those cells reach np.linalg.svd, and they keep the spectrum's value.
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.normal(size=(3, 3, 3)))[0]
+    rotations = 2.0 * q * np.sign(np.linalg.det(q))[:, None, None]
+    t = np.concatenate([rotations[:2], np.diag([-0.9, -0.8, -0.7])[None] @ q[2:], rotations[2:]])
+    sent, solved = _route_spies(monkeypatch)
+    values = zero_bloch_negativity_batch(t)
+    assert (sent, solved) == ([3], [4])
+    spectrum = np.abs(zero_bloch_spectrum_batch(t)).sum(axis=-1) - 1.0
+    assert values[[0, 1, 3]].tobytes() == spectrum[[0, 1, 3]].tobytes()
+    assert values[[0, 1, 3]] == pytest.approx(1.5, abs=1e-14)
+
+
+def _x_coupled(tensors):
+    return tensors[..., [0, 0, 1, 2], [1, 2, 0, 0]].any(axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_quartic_route_matches_lapack_on_x_coupled_tensors(n, data):
+    # the entries of the x-decoupled test, an x coupling drawn among them; the RuntimeWarning-as-error filter fails
+    # the test on any warning
+    t = np.reshape(data.draw(st.lists(_ENTRY, min_size=9 * n, max_size=9 * n)), (n, 3, 3))
+    t[:, 0, 1] = data.draw(st.sampled_from([0.5, -1e-3, 1e-100]))
+    assert _x_coupled(t).all()
+    assert np.abs(zero_bloch_negativity_batch(t) - _lapack_route(t)).max() <= 1e-15 * max(1.0, np.abs(t).max())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300, 5e307, 1e308])
+def test_tiny_and_huge_x_coupled_tensors_give_what_the_spectrum_gives(scale):
+    # a proper rotation, a reflection and a rotation of diag(1, 0.5, 0.25), each times scale: finite values as the
+    # spectrum's route gives them, or TraceNotOne where its spectrum overflows
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.normal(size=(3, 3, 3)))[0]
+    q *= np.sign(np.linalg.det(q))[:, None, None]
+    t = scale * np.stack([q[0], -q[1], np.diag([1.0, 0.5, 0.25]) @ q[2]])
+    assert _x_coupled(t).all()
+    for tensors in (t[:1], t[1:2], t[2:], t):
+        try:
+            expected = np.abs(zero_bloch_spectrum_batch(tensors)).sum(axis=-1) - 1.0
+        except TraceNotOne:
+            with pytest.raises(TraceNotOne):
+                zero_bloch_negativity_batch(tensors)
+            continue
+        assert zero_bloch_negativity_batch(tensors) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+
+def test_no_coupled_triangle_tensor_of_seed_0_takes_lapack(monkeypatch):
+    # its 1000 x-coupled tensors go to the quartic in two parts, and none comes back to np.linalg.svd
+    sent, solved = _route_spies(monkeypatch)
+    key = dict(validation._CHECKS)[validation._check_negativity_closed_form]
+    (result,) = validation._check_negativity_closed_form(np.random.default_rng([0, key]))
+    assert result.passed and (sent, solved) == ([], [512, 488])
+
+
+def test_the_part_size_changes_no_bit(monkeypatch):
+    rng = np.random.default_rng(13)
+    t = rng.uniform(-1.0, 1.0, size=(1500, 3, 3))
+    t[::3, 0, 1:] = t[::3, 1:, 0] = 0.0  # a third x-decoupled, between the parts
+    before = zero_bloch_negativity_batch(t)
+    monkeypatch.setattr(entanglement, "_PART_CELLS", 7)
+    assert zero_bloch_negativity_batch(t).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("k, l", [(0, 1), (0, 2), (1, 0), (2, 0)], ids=["T_xy", "T_xz", "T_yx", "T_zx"])
 def test_one_x_coupling_alone_takes_lapacks_singular_values(k, l):
-    # with T_yx = 0.3 alone, the block formula would give (0.5, 0.4, 0.2), LAPACK (0.632, 0.316, 0.2)
+    # with T_yx = 0.3 alone, the block formula would give (0.5, 0.4, 0.2), LAPACK (0.632, 0.316, 0.2); the
+    # negativity takes the quartic, as every x-coupled cell does
     t = np.diag([0.5, 0.4, -0.2])
     t[k, l] = 0.3
     assert zero_bloch_negativity_batch(t) == pytest.approx(_lapack_route(t), abs=1e-15)
@@ -184,7 +263,8 @@ def test_triple_product_of_huge_rows_does_not_overflow(sign):
     # 1.5s either way at s = 1e200.  The RuntimeWarning-as-error filter fails the test on any warning.
     t = np.diag([1e200, 1e200, sign * 1e200])
     c, s = math.cos(0.5), math.sin(0.5)
-    rotated = t @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # x-coupled: LAPACK's singular values
+    # x-coupled: the quartic's negativity, or LAPACK's at the triple root of sign = 1
+    rotated = t @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     assert zero_bloch_negativity_batch(np.stack([t, rotated])) == pytest.approx([1.5e200, 1.5e200], rel=1e-14)
 
 

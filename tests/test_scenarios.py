@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pulsepair import scenarios
+from pulsepair import entanglement, scenarios
 from pulsepair.config import format_config
 from pulsepair.entanglement import CLAMP_TOL, _density_negativities, zero_bloch_negativity_batch
 from pulsepair.errors import InvalidConfig
@@ -448,23 +448,25 @@ class TestClosedFormGuard:
         raw = zero_bloch_negativity_batch(tensors[:, 0])
         assert np.abs(raw - list(self.FIG1B_LITERAL_CELLS.values())).max() <= 1e-16
 
-    def test_only_detuned_preset_cells_go_to_lapack(self, monkeypatch):
-        # the closed form sends a tensor to np.linalg.svd unless T_xy, T_xz,
-        # T_yx and T_zx are zero, which resonant drives keep exactly
-        svd, sent = np.linalg.svd, []
+    def test_only_detuned_preset_cells_take_the_quartic(self, monkeypatch):
+        # the closed form sends a tensor to the quartic unless T_xy, T_xz, T_yx and T_zx are zero, which resonant
+        # drives keep exactly, and no preset cell on to np.linalg.svd
+        svd, quartic, sent, solved = np.linalg.svd, entanglement._quartic_negativities, [], []
         monkeypatch.setattr(np.linalg, "svd", lambda t, **kw: sent.append(len(t)) or svd(t, **kw))
+        monkeypatch.setattr(entanglement, "_quartic_negativities", lambda t: solved.append(len(t)) or quartic(t))
         cfg = self._fig1b_literal()
         maps = scenarios._grid_maps(cfg, cfg.grid.values()[list(self.FIG1B_LITERAL_CELLS)])
         zero_bloch_negativity_batch(evolve_correlations_batch([InitialState.werner(-0.9).correlations], *maps)[0])
-        assert sent == [2]  # so the 1e-16 pin above holds LAPACK's values
-        cells = lapack = 0
+        assert (sent, solved) == ([], [2])  # so the 1e-16 pin above holds the quartic's values
+        cells = coupled = 0
         for name, preset in paper_figure_presets().items():
             for mode in CoefficientMode:
-                sent.clear()
+                solved.clear()
                 cells += scenarios._long_route(dataclasses.replace(preset, mode=mode), preset.grid.values())[0].size
-                lapack += sum(sent)
-                assert name in ("fig1b", "fig2b") or sum(sent) == 0, (name, mode)
-        assert (cells, cells - lapack) == (57_672, 48_089)
+                coupled += sum(solved)
+                assert name in ("fig1b", "fig2b") or sum(solved) == 0, (name, mode)
+        # cells by route: the block formula, the quartic and LAPACK's SVD
+        assert (cells - coupled, coupled, sum(sent)) == (48_089, 9_583, 0)
 
     def test_csv_keeps_the_jacobi_digits_of_those_cells(self):
         # the closed form would print 0.611591403526 and 0.549439573879

@@ -89,28 +89,28 @@ def test_preset_checks_evolve_the_unitary_maps(monkeypatch):
 
 
 def test_preset_checks_skip_the_guard_and_the_literal_closed_form(monkeypatch):
-    # only the UNITARY tensors and the initial states take the closed form; a
-    # LITERAL sweep's residues need the evolution alone, and no cell is guarded
-    jacobi_cells, spectrum_cells = [], []
+    # only the UNITARY tensors and the initial states take the closed form; a LITERAL sweep's residues need the
+    # evolution alone, no cell is guarded, and none of the detuned presets' x-coupled cells reaches LAPACK's SVD
+    jacobi_cells, negativity_cells, svd_cells = [], [], []
 
     def counting(record, fn):
-        def counted(tensors, *solver):
+        def counted(tensors, *args, **kwargs):
             record.append(int(np.prod(np.shape(tensors)[:-2])))
-            return fn(tensors, *solver)
+            return fn(tensors, *args, **kwargs)
 
         return counted
 
     for module in (entanglement, scenarios):
         monkeypatch.setattr(module, "_density_negativities", counting(jacobi_cells, module._density_negativities))
-    monkeypatch.setattr(
-        entanglement, "zero_bloch_spectrum_batch", counting(spectrum_cells, entanglement.zero_bloch_spectrum_batch)
-    )
+    negativity = entanglement.zero_bloch_negativity_batch
+    monkeypatch.setattr(entanglement, "zero_bloch_negativity_batch", counting(negativity_cells, negativity))
+    monkeypatch.setattr(np.linalg, "svd", counting(svd_cells, np.linalg.svd))
     assert all(r.passed for r in validation._check_presets(np.random.default_rng(0)))
     presets = scenarios.paper_figure_presets().values()
     unitary_cells = sum(cfg.grid.points * len(cfg.initial_states) for cfg in presets)
     initial_cells = sum(len(cfg.initial_states) for cfg in presets)
-    assert jacobi_cells == []
-    assert sum(spectrum_cells) == unitary_cells + initial_cells
+    assert jacobi_cells == [] and svd_cells == []
+    assert sum(negativity_cells) == unitary_cells + initial_cells
 
 
 def _swap_the_maps(evolve):
